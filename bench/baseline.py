@@ -9,7 +9,9 @@ each workload and metric it prints the median, the quartiles (as
 share of the median.  ``--write`` merges the summary into a JSON file
 together with the machine and Python version, under ``--label`` (by
 default ``untraced`` or ``traced``), and the tracing overhead: traced minus
-untraced median pass time.
+untraced median pass time.  Besides the metrics of the JSON result it
+summarizes ``wall_raw_s``, the plain wall time of a pass that run.py
+prints on a line of its own.
 """
 
 import argparse
@@ -44,6 +46,12 @@ def run_once(workload, seed, seconds, trace):
         else None
     if result is None:
         sys.stderr.write(proc.stdout + proc.stderr)
+    else:
+        # the plain wall time of a pass, printed beside the JSON result
+        for line in lines:
+            if line.startswith("wall_raw_s "):
+                result["metrics"]["wall_raw_s"] = {
+                    "value": float(line.split()[1]), "unit": "s"}
     return result, elapsed, proc.returncode
 
 
@@ -56,13 +64,15 @@ def summarize(values):
 
 
 def tracing_overhead(data):
-    """Traced minus untraced median pass time, per workload."""
+    """Traced minus untraced median pass time, per workload, both in
+    plain wall time (``wall_s`` is in reference seconds)."""
     out = {}
     for workload, traced in data.get("traced", {}).items():
         plain = data.get("untraced", {}).get(workload)
-        if plain and "trace.wall_s" in traced["metrics"]:
+        if (plain and "trace.wall_s" in traced["metrics"]
+                and "wall_raw_s" in plain["metrics"]):
             out[workload] = (traced["metrics"]["trace.wall_s"]["median"]
-                             - plain["metrics"]["wall_s"]["median"])
+                             - plain["metrics"]["wall_raw_s"]["median"])
     return out
 
 

@@ -12,11 +12,15 @@ other, for about ``--seconds`` (always at least one pass; the last pass may
 run over by up to half a pass), and checks every verdict.
 
 With ``--trace 0`` it reports the end-to-end metrics: ``setup_s``,
-``wall_s`` (median wall time of one pass, i.e. the time to all verdicts),
+``wall_s`` (median time of one pass, i.e. the time to all verdicts),
 ``verdict_ms.p50``, ``peak_rss_mb`` (``ru_maxrss`` of this process) and,
-on decode, ``verdict_ms.p90``.  With ``--trace 1`` it wraps the library's
+on decode, ``verdict_ms.p90``.  Its times are read from the speed clock
+of speed.py: seconds of a reference CPU, so that a slow phase of a shared
+host does not read as a slow program.  The plain wall time of a pass is
+printed as ``wall_raw_s``.  With ``--trace 1`` it wraps the library's
 public functions (tracer.py) and reports per-layer metrics per pass
-instead; the spans go to ``bench/out/trace-<workload>-<seed>.json``.
+instead, all in plain wall time; the spans go to
+``bench/out/trace-<workload>-<seed>.json``.
 
 Every metric is printed as ``name value unit``; the last line of standard
 output is one JSON object with the keys correct, attempted, failed and
@@ -40,6 +44,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import tracer as tracing
+from speed import CLOCK
 from workloads import WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,29 +69,30 @@ def set_up(workload, seed, workdir):
     """Import, generate inputs and warm up; return (lib, median seconds)."""
     times = []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
+        t0 = CLOCK.now()
         lib = load_library()
         workload.setup(lib, seed, workdir)
         workload.warm_up(lib)
-        times.append(time.perf_counter() - t0)
+        times.append(CLOCK.now() - t0)
     return lib, statistics.median(times)
 
 
 def run_passes(workload, lib, seconds, tracer):
     """Closed loop over whole passes, at least one; another pass starts
-    while half the median pass still fits in ``seconds``.  Returns (pass
-    seconds, verdicts)."""
-    pass_times, verdicts = [], []
+    while half the median pass still fits in ``seconds`` of wall time.
+    Returns (pass seconds by ``CLOCK``, pass wall seconds, verdicts)."""
+    pass_times, raw_times, verdicts = [], [], []
     start = time.perf_counter()
     while True:
-        t0 = time.perf_counter()
+        t0, raw0 = CLOCK.now(), time.perf_counter()
         runs = workload.run_pass(lib, tracer)
-        pass_times.append(time.perf_counter() - t0)
+        pass_times.append(CLOCK.now() - t0)
+        raw_times.append(time.perf_counter() - raw0)
         with tracer.paused() if tracer else contextlib.nullcontext():
             verdicts += workload.check(lib, runs)
         elapsed = time.perf_counter() - start
-        if elapsed + statistics.median(pass_times) / 2 > seconds:
-            return pass_times, verdicts
+        if elapsed + statistics.median(raw_times) / 2 > seconds:
+            return pass_times, raw_times, verdicts
 
 
 def end_to_end(workload, setup_s, pass_times, verdicts):
@@ -119,6 +125,8 @@ def main(argv=None):
     workload = WORKLOADS[args.workload]()
     OUT.mkdir(parents=True, exist_ok=True)
     workdir = tempfile.mkdtemp(prefix=f"{args.workload}-", dir=OUT)
+    if not args.trace:
+        CLOCK.start()
     try:
         try:
             lib, setup_s = set_up(workload, args.seed, workdir)
@@ -131,8 +139,10 @@ def main(argv=None):
         if args.trace:
             tracer = tracing.Tracer()
             tracer.install()
-        pass_times, verdicts = run_passes(workload, lib, args.seconds, tracer)
+        pass_times, raw_times, verdicts = run_passes(workload, lib,
+                                                     args.seconds, tracer)
     finally:
+        CLOCK.stop()
         shutil.rmtree(workdir, ignore_errors=True)
 
     failed = [v for v in verdicts if not v.ok]
@@ -154,6 +164,7 @@ def main(argv=None):
     print(f"workload {args.workload} seed {args.seed}: {len(pass_times)} "
           f"passes, {len(verdicts)} verdicts, {len(failed)} failed")
     print(f"failed_frac {len(failed) / len(verdicts):.4f} ratio")
+    print(f"wall_raw_s {statistics.median(raw_times):.6g} s")
     for name, (value, unit) in metrics.items():
         print(f"{name} {value:.6g} {unit}")
     print(json.dumps({

@@ -46,7 +46,7 @@ def classify_cases(lib, work):
     w = workloads.Classify()
     chosen = w.choose(lib, workloads.DEFAULT_SEED)
     w.chosen = [next(c for c in chosen if c[0] == slot)
-                for slot in ("squares256", "Z8")]
+                for slot in ("squares256", "Z8/2")]
     w.setup(lib, workloads.DEFAULT_SEED, work)
     runs = w.run_pass(lib, None)
     yield "classify output as printed", w.check(lib, runs), False

@@ -13,11 +13,11 @@ import contextlib
 import io
 import json
 import random
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import oracle
+from speed import CLOCK
 
 DEFAULT_SEED = 0
 REFS = Path(__file__).resolve().parent / "refs"
@@ -54,9 +54,9 @@ def call_cli(lib, argv, stream=None):
 def timed_cli(lib, tracer, tag, argv, stream=None):
     """``call_cli`` as one verdict: (exit code, stdout, seconds)."""
     t_mark = tracer.begin_verdict() if tracer else None
-    t0 = time.perf_counter()
+    t0 = CLOCK.now()
     code, text = call_cli(lib, argv, stream)
-    seconds = time.perf_counter() - t0
+    seconds = CLOCK.now() - t0
     if tracer:
         tracer.end_verdict(tag, t_mark)
     return code, text, seconds
@@ -76,7 +76,7 @@ class _StampedLines(io.StringIO):
 
     def write(self, s):
         n = super().write(s)
-        self.stamps.extend([time.perf_counter()] * s.count("\n"))
+        self.stamps.extend([CLOCK.now()] * s.count("\n"))
         return n
 
 
@@ -88,22 +88,26 @@ class Classify:
     """``groupoid-lab classify f.json --format json`` on FinAb functors.
 
     Inputs are seeded draws ``gen_functor(FINAB, "<seed>:<k>")``, k = 0, 1,
-    ..., sorted into slots by codomain until every slot is full.  Most slots
-    take one-object functors D(phi): D(A) -> D(Z_n) onto a fixed cyclic
-    codomain, whose flags the delooping oracle decides from phi; one slot
-    takes any codomain with 256 commutative squares (several objects).  The
-    codomain D(Z_n) has n^3 squares: up to 512 (Z8) the arrow groupoid gets
-    a dense add table, above it (Z9) a lazy one.  The seed picks the domain
-    and the map; fixing the codomain keeps the work of a pass alike across
-    seeds.
+    ..., sorted into slots until every slot is full.  Most slots take
+    one-object functors D(phi): D(A) -> D(Z_n) with a fixed cyclic codomain
+    and a fixed order of A, whose flags the delooping oracle decides from
+    phi; one slot takes any codomain with 256 commutative squares (several
+    objects).  The codomain D(Z_n) has n^3 squares: up to 512 (Z8) the
+    arrow groupoid gets a dense add table, above it (Z9) a lazy one.  The
+    seed picks the group A of the given order and the map; fixing the
+    codomain and the order of A keeps the work of a pass alike across seeds
+    (a D(Z8) verdict costs about half again as much from an A of order 16
+    as from the trivial group).
     """
 
     name = "classify"
-    # (slot, cyclic codomain order or None for the 256-square slot, draws)
-    # Six of the eight verdicts go to D(Z8), with one cheaper and one dearer
-    # slot on either side, so that the median verdict is a middle D(Z8) one
-    # and not whichever slot happens to sit at the median for a seed.
-    SLOTS = (("squares256", None, 1), ("Z8", 8, 6), ("Z9", 9, 1))
+    # (slot, cyclic codomain order and order of A, or None for the
+    # 256-square slot, draws).  Four of the six verdicts go to D(Z8), with
+    # one cheaper and one dearer slot on either side, so that the median
+    # verdict lies between the D(Z8) ones from A of order 2 and 4.
+    SLOTS = (("squares256", None, 1),
+             ("Z8/1", (8, 1), 1), ("Z8/2", (8, 2), 1), ("Z8/4", (8, 4), 1),
+             ("Z8/8", (8, 8), 1), ("Z9/3", (9, 3), 1))
     MAX_DRAWS = 5000
     chosen = None
 
@@ -127,8 +131,8 @@ class Classify:
         measures what a user pays: import, generation and warm-up.
         """
         wanted = {slot: count for slot, _, count in self.SLOTS}
-        cyclic = {n: (slot, lib.base.zmod(n))
-                  for slot, n, _ in self.SLOTS if n is not None}
+        cyclic = {orders: (slot, lib.base.zmod(orders[0]))
+                  for slot, orders, _ in self.SLOTS if orders is not None}
         chosen = []
         for k in range(self.MAX_DRAWS):
             tag = f"{seed}:{k}"
@@ -136,7 +140,8 @@ class Classify:
             cod = fun.cod
             slot = None
             if fun.dom.B0.size == 1 and cod.B0.size == 1:
-                slot, group = cyclic.get(cod.B1.size, (None, None))
+                slot, group = cyclic.get((cod.B1.size, fun.dom.B1.size),
+                                         (None, None))
                 if slot is not None and cod.B1 != group:
                     slot = None
             elif sum(len(b) ** 2 for b in cod.m.preimages()) == 256:
@@ -150,8 +155,9 @@ class Classify:
                            f"{self.MAX_DRAWS} draws")
 
     def warm_up(self, lib):
-        path = next(p for slot, _, p, _ in self.inputs
-                    if slot == "squares256")
+        # D(1) -> D(Z8) is the one input that is the same for every seed
+        # (the trivial group has one map), so set-up costs alike across seeds
+        path = next(p for slot, _, p, _ in self.inputs if slot == "Z8/1")
         call_cli(lib, ["classify", path, "--format", "json"])
 
     def run_pass(self, lib, tracer):
@@ -192,14 +198,14 @@ class Sweep:
     def run_pass(self, lib, tracer):
         tag = f"finab:protomodularity-char:{self.seed}"
         t_mark = tracer.begin_verdict() if tracer else None
-        t0 = time.perf_counter()
+        t0 = CLOCK.now()
         try:
             report = lib.harness.run_suite("protomodularity-char",
                                            lib.base.FINAB, 25000, self.seed)
             cases, failures = report.cases, report.failures
         except Exception as exc:    # a failed verdict, not a crash
             cases, failures = None, [f"{type(exc).__name__}: {exc}"]
-        seconds = time.perf_counter() - t0
+        seconds = CLOCK.now() - t0
         if tracer:
             tracer.end_verdict(tag, t_mark)
         return [(tag, cases, failures, seconds)]
@@ -253,7 +259,7 @@ class VerifySets:
         for inst in self.INSTANCES:
             out = self.workdir / f"verify-{inst}.json"
             stream = _StampedLines()
-            t0 = time.perf_counter()
+            t0 = CLOCK.now()
             code, text, _ = timed_cli(
                 lib, tracer, f"verify:{inst}:{seed}",
                 ["verify", "--instance", inst, "--cases", str(self.CASES),
