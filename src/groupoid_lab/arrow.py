@@ -294,7 +294,7 @@ def graph_comparison(delta: BaseMorphism) -> ArrowMorphism:
     """
     from .groupoid import groupoid_from_arrow
     obj = normalize_obj(groupoid_from_arrow(delta))
-    top = morphism_from_function(obj.top, delta.dom, lambda t: t[1])
+    top = morphism_from_function(obj.top, delta.dom, lambda t: t[1], _trusted=True)
     return ArrowMorphism(obj, ArrowObject(delta), top, identity(delta.cod))
 
 

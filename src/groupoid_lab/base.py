@@ -13,6 +13,16 @@ elements, and a morphism stores, for each domain index, the codomain index
 of its image.  All limit carriers are canonically ordered (lexicographically
 by constituent indices), so "the same object built two ways" can be compared
 by relabelling followed by equality.
+
+Validation policy: values from outside the library are validated exactly,
+at every size: the JSON decoder, and the public constructors when a caller
+passes its own data (BaseObject, BaseMorphism, finset_object,
+finptdset_object, finab_object, morphism_from_function, functor,
+transformation).  Index fields must be ints; bools are rejected.  Everything
+the library derives from valid values (limit apexes, legs and mediators,
+subgroups, quotients, direct sums, homs, sections, the structure maps of
+built groupoids) is valid by construction and is built with the private
+``_trusted=True``.
 """
 
 from __future__ import annotations
@@ -63,17 +73,18 @@ _INSTANCES = {i.name: i for i in (FINSET, FINPTDSET, FINAB)}
 
 
 def parse_instance(name: str) -> BaseInstance:
+    if not isinstance(name, str):
+        raise DiagramError(f"base instance name {name!r} is not a string")
     try:
         return _INSTANCES[name.lower()]
     except KeyError:
         raise DiagramError(f"unknown base instance {name!r}") from None
 
 
-# Associativity of an addition table is checked exhaustively up to this
-# carrier size; above it a deterministic strided sample of triples is used.
-# Derived objects that exceed the cutoff (large limit apexes) are valid by
-# construction, so the sample is a guard against table corruption only.
-_ASSOC_EXHAUSTIVE_CUTOFF = 48
+def _is_index(value, size: int) -> bool:
+    """Whether a stored index is an int (not a bool) in range(size)."""
+    return type(value) is int and 0 <= value < size
+
 
 # Above this size, limit apexes get a lazy addition table; a dense table
 # holds size^2 entries and dominates the memory of every holim pipeline.
@@ -125,7 +136,7 @@ class BaseObject:
             if (self.basepoint, self.add) != (None, None):
                 raise DiagramError("finset objects carry no extra structure")
         elif self.instance is FINPTDSET:
-            if not (isinstance(self.basepoint, int) and 0 <= self.basepoint < n):
+            if not _is_index(self.basepoint, n):
                 raise DiagramError("finptdset object needs a basepoint index")
         elif self.instance is FINAB:
             self._validate_group()
@@ -142,9 +153,9 @@ class BaseObject:
         if len(add) != n or any(len(r) != n for r in add) or len(neg) != n:
             raise DiagramError("group table shape mismatch")
         rng = range(n)
-        ok = all(0 <= add[i][j] < n for i in rng for j in rng)
-        if not (ok and all(0 <= neg[i] < n for i in rng) and 0 <= zero < n):
-            raise DiagramError("group table entry out of range")
+        if not (all(_is_index(v, n) for row in add for v in row)
+                and all(_is_index(v, n) for v in neg) and _is_index(zero, n)):
+            raise DiagramError("group table entry is not an int index in range")
         for i in rng:
             if add[i][zero] != i or add[zero][i] != i:
                 raise DiagramError("zero is not a unit for the table")
@@ -153,16 +164,17 @@ class BaseObject:
             for j in rng:
                 if add[i][j] != add[j][i]:
                     raise DiagramError("addition table is not commutative")
-        if n <= _ASSOC_EXHAUSTIVE_CUTOFF:
-            triples = itertools.product(rng, rng, rng)
-        else:
-            total = n * n * n
-            step = max(1, total // 2000)
-            triples = ((t % n, (t // n) % n, (t // (n * n)) % n)
-                       for t in range(0, total, step))
-        for i, j, k in triples:
-            if add[add[i][j]][k] != add[i][add[j][k]]:
-                raise DiagramError("addition table is not associative")
+        # Light's associativity test: the elements a with (x+a)+y = x+(a+y)
+        # for all x, y include zero and are closed under sums, and the greedy
+        # walk reaches every element from zero by adding generators, so
+        # testing the generators decides associativity exactly.
+        for g in self.generating_sequence():
+            g_row = add[g]
+            for x in rng:
+                lhs = add[add[x][g]]
+                x_row = add[x]
+                if any(lhs[y] != x_row[g_row[y]] for y in rng):
+                    raise DiagramError("addition table is not associative")
 
     # -- basics -----------------------------------------------------------
 
@@ -274,8 +286,8 @@ class BaseMorphism:
         if len(self.map) != self.dom.size:
             raise DiagramError("morphism table length mismatch")
         n = self.cod.size
-        if any(not (0 <= j < n) for j in self.map):
-            raise DiagramError("morphism image index out of range")
+        if not all(_is_index(j, n) for j in self.map):
+            raise DiagramError("morphism image is not an int index in range")
         inst = self.dom.instance
         if inst is FINPTDSET:
             if self.map[self.dom.basepoint] != self.cod.basepoint:
@@ -364,23 +376,22 @@ def direct_sum(a: BaseObject, b: BaseObject) -> BaseObject:
             add[i][j] = a.add[ia][ja] * nb + b.add[ib][jb]
     neg = [a.neg[i // nb] * nb + b.neg[i % nb] for i in range(n)]
     zero = a.zero * nb + b.zero
-    return finab_object(carrier, add, neg, zero, _trusted=n > _ASSOC_EXHAUSTIVE_CUTOFF)
+    return finab_object(carrier, add, neg, zero, _trusted=True)
 
 
 def subgroup_object(parent: BaseObject, indices) -> BaseObject:
     """The subgroup on a sum-closed subset of indices (parent order kept)."""
     idx = sorted(set(indices))
     pos = {p: k for k, p in enumerate(idx)}
-    if parent.zero not in pos:
-        raise DiagramError("subgroup must contain zero")
+    if parent.zero not in pos or not all(_is_index(i, parent.size) for i in idx):
+        raise DiagramError("subgroup indices must be in range and include zero")
     try:
         add = [[pos[parent.add[i][j]] for j in idx] for i in idx]
         neg = [pos[parent.neg[i]] for i in idx]
     except KeyError:
         raise DiagramError("subset is not closed under the group structure") from None
     carrier = [parent.carrier[i] for i in idx]
-    return finab_object(carrier, add, neg, pos[parent.zero],
-                        _trusted=len(idx) > _ASSOC_EXHAUSTIVE_CUTOFF)
+    return finab_object(carrier, add, neg, pos[parent.zero], _trusted=True)
 
 
 def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
@@ -403,7 +414,10 @@ def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
 
 
 def quotient_by_subgroup(obj: BaseObject, subgroup_indices):
-    """Quotient group and projection; cosets named by least-index member."""
+    """Quotient group and projection; cosets named by least-index member.
+
+    ``subgroup_indices`` must index a subgroup; the quotient is built trusted.
+    """
     sub = set(subgroup_indices)
     if obj.zero not in sub:
         raise DiagramError("subgroup must contain zero")
@@ -416,12 +430,10 @@ def quotient_by_subgroup(obj: BaseObject, subgroup_indices):
         for s in sub:
             rep[obj.add[i][s]] = i
     pos = {r: k for k, r in enumerate(reps)}
-    n = len(reps)
     add = [[pos[rep[obj.add[a][b]]] for b in reps] for a in reps]
     neg = [pos[rep[obj.neg[a]]] for a in reps]
     carrier = [obj.carrier[r] for r in reps]
-    q_obj = finab_object(carrier, add, neg, pos[rep[obj.zero]],
-                         _trusted=n > _ASSOC_EXHAUSTIVE_CUTOFF)
+    q_obj = finab_object(carrier, add, neg, pos[rep[obj.zero]], _trusted=True)
     proj = BaseMorphism(obj, q_obj, [pos[rep[i]] for i in range(obj.size)],
                         _trusted=True)
     return q_obj, proj
@@ -446,9 +458,11 @@ def zero_morphism(dom: BaseObject, cod: BaseObject) -> BaseMorphism:
     return BaseMorphism(dom, cod, [z] * dom.size, _trusted=True)
 
 
-def morphism_from_function(dom: BaseObject, cod: BaseObject, fn) -> BaseMorphism:
-    """Build and validate the index table of an element-level function."""
-    return BaseMorphism(dom, cod, [cod.index_of(fn(x)) for x in dom.carrier])
+def morphism_from_function(dom: BaseObject, cod: BaseObject, fn,
+                           _trusted=False) -> BaseMorphism:
+    """Build the index table of an element-level function (validated unless trusted)."""
+    return BaseMorphism(dom, cod, [cod.index_of(fn(x)) for x in dom.carrier],
+                        _trusted=_trusted)
 
 
 def compose(*morphisms: BaseMorphism) -> BaseMorphism:
@@ -588,8 +602,7 @@ def _structured_tuple_object(instance, parts: list[BaseObject], tuples):
                 add[i][j] = lookup[s]
             except KeyError:
                 raise DiagramError("limit carrier is not sum-closed") from None
-    return finab_object(carrier, add, neg, zero,
-                        _trusted=n > _ASSOC_EXHAUSTIVE_CUTOFF)
+    return finab_object(carrier, add, neg, zero, _trusted=True)
 
 
 class LimitResult:
@@ -616,7 +629,7 @@ class LimitResult:
             if j is None:
                 raise NoMediatorError("cone does not land in the limit")
             table.append(j)
-        med = BaseMorphism(source, self.apex, table)
+        med = BaseMorphism(source, self.apex, table, _trusted=True)
         for name, leg in self.legs.items():
             if name in cone and compose(med, leg) != cone[name]:
                 raise NoMediatorError(f"mediator fails to recover leg {name!r}")
@@ -888,44 +901,16 @@ def image_indices(f: BaseMorphism) -> list[int]:
 
 
 def additive_section(f: BaseMorphism):
-    """An additive section of a surjective FINAB map, or None.
+    """An additive section of a FINAB map, or None.
 
-    Exhaustive over images of a generating sequence of the codomain; each
-    candidate tuple is closed into a homomorphism or rejected.
+    Exhaustive over images of a generating sequence of the codomain, each
+    taken from its fibre; the first choice that closes into a homomorphism
+    is a section, since it fixes every generator.  A map that is not onto
+    misses a generator, whose empty fibre leaves no choice.
     """
-    cod, dom = f.cod, f.dom
-    if set(f.map) != set(range(cod.size)):
-        return None
-    gens = cod.generating_sequence()
-    fibers = [[] for _ in range(cod.size)]
-    for i, j in enumerate(f.map):
-        fibers[j].append(i)
-
-    def close(images):
-        hom = {cod.zero: dom.zero}
-        frontier = [cod.zero]
-        pairs = list(zip(gens, images))
-        while frontier:
-            x = frontier.pop()
-            for g, img in pairs:
-                y = cod.add[x][g]
-                v = dom.add[hom[x]][img]
-                if y in hom:
-                    if hom[y] != v:
-                        return None
-                else:
-                    hom[y] = v
-                    frontier.append(y)
-        return hom
-
-    for images in itertools.product(*(fibers[g] for g in gens)):
-        hom = close(images)
-        if hom is not None and len(hom) == cod.size:
-            table = [hom[i] for i in range(cod.size)]
-            section = BaseMorphism(cod, dom, table)
-            if compose(section, f) == identity(cod):
-                return section
-    return None
+    fibers = f.preimages()
+    candidates = [fibers[g] for g in f.cod.generating_sequence()]
+    return next(_closed_homs(f.cod, f.dom, candidates), None)
 
 
 def split_section(f: BaseMorphism):
@@ -941,7 +926,7 @@ def split_section(f: BaseMorphism):
             table[j] = i
     if inst is FINPTDSET:
         table[f.cod.basepoint] = f.dom.basepoint
-    return BaseMorphism(f.cod, f.dom, table)
+    return BaseMorphism(f.cod, f.dom, table, _trusted=True)
 
 
 def classify_morphism(f: BaseMorphism) -> MorphismFlags:
@@ -989,7 +974,12 @@ def enumerate_morphisms(dom: BaseObject, cod: BaseObject):
         raise DiagramError("enumeration crosses base instances")
     inst = dom.instance
     if inst is FINAB:
-        yield from _enumerate_homs(dom, cod)
+        candidates = []
+        for g in dom.generating_sequence():
+            og = _element_order(dom, g)
+            candidates.append([b for b in range(cod.size)
+                               if og % _element_order(cod, b) == 0])
+        yield from _closed_homs(dom, cod, candidates)
         return
     slots = []
     for i in range(dom.size):
@@ -1009,16 +999,15 @@ def _element_order(obj: BaseObject, i: int) -> int:
     return n
 
 
-def _enumerate_homs(dom: BaseObject, cod: BaseObject):
+def _closed_homs(dom: BaseObject, cod: BaseObject, candidates):
+    """Every FINAB hom dom -> cod with generator images from ``candidates``.
+
+    ``candidates`` holds one list of codomain indices per generator of dom.
+    Each choice is closed from zero along the generators and dropped when
+    two paths disagree; a closed table is additive on (everything) x
+    (generators), the additivity test of BaseMorphism, so it is a hom.
+    """
     gens = dom.generating_sequence()
-    if not gens:
-        yield zero_morphism(dom, cod)
-        return
-    orders = [_element_order(dom, g) for g in gens]
-    candidates = []
-    for g, og in zip(gens, orders):
-        candidates.append([b for b in range(cod.size)
-                           if og % _element_order(cod, b) == 0])
 
     def close(images):
         hom = {dom.zero: cod.zero}
@@ -1039,8 +1028,9 @@ def _enumerate_homs(dom: BaseObject, cod: BaseObject):
 
     for images in itertools.product(*candidates):
         hom = close(images)
-        if hom is not None and len(hom) == dom.size:
-            yield BaseMorphism(dom, cod, [hom[i] for i in range(dom.size)])
+        if hom is not None:
+            yield BaseMorphism(dom, cod, [hom[i] for i in range(dom.size)],
+                               _trusted=True)
 
 
 def count_factorizations(limit: LimitResult, cone: dict) -> int:

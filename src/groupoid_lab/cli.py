@@ -88,7 +88,8 @@ def _load_value(path):
             data = json.load(handle)
     except OSError as exc:
         return None, EXIT_USAGE, f"cannot read {path}: {exc}"
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         return None, EXIT_USAGE, f"malformed JSON in {path}: {exc}"
     try:
         return value_from_data(data), None, None
@@ -96,7 +97,7 @@ def _load_value(path):
         if str(exc) in _SHAPE_ERRORS:
             return None, EXIT_USAGE, f"{path}: {exc}"
         return None, EXIT_INVALID, f"{path}: {exc}"
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
         return None, EXIT_USAGE, f"{path}: malformed value data ({exc!r})"
 
 
@@ -113,7 +114,12 @@ def cmd_validate(args) -> int:
     kind = _kind_name(value)
     for cls, validator in validators:
         if isinstance(value, cls):
-            violations = validator(value)
+            try:
+                violations = validator(value)
+            except GroupoidLabError as exc:
+                # parts of mistyped shape cannot even be composed
+                print(f"{args.path}: {exc}", file=sys.stderr)
+                return EXIT_INVALID
             if violations:
                 for axiom in violations:
                     print(axiom)

@@ -183,12 +183,6 @@ def _budget(instance, size_budget):
     return 16 if instance is FINAB else 8
 
 
-def _zero_element(obj: BaseObject):
-    if obj.instance is FINAB:
-        return obj.carrier[obj.zero]
-    return obj.carrier[obj.basepoint]
-
-
 def _random_object(instance, rng, max_size) -> BaseObject:
     max_size = max(1, max_size)
     if instance is FINAB:
@@ -543,7 +537,7 @@ def _random_weak_equivalence(instance, rng, budget=None):
         prod, proj, _ = product_groupoid(a, indiscrete_groupoid(x))
         if rng.random() < 0.5:
             return proj
-        z = _zero_element(x) if instance is not FINSET else x.carrier[0]
+        z = x.zero_element() if instance is not FINSET else x.carrier[0]
         return functor(a, prod, lambda o: (o, z),
                        lambda f: (f, (z, z)))
     if roll < 0.75:
@@ -828,12 +822,8 @@ def _groupoid_catalog(max_arrows):
     return sorted(out, key=lambda b: (b.B1.size, b.B0.size))
 
 
-def _arrow_square_space(instance):
-    """Deterministic stream of commutative squares, smallest carriers first."""
-    if instance is FINAB:
-        objs = _finab_catalog(8)
-    else:
-        objs = _finptdset_catalog(3)
+def _hom_memo():
+    """``enumerate_morphisms`` as a list, memoized per pair of objects."""
     homs = {}
 
     def hom(x, y):
@@ -842,6 +832,16 @@ def _arrow_square_space(instance):
             homs[key] = list(enumerate_morphisms(x, y))
         return homs[key]
 
+    return hom
+
+
+def _arrow_square_space(instance):
+    """Deterministic stream of commutative squares, smallest carriers first."""
+    if instance is FINAB:
+        objs = _finab_catalog(8)
+    else:
+        objs = _finptdset_catalog(3)
+    hom = _hom_memo()
     quads = sorted(
         ((a, a0, b, b0) for a in objs for a0 in objs
          for b in objs for b0 in objs),
@@ -1149,13 +1149,7 @@ def _suite_star_not_fibration_search(instance, n, seed):
     """Walk small groupoid pairs for a star-fibration that is no fibration."""
     del seed  # the sweep is deterministic
     catalog = _groupoid_catalog(8)
-    homs = {}
-
-    def hom(x, y):
-        key = (id(x), id(y))
-        if key not in homs:
-            homs[key] = list(enumerate_morphisms(x, y))
-        return homs[key]
+    hom = _hom_memo()
 
     examined = 0
     witnesses = []
@@ -1305,7 +1299,7 @@ def _suite_kernel_pullback_rows(instance, n, seed):
         nf = normalize(fun)
         npz = partial_zero_arr(nf)
         kd = kernel(a.d).legs["ker"]
-        zero_a0 = _zero_element(a.B0)
+        zero_a0 = a.B0.zero_element()
         bottom = morphism_from_function(
             npz.cod, pz.morphism.cod,
             lambda p: ((zero_a0, p[1]), p[0]))

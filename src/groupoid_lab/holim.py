@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import (
+    CapabilityError,
     CompositionError,
     Diagram,
     DiagramError,
@@ -54,7 +55,6 @@ from .groupoid import (
     zero_functor,
     zero_groupoid,
 )
-from .base import CapabilityError
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +160,14 @@ def arrow_groupoid(b: InternalGroupoid) -> ArrowGroupoid:
     """Build the square groupoid of ``b`` with its evaluation structure."""
     sq = pullback(b.m, b.m)
     squares = sq.apex
-    d = morphism_from_function(squares, b.B1, lambda s: s[0][0])
-    c = morphism_from_function(squares, b.B1, lambda s: s[1][1])
+    d = morphism_from_function(squares, b.B1, lambda s: s[0][0], _trusted=True)
+    c = morphism_from_function(squares, b.B1, lambda s: s[1][1], _trusted=True)
     e = morphism_from_function(
         b.B1, squares,
-        lambda x: ((x, b.unit(b.c(x))), (b.unit(b.d(x)), x)))
+        lambda x: ((x, b.unit(b.c(x))), (b.unit(b.d(x)), x)), _trusted=True)
     i = morphism_from_function(
         squares, squares,
-        lambda s: ((s[1][1], b.inv(s[0][1])), (b.inv(s[1][0]), s[0][0])))
+        lambda s: ((s[1][1], b.inv(s[0][1])), (b.inv(s[1][0]), s[0][0])), _trusted=True)
 
     def paste(s, t):
         # glue along the shared vertical side, composing tops and bottoms
@@ -176,9 +176,11 @@ def arrow_groupoid(b: InternalGroupoid) -> ArrowGroupoid:
 
     grp = make_groupoid(b.B1, squares, d, c, e, i, paste)
     eval_dom = InternalFunctor(
-        grp, b, b.d, morphism_from_function(squares, b.B1, lambda s: s[1][0]))
+        grp, b, b.d, morphism_from_function(squares, b.B1, lambda s: s[1][0],
+                                            _trusted=True))
     eval_cod = InternalFunctor(
-        grp, b, b.c, morphism_from_function(squares, b.B1, lambda s: s[0][1]))
+        grp, b, b.c, morphism_from_function(squares, b.B1, lambda s: s[0][1],
+                                            _trusted=True))
     cell = NatTransformation(eval_dom, eval_cod, identity(b.B1))
     return ArrowGroupoid(grp, eval_dom, eval_cod, cell, sq)
 
@@ -201,7 +203,7 @@ def mediate_squares(data: ArrowGroupoid, mu: NatTransformation) -> InternalFunct
         return ((mu.alpha(x.d(arrow)), h.F1(arrow)),
                 (k.F1(arrow), mu.alpha(x.c(arrow))))
 
-    f1 = morphism_from_function(x.B1, data.groupoid.B1, build)
+    f1 = morphism_from_function(x.B1, data.groupoid.B1, build, _trusted=True)
     return InternalFunctor(x, data.groupoid, mu.alpha, f1)
 
 
@@ -216,14 +218,14 @@ def twist_iso(b: InternalGroupoid, data: ArrowGroupoid | None = None) -> Interna
     if data is None:
         data = arrow_groupoid(b)
     squares = data.groupoid.B1
-    d = morphism_from_function(squares, b.B1, lambda s: s[1][0])
-    c = morphism_from_function(squares, b.B1, lambda s: s[0][1])
+    d = morphism_from_function(squares, b.B1, lambda s: s[1][0], _trusted=True)
+    c = morphism_from_function(squares, b.B1, lambda s: s[0][1], _trusted=True)
     e = morphism_from_function(
         b.B1, squares,
-        lambda x: ((b.unit(b.d(x)), x), (x, b.unit(b.c(x)))))
+        lambda x: ((b.unit(b.d(x)), x), (x, b.unit(b.c(x)))), _trusted=True)
     i = morphism_from_function(
         squares, squares,
-        lambda s: ((b.inv(s[0][0]), s[1][0]), (s[0][1], b.inv(s[1][1]))))
+        lambda s: ((b.inv(s[0][0]), s[1][0]), (s[0][1], b.inv(s[1][1]))), _trusted=True)
 
     def paste(s, t):
         # stack vertically, composing lefts and rights
@@ -231,7 +233,8 @@ def twist_iso(b: InternalGroupoid, data: ArrowGroupoid | None = None) -> Interna
                 (s[1][0], b.mul(s[1][1], t[1][1])))
 
     transposed = make_groupoid(b.B1, squares, d, c, e, i, paste)
-    swap = morphism_from_function(squares, squares, lambda s: (s[1], s[0]))
+    swap = morphism_from_function(squares, squares, lambda s: (s[1], s[0]),
+                                  _trusted=True)
     return InternalFunctor(transposed, data.groupoid, identity(b.B1), swap)
 
 
@@ -351,7 +354,7 @@ def mediate_h_pullback(hp: HPullback, to_f: InternalFunctor,
                 (g.F1(to_g.F1(arrow)), mu0(x.c(arrow))))
 
     try:
-        smap = morphism_from_function(x.B1, hp.squares.groupoid.B1, build)
+        smap = morphism_from_function(x.B1, hp.squares.groupoid.B1, build, _trusted=True)
     except DiagramError as exc:
         raise NoMediatorError("cone cell is not natural over the cospan") from exc
     t1 = hp.arrow_limit.mediate({"g_arr": to_g.F1, "squares": smap,
@@ -382,7 +385,7 @@ def mediate_h_pullback_cell(hp: HPullback, left: InternalFunctor,
         return (ax, square, bx, g.F1(ax), f.F1(bx))
 
     try:
-        amap = morphism_from_function(x.B0, hp.groupoid.B1, build)
+        amap = morphism_from_function(x.B0, hp.groupoid.B1, build, _trusted=True)
     except DiagramError as exc:
         raise NoMediatorError("cells do not paste with the structural cell") from exc
     cell = NatTransformation(left, right, amap)

@@ -62,6 +62,8 @@ def object_to_data(obj: BaseObject) -> dict:
 
 def object_from_data(data: dict) -> BaseObject:
     instance = parse_instance(data["instance"])
+    if not isinstance(data["carrier"], list):
+        raise DiagramError("carrier must be a JSON array")
     carrier = [_decode_element(x) for x in data["carrier"]]
     structure = data.get("structure") or {}
     if instance is FINPTDSET:

@@ -10,7 +10,7 @@ from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError, CompositionError,
     Diagram, DiagramError, NoMediatorError, additive_section, classify_morphism,
     compose, count_factorizations, direct_sum, enumerate_morphisms,
-    finite_limit, finptdset_object, finset_object, generated_subgroup_indices,
+    finab_object, finite_limit, finptdset_object, finset_object, generated_subgroup_indices,
     identity, image_indices, jointly_strongly_epi, kernel,
     morphism_from_function, pairing, parse_instance, product, pullback,
     quotient_by_subgroup, reflexive_coequalizer, split_section,
@@ -282,6 +282,33 @@ class TestSubgroupMachinery:
     def test_subgroup_object_not_closed(self):
         with pytest.raises(DiagramError):
             subgroup_object(zmod(4), [0, 1])
+
+
+class TestGroupTables:
+    def test_every_single_entry_corruption_of_z60_is_rejected(self):
+        # each corruption keeps the table commutative, zero a unit and neg
+        # an inverse, so only the associativity test can reject it
+        z60 = zmod(60)
+        rejected = 0
+        for i in range(1, 60):
+            for j in range(i + 1, 60):
+                if (i + j) % 60 == 0:
+                    continue
+                add = [list(row) for row in z60.add]
+                add[i][j] = add[j][i] = (i + j + 1) % 60 or 2
+                with pytest.raises(DiagramError, match="associative"):
+                    finab_object(z60.carrier, add, z60.neg, z60.zero)
+                rejected += 1
+        assert rejected == 1682
+
+    @pytest.mark.parametrize("orders", [(2, 2, 2), (4, 6), (3, 3, 2), (8,)])
+    def test_direct_sums_pass_as_outside_input(self, orders):
+        group = zmod(orders[0])
+        for k in orders[1:]:
+            group = direct_sum(group, zmod(k))
+        rebuilt = finab_object(group.carrier, group.add, group.neg,
+                               group.zero)
+        assert rebuilt == group
 
 
 class TestEnumeration:

@@ -5,17 +5,28 @@ property expectation, 2 usage or parse error.  Reports written with
 --out zero the timing field, so a fixed seed gives identical bytes.
 """
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from groupoid_lab.arrow import normalize
-from groupoid_lab.base import FINSET, zmod
+from groupoid_lab.base import (
+    FINPTDSET,
+    FINSET,
+    finptdset_object,
+    morphism_from_function,
+    zmod,
+)
 from groupoid_lab.cli import main
 from groupoid_lab.groupoid import (
     cyclic_delooping,
     delooping,
+    identity_cell,
     identity_functor,
+    indiscrete_groupoid,
 )
 from groupoid_lab.serialize import to_json, value_to_data
 
@@ -90,6 +101,110 @@ class TestValidate:
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"instance": 5, "carrier": [1]},
+        {"dom": {"instance": "finset", "carrier": [0, 1]},
+         "cod": {"instance": "finset", "carrier": [0, 1]},
+         "map": [0.5, True]},
+        {"instance": "finptdset", "carrier": ["*", "a"],
+         "structure": {"basepoint": True}},
+        {"instance": "finab", "carrier": [0],
+         "structure": {"add": [[0]], "neg": [0], "zero": False}},
+        {"instance": "finset", "carrier": "ab"},
+    ], ids=["instance-name", "map-entries", "basepoint", "zero", "carrier"])
+    def test_ill_typed_input_is_invalid(self, tmp_path, capsys, data):
+        path = tmp_path / "ill-typed.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(str(path))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", [
+        b'{"instance": "fin\xe9set", "carrier": []}',
+        b"[" * 100000 + b"]" * 100000,
+        b'{"instance": "finset", "carrier": [' + b"[" * 985 + b"1"
+        + b"]" * 985 + b"]}",
+    ], ids=["latin-1", "deep-json", "deep-element"])
+    def test_unreadable_data_is_a_usage_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(raw)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(("malformed JSON", str(path)))
+        assert "Traceback" not in err
+
+    def test_mistyped_functor_parts_are_invalid(self, tmp_path, capsys):
+        data = value_to_data(identity_functor(delooping(zmod(2))))
+        data["dom"]["d"]["cod"] = value_to_data(zmod(2))
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# Values whose serialized form the fuzz test below corrupts: one of each
+# kind the decoder knows, all small enough to validate in a millisecond.
+_FUZZ_SEEDS = [
+    value_to_data(v) for v in (
+        zmod(3),
+        finptdset_object(["*", "a"]),
+        morphism_from_function(zmod(4), zmod(2), lambda x: x % 2),
+        delooping(zmod(4)),
+        cyclic_delooping(FINSET, 3),
+        indiscrete_groupoid(finptdset_object(["*", "a"])),
+        identity_functor(delooping(zmod(2))),
+        identity_cell(identity_functor(cyclic_delooping(FINPTDSET, 2))),
+        normalize(identity_functor(delooping(zmod(2)))),
+    )
+]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _paths(child, prefix + (k,))
+
+
+_KEYS = st.sampled_from(sorted({path[-1] for seed in _FUZZ_SEEDS
+                                for path in _paths(seed)
+                                if path and isinstance(path[-1], str)}))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats()
+    | st.text(max_size=3) | st.sampled_from(["finset", "finptdset", "finab"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_KEYS | st.text(max_size=2), inner,
+                                     max_size=5)),
+    max_leaves=12)
+
+
+@st.composite
+def _corrupted_values(draw):
+    """A serialized value with one subtree replaced by random JSON."""
+    data = copy.deepcopy(draw(st.sampled_from(_FUZZ_SEEDS)))
+    path = draw(st.sampled_from(list(_paths(data))))
+    replacement = draw(st.integers(-1, 9) | _JSON)
+    if not path:
+        return replacement
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = replacement
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_JSON | _corrupted_values())
+def test_validate_keeps_the_exit_contract_on_any_json(tmp_path, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) in (0, 1, 2)
 
 
 class TestClassify:

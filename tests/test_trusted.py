@@ -1,0 +1,123 @@
+"""Re-validate what the library builds trusted.
+
+Limit apexes, legs, mediators, subgroups, quotients, direct sums,
+enumerated homs, sections and the structure maps of built groupoids skip
+construction-time validation because they are valid by construction.
+These tests build each of them from seeded inputs, run the skipped checks
+by hand, and run the axiom validators on every groupoid and functor built.
+"""
+
+import pytest
+
+from groupoid_lab.base import (
+    FINAB,
+    FINPTDSET,
+    BaseMorphism,
+    BaseObject,
+    Diagram,
+    LimitResult,
+    direct_sum,
+    enumerate_morphisms,
+    finite_limit,
+    generated_subgroup_indices,
+    identity,
+    kernel,
+    product,
+    pullback,
+    quotient_by_subgroup,
+    split_section,
+    subgroup_object,
+)
+from groupoid_lab.groupoid import (
+    InternalFunctor,
+    InternalGroupoid,
+    NatTransformation,
+    validate_functor,
+    validate_groupoid,
+    validate_transformation,
+)
+from groupoid_lab.harness import gen_functor
+from groupoid_lab.holim import (
+    arrow_groupoid,
+    comparison_J_data,
+    comparison_T_data,
+    strong_h_pullback,
+)
+
+
+def _recheck(value, seen):
+    """Run every skipped validation and axiom check reachable from value."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, BaseObject):
+        value._validate()
+    elif isinstance(value, BaseMorphism):
+        _recheck(value.dom, seen)
+        _recheck(value.cod, seen)
+        value._validate()
+    elif isinstance(value, LimitResult):
+        _recheck(value.apex, seen)
+        for leg in value.legs.values():
+            _recheck(leg, seen)
+    elif isinstance(value, InternalGroupoid):
+        for part in (value.B0, value.B1, value.d, value.c, value.e,
+                     value.m, value.i):
+            _recheck(part, seen)
+        assert validate_groupoid(value) == []
+    elif isinstance(value, InternalFunctor):
+        for part in (value.dom, value.cod, value.F0, value.F1):
+            _recheck(part, seen)
+        assert validate_functor(value) == []
+    elif isinstance(value, NatTransformation):
+        for part in (value.source, value.target, value.alpha):
+            _recheck(part, seen)
+        assert validate_transformation(value) == []
+    else:
+        raise TypeError(f"nothing to re-check on {value!r}")
+
+
+def _built_from(fun):
+    """Every trusted construction the library makes from one functor."""
+    a, b = fun.dom, fun.cod
+    built = [
+        fun,
+        pullback(fun.F1, fun.F1),
+        product(a.B0, b.B1),
+        finite_limit(Diagram(
+            nodes={"arrow": a.B1, "image": b.B1, "source": b.B0},
+            edges=[("arrow", "image", fun.F1),
+                   ("image", "source", b.d)])),
+        kernel(fun.F1),
+        pullback(fun.F0, fun.F0).mediate(
+            {"p1": identity(a.B0), "p2": identity(a.B0)}),
+        *enumerate_morphisms(a.B0, b.B0),
+        arrow_groupoid(b).groupoid,
+        strong_h_pullback(fun, fun).groupoid,
+    ]
+    if a.instance is FINAB:
+        sub = generated_subgroup_indices(b.B1, b.B1.generating_sequence()[:1])
+        quotient, projection = quotient_by_subgroup(b.B1, sub)
+        built += [subgroup_object(b.B1, sub), quotient, projection,
+                  split_section(projection), direct_sum(a.B1, b.B0)]
+    t_data = comparison_T_data(fun)
+    j_data = comparison_J_data(fun)
+    built += [t_data.strict.groupoid, t_data.strict.to_first,
+              t_data.strict.to_second, t_data.relaxed.to_f_dom,
+              t_data.relaxed.to_g_dom, t_data.relaxed.cell,
+              t_data.relaxed.object_limit, t_data.relaxed.arrow_limit,
+              t_data.functor, j_data.inclusion, j_data.h_kernel.projection,
+              j_data.functor]
+    return [v for v in built if v is not None]
+
+
+# Seeds whose groupoids keep every apex small enough for the O(n^2)
+# re-checks to finish in well under a second each.
+@pytest.mark.parametrize("instance, seed", [
+    (FINAB, 5), (FINAB, 13), (FINAB, 24),
+    (FINPTDSET, 0), (FINPTDSET, 1), (FINPTDSET, 6),
+])
+def test_trusted_constructions_pass_full_validation(instance, seed):
+    seen = set()
+    for value in _built_from(gen_functor(instance, seed)):
+        _recheck(value, seen)
