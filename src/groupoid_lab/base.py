@@ -5,8 +5,10 @@ limits computed by enumeration:
 
 * ``FINSET`` -- finite sets.
 * ``FINPTDSET`` -- finite pointed sets (zero object: the one-point set).
-* ``FINAB`` -- finite abelian groups stored as explicit addition tables
-  (zero object: the trivial group).  FINAB is the protomodular instance.
+* ``FINAB`` -- finite abelian groups given by addition tables (zero
+  object: the trivial group).  FINAB is the protomodular instance.  Input
+  groups carry explicit tables; every limit apex carries a table whose
+  entries are computed from its parts when first read.
 
 Everything is index-level: a carrier is an ordered tuple of hashable
 elements, and a morphism stores, for each domain index, the codomain index
@@ -84,11 +86,6 @@ def parse_instance(name: str) -> BaseInstance:
 def _is_index(value, size: int) -> bool:
     """Whether a stored index is an int (not a bool) in range(size)."""
     return type(value) is int and 0 <= value < size
-
-
-# Above this size, limit apexes get a lazy addition table; a dense table
-# holds size^2 entries and dominates the memory of every holim pipeline.
-_DENSE_ADD_CUTOFF = 512
 
 
 class BaseObject:
@@ -234,27 +231,35 @@ class BaseObject:
         Short (length <= log2 n), used for additivity checks and hom
         enumeration without any normal-form machinery.
         """
-        if self._gens is not None:
-            return self._gens
-        if self.instance is not FINAB:
-            raise CapabilityError("generating sequences exist only in finab")
-        span = {self.zero}
-        gens: list[int] = []
-        for i in range(self.size):
-            if i in span:
-                continue
-            gens.append(i)
-            # adjoin <i>: walk the cosets span, span+i, span+2i, ... until
-            # one lands back inside; the union is the enlarged subgroup
-            layer = list(span)
-            while True:
-                layer = [self.add[x][i] for x in layer]
-                fresh = [x for x in layer if x not in span]
-                if not fresh:
-                    break
-                span.update(fresh)
-        self._gens = gens
-        return gens
+        if self._gens is None:
+            if self.instance is not FINAB:
+                raise CapabilityError("generating sequences exist only in finab")
+            self._gens = _coset_walk(self, range(self.size))[1]
+        return self._gens
+
+
+def _coset_walk(obj: BaseObject, candidates) -> tuple[set[int], list[int]]:
+    """The subgroup the candidates generate, and the candidates that grew it.
+
+    A candidate already in the span is skipped; otherwise <i> is adjoined by
+    walking the cosets span, span+i, span+2i, ... until one lands back
+    inside, so the union is the enlarged subgroup.  Each step costs the size
+    of the span it adds.
+    """
+    span = {obj.zero}
+    grew: list[int] = []
+    for i in candidates:
+        if i in span:
+            continue
+        grew.append(i)
+        layer = list(span)
+        while True:
+            layer = [obj.add[x][i] for x in layer]
+            fresh = [x for x in layer if x not in span]
+            if not fresh:
+                break
+            span.update(fresh)
+    return span, grew
 
 
 class BaseMorphism:
@@ -365,18 +370,7 @@ def direct_sum(a: BaseObject, b: BaseObject) -> BaseObject:
     """Componentwise group structure on the pair carrier (lexicographic)."""
     if a.instance is not FINAB or b.instance is not FINAB:
         raise CapabilityError("direct_sum is a finab construction")
-    carrier = [(x, y) for x in a.carrier for y in b.carrier]
-    nb = b.size
-    n = len(carrier)
-    add = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ia, ib = divmod(i, nb)
-        for j in range(n):
-            ja, jb = divmod(j, nb)
-            add[i][j] = a.add[ia][ja] * nb + b.add[ib][jb]
-    neg = [a.neg[i // nb] * nb + b.neg[i % nb] for i in range(n)]
-    zero = a.zero * nb + b.zero
-    return finab_object(carrier, add, neg, zero, _trusted=True)
+    return product(a, b).apex
 
 
 def subgroup_object(parent: BaseObject, indices) -> BaseObject:
@@ -396,31 +390,19 @@ def subgroup_object(parent: BaseObject, indices) -> BaseObject:
 
 def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
     """Indices of the subgroup generated by a set of indices (FINAB)."""
-    span = {obj.zero}
-    frontier = [obj.zero]
-    todo = list(seed_indices)
-    for s in todo:
-        if s not in span:
-            span.add(s)
-            frontier.append(s)
-    while frontier:
-        a = frontier.pop()
-        for b in list(span):
-            s = obj.add[a][b]
-            if s not in span:
-                span.add(s)
-                frontier.append(s)
-    return sorted(span)
+    return sorted(_coset_walk(obj, seed_indices)[0])
 
 
-def quotient_by_subgroup(obj: BaseObject, subgroup_indices):
-    """Quotient group and projection; cosets named by least-index member.
+def quotient_by_subgroup(obj: BaseObject, indices):
+    """Quotient by the subgroup ``indices`` generate, and its projection.
 
-    ``subgroup_indices`` must index a subgroup; the quotient is built trusted.
+    Cosets are named by their least-index member; the quotient is built
+    trusted.
     """
-    sub = set(subgroup_indices)
-    if obj.zero not in sub:
-        raise DiagramError("subgroup must contain zero")
+    indices = list(indices)
+    if not all(_is_index(i, obj.size) for i in indices):
+        raise DiagramError("subgroup generators must be int indices in range")
+    sub = generated_subgroup_indices(obj, indices)
     rep = [-1] * obj.size
     reps: list[int] = []
     for i in range(obj.size):
@@ -515,30 +497,36 @@ class _TupleAddRow:
 
 
 class _TupleAddTable:
-    """Componentwise addition on an index-tuple carrier, computed on demand.
+    """Componentwise addition on the index-tuple carrier of a limit apex.
 
-    A dense table holds size^2 entries; limit apexes routinely reach tens
-    of thousands of elements, where the table would dominate the memory of
-    the whole pipeline.  Rows behave like tuples for the access patterns
-    used here (indexing, iteration, equality).
+    Callers read few of the size^2 sums, so an entry is computed from the
+    parts the first time it is read and then kept: a table costs what is
+    read of it, and a read through nested apexes reuses the sums each level
+    already keeps.  Rows behave like tuples for the access patterns used
+    here (indexing, iteration, equality).
     """
 
-    __slots__ = ("parts", "tuples", "lookup", "size")
+    __slots__ = ("parts", "tuples", "lookup", "size", "_sums")
 
     def __init__(self, parts, tuples, lookup):
         self.parts = tuple(parts)
         self.tuples = tuples
         self.lookup = lookup
         self.size = len(tuples)
+        self._sums = {}
 
     def entry(self, i, j):
-        t, u = self.tuples[i], self.tuples[j]
-        s = tuple(self.parts[k].add[t[k]][u[k]]
-                  for k in range(len(self.parts)))
-        try:
-            return self.lookup[s]
-        except KeyError:
-            raise DiagramError("limit carrier is not sum-closed") from None
+        key = i * self.size + j
+        s = self._sums.get(key)
+        if s is None:
+            t, u = self.tuples[i], self.tuples[j]
+            try:
+                s = self.lookup[tuple(self.parts[k].add[t[k]][u[k]]
+                                      for k in range(len(self.parts)))]
+            except KeyError:
+                raise DiagramError("limit carrier is not sum-closed") from None
+            self._sums[key] = s
+        return s
 
     def __getitem__(self, i):
         return _TupleAddRow(self, i)
@@ -573,16 +561,14 @@ class _TupleAddTable:
 def _structured_tuple_object(instance, parts: list[BaseObject], tuples):
     """Make a BaseObject on a list of index-tuples over the given parts."""
     carrier = [tuple(parts[k].carrier[i] for k, i in enumerate(t)) for t in tuples]
-    n = len(tuples)
     if instance is FINSET:
         return BaseObject(FINSET, carrier, _trusted=True)
+    lookup = {t: i for i, t in enumerate(tuples)}
     if instance is FINPTDSET:
         base = tuple(p.basepoint for p in parts)
-        lookup = {t: i for i, t in enumerate(tuples)}
         if base not in lookup:
             raise DiagramError("limit carrier lost the basepoint")
         return BaseObject(FINPTDSET, carrier, basepoint=lookup[base], _trusted=True)
-    lookup = {t: i for i, t in enumerate(tuples)}
     tup = tuple(tuples)
     try:
         neg = [lookup[tuple(parts[k].neg[t[k]] for k in range(len(parts)))]
@@ -590,19 +576,8 @@ def _structured_tuple_object(instance, parts: list[BaseObject], tuples):
         zero = lookup[tuple(p.zero for p in parts)]
     except KeyError:
         raise DiagramError("limit carrier is not sum-closed") from None
-    if n > _DENSE_ADD_CUTOFF:
-        return BaseObject(FINAB, carrier,
-                          add=_TupleAddTable(parts, tup, lookup),
-                          neg=tuple(neg), zero=zero, _trusted=True)
-    add = [[0] * n for _ in range(n)]
-    for i, t in enumerate(tup):
-        for j, u in enumerate(tup):
-            s = tuple(parts[k].add[t[k]][u[k]] for k in range(len(parts)))
-            try:
-                add[i][j] = lookup[s]
-            except KeyError:
-                raise DiagramError("limit carrier is not sum-closed") from None
-    return finab_object(carrier, add, neg, zero, _trusted=True)
+    return BaseObject(FINAB, carrier, add=_TupleAddTable(parts, tup, lookup),
+                      neg=tuple(neg), zero=zero, _trusted=True)
 
 
 class LimitResult:
@@ -856,9 +831,7 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
     if target.instance is FINAB:
         diff = [target.add[d.map[i]][target.neg[c.map[i]]]
                 for i in range(d.dom.size)]
-        sub = generated_subgroup_indices(target, diff)
-        _, proj = quotient_by_subgroup(target, sub)
-        return proj
+        return quotient_by_subgroup(target, diff)[1]
     parent = list(range(target.size))
 
     def find(i):

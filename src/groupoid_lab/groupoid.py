@@ -87,22 +87,11 @@ def validate_groupoid(g: InternalGroupoid) -> list[str]:
     "identity-map" / "inverse-map" / "composition-carrier" and abort the
     deeper checks they would crash.
     """
-    bad: list[str] = []
-    b0, b1 = g.B0, g.B1
-    if g.d.dom != b1 or g.d.cod != b0:
-        bad.append("source-map")
-    if g.c.dom != b1 or g.c.cod != b0:
-        bad.append("target-map")
-    if g.e.dom != b0 or g.e.cod != b1:
-        bad.append("identity-map")
-    if g.i.dom != b1 or g.i.cod != b1:
-        bad.append("inverse-map")
+    bad = _typing_failures(g)
     if bad:
         return bad
-    apex = pullback(g.c, g.d).apex
-    if g.m.dom != apex or g.m.cod != b1:
-        return ["composition-carrier"]
-
+    b0, b1 = g.B0, g.B1
+    apex = g.composition_pairs().apex
     d, c, e, m, i = g.d.map, g.c.map, g.e.map, g.m.map, g.i.map
     pair_index = {x: k for k, x in enumerate(apex.carrier)}
     carrier1 = b1.carrier
@@ -173,6 +162,23 @@ def validate_groupoid(g: InternalGroupoid) -> list[str]:
     return bad
 
 
+def _typing_failures(g: InternalGroupoid) -> list[str]:
+    """Names of the structure maps of g that are mistyped."""
+    bad: list[str] = []
+    b0, b1 = g.B0, g.B1
+    if g.d.dom != b1 or g.d.cod != b0:
+        bad.append("source-map")
+    if g.c.dom != b1 or g.c.cod != b0:
+        bad.append("target-map")
+    if g.e.dom != b0 or g.e.cod != b1:
+        bad.append("identity-map")
+    if g.i.dom != b1 or g.i.cod != b1:
+        bad.append("inverse-map")
+    if not bad and (g.m.dom != g.composition_pairs().apex or g.m.cod != b1):
+        bad.append("composition-carrier")
+    return bad
+
+
 class InternalFunctor:
     """A pair (F0, F1) of base morphisms commuting with all structure maps."""
 
@@ -201,12 +207,18 @@ class InternalFunctor:
 
 
 def validate_functor(fun: InternalFunctor) -> list[str]:
-    """Names of functor axioms that fail (empty list = valid functor)."""
+    """Names of functor axioms that fail (empty list = valid functor).
+
+    A mistyped structure map of either groupoid is reported under its
+    validate_groupoid name and aborts the checks it would crash.
+    """
     a, b = fun.dom, fun.cod
+    bad = _typing_failures(a) or _typing_failures(b)
+    if bad:
+        return bad
     if (fun.F0.dom != a.B0 or fun.F0.cod != b.B0
             or fun.F1.dom != a.B1 or fun.F1.cod != b.B1):
         return ["functor-typing"]
-    bad = []
     if compose(fun.F1, b.d) != compose(a.d, fun.F0):
         bad.append("functor-source")
     if compose(fun.F1, b.c) != compose(a.c, fun.F0):

@@ -214,9 +214,7 @@ def _random_surjection(dom: BaseObject, rng) -> BaseMorphism:
     inst = dom.instance
     if inst is FINAB:
         seeds = rng.sample(range(dom.size), rng.randint(1, min(2, dom.size)))
-        sub = generated_subgroup_indices(dom, seeds)
-        _, proj = quotient_by_subgroup(dom, sub)
-        return proj
+        return quotient_by_subgroup(dom, seeds)[1]
     size = rng.randint(1, dom.size)
     if inst is FINPTDSET:
         cod = finptdset_object(["*"] + [f"q{i}" for i in range(1, size)], 0)

@@ -15,6 +15,8 @@ from groupoid_lab.base import (
     morphism_from_function, pairing, parse_instance, product, pullback,
     quotient_by_subgroup, reflexive_coequalizer, split_section,
     subgroup_object, zero_morphism, zero_object, zmod)
+from groupoid_lab.groupoid import delooping
+from groupoid_lab.holim import arrow_groupoid
 
 
 def mod_map(m, n):
@@ -282,6 +284,107 @@ class TestSubgroupMachinery:
     def test_subgroup_object_not_closed(self):
         with pytest.raises(DiagramError):
             subgroup_object(zmod(4), [0, 1])
+
+    def test_quotient_by_generated_subgroup(self):
+        # {0, 1} is no subgroup of Z4; the subgroup it generates is Z4
+        q_obj, proj = quotient_by_subgroup(zmod(4), [0, 1])
+        proj._validate()
+        assert q_obj.size == 1
+
+    @pytest.mark.parametrize("bad", [[0, 4], [0, -1], [0, True]])
+    def test_quotient_rejects_bad_generators(self, bad):
+        with pytest.raises(DiagramError):
+            quotient_by_subgroup(zmod(4), bad)
+
+
+def _closure(obj, seeds):
+    """The subgroup generated by seeds, by closing under sums until stable."""
+    span = {obj.zero, *seeds}
+    while True:
+        grown = span | {obj.add[a][b] for a in span for b in span}
+        if grown == span:
+            return span
+        span = grown
+
+
+@st.composite
+def small_groups(draw):
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]),
+                           min_size=1, max_size=3))
+    group = zmod(orders[0])
+    for k in orders[1:]:
+        group = direct_sum(group, zmod(k))
+    return group
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.data())
+def test_coset_walk_matches_brute_force_closure(group, data):
+    seeds = data.draw(st.lists(st.integers(0, group.size - 1), max_size=4))
+    assert generated_subgroup_indices(group, seeds) == sorted(_closure(group, seeds))
+    gens = group.generating_sequence()
+    everything = set(range(group.size))
+    assert _closure(group, gens) == everything
+    # greedy: each generator is the least index outside the span before it
+    for k, g in enumerate(gens):
+        assert g == min(everything - _closure(group, gens[:k]))
+
+
+def _leaves(x):
+    """The residues of a nested tuple, left to right."""
+    return (x,) if isinstance(x, int) else sum(map(_leaves, x), ())
+
+
+def assert_dense_table(obj, moduli):
+    """obj's add/neg/zero agree entry by entry with leafwise sums of residues.
+
+    ``moduli`` has the nesting of the carrier elements, one modulus per leaf.
+    """
+    rng = range(obj.size)
+    flat = [_leaves(x) for x in obj.carrier]
+    mods = _leaves(moduli)
+    index = {f: i for i, f in enumerate(flat)}
+    dense = [[index[tuple((a + b) % m for a, b, m in zip(f, g, mods))]
+              for g in flat] for f in flat]
+    # read column by column first, so stored sums are read back by rows
+    assert [[obj.add[i][j] for i in rng] for j in rng] == [
+        [dense[i][j] for i in rng] for j in rng]
+    assert [list(row) for row in obj.add] == dense
+    assert dense[obj.zero] == list(rng)
+    assert all(dense[i][obj.neg[i]] == obj.zero for i in rng)
+
+
+class TestApexTables:
+    def test_pullback(self):
+        pb = pullback(mod_map(8, 4), mod_map(12, 4))
+        assert pb.apex.size == 24
+        assert_dense_table(pb.apex, (8, 12))
+
+    def test_finite_limit(self):
+        nodes = {"x": zmod(4), "y": zmod(6), "z": zmod(2)}
+        edges = [("x", "z", mod_map(4, 2)), ("y", "z", mod_map(6, 2))]
+        apex = finite_limit(Diagram(nodes, edges)).apex
+        assert apex.size == 12
+        assert_dense_table(apex, (4, 6, 2))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_square_groupoid(self, n):
+        squares = arrow_groupoid(delooping(zmod(n))).groupoid.B1
+        assert squares.size == n ** 3  # 512 and 729, both sides of 512
+        assert_dense_table(squares, ((n, n), (n, n)))
+
+    def test_direct_sum(self):
+        a, b = zmod(2), zmod(4)
+        nb = b.size
+        s = direct_sum(a, b)
+        assert s.carrier == tuple((x, y) for x in a.carrier for y in b.carrier)
+        assert s.zero == a.zero * nb + b.zero
+        for i in range(s.size):
+            ia, ib = divmod(i, nb)
+            assert s.neg[i] == a.neg[ia] * nb + b.neg[ib]
+            for j in range(s.size):
+                ja, jb = divmod(j, nb)
+                assert s.add[i][j] == a.add[ia][ja] * nb + b.add[ib][jb]
 
 
 class TestGroupTables:

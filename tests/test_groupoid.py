@@ -83,6 +83,17 @@ class TestValidators:
                                            _trusted=True))
         assert "functor-composition" in validate_functor(bad)
 
+    def test_functor_over_mistyped_groupoid_named(self):
+        fun = identity_functor(delooping(zmod(2)))
+        g = fun.dom
+        wrong = BaseMorphism(g.B1, zmod(2), [0, 0], _trusted=True)
+        broken = InternalGroupoid(g.B0, g.B1, wrong, g.c, g.e, g.m, g.i)
+        assert validate_groupoid(broken) == ["source-map"]
+        assert validate_functor(
+            InternalFunctor(broken, g, fun.F0, fun.F1)) == ["source-map"]
+        assert validate_functor(
+            InternalFunctor(g, broken, fun.F0, fun.F1)) == ["source-map"]
+
     def test_transformation_validation(self):
         g = cyclic_delooping(FINAB, 4)
         cell = identity_cell(identity_functor(g))
