@@ -70,7 +70,7 @@ class ArrowMorphism:
             raise DiagramError("top component is mistyped")
         if self.f0.dom != self.dom.bottom or self.f0.cod != self.cod.bottom:
             raise DiagramError("bottom component is mistyped")
-        if compose(self.dom.a, self.f0) != compose(self.f, self.cod.a):
+        if _then(self.dom.a, self.f0) != _then(self.f, self.cod.a):
             raise DiagramError("square does not commute")
 
 
@@ -85,10 +85,16 @@ class Diagonal:
         m = self.morphism
         if self.d.dom != m.dom.bottom or self.d.cod != m.cod.top:
             raise DiagramError("diagonal is mistyped")
-        if compose(m.dom.a, self.d) != m.f:
+        if _then(m.dom.a, self.d) != m.f.map:
             raise DiagramError("diagonal misses the top triangle")
-        if compose(self.d, m.cod.a) != m.f0:
+        if _then(self.d, m.cod.a) != m.f0.map:
             raise DiagramError("diagonal misses the bottom triangle")
+
+
+def _then(f: BaseMorphism, g: BaseMorphism) -> tuple:
+    """The index table of compose(f, g), without building the composite."""
+    g_map = g.map
+    return tuple([g_map[j] for j in f.map])
 
 
 def arrow_object(a: BaseMorphism) -> ArrowObject:

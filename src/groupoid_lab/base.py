@@ -30,7 +30,8 @@ built groupoids) is valid by construction and is built with the private
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GroupoidLabError(Exception):
@@ -193,16 +194,14 @@ class BaseObject:
         return element in self._index
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, BaseObject)
+        return self is other or (
+                isinstance(other, BaseObject)
                 and self.instance is other.instance
                 and self.carrier == other.carrier
                 and self.basepoint == other.basepoint
                 and self.add == other.add
                 and self.neg == other.neg
                 and self.zero == other.zero)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash((self.instance.name, self.carrier))
@@ -325,11 +324,9 @@ class BaseMorphism:
         return self._preimages
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, BaseMorphism) and self.dom == other.dom
-                and self.cod == other.cod and self.map == other.map)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+        return self is other or (
+            isinstance(other, BaseMorphism) and self.map == other.map
+            and self.dom == other.dom and self.cod == other.cod)
 
     def __hash__(self) -> int:
         return hash((hash(self.dom), hash(self.cod), self.map))
@@ -491,10 +488,6 @@ class _TupleAddRow:
             return NotImplemented
         return all(self[j] == other[j] for j in range(self._table.size))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
 
 class _TupleAddTable:
     """Componentwise addition on the index-tuple carrier of a limit apex.
@@ -553,10 +546,6 @@ class _TupleAddTable:
             return NotImplemented
         return all(self[i] == other[i] for i in range(self.size))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
 
 def _structured_tuple_object(instance, parts: list[BaseObject], tuples):
     """Make a BaseObject on a list of index-tuples over the given parts."""
@@ -604,11 +593,12 @@ class LimitResult:
             if j is None:
                 raise NoMediatorError("cone does not land in the limit")
             table.append(j)
-        med = BaseMorphism(source, self.apex, table, _trusted=True)
         for name, leg in self.legs.items():
-            if name in cone and compose(med, leg) != cone[name]:
+            if name in cone and (
+                    tuple([leg.map[j] for j in table]) != cone[name].map
+                    or cone[name].dom != source or cone[name].cod != leg.cod):
                 raise NoMediatorError(f"mediator fails to recover leg {name!r}")
-        return med
+        return BaseMorphism(source, self.apex, table, _trusted=True)
 
 
 def _common_source(cone: dict) -> BaseObject:
@@ -863,10 +853,19 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
 
 @dataclass(frozen=True)
 class MorphismFlags:
+    """Morphism flags; ``split_epi`` is decided when read (not in eq or repr)."""
+
     mono: bool
     regular_epi: bool
-    split_epi: bool
     iso: bool
+    morphism: BaseMorphism = field(repr=False, compare=False)
+
+    @cached_property
+    def split_epi(self) -> bool:
+        # The inverse of an additive bijection is additive, so an iso splits.
+        f = self.morphism
+        return self.regular_epi and (self.iso or f.dom.instance is not FINAB
+                                     or additive_section(f) is not None)
 
 
 def image_indices(f: BaseMorphism) -> list[int]:
@@ -907,21 +906,24 @@ def classify_morphism(f: BaseMorphism) -> MorphismFlags:
 
     In all three instances regular epi = surjective and mono = injective;
     split epi = surjective except in FINAB, where an additive section must
-    exist (found by exhaustive search over generator images).
+    exist.  That is decided only when ``flags.split_epi`` is read: an iso
+    splits at once, another FINAB epi by the search of ``additive_section``.
     """
-    mono = len(set(f.map)) == len(f.map)
-    epi = set(f.map) == set(range(f.cod.size))
-    split = epi and (f.dom.instance is not FINAB
-                     or additive_section(f) is not None)
-    return MorphismFlags(mono=mono, regular_epi=epi, split_epi=split,
-                         iso=mono and epi)
+    image = set(f.map)
+    mono = len(image) == len(f.map)
+    epi = len(image) == f.cod.size
+    return MorphismFlags(mono=mono, regular_epi=epi, iso=mono and epi,
+                         morphism=f)
 
 
 def jointly_strongly_epi(morphisms) -> bool:
     """Whether a family into a common codomain is jointly strongly epic.
 
     Union of images covers the codomain (FINSET/FINPTDSET); in FINAB the
-    images must generate the codomain as a subgroup.
+    images must generate the codomain as a subgroup.  Images of homs are
+    subgroups and |S + T| = |S| |T| / |S & T|: with S generated by all
+    images but the last (for two maps, the first image, with no coset walk;
+    for one map, 0) and T the last image, test |S| |T| = |cod| |S & T|.
     """
     ms = list(morphisms)
     if not ms:
@@ -929,12 +931,13 @@ def jointly_strongly_epi(morphisms) -> bool:
     cod = ms[0].cod
     if any(m.cod != cod for m in ms):
         raise CompositionError("family has mixed codomains")
-    hit = set()
-    for m in ms:
-        hit.update(m.map)
-    if cod.instance is FINAB:
-        return len(generated_subgroup_indices(cod, hit)) == cod.size
-    return len(hit) == cod.size
+    hit = {j for m in ms[:-1] for j in m.map}
+    last = set(ms[-1].map)
+    if cod.instance is not FINAB:
+        return len(hit | last) == cod.size
+    if len(ms) != 2:
+        hit = set(generated_subgroup_indices(cod, hit))
+    return len(hit) * len(last) == cod.size * len(hit & last)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,56 @@ class TestSquaresAndDiagonals:
         with pytest.raises(DiagramError):
             Diagonal(m, zero_morphism(zmod(4), zmod(4)))
 
+    def test_each_diagonal_triangle_is_checked(self):
+        z1, z2 = zmod(1), zmod(2)
+        # the bottom arrow forgets everything, so only the top triangle binds
+        m = ArrowMorphism(arrow_object(identity(z2)),
+                          arrow_object(zero_morphism(z2, z1)),
+                          identity(z2), zero_morphism(z2, z1))
+        assert Diagonal(m, identity(z2)).d == identity(z2)
+        with pytest.raises(DiagramError, match="top triangle"):
+            Diagonal(m, zero_morphism(z2, z2))
+        # the top arrow starts at zero, so only the bottom triangle binds
+        m = ArrowMorphism(arrow_object(zero_morphism(z1, z2)),
+                          arrow_object(identity(z2)),
+                          zero_morphism(z1, z2), identity(z2))
+        assert Diagonal(m, identity(z2)).d == identity(z2)
+        with pytest.raises(DiagramError, match="bottom triangle"):
+            Diagonal(m, zero_morphism(z2, z2))
+        with pytest.raises(DiagramError, match="diagonal is mistyped"):
+            Diagonal(m, identity(zmod(4)))
+
+    def test_mistyped_square_components_are_rejected(self):
+        obj = arrow_object(identity(zmod(2)))
+        with pytest.raises(DiagramError, match="top component is mistyped"):
+            ArrowMorphism(obj, obj, identity(zmod(4)), identity(zmod(2)))
+        with pytest.raises(DiagramError, match="bottom component is mistyped"):
+            ArrowMorphism(obj, obj, identity(zmod(2)), identity(zmod(4)))
+        with pytest.raises(DiagramError, match="square does not commute"):
+            ArrowMorphism(obj, obj, identity(zmod(2)),
+                          zero_morphism(zmod(2), zmod(2)))
+
+    def test_equal_objects_need_not_be_identical(self):
+        def square_over(bottom, top):
+            # the graph square, with Z4 given once per end
+            z2 = zmod(2)
+            delta = morphism_from_function(z2, bottom, lambda n: 2 * n)
+            return ArrowMorphism(
+                arrow_object(delta), arrow_object(identity(top)),
+                morphism_from_function(z2, top, lambda n: 2 * n),
+                morphism_from_function(bottom, top, lambda n: n))
+
+        z4 = zmod(4)
+        shared = square_over(z4, z4)
+        split = square_over(zmod(4), zmod(4))
+        assert split.dom.bottom is not split.cod.top
+        assert split == shared == graph_square()
+        mu = Diagonal(split, split.f0)
+        assert mu.d == Diagonal(shared, shared.f0).d
+        assert act_on_diagonal(identity_arr(split.dom), mu,
+                               identity_arr(split.cod)).d == mu.d
+        assert comparison_J_arr(split) == comparison_J_arr(shared)
+
     def test_action_identity_law(self):
         m = graph_square()
         mu = Diagonal(m, identity(zmod(4)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoid_lab import base
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError, CompositionError,
     Diagram, DiagramError, NoMediatorError, additive_section, classify_morphism,
@@ -26,6 +27,14 @@ def mod_map(m, n):
 def scale_map(obj, k):
     n = obj.size
     return morphism_from_function(obj, obj, lambda x: (k * x) % n)
+
+
+def abelian_groups_up_to_8():
+    """One group per iso class of abelian groups of order at most 8."""
+    z2 = zmod(2)
+    return [zmod(n) for n in range(1, 9)] + [
+        direct_sum(z2, z2), direct_sum(z2, zmod(4)),
+        direct_sum(z2, direct_sum(z2, z2))]
 
 
 class TestInstances:
@@ -114,6 +123,20 @@ class TestPullback:
         assert twisted(1) == (1, 3)
         with pytest.raises(NoMediatorError):
             pb.mediate({"p1": identity(zmod(4)), "p2": scale_map(zmod(4), 0)})
+
+    def test_mediator_must_recover_each_leg(self):
+        # the product recipe reads only elements, so a cone leg into
+        # another object is caught by the leg check: by its table, or by
+        # its codomain when the tables agree
+        a, x = finset_object([0, 1]), finset_object(["x"])
+        lim = product(a, a)
+        to_a = morphism_from_function(x, a, lambda _: 0)
+        for elem in (1, 0):
+            stray = morphism_from_function(x, finset_object([elem]),
+                                           lambda _: elem)
+            with pytest.raises(NoMediatorError, match="recover leg 'p1'"):
+                lim.mediate({"p1": stray, "p2": to_a})
+        assert lim.mediate({"p1": to_a, "p2": to_a})("x") == (0, 0)
 
     def test_pointed_pullback_keeps_basepoint(self):
         x = finptdset_object(["*", "a", "b"])
@@ -245,6 +268,27 @@ class TestClassify:
         assert classify_morphism(scale_map(zmod(5), 2)).iso
         assert not classify_morphism(scale_map(zmod(4), 2)).iso
 
+    def test_split_epi_agrees_with_the_section_search(self):
+        groups = abelian_groups_up_to_8()
+        for a, b in itertools.product(groups, groups):
+            for f in enumerate_morphisms(a, b):
+                flags = classify_morphism(f)
+                assert flags.split_epi == (
+                    flags.regular_epi and additive_section(f) is not None)
+                assert flags.split_epi or not flags.iso
+
+    def test_split_epi_is_decided_on_read(self, monkeypatch):
+        calls = []
+        search = base.additive_section
+        monkeypatch.setattr(base, "additive_section",
+                            lambda f: calls.append(f) or search(f))
+        iso = classify_morphism(scale_map(zmod(8), 3))
+        assert iso.iso and iso.split_epi
+        flags = classify_morphism(mod_map(4, 2))
+        assert calls == []
+        assert not flags.split_epi and len(calls) == 1
+        assert not flags.split_epi and len(calls) == 1
+
 
 class TestJointlyStronglyEpi:
     def test_finab_even_images_fail(self):
@@ -261,6 +305,24 @@ class TestJointlyStronglyEpi:
         ay = morphism_from_function(zmod(2), z22, lambda x: (0, x))
         assert jointly_strongly_epi([ax, ay])
         assert not jointly_strongly_epi([ax, ax])
+
+    def test_finab_matches_the_subgroup_closure(self):
+        # the verdict depends on the images only: one hom per image, drawn
+        # from sources whose images cover every subgroup used below
+        z2, z4 = zmod(2), zmod(4)
+        sources = [z2, z4, zmod(8), direct_sum(z2, z2)]
+        for cod in (zmod(8), direct_sum(z2, z4),
+                    direct_sum(z2, direct_sum(z2, z2))):
+            pool = {}
+            for src in sources:
+                for f in enumerate_morphisms(src, cod):
+                    pool.setdefault(frozenset(f.map), f)
+            for k in (1, 2, 3):
+                for family in itertools.product(pool.values(), repeat=k):
+                    hit = {j for f in family for j in f.map}
+                    closure = generated_subgroup_indices(cod, hit)
+                    assert jointly_strongly_epi(family) == (
+                        len(closure) == cod.size), (cod, family)
 
     def test_pointed_union(self):
         t = finptdset_object(["*", "x", "y"])

@@ -24,6 +24,7 @@ from groupoid_lab.arrow import (
     is_essentially_surjective_arr,
     partial_zero_arr,
 )
+from groupoid_lab import base
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
@@ -272,3 +273,14 @@ class TestWitnessSearches:
         assert report.cases == 200
         assert report.failures == []
         assert report.expectation_met
+
+    def test_protomodularity_sweep_runs_no_section_search(self, monkeypatch):
+        # The sweep reads only regular_epi and iso, so the exhaustive
+        # additive-section search behind split_epi must never run.
+        calls = []
+        search = base.additive_section
+        monkeypatch.setattr(base, "additive_section",
+                            lambda f: calls.append(f) or search(f))
+        report = run_suite("protomodularity-char", FINAB, 200, 0)
+        assert (report.cases, report.failures) == (200, [])
+        assert calls == []
