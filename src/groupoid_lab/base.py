@@ -601,15 +601,12 @@ class LimitResult:
         return BaseMorphism(source, self.apex, table, _trusted=True)
 
 
-def _common_source(cone: dict) -> BaseObject:
-    sources = {id(f.dom): f.dom for f in cone.values()}
-    if len(sources) != 1:
-        vals = list(cone.values())
-        src = vals[0].dom
-        if any(f.dom != src for f in vals):
+def _common_source(*legs: BaseMorphism) -> BaseObject:
+    src = legs[0].dom
+    for f in legs[1:]:
+        if f.dom is not src and f.dom != src:
             raise CompositionError("cone legs have different sources")
-        return src
-    return next(iter(sources.values()))
+    return src
 
 
 def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
@@ -628,8 +625,10 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
 
     def recipe(cone):
         u, v = cone["p1"], cone["p2"]
-        src = _common_source({"p1": u, "p2": v})
-        if compose(u, f) != compose(v, g):
+        src = _common_source(u, v)
+        if u.cod != f.dom or v.cod != g.dom:
+            raise CompositionError("codomain/domain mismatch in composite")
+        if any(f.map[x] != g.map[y] for x, y in zip(u.map, v.map)):
             raise NoMediatorError("cone does not commute with the cospan")
         return (lambda i: (u.cod.carrier[u.map[i]], v.cod.carrier[v.map[i]]),
                 src)
@@ -646,7 +645,7 @@ def product(a: BaseObject, b: BaseObject) -> LimitResult:
 
     def recipe(cone):
         u, v = cone["p1"], cone["p2"]
-        src = _common_source({"p1": u, "p2": v})
+        src = _common_source(u, v)
         return (lambda i: (u.cod.carrier[u.map[i]], v.cod.carrier[v.map[i]]),
                 src)
 
@@ -761,7 +760,7 @@ def finite_limit(diagram: Diagram) -> LimitResult:
         missing = [n for n in names if n not in cone]
         if missing:
             raise NoMediatorError(f"cone does not determine nodes {missing}")
-        src = _common_source(cone)
+        src = _common_source(*cone.values())
         for s, t, h in diagram.edges:
             if compose(cone[s], h) != cone[t]:
                 raise NoMediatorError(f"cone breaks the edge {s!r}->{t!r}")
@@ -795,7 +794,9 @@ def kernel(f: BaseMorphism) -> LimitResult:
 
     def recipe(cone):
         u = cone["ker"]
-        if compose(u, f) != zero_morphism(u.dom, f.cod):
+        if u.cod != f.dom:
+            raise CompositionError("codomain/domain mismatch in composite")
+        if any(f.map[x] != z for x in u.map):
             raise NoMediatorError("cone composed with the map is not zero")
         lookup = {i: k for k, i in enumerate(idx)}
         return (lambda i: apex.carrier[lookup[u.map[i]]], u.dom)
@@ -1016,7 +1017,7 @@ def count_factorizations(limit: LimitResult, cone: dict) -> int:
     equations; the count is the product of per-element choices intersected
     with structure preservation.  Used to certify mediator uniqueness.
     """
-    src = _common_source(cone)
+    src = _common_source(*cone.values())
     named = [(limit.legs[k], v) for k, v in cone.items()]
     choices = []
     for i in range(src.size):

@@ -46,9 +46,11 @@ class SideDivergenceError(GroupoidLabError):
     """The d-side and c-side of a classification disagree."""
 
 
-def _check_side(side: str) -> None:
+def _ends(g, side: str):
+    """The endpoint map of ``g`` that ``side`` names, then the other one."""
     if side not in ("d", "c"):
         raise ValueError("side must be 'd' or 'c'")
+    return (g.d, g.c) if side == "d" else (g.c, g.d)
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +59,8 @@ def _check_side(side: str) -> None:
 
 def _tau(fun: InternalFunctor, side: str):
     """The lifting measurement plus the pullback it factors through."""
-    _check_side(side)
-    a, b = fun.dom, fun.cod
-    if side == "d":
-        lim = pullback(fun.F0, b.d)
-        tau = lim.mediate({"p1": a.d, "p2": fun.F1})
-    else:
-        lim = pullback(fun.F0, b.c)
-        tau = lim.mediate({"p1": a.c, "p2": fun.F1})
-    return lim, tau
+    lim = pullback(fun.F0, _ends(fun.cod, side)[0])
+    return lim, lim.mediate({"p1": _ends(fun.dom, side)[0], "p2": fun.F1})
 
 
 def tau_factorization(fun: InternalFunctor, side: str = "d") -> BaseMorphism:
@@ -113,24 +108,13 @@ def _hat_tau(fun: InternalFunctor, side: str):
     (domain object, image arrow) against kernel arrows of the codomain.
     Returns (pullback, measurement, source kernel, codomain-arrow kernel).
     """
-    _check_side(side)
-    a, b = fun.dom, fun.cod
-    if side == "d":
-        ending = kernel(compose(fun.F1, b.c))
-        target = kernel(b.c)
-        restricted = target.mediate(
-            {"ker": compose(ending.legs["ker"], fun.F1)})
-        lim = pullback(fun.F0, compose(target.legs["ker"], b.d))
-        tau = lim.mediate({"p1": compose(ending.legs["ker"], a.d),
-                           "p2": restricted})
-    else:
-        ending = kernel(compose(fun.F1, b.d))
-        target = kernel(b.d)
-        restricted = target.mediate(
-            {"ker": compose(ending.legs["ker"], fun.F1)})
-        lim = pullback(fun.F0, compose(target.legs["ker"], b.c))
-        tau = lim.mediate({"p1": compose(ending.legs["ker"], a.c),
-                           "p2": restricted})
+    near, far = _ends(fun.cod, side)
+    ending = kernel(compose(fun.F1, far))
+    target = kernel(far)
+    restricted = target.mediate({"ker": compose(ending.legs["ker"], fun.F1)})
+    lim = pullback(fun.F0, compose(target.legs["ker"], near))
+    source = compose(ending.legs["ker"], _ends(fun.dom, side)[0])
+    tau = lim.mediate({"p1": source, "p2": restricted})
     return lim, tau, ending, target
 
 
@@ -197,11 +181,9 @@ def partial_zero(fun: InternalFunctor) -> PartialZero:
     Injectivity of this map is faithfulness, surjectivity is fullness, and
     bijectivity is fully-faithfulness.
     """
-    a, b = fun.dom, fun.cod
-    first = pullback(fun.F0, b.d)
-    second = pullback(compose(first.legs["p2"], b.c), fun.F0)
-    tau_d = first.mediate({"p1": a.d, "p2": fun.F1})
-    morphism = second.mediate({"p1": tau_d, "p2": a.c})
+    first, tau_d = _tau(fun, "d")
+    second = pullback(compose(first.legs["p2"], fun.cod.c), fun.F0)
+    morphism = second.mediate({"p1": tau_d, "p2": fun.dom.c})
     flags = classify_morphism(morphism)
     return PartialZero(
         morphism=morphism,
@@ -255,11 +237,8 @@ def is_fully_faithful(fun: InternalFunctor) -> bool:
 def essential_surjectivity_witness(fun: InternalFunctor,
                                    side: str = "d") -> BaseMorphism:
     """The reachable-objects map (image-endpoint pair) -> far endpoint."""
-    _check_side(side)
-    b = fun.cod
-    if side == "d":
-        return compose(pullback(fun.F0, b.d).legs["p2"], b.c)
-    return compose(pullback(fun.F0, b.c).legs["p2"], b.d)
+    near, far = _ends(fun.cod, side)
+    return compose(pullback(fun.F0, near).legs["p2"], far)
 
 
 def _essential_flags(fun: InternalFunctor):

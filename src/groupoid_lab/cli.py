@@ -34,7 +34,7 @@ from .groupoid import (
     validate_groupoid,
     validate_transformation,
 )
-from .harness import expects_witness, run_suite, suite_instances, suite_names
+from .harness import SUITES, run_suite, suite_names
 from .serialize import value_from_data
 
 EXIT_OK = 0
@@ -59,14 +59,6 @@ _KIND_NAMES = (
     (BaseMorphism, "morphism"),
     (BaseObject, "object"),
 )
-
-# Witness searches need room to reach their first witness; everything
-# else gets a quick default that the acceptance run then scales up.
-_DEFAULT_CASES = {
-    "star-not-fibration-search": 200,
-    "protomodularity-char": 100,
-}
-_FALLBACK_CASES = 50
 
 
 def _kind_name(value) -> str:
@@ -214,23 +206,24 @@ def cmd_verify(args) -> int:
     reports = []
     all_met = True
     for name in selected:
+        spec = SUITES[name]
         if pinned is None:
-            targets = [parse_instance(n) for n in suite_instances(name)]
+            targets = [parse_instance(n) for n in spec.instances]
         else:
             targets = pinned
         cases = args.cases
         if cases is None:
-            cases = _DEFAULT_CASES.get(name, _FALLBACK_CASES)
+            cases = spec.default_cases
         for instance in targets:
             report = run_suite(name, instance, cases, args.seed)
             reports.append(report)
             met = report.expectation_met
             all_met = all_met and met
+            witness = instance.name in spec.witness_instances
             if not met:
-                status = (f"UNMET: no witness found"
-                          if expects_witness(name, instance.name)
+                status = (f"UNMET: no witness found" if witness
                           else f"UNMET: {len(report.failures)} failures")
-            elif expects_witness(name, instance.name):
+            elif witness:
                 status = f"witness found ({len(report.failures)})"
             else:
                 status = "ok"

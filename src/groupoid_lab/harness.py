@@ -4,12 +4,13 @@ Generators assemble small structures from hand-picked families so that
 every classifier flag shows up on both sides somewhere in a run.  Each
 suite checks one structural fact at desk scale and reports serialized
 witnesses for whatever failed.  Two suites are bounded searches whose
-expected outcome is a found witness rather than a clean pass; the
-registry records which (instance, suite) pairs expect witnesses.
+expected outcome is a found witness rather than a clean pass.  Each suite
+is registered once, in ``SUITES``, with the instances it applies to, the
+instances that expect witnesses, and its default case bound.
 
 Determinism: every generator derives its stream from a string seed of the
-form "<instance>:<seed>", and suites derive per-case seeds from the suite
-name, the run seed, and the case index.  Search suites use no randomness
+form "<instance>:<seed>", and one runner loop gives each case of a suite
+the seed "<instance>:<suite>:<seed>:<k>".  Search suites use no randomness
 at all; they walk a fixed catalog in increasing size order, so the number
 of examined candidates in the report is the explicit search bound.
 """
@@ -921,54 +922,118 @@ def _remove_element(m: ArrowMorphism, which, drop):
 
 
 # ---------------------------------------------------------------------------
+# registry
+
+
+@dataclass(frozen=True)
+class _Suite:
+    run: object
+    instances: tuple
+    witness_instances: frozenset
+    # Witness searches need room to reach their first witness; everything
+    # else gets a quick default that the acceptance run then scales up.
+    default_cases: int
+
+
+_ALL = ("finset", "finptdset", "finab")
+_POINTED = ("finptdset", "finab")
+
+# Filled by @_suite and @_search in definition order, which is the order
+# verify runs the suites in.
+SUITES = {}
+
+
+class _Case:
+    """Case ``k`` of a suite run: its replay tag, its own rng, its failures."""
+
+    def __init__(self, name, instance, seed, k, failures):
+        self.k = k
+        self.tag = f"{name}:{seed}:{k}"
+        self.rng = random.Random(f"{instance.name}:{self.tag}")
+        self._failures = failures
+
+    def fail(self, reason, **values):
+        self._failures.append(_witness(self.k, reason, **values))
+
+
+def _suite(name, instances):
+    """Register ``check(instance, case)``; it runs once per case."""
+    def register(check):
+        def run(instance, n, seed):
+            failures = []
+            for k in range(n):
+                check(instance, _Case(name, instance, seed, k, failures))
+            return n, failures
+        SUITES[name] = _Suite(run, instances, frozenset(), 50)
+        return check
+    return register
+
+
+def _search(name, instances, witness_instances, default_cases):
+    """Register a seedless ``run(instance, n) -> (examined, witnesses)``."""
+    def register(run):
+        SUITES[name] = _Suite(lambda instance, n, seed: run(instance, n),
+                              instances, frozenset(witness_instances),
+                              default_cases)
+        return run
+    return register
+
+
+def _floor_holds(case, fun, floor):
+    """The fibration label of ``fun``, or None once the case has failed
+    because the label is below the generator's ``floor`` (if it has one)."""
+    label = classify_fibration(fun)
+    if floor and not fibration_at_least(label, floor):
+        case.fail(f"generator floor {floor!r} disagrees with label {label!r}",
+                  functor=fun)
+        return None
+    return label
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
-def _suite_axioms(instance, n, seed):
-    failures = []
+@_suite("axioms", _ALL)
+def _check_axioms(instance, case):
+    """Generated structures validate; corrupted ones name the broken axiom."""
     validators = {"groupoid": validate_groupoid,
                   "functor": validate_functor,
                   "transformation": validate_transformation}
-    for k in range(n):
-        tag = f"axioms:{seed}:{k}"
-        g = gen_groupoid(instance, tag)
-        fun = gen_functor(instance, tag)
-        cell = gen_transformation(instance, tag)
-        triple = {"groupoid": g, "functor": fun, "transformation": cell}
-        for kind, value in triple.items():
-            bad = validators[kind](value)
-            if bad:
-                failures.append(_witness(
-                    k, f"generated {kind} failed validation: {bad}",
-                    value=value))
-        if k % 5 == 4:
-            rng = random.Random(f"{instance.name}:{tag}:corrupt")
-            kind = ("groupoid", "functor", "transformation")[(k // 5) % 3]
-            corrupter = {"groupoid": corrupt_groupoid,
-                         "functor": corrupt_functor,
-                         "transformation": corrupt_transformation}[kind]
-            out = corrupter(triple[kind], rng)
-            if out is None:
-                continue
-            bad_value, expected = out
-            got = validators[kind](bad_value)
-            if expected not in got:
-                failures.append(_witness(
-                    k, f"corrupted {kind} expected axiom {expected!r}, "
-                       f"validator reported {got}", value=bad_value))
-    return n, failures
+    triple = {"groupoid": gen_groupoid(instance, case.tag),
+              "functor": gen_functor(instance, case.tag),
+              "transformation": gen_transformation(instance, case.tag)}
+    for kind, value in triple.items():
+        bad = validators[kind](value)
+        if bad:
+            case.fail(f"generated {kind} failed validation: {bad}",
+                      value=value)
+    if case.k % 5 != 4:
+        return
+    rng = random.Random(f"{instance.name}:{case.tag}:corrupt")
+    kind = ("groupoid", "functor", "transformation")[(case.k // 5) % 3]
+    corrupter = {"groupoid": corrupt_groupoid,
+                 "functor": corrupt_functor,
+                 "transformation": corrupt_transformation}[kind]
+    out = corrupter(triple[kind], rng)
+    if out is None:
+        return
+    bad_value, expected = out
+    got = validators[kind](bad_value)
+    if expected not in got:
+        case.fail(f"corrupted {kind} expected axiom {expected!r}, "
+                  f"validator reported {got}", value=bad_value)
 
 
-def _refinement_square_holds(fun: InternalFunctor):
+def _refinement_square_holds(fun: InternalFunctor, tdata):
     """The proof-level square: arrows against the strict comparison.
 
     Sends an arrow x to the degenerate square on its image, mediates into
     the relaxed pullback's arrow level, and checks the resulting square
     over the comparison functor is a pullback at the object level.
     """
-    data = comparison_T_data(fun)
     a, b = fun.dom, fun.cod
-    v = data.relaxed
+    v = tdata.relaxed
 
     def degenerate(x):
         u = b.e(fun.F0(a.d(x)))
@@ -979,11 +1044,11 @@ def _refinement_square_holds(fun: InternalFunctor):
         fbar = v.arrow_limit.mediate({"g_arr": compose(a.d, fun.F0),
                                       "squares": sq_map,
                                       "f_arr": identity(a.B1)})
-        strict_iso = data.strict.object_limit.mediate(
+        strict_iso = tdata.strict.object_limit.mediate(
             {"p1": fun.F0, "p2": identity(a.B0)})
     except NoMediatorError:
         return False, "refinement cone fails to mediate"
-    t0 = compose(strict_iso, data.functor.F0)
+    t0 = compose(strict_iso, tdata.functor.F0)
     dv = v.groupoid.d
     if compose(fbar, dv) != compose(a.d, t0):
         return False, "refinement square does not commute"
@@ -996,66 +1061,51 @@ def _refinement_square_holds(fun: InternalFunctor):
     return True, ""
 
 
-def _suite_prop_fibration_t(instance, n, seed):
-    failures = []
+@_suite("prop-fibration-T", _ALL)
+def _check_prop_fibration_t(instance, case):
+    """Fibration flags match weak equivalence of the strict comparison,
+    with the proof-level refinement square."""
     heavy = 8 if instance is FINAB else 6
-    for k in range(n):
-        rng = random.Random(f"{instance.name}:prop-fibration-T:{seed}:{k}")
-        fun, floor = _tagged_functor(instance, rng, heavy)
-        label = classify_fibration(fun)
-        if floor and not fibration_at_least(label, floor):
-            failures.append(_witness(
-                k, f"generator floor {floor!r} disagrees with label {label!r}",
-                functor=fun))
-            continue
-        t = comparison_T(fun)
-        if fibration_at_least(label, "fibration") != is_weak_equivalence(t):
-            failures.append(_witness(
-                k, "fibration flag disagrees with weak equivalence of the "
-                   "strict comparison", functor=fun, label=label))
-        if (fibration_at_least(label, "split_epi_fibration")
-                != is_equivalence(t)):
-            failures.append(_witness(
-                k, "split fibration flag disagrees with equivalence of the "
-                   "strict comparison", functor=fun, label=label))
-        if k % 4 == 0:
-            ok, reason = _refinement_square_holds(fun)
-            if not ok:
-                failures.append(_witness(k, reason, functor=fun))
-    return n, failures
+    fun, floor = _tagged_functor(instance, case.rng, heavy)
+    label = _floor_holds(case, fun, floor)
+    if label is None:
+        return
+    tdata = comparison_T_data(fun)
+    t = tdata.functor
+    if fibration_at_least(label, "fibration") != is_weak_equivalence(t):
+        case.fail("fibration flag disagrees with weak equivalence of the "
+                  "strict comparison", functor=fun, label=label)
+    if (fibration_at_least(label, "split_epi_fibration")
+            != is_equivalence(t)):
+        case.fail("split fibration flag disagrees with equivalence of the "
+                  "strict comparison", functor=fun, label=label)
+    if case.k % 4 == 0:
+        ok, reason = _refinement_square_holds(fun, tdata)
+        if not ok:
+            case.fail(reason, functor=fun)
 
 
-def _suite_prop_star_fibration_j(instance, n, seed):
-    failures = []
+@_suite("prop-star-fibration-J", _POINTED)
+def _check_prop_star_fibration_j(instance, case):
+    """Star flags match weak equivalence of the kernel comparison."""
     heavy = 6 if instance is FINPTDSET else 8
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:prop-star-fibration-J:{seed}:{k}")
-        fun, floor = _tagged_functor(instance, rng, heavy)
-        label = classify_fibration(fun)
-        if floor and not fibration_at_least(label, floor):
-            failures.append(_witness(
-                k, f"generator floor {floor!r} disagrees with label {label!r}",
-                functor=fun))
-            continue
-        star = classify_star_fibration(fun)
-        j = comparison_J_data(fun).functor
-        if star_at_least(star, "star_fibration") != is_weak_equivalence(j):
-            failures.append(_witness(
-                k, "star flag disagrees with weak equivalence of the kernel "
-                   "comparison", functor=fun, star=star))
-        if (star_at_least(star, "split_epi_star_fibration")
-                != is_equivalence(j)):
-            failures.append(_witness(
-                k, "split star flag disagrees with equivalence of the kernel "
-                   "comparison", functor=fun, star=star))
-    return n, failures
+    fun, floor = _tagged_functor(instance, case.rng, heavy)
+    if _floor_holds(case, fun, floor) is None:
+        return
+    star = classify_star_fibration(fun)
+    j = comparison_J_data(fun).functor
+    if star_at_least(star, "star_fibration") != is_weak_equivalence(j):
+        case.fail("star flag disagrees with weak equivalence of the kernel "
+                  "comparison", functor=fun, star=star)
+    if (star_at_least(star, "split_epi_star_fibration")
+            != is_equivalence(j)):
+        case.fail("split star flag disagrees with equivalence of the kernel "
+                  "comparison", functor=fun, star=star)
 
 
-def _kernel_square_checks(fun: InternalFunctor):
+def _kernel_square_checks(fun: InternalFunctor, jdata):
     """The kernel comparison against the strict comparison, as one square."""
     tdata = comparison_T_data(fun)
-    jdata = comparison_J_data(fun)
     kg, incl = jdata.kernel, jdata.inclusion
     b = fun.cod
     strict = tdata.strict
@@ -1087,65 +1137,52 @@ def _kernel_square_checks(fun: InternalFunctor):
     return None
 
 
-def _suite_cor_weak_equivalence_j(instance, n, seed):
-    failures = []
+@_suite("cor-weak-equivalence-J", _POINTED)
+def _check_cor_weak_equivalence_j(instance, case):
+    """Fibrations have weakly invertible kernel comparisons, through a
+    pullback square of comparisons."""
     heavy = 6 if instance is FINPTDSET else 8
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:cor-weak-equivalence-J:{seed}:{k}")
-        fun, floor = _fibration_family(instance, rng, heavy)
-        label = classify_fibration(fun)
-        if not fibration_at_least(label, floor):
-            failures.append(_witness(
-                k, f"generator floor {floor!r} disagrees with label {label!r}",
-                functor=fun))
-            continue
-        j = comparison_J_data(fun).functor
-        if not is_weak_equivalence(j):
-            failures.append(_witness(
-                k, "fibration whose kernel comparison is not a weak "
-                   "equivalence", functor=fun, label=label))
-        if (fibration_at_least(label, "split_epi_fibration")
-                and not is_equivalence(j)):
-            failures.append(_witness(
-                k, "split fibration whose kernel comparison is not an "
-                   "equivalence", functor=fun, label=label))
-        if k % 3 == 0:
-            reason = _kernel_square_checks(fun)
-            if reason:
-                failures.append(_witness(k, reason, functor=fun))
-    return n, failures
+    fun, floor = _fibration_family(instance, case.rng, heavy)
+    label = _floor_holds(case, fun, floor)
+    if label is None:
+        return
+    jdata = comparison_J_data(fun)
+    j = jdata.functor
+    if not is_weak_equivalence(j):
+        case.fail("fibration whose kernel comparison is not a weak "
+                  "equivalence", functor=fun, label=label)
+    if (fibration_at_least(label, "split_epi_fibration")
+            and not is_equivalence(j)):
+        case.fail("split fibration whose kernel comparison is not an "
+                  "equivalence", functor=fun, label=label)
+    if case.k % 3 == 0:
+        reason = _kernel_square_checks(fun, jdata)
+        if reason:
+            case.fail(reason, functor=fun)
 
 
-def _suite_fibration_implies_star(instance, n, seed):
-    failures = []
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:fibration-implies-star:{seed}:{k}")
-        fun, floor = _fibration_family(instance, rng,
-                                       _budget(instance, None))
-        label = classify_fibration(fun)
-        if not fibration_at_least(label, floor):
-            failures.append(_witness(
-                k, f"generator floor {floor!r} disagrees with label {label!r}",
-                functor=fun))
-            continue
-        star = classify_star_fibration(fun)
-        if not star_at_least(star, "star_fibration"):
-            failures.append(_witness(
-                k, "fibration that is not a star-fibration", functor=fun,
-                label=label, star=star))
-        if (fibration_at_least(label, "split_epi_fibration")
-                and not star_at_least(star, "split_epi_star_fibration")):
-            failures.append(_witness(
-                k, "split fibration that is not a split star-fibration",
-                functor=fun, label=label, star=star))
-    return n, failures
+@_suite("fibration-implies-star", _POINTED)
+def _check_fibration_implies_star(instance, case):
+    """Every generated fibration is a star-fibration."""
+    fun, floor = _fibration_family(instance, case.rng,
+                                   _budget(instance, None))
+    label = _floor_holds(case, fun, floor)
+    if label is None:
+        return
+    star = classify_star_fibration(fun)
+    if not star_at_least(star, "star_fibration"):
+        case.fail("fibration that is not a star-fibration", functor=fun,
+                  label=label, star=star)
+    if (fibration_at_least(label, "split_epi_fibration")
+            and not star_at_least(star, "split_epi_star_fibration")):
+        case.fail("split fibration that is not a split star-fibration",
+                  functor=fun, label=label, star=star)
 
 
-def _suite_star_not_fibration_search(instance, n, seed):
-    """Walk small groupoid pairs for a star-fibration that is no fibration."""
-    del seed  # the sweep is deterministic
+@_search("star-not-fibration-search", ("finab",), ("finab",), 200)
+def _search_star_not_fibration(instance, n):
+    """Bounded search for a star-fibration that is not a fibration, over
+    small groupoid pairs, smallest first."""
     catalog = _groupoid_catalog(8)
     hom = _hom_memo()
 
@@ -1180,249 +1217,203 @@ def _suite_star_not_fibration_search(instance, n, seed):
     return examined, witnesses
 
 
-def _suite_hkernel_discrete_fibration(instance, n, seed):
-    failures = []
+@_suite("hkernel-discrete-fibration", _POINTED)
+def _check_hkernel_discrete_fibration(instance, case):
+    """h-kernel projections classify as discrete fibrations."""
     heavy = 6 if instance is FINPTDSET else 8
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:hkernel-discrete-fibration:{seed}:{k}")
-        fun = _random_functor(instance, rng, heavy)
-        proj = strong_h_kernel(fun).projection
-        label = classify_fibration(proj)
-        if label != "discrete_fibration":
-            failures.append(_witness(
-                k, f"h-kernel projection classified {label!r}", functor=fun))
-    return n, failures
+    fun = _random_functor(instance, case.rng, heavy)
+    label = classify_fibration(strong_h_kernel(fun).projection)
+    if label != "discrete_fibration":
+        case.fail(f"h-kernel projection classified {label!r}", functor=fun)
 
 
-def _suite_ff_normalization_pullback(instance, n, seed):
-    failures = []
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:ff-normalization-pullback:{seed}:{k}")
-        fun = _random_fully_faithful(instance, rng)
-        if not is_fully_faithful(fun):
-            failures.append(_witness(
-                k, "generator produced a functor that is not fully faithful",
-                functor=fun))
-            continue
-        if not classify_morphism(partial_zero_arr(normalize(fun))).iso:
-            failures.append(_witness(
-                k, "fully faithful functor whose normalized square is not "
-                   "a pullback", functor=fun))
-    return n, failures
+@_suite("ff-normalization-pullback", _POINTED)
+def _check_ff_normalization_pullback(instance, case):
+    """Normalized squares of fully faithful functors are pullbacks."""
+    fun = _random_fully_faithful(instance, case.rng)
+    if not is_fully_faithful(fun):
+        case.fail("generator produced a functor that is not fully faithful",
+                  functor=fun)
+        return
+    if not classify_morphism(partial_zero_arr(normalize(fun))).iso:
+        case.fail("fully faithful functor whose normalized square is not "
+                  "a pullback", functor=fun)
 
 
-def _suite_pullback_transfer(instance, n, seed):
-    failures = []
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:pullback-discrete-fibration-transfer:"
-            f"{seed}:{k}")
-        base = _random_groupoid(instance, rng, 6)
-        disc = _discrete_fibration_into(base, rng)
-        if classify_fibration(disc) != "discrete_fibration":
-            failures.append(_witness(
-                k, "generator produced a non-discrete fibration leg",
-                functor=disc))
-            continue
-        weq = _weak_equivalence_into(base, rng)
-        if not is_weak_equivalence(weq):
-            failures.append(_witness(
-                k, "generator produced a non-weak-equivalence leg",
-                functor=weq))
-            continue
-        pulled = pullback_groupoid(weq, disc).to_second
-        if not is_weak_equivalence(pulled):
-            failures.append(_witness(
-                k, "weak equivalence fails to transfer across the pullback",
-                functor=weq, along=disc))
-        if is_equivalence(weq) and not is_equivalence(pulled):
-            failures.append(_witness(
-                k, "equivalence fails to transfer across the pullback",
-                functor=weq, along=disc))
-    return n, failures
+@_suite("pullback-discrete-fibration-transfer", _ALL)
+def _check_pullback_transfer(instance, case):
+    """Weak equivalence transfers across pullbacks along discrete
+    fibrations."""
+    rng = case.rng
+    base = _random_groupoid(instance, rng, 6)
+    disc = _discrete_fibration_into(base, rng)
+    if classify_fibration(disc) != "discrete_fibration":
+        case.fail("generator produced a non-discrete fibration leg",
+                  functor=disc)
+        return
+    weq = _weak_equivalence_into(base, rng)
+    if not is_weak_equivalence(weq):
+        case.fail("generator produced a non-weak-equivalence leg",
+                  functor=weq)
+        return
+    pulled = pullback_groupoid(weq, disc).to_second
+    if not is_weak_equivalence(pulled):
+        case.fail("weak equivalence fails to transfer across the pullback",
+                  functor=weq, along=disc)
+    if is_equivalence(weq) and not is_equivalence(pulled):
+        case.fail("equivalence fails to transfer across the pullback",
+                  functor=weq, along=disc)
 
 
-def _suite_normalization_preserves_kernels(instance, n, seed):
-    failures = []
+@_suite("normalization-preserves-kernels", _POINTED)
+def _check_normalization_preserves_kernels(instance, case):
+    """Normalization commutes with kernels and strong h-kernels up to
+    canonical isomorphism."""
     heavy = 5 if instance is FINPTDSET else 8
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:normalization-preserves-kernels:{seed}:{k}")
-        fun = _random_functor(instance, rng, heavy)
-        nf = normalize(fun)
-        cmp_k = kernel_preservation_comparison(fun)
-        kg, incl = kernel_groupoid(fun)
-        karr = kernel_arr(nf)
-        if not (classify_morphism(cmp_k.f).iso
-                and classify_morphism(cmp_k.f0).iso):
-            failures.append(_witness(
-                k, "kernel comparison is not an isomorphism", functor=fun))
-        elif compose_arr(cmp_k, karr.inclusion) != normalize(incl):
-            failures.append(_witness(
-                k, "kernel comparison does not commute with inclusions",
-                functor=fun))
-        hk = strong_h_kernel(fun)
-        arr = strong_h_kernel_arr(nf)
-        cmp_h = h_kernel_preservation_comparison(fun)
-        if not (classify_morphism(cmp_h.f).iso
-                and classify_morphism(cmp_h.f0).iso):
-            failures.append(_witness(
-                k, "h-kernel comparison is not an isomorphism", functor=fun))
-            continue
-        if compose_arr(cmp_h, arr.inclusion) != normalize(hk.projection):
-            failures.append(_witness(
-                k, "h-kernel comparison does not commute with projections",
-                functor=fun))
-            continue
-        direct = normalize_homotopy(hk.cell)
-        acted = act_on_diagonal(cmp_h, arr.diagonal,
-                                identity_arr(arr.of.cod))
-        if direct.d != acted.d:
-            failures.append(_witness(
-                k, "h-kernel comparison does not respect the diagonal",
-                functor=fun))
-    return n, failures
+    fun = _random_functor(instance, case.rng, heavy)
+    nf = normalize(fun)
+    cmp_k = kernel_preservation_comparison(fun)
+    kg, incl = kernel_groupoid(fun)
+    karr = kernel_arr(nf)
+    if not (classify_morphism(cmp_k.f).iso
+            and classify_morphism(cmp_k.f0).iso):
+        case.fail("kernel comparison is not an isomorphism", functor=fun)
+    elif compose_arr(cmp_k, karr.inclusion) != normalize(incl):
+        case.fail("kernel comparison does not commute with inclusions",
+                  functor=fun)
+    hk = strong_h_kernel(fun)
+    arr = strong_h_kernel_arr(nf)
+    cmp_h = h_kernel_preservation_comparison(fun)
+    if not (classify_morphism(cmp_h.f).iso
+            and classify_morphism(cmp_h.f0).iso):
+        case.fail("h-kernel comparison is not an isomorphism", functor=fun)
+        return
+    if compose_arr(cmp_h, arr.inclusion) != normalize(hk.projection):
+        case.fail("h-kernel comparison does not commute with projections",
+                  functor=fun)
+        return
+    direct = normalize_homotopy(hk.cell)
+    acted = act_on_diagonal(cmp_h, arr.diagonal, identity_arr(arr.of.cod))
+    if direct.d != acted.d:
+        case.fail("h-kernel comparison does not respect the diagonal",
+                  functor=fun)
 
 
-def _suite_kernel_pullback_rows(instance, n, seed):
-    failures = []
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:kernel-pullback-rows:{seed}:{k}")
+@_suite("kernel-pullback-rows", _POINTED)
+def _check_kernel_pullback_rows(instance, case):
+    """Kernel rows of the partial-map rectangle, with its pullback square."""
+    fun = _random_functor(instance, case.rng)
+    a = fun.dom
+    pz = partial_zero(fun)
+    nf = normalize(fun)
+    npz = partial_zero_arr(nf)
+    kd = kernel(a.d).legs["ker"]
+    zero_a0 = a.B0.zero_element()
+    bottom = morphism_from_function(
+        npz.cod, pz.morphism.cod,
+        lambda p: ((zero_a0, p[1]), p[0]))
+    if compose(pz.morphism, pz.to_dom) != a.d:
+        case.fail("partial map does not project back to the source",
+                  functor=fun)
+        return
+    if compose(npz, bottom) != compose(kd, pz.morphism):
+        case.fail("restricted square does not commute", functor=fun)
+        return
+    try:
+        row = kernel(pz.to_dom).mediate({"ker": bottom})
+        top = kernel(a.d).mediate({"ker": kd})
+        med = pullback(pz.morphism, bottom).mediate({"p1": kd, "p2": npz})
+    except NoMediatorError:
+        case.fail("kernel rows fail to mediate", functor=fun)
+        return
+    if not classify_morphism(top).iso:
+        case.fail("arrow-level row is not a kernel", functor=fun)
+    if not classify_morphism(row).iso:
+        case.fail("restricted row is not a kernel", functor=fun)
+    if not classify_morphism(med).iso:
+        case.fail("restriction square is not a pullback", functor=fun)
+
+
+@_suite("normalization-transfer", _POINTED)
+def _check_normalization_transfer(instance, case):
+    """Classification flags move along normalization, item by item."""
+    rng = case.rng
+    roll = rng.random()
+    if roll < 0.4:
+        fun, _ = _tagged_functor(instance, rng)
+    elif roll < 0.7:
+        fun = _random_fully_faithful(instance, rng)
+    else:
         fun = _random_functor(instance, rng)
-        a = fun.dom
-        pz = partial_zero(fun)
-        nf = normalize(fun)
-        npz = partial_zero_arr(nf)
-        kd = kernel(a.d).legs["ker"]
-        zero_a0 = a.B0.zero_element()
-        bottom = morphism_from_function(
-            npz.cod, pz.morphism.cod,
-            lambda p: ((zero_a0, p[1]), p[0]))
-        if compose(pz.morphism, pz.to_dom) != a.d:
-            failures.append(_witness(
-                k, "partial map does not project back to the source",
-                functor=fun))
-            continue
-        if compose(npz, bottom) != compose(kd, pz.morphism):
-            failures.append(_witness(
-                k, "restricted square does not commute", functor=fun))
-            continue
-        try:
-            row = kernel(pz.to_dom).mediate({"ker": bottom})
-            top = kernel(a.d).mediate({"ker": kd})
-            med = pullback(pz.morphism, bottom).mediate(
-                {"p1": kd, "p2": npz})
-        except NoMediatorError:
-            failures.append(_witness(
-                k, "kernel rows fail to mediate", functor=fun))
-            continue
-        if not classify_morphism(top).iso:
-            failures.append(_witness(
-                k, "arrow-level row is not a kernel", functor=fun))
-        if not classify_morphism(row).iso:
-            failures.append(_witness(
-                k, "restricted row is not a kernel", functor=fun))
-        if not classify_morphism(med).iso:
-            failures.append(_witness(
-                k, "restriction square is not a pullback", functor=fun))
-    return n, failures
-
-
-def _suite_normalization_transfer(instance, n, seed):
-    failures = []
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:normalization-transfer:{seed}:{k}")
-        roll = rng.random()
-        if roll < 0.4:
-            fun, _ = _tagged_functor(instance, rng)
-        elif roll < 0.7:
-            fun = _random_fully_faithful(instance, rng)
-        else:
-            fun = _random_functor(instance, rng)
-        pz = partial_zero(fun)
-        ess = is_essentially_surjective(fun)
-        fib = fibration_at_least(classify_fibration(fun), "fibration")
-        ff = is_fully_faithful(fun)
-        arrow_flags = classify_arrow_morphism(normalize(fun))
-        items = [
-            (1, pz.faithful, arrow_flags["faithful"]),
-            (2, ff, arrow_flags["fully_faithful"]),
-            (3, pz.full, arrow_flags["full"]),
-            (8, arrow_flags["essentially_surjective"], ess),
-            (9, fib, arrow_flags["fibration"]),
+    pz = partial_zero(fun)
+    ess = is_essentially_surjective(fun)
+    fib = fibration_at_least(classify_fibration(fun), "fibration")
+    ff = is_fully_faithful(fun)
+    arrow_flags = classify_arrow_morphism(normalize(fun))
+    items = [
+        (1, pz.faithful, arrow_flags["faithful"]),
+        (2, ff, arrow_flags["fully_faithful"]),
+        (3, pz.full, arrow_flags["full"]),
+        (8, arrow_flags["essentially_surjective"], ess),
+        (9, fib, arrow_flags["fibration"]),
+    ]
+    if instance is FINAB:
+        items += [
+            (4, arrow_flags["faithful"], pz.faithful),
+            (5, arrow_flags["fully_faithful"], ff),
+            (6, arrow_flags["full"], pz.full),
+            (7, ess, arrow_flags["essentially_surjective"]),
+            (10, arrow_flags["fibration"], fib),
         ]
-        if instance is FINAB:
-            items += [
-                (4, arrow_flags["faithful"], pz.faithful),
-                (5, arrow_flags["fully_faithful"], ff),
-                (6, arrow_flags["full"], pz.full),
-                (7, ess, arrow_flags["essentially_surjective"]),
-                (10, arrow_flags["fibration"], fib),
-            ]
-        for item, premise, conclusion in items:
-            if premise and not conclusion:
-                failures.append(_witness(
-                    k, f"transfer item {item} fails", functor=fun,
-                    item=item))
-    return n, failures
+    for item, premise, conclusion in items:
+        if premise and not conclusion:
+            case.fail(f"transfer item {item} fails", functor=fun, item=item)
 
 
-def _suite_kernels_strong_arr(instance, n, seed):
-    failures = []
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:kernels-strong-arr:{seed}:{k}")
-        m = _random_arrow_morphism(instance, rng, 6)
-        j = comparison_J_arr(m)
-        if not classify_morphism(partial_zero_arr(j)).iso:
-            failures.append(_witness(
-                k, "kernel comparison of a square is not fully faithful",
-                square=m))
-            continue
-        hk = strong_h_kernel_arr(m)
-        if hk.diagonal.morphism != compose_arr(hk.inclusion, m):
-            failures.append(_witness(
-                k, "h-kernel diagonal sits on the wrong square", square=m))
-            continue
-        karr = kernel_arr(m)
-        mu = Diagonal(compose_arr(karr.inclusion, m),
-                      zero_morphism(karr.object.bottom, m.cod.top))
-        try:
-            factor = h_kernel_factorization(hk, karr.inclusion, mu)
-        except NoMediatorError:
-            failures.append(_witness(
-                k, "kernel cone fails to factor through the h-kernel",
-                square=m))
-            continue
-        if compose_arr(factor, hk.inclusion) != karr.inclusion:
-            failures.append(_witness(
-                k, "h-kernel factorization does not recover the inclusion",
-                square=m))
-        if factor != j:
-            failures.append(_witness(
-                k, "factorization disagrees with the kernel comparison",
-                square=m))
-        flags = classify_arrow_morphism(m)
-        if flags["star_fibration"] != jointly_strongly_epi(
-                [j.f0, j.cod.a]):
-            failures.append(_witness(
-                k, "star flag disagrees with the joint-epi oracle",
-                square=m))
-    return n, failures
+@_suite("kernels-strong-arr", _POINTED)
+def _check_kernels_strong_arr(instance, case):
+    """Square-level kernel comparisons are fully faithful and factor
+    kernel cones."""
+    m = _random_arrow_morphism(instance, case.rng, 6)
+    j = comparison_J_arr(m)
+    if not classify_morphism(partial_zero_arr(j)).iso:
+        case.fail("kernel comparison of a square is not fully faithful",
+                  square=m)
+        return
+    hk = strong_h_kernel_arr(m)
+    if hk.diagonal.morphism != compose_arr(hk.inclusion, m):
+        case.fail("h-kernel diagonal sits on the wrong square", square=m)
+        return
+    karr = kernel_arr(m)
+    mu = Diagonal(compose_arr(karr.inclusion, m),
+                  zero_morphism(karr.object.bottom, m.cod.top))
+    try:
+        factor = h_kernel_factorization(hk, karr.inclusion, mu)
+    except NoMediatorError:
+        case.fail("kernel cone fails to factor through the h-kernel",
+                  square=m)
+        return
+    if compose_arr(factor, hk.inclusion) != karr.inclusion:
+        case.fail("h-kernel factorization does not recover the inclusion",
+                  square=m)
+    if factor != j:
+        case.fail("factorization disagrees with the kernel comparison",
+                  square=m)
+    flags = classify_arrow_morphism(m)
+    if flags["star_fibration"] != jointly_strongly_epi([j.f0, j.cod.a]):
+        case.fail("star flag disagrees with the joint-epi oracle", square=m)
 
 
-def _suite_protomodularity_char(instance, n, seed):
-    """Sweep fibration squares and test the kernel comparison.
+@_search("protomodularity-char", _POINTED, ("finptdset",), 100)
+def _search_protomodularity(instance, n):
+    """Fibration squares have weakly invertible kernel comparisons exactly
+    in the protomodular instance.
 
-    On FinAb the comparison must always be a weak equivalence (violations
-    are failures); on FinPtdSet the sweep is a counterexample search and
+    Sweeps fibration squares and tests the kernel comparison.  On FinAb
+    the comparison must always be a weak equivalence (violations are
+    failures); on FinPtdSet the sweep is a counterexample search and
     found witnesses are the expected outcome.
     """
-    del seed  # the sweep is deterministic
     examined = 0
     failures = []
     for m in _arrow_square_space(instance):
@@ -1462,28 +1453,22 @@ def _suite_protomodularity_char(instance, n, seed):
     return examined, failures
 
 
-def _suite_pi_invariance(instance, n, seed):
-    failures = []
-    for k in range(n):
-        rng = random.Random(f"{instance.name}:pi-invariance:{seed}:{k}")
-        fun = _random_weak_equivalence(instance, rng)
-        if not is_weak_equivalence(fun):
-            failures.append(_witness(
-                k, "generator produced a non-weak-equivalence", functor=fun))
-            continue
-        if not classify_morphism(pi0_induced(fun)).iso:
-            failures.append(_witness(
-                k, "weak equivalence with non-isomorphic component map",
-                functor=fun))
-        if instance.pointed and not classify_morphism(
-                pi1_induced(fun)).iso:
-            failures.append(_witness(
-                k, "weak equivalence with non-isomorphic loop map",
-                functor=fun))
-    return n, failures
+@_suite("pi-invariance", _ALL)
+def _check_pi_invariance(instance, case):
+    """Weak equivalences induce isomorphisms on components and loops."""
+    fun = _random_weak_equivalence(instance, case.rng)
+    if not is_weak_equivalence(fun):
+        case.fail("generator produced a non-weak-equivalence", functor=fun)
+        return
+    if not classify_morphism(pi0_induced(fun)).iso:
+        case.fail("weak equivalence with non-isomorphic component map",
+                  functor=fun)
+    if instance.pointed and not classify_morphism(pi1_induced(fun)).iso:
+        case.fail("weak equivalence with non-isomorphic loop map",
+                  functor=fun)
 
 
-def _test_source(instance, rng, apex_size, cap=60000):
+def _test_source(instance, apex_size, cap=60000):
     w = 1
     while apex_size ** (w + 1) <= cap and w < 3:
         w += 1
@@ -1494,44 +1479,40 @@ def _test_source(instance, rng, apex_size, cap=60000):
     return finset_object([f"w{i}" for i in range(w)])
 
 
-def _suite_mediator_uniqueness(instance, n, seed):
-    failures = []
+@_suite("mediator-uniqueness", _ALL)
+def _check_mediator_uniqueness(instance, case):
+    """Limit mediators are unique, by exhaustive candidate enumeration."""
+    rng = case.rng
     kinds = ["pullback", "product", "h-object", "h-arrow"]
     if instance.pointed:
         kinds.append("kernel")
-    for k in range(n):
-        rng = random.Random(
-            f"{instance.name}:mediator-uniqueness:{seed}:{k}")
-        kind = rng.choice(kinds)
-        if kind in ("pullback", "product", "kernel"):
-            x = _random_object(instance, rng, 5)
-            z = _random_object(instance, rng, 5)
-            if kind == "pullback":
-                y = _random_object(instance, rng, 5)
-                lim = pullback(_random_map(x, z, rng),
-                               _random_map(y, z, rng))
-            elif kind == "product":
-                lim = product(x, z)
-            else:
-                lim = kernel(_random_map(x, z, rng))
+    kind = rng.choice(kinds)
+    if kind in ("pullback", "product", "kernel"):
+        x = _random_object(instance, rng, 5)
+        z = _random_object(instance, rng, 5)
+        if kind == "pullback":
+            y = _random_object(instance, rng, 5)
+            lim = pullback(_random_map(x, z, rng), _random_map(y, z, rng))
+        elif kind == "product":
+            lim = product(x, z)
         else:
-            small = 3 if instance is not FINAB else 4
-            b = _random_groupoid(instance, rng, small)
-            f = _cospan_leg(b, rng)
-            g = _cospan_leg(b, rng)
-            hp = strong_h_pullback(f, g)
-            lim = hp.object_limit if kind == "h-object" else hp.arrow_limit
-        if lim.apex.size == 0:
-            continue
-        w = _test_source(instance, rng, lim.apex.size)
-        h = _random_map(w, lim.apex, rng)
-        cone = {name: compose(h, leg) for name, leg in lim.legs.items()}
-        count = count_factorizations(lim, cone)
-        if count != 1:
-            failures.append(_witness(
-                k, f"cone admits {count} factorizations", kind=kind,
-                apex=lim.apex))
-    return n, failures
+            lim = kernel(_random_map(x, z, rng))
+    else:
+        small = 3 if instance is not FINAB else 4
+        b = _random_groupoid(instance, rng, small)
+        f = _cospan_leg(b, rng)
+        g = _cospan_leg(b, rng)
+        hp = strong_h_pullback(f, g)
+        lim = hp.object_limit if kind == "h-object" else hp.arrow_limit
+    if lim.apex.size == 0:
+        return
+    w = _test_source(instance, lim.apex.size)
+    h = _random_map(w, lim.apex, rng)
+    cone = {name: compose(h, leg) for name, leg in lim.legs.items()}
+    count = count_factorizations(lim, cone)
+    if count != 1:
+        case.fail(f"cone admits {count} factorizations", kind=kind,
+                  apex=lim.apex)
 
 
 def _cospan_leg(b: InternalGroupoid, rng) -> InternalFunctor:
@@ -1543,81 +1524,6 @@ def _cospan_leg(b: InternalGroupoid, rng) -> InternalFunctor:
     a = discrete_groupoid(_random_object(b.instance, rng, 2))
     f0 = _random_map(a.B0, b.B0, rng)
     return functor(a, b, f0, lambda o: b.e(f0(o)))
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-@dataclass(frozen=True)
-class _Suite:
-    run: object
-    instances: tuple
-    witness_instances: frozenset
-    summary: str
-
-
-_ALL = ("finset", "finptdset", "finab")
-_POINTED = ("finptdset", "finab")
-
-SUITES = {
-    "axioms": _Suite(
-        _suite_axioms, _ALL, frozenset(),
-        "generated structures validate; corrupted ones name the broken "
-        "axiom"),
-    "prop-fibration-T": _Suite(
-        _suite_prop_fibration_t, _ALL, frozenset(),
-        "fibration flags match weak equivalence of the strict comparison, "
-        "with the proof-level refinement square"),
-    "prop-star-fibration-J": _Suite(
-        _suite_prop_star_fibration_j, _POINTED, frozenset(),
-        "star flags match weak equivalence of the kernel comparison"),
-    "cor-weak-equivalence-J": _Suite(
-        _suite_cor_weak_equivalence_j, _POINTED, frozenset(),
-        "fibrations have weakly invertible kernel comparisons, through a "
-        "pullback square of comparisons"),
-    "fibration-implies-star": _Suite(
-        _suite_fibration_implies_star, _POINTED, frozenset(),
-        "every generated fibration is a star-fibration"),
-    "star-not-fibration-search": _Suite(
-        _suite_star_not_fibration_search, ("finab",), frozenset(("finab",)),
-        "bounded search for a star-fibration that is not a fibration"),
-    "hkernel-discrete-fibration": _Suite(
-        _suite_hkernel_discrete_fibration, _POINTED, frozenset(),
-        "h-kernel projections classify as discrete fibrations"),
-    "ff-normalization-pullback": _Suite(
-        _suite_ff_normalization_pullback, _POINTED, frozenset(),
-        "normalized squares of fully faithful functors are pullbacks"),
-    "pullback-discrete-fibration-transfer": _Suite(
-        _suite_pullback_transfer, _ALL, frozenset(),
-        "weak equivalence transfers across pullbacks along discrete "
-        "fibrations"),
-    "normalization-preserves-kernels": _Suite(
-        _suite_normalization_preserves_kernels, _POINTED, frozenset(),
-        "normalization commutes with kernels and strong h-kernels up to "
-        "canonical isomorphism"),
-    "kernel-pullback-rows": _Suite(
-        _suite_kernel_pullback_rows, _POINTED, frozenset(),
-        "kernel rows of the partial-map rectangle, with its pullback "
-        "square"),
-    "normalization-transfer": _Suite(
-        _suite_normalization_transfer, _POINTED, frozenset(),
-        "classification flags move along normalization, item by item"),
-    "kernels-strong-arr": _Suite(
-        _suite_kernels_strong_arr, _POINTED, frozenset(),
-        "square-level kernel comparisons are fully faithful and factor "
-        "kernel cones"),
-    "protomodularity-char": _Suite(
-        _suite_protomodularity_char, _POINTED, frozenset(("finptdset",)),
-        "fibration squares have weakly invertible kernel comparisons "
-        "exactly in the protomodular instance"),
-    "pi-invariance": _Suite(
-        _suite_pi_invariance, _ALL, frozenset(),
-        "weak equivalences induce isomorphisms on components and loops"),
-    "mediator-uniqueness": _Suite(
-        _suite_mediator_uniqueness, _ALL, frozenset(),
-        "limit mediators are unique, by exhaustive candidate enumeration"),
-}
 
 
 def suite_names():

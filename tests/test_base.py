@@ -138,6 +138,19 @@ class TestPullback:
                 lim.mediate({"p1": stray, "p2": to_a})
         assert lim.mediate({"p1": to_a, "p2": to_a})("x") == (0, 0)
 
+    def test_cone_legs_are_typed_before_they_are_compared(self):
+        f = mod_map(4, 2)
+        pb = pullback(f, f)
+        z4 = zmod(4)
+        with pytest.raises(CompositionError, match="different sources"):
+            pb.mediate({"p1": identity(z4),
+                        "p2": morphism_from_function(zmod(2), z4,
+                                                     lambda x: 2 * x)})
+        with pytest.raises(CompositionError, match="mismatch"):
+            pb.mediate({"p1": identity(z4), "p2": mod_map(4, 2)})
+        with pytest.raises(CompositionError, match="mismatch"):
+            pb.mediate({"p1": mod_map(4, 2), "p2": identity(z4)})
+
     def test_pointed_pullback_keeps_basepoint(self):
         x = finptdset_object(["*", "a", "b"])
         y = finptdset_object(["*", "c"])
@@ -197,6 +210,23 @@ class TestKernel:
         k = kernel(mod_map(4, 2))
         assert list(k.apex.carrier) == [0, 2]
         assert compose(k.legs["ker"], mod_map(4, 2)) == zero_morphism(k.apex, zmod(2))
+
+    def test_mediator_takes_exactly_the_cones_into_the_kernel(self):
+        k = kernel(mod_map(4, 2))
+        doubling = scale_map(zmod(4), 2)
+        assert [k.mediate({"ker": doubling})(x) for x in range(4)] == [0, 2, 0, 2]
+        with pytest.raises(NoMediatorError, match="is not zero"):
+            k.mediate({"ker": identity(zmod(4))})
+        with pytest.raises(CompositionError, match="mismatch"):
+            k.mediate({"ker": identity(zmod(2))})
+        pointed = finptdset_object(["*", "a", "b"])
+        collapse = morphism_from_function(pointed, finptdset_object(["*", "c"]),
+                                          lambda e: "c" if e == "b" else "*")
+        into = morphism_from_function(finptdset_object(["*", "p"]), pointed,
+                                      lambda e: "a" if e == "p" else "*")
+        assert kernel(collapse).mediate({"ker": into})("p") == "a"
+        with pytest.raises(NoMediatorError, match="is not zero"):
+            kernel(collapse).mediate({"ker": identity(pointed)})
 
     def test_needs_pointed(self):
         with pytest.raises(CapabilityError):

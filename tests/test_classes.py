@@ -95,6 +95,20 @@ class TestTauFactorization:
         assert compose(tau, lim.legs["p1"]) == fun.dom.d
         assert compose(tau, lim.legs["p2"]) == fun.F1
 
+    def test_each_side_lifts_along_its_own_end(self):
+        from groupoid_lab.base import pullback
+        g = graph_groupoid()
+        for fun in (identity_functor(g), discrete_embedding(g)):
+            for side, end in (("d", fun.dom.d), ("c", fun.dom.c)):
+                lim = pullback(fun.F0, getattr(fun.cod, side))
+                tau = tau_factorization(fun, side)
+                assert compose(tau, lim.legs["p1"]) == end
+                assert compose(tau, lim.legs["p2"]) == fun.F1
+        for measure in (tau_factorization, hat_tau_factorization,
+                        essential_surjectivity_witness):
+            with pytest.raises(ValueError):
+                measure(identity_functor(g), "x")
+
     def test_zero_functor_gives_a_split_epi(self):
         b = cyclic_delooping(FINAB, 2)
         fun = zero_functor(b, zero_groupoid(FINAB))

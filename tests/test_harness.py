@@ -12,10 +12,15 @@ Frozen facts, each re-derivable by rerunning the generators:
 - each corruption helper applies to well over half of the generated
   cases, and on every applicable case the validator reports exactly
   the axiom the helper promised.
+- at seed 42 and their default bounds, the two searches examine 94
+  (star-not-fibration, FinAb) and 53 (protomodularity, FinPtdSet)
+  candidates and report three witnesses each, recorded byte for byte in
+  data/search-witnesses-seed42.json.
 """
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +29,7 @@ from groupoid_lab.arrow import (
     is_essentially_surjective_arr,
     partial_zero_arr,
 )
-from groupoid_lab import base
+from groupoid_lab import base, harness
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
@@ -61,6 +66,7 @@ from groupoid_lab.serialize import value_from_data, value_to_data
 
 ALL_INSTANCES = (FINSET, FINPTDSET, FINAB)
 BY_NAME = {inst.name: inst for inst in ALL_INSTANCES}
+SEARCH_WITNESSES = Path(__file__).parent / "data" / "search-witnesses-seed42.json"
 
 
 def canonical_json(report):
@@ -219,6 +225,29 @@ class TestRunSuite:
         assert not expects_witness("protomodularity-char", "finab")
         assert not expects_witness("axioms", "finset")
 
+    def test_registry_holds_the_default_bounds(self):
+        bounds = {name: spec.default_cases for name, spec in SUITES.items()}
+        assert bounds.pop("star-not-fibration-search") == 200
+        assert bounds.pop("protomodularity-char") == 100
+        assert set(bounds.values()) == {50}
+
+    def test_a_failing_check_reports_one_witness_per_case(self, monkeypatch):
+        # Every generated functor now reads as no weak equivalence, so each
+        # case fails on its first check and returns before the pi0 check.
+        monkeypatch.setattr(harness, "is_weak_equivalence", lambda fun: False)
+        monkeypatch.setattr(harness, "pi0_induced", lambda fun: pytest.fail(
+            "a failed case went on to its later checks"))
+        report = run_suite("pi-invariance", FINSET, 6, 5)
+        assert report.cases == 6
+        assert [f["case"] for f in report.failures] == list(range(6))
+        for k, failure in enumerate(report.failures):
+            assert failure["reason"] == ("generator produced a "
+                                         "non-weak-equivalence")
+            rng = random.Random(f"finset:pi-invariance:5:{k}")
+            expected = harness._random_weak_equivalence(FINSET, rng)
+            assert failure["witness"]["functor"] == value_to_data(expected)
+        assert not report.expectation_met
+
 
 class TestTheoremSuites:
     def test_every_theorem_suite_passes_at_small_scale(self):
@@ -267,6 +296,16 @@ class TestWitnessSearches:
         sizes = (square.dom.top.size, square.dom.bottom.size,
                  square.cod.top.size, square.cod.bottom.size)
         assert max(sizes) <= 2
+
+    def test_search_witnesses_match_the_recorded_run(self):
+        reports = [run_suite(name, inst, SUITES[name].default_cases, 42)
+                   for name, inst in (("star-not-fibration-search", FINAB),
+                                      ("protomodularity-char", FINPTDSET))]
+        assert [(r.cases, len(r.failures)) for r in reports] == [(94, 3),
+                                                                  (53, 3)]
+        payloads = [r.payload(canonical_time=True) for r in reports]
+        text = json.dumps(payloads, sort_keys=True, indent=2) + "\n"
+        assert text == SEARCH_WITNESSES.read_text(encoding="utf-8")
 
     def test_protomodularity_sweep_is_clean_on_finab(self):
         report = run_suite("protomodularity-char", FINAB, 200, 0)
