@@ -311,9 +311,6 @@ class BaseMorphism:
     def __call__(self, element):
         return self.cod.carrier[self.map[self.dom.index_of(element)]]
 
-    def apply_index(self, i: int) -> int:
-        return self.map[i]
-
     def preimages(self) -> list[list[int]]:
         """Domain indices bucketed by image index (ascending in each bucket)."""
         if self._preimages is None:
@@ -370,19 +367,44 @@ def direct_sum(a: BaseObject, b: BaseObject) -> BaseObject:
     return product(a, b).apex
 
 
+def subobject(parent: BaseObject, indices):
+    """The subobject on a set of indices, with its inclusion into parent.
+
+    Parent order is kept.  Each index must be an int in range; a FINPTDSET
+    subobject must keep the basepoint, and a FINAB one must be a subgroup
+    (zero included, closed under the group structure).
+    """
+    indices = list(indices)
+    # None when some index is not an int (a bool, a float, ...)
+    idx = sorted(set(indices)) if set(map(type, indices)) <= {int} else None
+    if idx is None or idx and not (0 <= idx[0] and idx[-1] < parent.size):
+        raise DiagramError("subobject indices must be int indices in range")
+    carrier = [parent.carrier[i] for i in idx]
+    if parent.instance is FINSET:
+        obj = BaseObject(FINSET, carrier, _trusted=True)
+    elif parent.instance is FINPTDSET:
+        if parent.basepoint not in idx:
+            raise DiagramError("a pointed subobject must keep the basepoint")
+        obj = BaseObject(FINPTDSET, carrier,
+                         basepoint=idx.index(parent.basepoint), _trusted=True)
+    else:
+        pos = {p: k for k, p in enumerate(idx)}
+        if parent.zero not in pos:
+            raise DiagramError("subgroup indices must include zero")
+        try:
+            add = [[pos[parent.add[i][j]] for j in idx] for i in idx]
+            neg = [pos[parent.neg[i]] for i in idx]
+        except KeyError:
+            raise DiagramError("subset is not closed under the group structure") from None
+        obj = finab_object(carrier, add, neg, pos[parent.zero], _trusted=True)
+    return obj, BaseMorphism(obj, parent, idx, _trusted=True)
+
+
 def subgroup_object(parent: BaseObject, indices) -> BaseObject:
     """The subgroup on a sum-closed subset of indices (parent order kept)."""
-    idx = sorted(set(indices))
-    pos = {p: k for k, p in enumerate(idx)}
-    if parent.zero not in pos or not all(_is_index(i, parent.size) for i in idx):
-        raise DiagramError("subgroup indices must be in range and include zero")
-    try:
-        add = [[pos[parent.add[i][j]] for j in idx] for i in idx]
-        neg = [pos[parent.neg[i]] for i in idx]
-    except KeyError:
-        raise DiagramError("subset is not closed under the group structure") from None
-    carrier = [parent.carrier[i] for i in idx]
-    return finab_object(carrier, add, neg, pos[parent.zero], _trusted=True)
+    if parent.instance is not FINAB:
+        raise DiagramError("subgroups are taken in finab")
+    return subobject(parent, indices)[0]
 
 
 def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
@@ -636,6 +658,17 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
     return LimitResult(apex, {"p1": p1, "p2": p2}, recipe)
 
 
+def pullback_offsets(f: BaseMorphism, g: BaseMorphism):
+    """(start, rank): the pair (i, j) of ``pullback(f, g)`` has apex index
+    start[i] + rank[j] (dom f in order, each fibre of g in order)."""
+    fibres = g.preimages()
+    rank = [0] * g.dom.size
+    for fibre in fibres:
+        for r, j in enumerate(fibre):
+            rank[j] = r
+    return [0, *itertools.accumulate(len(fibres[y]) for y in f.map)], rank
+
+
 def product(a: BaseObject, b: BaseObject) -> LimitResult:
     """Binary product as the pullback over the terminal shape (all pairs)."""
     tuples = [(i, j) for i in range(a.size) for j in range(b.size)]
@@ -784,13 +817,7 @@ def kernel(f: BaseMorphism) -> LimitResult:
     if not inst.pointed:
         raise CapabilityError("kernels need a pointed instance")
     z = f.cod.basepoint if inst is FINPTDSET else f.cod.zero
-    idx = [i for i, j in enumerate(f.map) if j == z]
-    if inst is FINPTDSET:
-        apex = BaseObject(FINPTDSET, [f.dom.carrier[i] for i in idx],
-                          basepoint=idx.index(f.dom.basepoint), _trusted=True)
-    else:
-        apex = subgroup_object(f.dom, idx)
-    incl = BaseMorphism(apex, f.dom, idx, _trusted=True)
+    apex, incl = subobject(f.dom, [i for i, j in enumerate(f.map) if j == z])
 
     def recipe(cone):
         u = cone["ker"]
@@ -798,7 +825,7 @@ def kernel(f: BaseMorphism) -> LimitResult:
             raise CompositionError("codomain/domain mismatch in composite")
         if any(f.map[x] != z for x in u.map):
             raise NoMediatorError("cone composed with the map is not zero")
-        lookup = {i: k for k, i in enumerate(idx)}
+        lookup = {i: k for k, i in enumerate(incl.map)}
         return (lambda i: apex.carrier[lookup[u.map[i]]], u.dom)
 
     return LimitResult(apex, {"ker": incl}, recipe)

@@ -13,12 +13,14 @@ produce valid structures.
 
 from __future__ import annotations
 
+from operator import getitem
+
 from .base import (FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject,
                    CapabilityError, DiagramError, LimitResult, compose,
                    direct_sum, finptdset_object, finset_object, identity,
                    morphism_from_function, product, pullback,
-                   reflexive_coequalizer, subgroup_object, zero_morphism,
-                   zero_object, zmod)
+                   pullback_offsets, reflexive_coequalizer, subobject,
+                   zero_morphism, zero_object, zmod)
 
 
 class InternalGroupoid:
@@ -68,9 +70,6 @@ class InternalGroupoid:
         return (isinstance(other, InternalGroupoid)
                 and all(getattr(self, a) == getattr(other, a)
                         for a in ("B0", "B1", "d", "c", "e", "m", "i")))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.B0, self.B1, self.d.map, self.c.map))
@@ -196,9 +195,6 @@ class InternalFunctor:
                 and self.cod == other.cod and self.F0 == other.F0
                 and self.F1 == other.F1)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.F0.map, self.F1.map))
 
@@ -258,9 +254,6 @@ class NatTransformation:
                 and self.source == other.source and self.target == other.target
                 and self.alpha == other.alpha)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return "<2-cell>"
 
@@ -298,12 +291,57 @@ def make_groupoid(B0, B1, d, c, e, i, compose_fn) -> InternalGroupoid:
 
     m is built trusted, so compose_fn must preserve the instance structure.
     """
+    arrows = B1.carrier
+    return _assemble(B0, B1, d, c, e, i, lambda x, y: B1.index_of(
+        compose_fn(arrows[x], arrows[y])))
+
+
+def _assemble(B0, B1, d, c, e, i, mul) -> InternalGroupoid:
+    """Assemble a groupoid whose m sends composable arrow indices x, y to
+    the index mul(x, y) (built trusted)."""
     pairs = pullback(c, d)
-    m = morphism_from_function(pairs.apex, B1, lambda p: compose_fn(p[0], p[1]),
-                               _trusted=True)
+    table = list(map(mul, pairs.legs["p1"].map, pairs.legs["p2"].map))
+    m = BaseMorphism(pairs.apex, B1, table, _trusted=True)
     g = InternalGroupoid(B0, B1, d, c, e, m, i)
     g._pairs = pairs
     return g
+
+
+def _index_mul(g: InternalGroupoid):
+    """g's composition on arrow indices, read off the table of m."""
+    (start, rank), m = pullback_offsets(g.c, g.d), g.m.map
+    return lambda x, y: m[start[x] + rank[y]]
+
+
+def levelwise_groupoid(lim0: LimitResult, lim1: LimitResult, parts):
+    """The groupoid of a limit computed level-wise, with its projections.
+
+    ``lim0`` and ``lim1`` are limits of one diagram of objects and of
+    arrows, leg k of each landing in ``parts[k]``.  The structure maps and
+    the composition act legwise; each result is found by its tuple of leg
+    indices.  Returns (groupoid, projection functors in leg order).
+    """
+    legs0, legs1 = lim0.legs.values(), lim1.legs.values()
+    objs = list(zip(*(leg.map for leg in legs0)))
+    arrs = list(zip(*(leg.map for leg in legs1)))
+    obj_index = {t: x for x, t in enumerate(objs)}
+    arr_index = {t: x for x, t in enumerate(arrs)}
+    b0, b1 = lim0.apex, lim1.apex
+
+    def mediator(rows, index, dom, cod, structure_map):
+        maps = [getattr(p, structure_map).map for p in parts]
+        return BaseMorphism(dom, cod, [index[tuple(map(getitem, maps, row))]
+                                       for row in rows], _trusted=True)
+
+    muls = [_index_mul(p) for p in parts]
+    grp = _assemble(
+        b0, b1, mediator(arrs, obj_index, b1, b0, "d"),
+        mediator(arrs, obj_index, b1, b0, "c"),
+        mediator(objs, arr_index, b0, b1, "e"),
+        mediator(arrs, arr_index, b1, b1, "i"), lambda x, y: arr_index[
+            tuple(mul(u, v) for mul, u, v in zip(muls, arrs[x], arrs[y]))])
+    return grp, [InternalFunctor(grp, p, l0, l1)
+                 for p, l0, l1 in zip(parts, legs0, legs1)]
 
 
 def functor(dom, cod, f0_fn, f1_fn) -> InternalFunctor:
@@ -464,16 +502,8 @@ def action_groupoid(perm: BaseMorphism) -> InternalGroupoid:
 
 def product_groupoid(g: InternalGroupoid, h: InternalGroupoid):
     """Componentwise product with the two projection functors."""
-    prod0, prod1 = product(g.B0, h.B0), product(g.B1, h.B1)
-    b0, b1 = prod0.apex, prod1.apex
-    d = morphism_from_function(b1, b0, lambda t: (g.d(t[0]), h.d(t[1])), _trusted=True)
-    c = morphism_from_function(b1, b0, lambda t: (g.c(t[0]), h.c(t[1])), _trusted=True)
-    e = morphism_from_function(b0, b1, lambda o: (g.e(o[0]), h.e(o[1])), _trusted=True)
-    i = morphism_from_function(b1, b1, lambda t: (g.i(t[0]), h.i(t[1])), _trusted=True)
-    prod = make_groupoid(b0, b1, d, c, e, i,
-                         lambda p, q: (g.mul(p[0], q[0]), h.mul(p[1], q[1])))
-    proj_g = InternalFunctor(prod, g, prod0.legs["p1"], prod1.legs["p1"])
-    proj_h = InternalFunctor(prod, h, prod0.legs["p2"], prod1.legs["p2"])
+    prod, (proj_g, proj_h) = levelwise_groupoid(
+        product(g.B0, h.B0), product(g.B1, h.B1), [g, h])
     return prod, proj_g, proj_h
 
 
@@ -483,36 +513,16 @@ def full_subgroupoid(g: InternalGroupoid, object_indices):
     In FINAB the subset must be a subgroup; in FINPTDSET it must contain the
     basepoint.
     """
-    idx = sorted(set(object_indices))
-    inst = g.instance
-    if inst is FINAB:
-        b0 = subgroup_object(g.B0, idx)
-    elif inst is FINPTDSET:
-        if g.B0.basepoint not in idx:
-            raise DiagramError("full subgroupoid must keep the basepoint")
-        b0 = finptdset_object([g.B0.carrier[i] for i in idx],
-                              idx.index(g.B0.basepoint))
-    else:
-        b0 = finset_object([g.B0.carrier[i] for i in idx])
-    keep = set(idx)
-    arr = [k for k in range(g.B1.size)
-           if g.d.map[k] in keep and g.c.map[k] in keep]
-    if inst is FINAB:
-        b1 = subgroup_object(g.B1, arr)
-    elif inst is FINPTDSET:
-        b1 = finptdset_object([g.B1.carrier[k] for k in arr],
-                              arr.index(g.B1.basepoint))
-    else:
-        b1 = finset_object([g.B1.carrier[k] for k in arr])
+    b0, in0 = subobject(g.B0, object_indices)
+    keep = set(in0.map)
+    b1, in1 = subobject(g.B1, [k for k in range(g.B1.size)
+                               if g.d.map[k] in keep and g.c.map[k] in keep])
     d = morphism_from_function(b1, b0, g.d, _trusted=True)
     c = morphism_from_function(b1, b0, g.c, _trusted=True)
     e = morphism_from_function(b0, b1, g.e, _trusted=True)
     i = morphism_from_function(b1, b1, g.i, _trusted=True)
     sub = make_groupoid(b0, b1, d, c, e, i, g.mul)
-    incl = InternalFunctor(sub, g,
-                           BaseMorphism(b0, g.B0, idx, _trusted=True),
-                           BaseMorphism(b1, g.B1, arr, _trusted=True))
-    return sub, incl
+    return sub, InternalFunctor(sub, g, in0, in1)
 
 
 def zero_groupoid(instance) -> InternalGroupoid:
@@ -546,14 +556,8 @@ def pi1(g: InternalGroupoid):
     if not inst.pointed:
         raise CapabilityError("pi1 needs a pointed instance")
     z = g.B0.basepoint if inst is FINPTDSET else g.B0.zero
-    idx = [k for k in range(g.B1.size)
-           if g.d.map[k] == z and g.c.map[k] == z]
-    if inst is FINAB:
-        obj = subgroup_object(g.B1, idx)
-    else:
-        obj = finptdset_object([g.B1.carrier[k] for k in idx],
-                               idx.index(g.B1.basepoint))
-    return obj, BaseMorphism(obj, g.B1, idx, _trusted=True)
+    return subobject(g.B1, [k for k in range(g.B1.size)
+                            if g.d.map[k] == z and g.c.map[k] == z])
 
 
 def pi0_induced(fun: InternalFunctor) -> BaseMorphism:

@@ -108,7 +108,6 @@ from .groupoid import (
 )
 from .holim import (
     comparison_J_data,
-    comparison_T,
     comparison_T_data,
     is_levelwise_pullback_square,
     kernel_groupoid,

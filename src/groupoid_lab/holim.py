@@ -1,21 +1,26 @@
 """Homotopy limits of internal groupoids.
 
-Four constructions, all computed as finite limits in the base instance:
+Every construction is a finite limit in the base instance.  The level-wise
+ones hand a base limit of objects and one of arrows to
+``groupoid.levelwise_groupoid``, which derives the structure maps and the
+composition from the legs:
 
-* ``pullback_groupoid`` -- strict (level-wise) pullbacks, which are
-  automatically strong: every compatible pair of 2-cells into the legs
-  factors through the apex (``mediate_pullback_cell``).
-* ``arrow_groupoid`` -- the groupoid of commutative squares of B, built as
-  the pullback of the composition map against itself, with its two
-  evaluation functors and the tautological 2-cell between them.
+* ``pullback_groupoid`` -- strict pullbacks, which are automatically
+  strong: every compatible pair of 2-cells into the legs factors through
+  the apex (``mediate_pullback_cell``).
 * ``strong_h_pullback`` -- the homotopy pullback of a cospan of functors,
-  realized as a pair of five-node finite limits (one per level), together
-  with both halves of its universal property (``mediate_h_pullback`` for
-  1-cells, ``mediate_h_pullback_cell`` for 2-cells).
-* ``strong_h_kernel`` -- the pointed specialization along the zero functor,
-  plus the canonical comparisons: ``comparison_T`` out of the strict
-  pullback along the object inclusion, and ``comparison_J`` out of the
-  level-wise kernel.
+  a five-node finite limit per level with the square groupoid in the
+  middle, with both halves of its universal property
+  (``mediate_h_pullback``, ``mediate_h_pullback_cell``); ``strong_h_kernel``
+  is its pointed specialization along the zero functor.
+* ``kernel_groupoid`` -- the level-wise kernel.
+
+``arrow_groupoid`` is the groupoid of commutative squares of B: the
+pullback of the composition map against itself, with its two evaluation
+functors and the tautological 2-cell between them.  ``comparison_T`` runs
+out of the strict pullback along the object inclusion into the strong
+h-pullback, ``comparison_J`` out of the level-wise kernel into the strong
+h-kernel.
 
 Squares are encoded as pairs of composable pairs: a square with sides
 ``left: x -> y``, ``right: x' -> y'``, ``top: x -> x'``, ``bottom: y -> y'``
@@ -48,8 +53,11 @@ from .groupoid import (
     InternalFunctor,
     InternalGroupoid,
     NatTransformation,
+    _assemble,
+    _index_mul,
     compose_functors,
     discrete_embedding,
+    levelwise_groupoid,
     make_groupoid,
     validate_transformation,
     zero_functor,
@@ -87,21 +95,11 @@ def pullback_groupoid(f: InternalFunctor, g: InternalFunctor) -> GroupoidPullbac
     """
     if f.cod != g.cod:
         raise DiagramError("pullback needs a common codomain groupoid")
-    a, c = f.dom, g.dom
     lim0 = pullback(f.F0, g.F0)
     lim1 = pullback(f.F1, g.F1)
-    l1 = lim1.legs
-    d = lim0.mediate({"p1": compose(l1["p1"], a.d), "p2": compose(l1["p2"], c.d)})
-    cc = lim0.mediate({"p1": compose(l1["p1"], a.c), "p2": compose(l1["p2"], c.c)})
-    e = lim1.mediate({"p1": compose(lim0.legs["p1"], a.e),
-                      "p2": compose(lim0.legs["p2"], c.e)})
-    i = lim1.mediate({"p1": compose(l1["p1"], a.i), "p2": compose(l1["p2"], c.i)})
-    grp = make_groupoid(lim0.apex, lim1.apex, d, cc, e, i,
-                        lambda x, y: (a.mul(x[0], y[0]), c.mul(x[1], y[1])))
+    grp, (to_first, to_second) = levelwise_groupoid(lim0, lim1, [f.dom, g.dom])
     return GroupoidPullback(
-        groupoid=grp,
-        to_first=InternalFunctor(grp, a, lim0.legs["p1"], l1["p1"]),
-        to_second=InternalFunctor(grp, c, lim0.legs["p2"], l1["p2"]),
+        groupoid=grp, to_first=to_first, to_second=to_second,
         first=f, second=g, object_limit=lim0, arrow_limit=lim1)
 
 
@@ -217,35 +215,20 @@ def twist_iso(b: InternalGroupoid, data: ArrowGroupoid | None = None) -> Interna
     """
     if data is None:
         data = arrow_groupoid(b)
-    squares = data.groupoid.B1
-    d = morphism_from_function(squares, b.B1, lambda s: s[1][0], _trusted=True)
-    c = morphism_from_function(squares, b.B1, lambda s: s[0][1], _trusted=True)
-    e = morphism_from_function(
-        b.B1, squares,
-        lambda x: ((b.unit(b.d(x)), x), (x, b.unit(b.c(x)))), _trusted=True)
-    i = morphism_from_function(
-        squares, squares,
-        lambda s: ((b.inv(s[0][0]), s[1][0]), (s[0][1], b.inv(s[1][1]))), _trusted=True)
-
-    def paste(s, t):
-        # stack vertically, composing lefts and rights
-        return ((b.mul(s[0][0], t[0][0]), t[0][1]),
-                (s[1][0], b.mul(s[1][1], t[1][1])))
-
-    transposed = make_groupoid(b.B1, squares, d, c, e, i, paste)
-    swap = morphism_from_function(squares, squares, lambda s: (s[1], s[0]),
+    sqg = data.groupoid
+    swap = morphism_from_function(sqg.B1, sqg.B1, lambda s: (s[1], s[0]),
                                   _trusted=True)
-    return InternalFunctor(transposed, data.groupoid, identity(b.B1), swap)
+    # the square groupoid conjugated by the swap, which is an involution
+    sw, mul = swap.map, _index_mul(sqg)
+    transposed = _assemble(b.B1, sqg.B1, compose(swap, sqg.d),
+                           compose(swap, sqg.c), compose(sqg.e, swap),
+                           compose(swap, sqg.i, swap),
+                           lambda x, y: sw[mul(sw[x], sw[y])])
+    return InternalFunctor(transposed, sqg, identity(b.B1), swap)
 
 
 # ---------------------------------------------------------------------------
 # strong h-pullbacks
-
-# Node names of the two five-node limit diagrams; cone dictionaries passed
-# to the mediators are keyed by these.
-_OBJ_NODES = ("g_obj", "arrows", "f_obj", "base_d", "base_c")
-_ARR_NODES = ("g_arr", "squares", "f_arr", "arr_d", "arr_c")
-
 
 @dataclass
 class HPullback:
@@ -297,29 +280,10 @@ def strong_h_pullback(f: InternalFunctor, g: InternalFunctor) -> HPullback:
                ("squares", "arr_c", sq.eval_cod.F1),
                ("f_arr", "arr_c", f.F1)]))
 
-    l0, l1 = lim0.legs, lim1.legs
-    d = lim0.mediate({"g_obj": compose(l1["g_arr"], c.d),
-                      "arrows": compose(l1["squares"], sqg.d),
-                      "f_obj": compose(l1["f_arr"], a.d)})
-    cc = lim0.mediate({"g_obj": compose(l1["g_arr"], c.c),
-                       "arrows": compose(l1["squares"], sqg.c),
-                       "f_obj": compose(l1["f_arr"], a.c)})
-    e = lim1.mediate({"g_arr": compose(l0["g_obj"], c.e),
-                      "squares": compose(l0["arrows"], sqg.e),
-                      "f_arr": compose(l0["f_obj"], a.e)})
-    i = lim1.mediate({"g_arr": compose(l1["g_arr"], c.i),
-                      "squares": compose(l1["squares"], sqg.i),
-                      "f_arr": compose(l1["f_arr"], a.i)})
-
-    def paste(t, u):
-        return (c.mul(t[0], u[0]), sqg.mul(t[1], u[1]), a.mul(t[2], u[2]),
-                b.mul(t[3], u[3]), b.mul(t[4], u[4]))
-
-    grp = make_groupoid(lim0.apex, lim1.apex, d, cc, e, i, paste)
-    to_f = InternalFunctor(grp, a, l0["f_obj"], l1["f_arr"])
-    to_g = InternalFunctor(grp, c, l0["g_obj"], l1["g_arr"])
+    grp, (to_g, _, to_f, _, _) = levelwise_groupoid(lim0, lim1,
+                                                    [c, sqg, a, b, b])
     cell = NatTransformation(compose_functors(to_g, g),
-                             compose_functors(to_f, f), l0["arrows"])
+                             compose_functors(to_f, f), lim0.legs["arrows"])
     return HPullback(groupoid=grp, to_f_dom=to_f, to_g_dom=to_g, cell=cell,
                      f=f, g=g, object_limit=lim0, arrow_limit=lim1,
                      squares=sq)
@@ -343,23 +307,24 @@ def mediate_h_pullback(hp: HPullback, to_f: InternalFunctor,
     if (cell.source != compose_functors(to_g, g)
             or cell.target != compose_functors(to_f, f)):
         raise NoMediatorError("cone cell is mistyped for the cospan")
-    x = to_f.dom
-    mu0 = cell.alpha
-    t0 = hp.object_limit.mediate({"g_obj": to_g.F0, "arrows": mu0,
+    t0 = hp.object_limit.mediate({"g_obj": to_g.F0, "arrows": cell.alpha,
                                   "f_obj": to_f.F0})
-
-    def build(arrow):
-        # naturality square of the cone cell over this arrow
-        return ((mu0(x.d(arrow)), f.F1(to_f.F1(arrow))),
-                (g.F1(to_g.F1(arrow)), mu0(x.c(arrow))))
-
     try:
-        smap = morphism_from_function(x.B1, hp.squares.groupoid.B1, build, _trusted=True)
+        # the naturality square of the cone cell over each arrow
+        squares = mediate_squares(hp.squares, cell)
     except DiagramError as exc:
         raise NoMediatorError("cone cell is not natural over the cospan") from exc
-    t1 = hp.arrow_limit.mediate({"g_arr": to_g.F1, "squares": smap,
+    t1 = hp.arrow_limit.mediate({"g_arr": to_g.F1, "squares": squares.F1,
                                  "f_arr": to_f.F1})
-    return InternalFunctor(x, hp.groupoid, t0, t1)
+    return InternalFunctor(to_f.dom, hp.groupoid, t0, t1)
+
+
+def _mediate_cone(hp: HPullback, to_f: InternalFunctor, to_g: InternalFunctor,
+                  alpha) -> InternalFunctor:
+    """``mediate_h_pullback`` of the cone whose cell has components alpha."""
+    cell = NatTransformation(compose_functors(to_g, hp.g),
+                             compose_functors(to_f, hp.f), alpha)
+    return mediate_h_pullback(hp, to_f, to_g, cell)
 
 
 def mediate_h_pullback_cell(hp: HPullback, left: InternalFunctor,
@@ -403,21 +368,11 @@ def kernel_groupoid(fun: InternalFunctor):
     """Level-wise kernel of a functor, with its inclusion.
 
     Returns (kernel groupoid, inclusion functor).  Requires a pointed
-    instance.
+    instance: ``base.kernel`` raises CapabilityError otherwise.
     """
-    a = fun.dom
-    if not a.instance.pointed:
-        raise CapabilityError("kernels need a pointed instance")
-    lim0 = kernel(fun.F0)
-    lim1 = kernel(fun.F1)
-    k0, k1 = lim0.legs["ker"], lim1.legs["ker"]
-    d = lim0.mediate({"ker": compose(k1, a.d)})
-    c = lim0.mediate({"ker": compose(k1, a.c)})
-    e = lim1.mediate({"ker": compose(k0, a.e)})
-    i = lim1.mediate({"ker": compose(k1, a.i)})
-    grp = make_groupoid(lim0.apex, lim1.apex, d, c, e, i,
-                        lambda p, q: a.mul(p, q))
-    return grp, InternalFunctor(grp, a, k0, k1)
+    grp, (incl,) = levelwise_groupoid(kernel(fun.F0), kernel(fun.F1),
+                                      [fun.dom])
+    return grp, incl
 
 
 @dataclass
@@ -457,15 +412,9 @@ def h_kernel_into_pullback(hp: HPullback):
     side, and its image is a kernel of the g-side projection (the check
     lives in the harness).
     """
-    f, g = hp.f, hp.g
-    hk = strong_h_kernel(f)
-    kf = hk.groupoid
-    to_g = zero_functor(kf, g.dom)
-    cell = NatTransformation(compose_functors(to_g, g),
-                             compose_functors(hk.projection, f),
-                             hk.cell.alpha)
-    ell = mediate_h_pullback(hp, hk.projection, to_g, cell)
-    return hk, ell
+    hk = strong_h_kernel(hp.f)
+    to_g = zero_functor(hk.groupoid, hp.g.dom)
+    return hk, _mediate_cone(hp, hk.projection, to_g, hk.cell.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +440,8 @@ def comparison_T_data(fun: InternalFunctor) -> TComparison:
     n = discrete_embedding(b)
     strict = pullback_groupoid(n, fun)
     relaxed = strong_h_pullback(fun, n)
-    to_g = strict.to_first
-    to_f = strict.to_second
-    alpha = compose(strict.object_limit.legs["p1"], b.e)
-    cell = NatTransformation(compose_functors(to_g, n),
-                             compose_functors(to_f, fun), alpha)
-    t = mediate_h_pullback(relaxed, to_f, to_g, cell)
+    t = _mediate_cone(relaxed, strict.to_second, strict.to_first,
+                      compose(strict.object_limit.legs["p1"], b.e))
     return TComparison(strict=strict, relaxed=relaxed, functor=t)
 
 
@@ -522,11 +467,8 @@ class JComparison:
 def comparison_J_data(fun: InternalFunctor) -> JComparison:
     hk = strong_h_kernel(fun)
     kg, incl = kernel_groupoid(fun)
-    to_g = zero_functor(kg, hk.data.g.dom)
-    alpha = zero_morphism(kg.B0, fun.cod.B1)
-    cell = NatTransformation(compose_functors(to_g, hk.data.g),
-                             compose_functors(incl, fun), alpha)
-    j = mediate_h_pullback(hk.data, incl, to_g, cell)
+    j = _mediate_cone(hk.data, incl, zero_functor(kg, hk.data.g.dom),
+                      zero_morphism(kg.B0, fun.cod.B1))
     return JComparison(kernel=kg, inclusion=incl, h_kernel=hk, functor=j)
 
 

@@ -145,6 +145,19 @@ class TestStockShapes:
         assert validate_functor(incl) == []
         assert sub.B1.size == 4  # arrows among {0,2}: (0,0),(0,1),(2,0),(2,1)
 
+    @pytest.mark.parametrize("indices", [[True], [0, 5], [1.0], [0, -1],
+                                         [False, 2]])
+    @pytest.mark.parametrize("make", [finset_object, finptdset_object])
+    def test_full_subgroupoid_rejects_ill_typed_indices(self, make, indices):
+        g = indiscrete_groupoid(make(["a", "b", "c"]))
+        with pytest.raises(DiagramError):
+            full_subgroupoid(g, indices)
+
+    def test_full_subgroupoid_keeps_the_basepoint(self):
+        g = indiscrete_groupoid(finptdset_object(["a", "b", "c"]))
+        with pytest.raises(DiagramError):
+            full_subgroupoid(g, [1, 2])
+
     def test_discrete_embedding_valid(self):
         g = groupoid_from_arrow(embed_delta())
         n = discrete_embedding(g)

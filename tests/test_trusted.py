@@ -36,11 +36,13 @@ from groupoid_lab.groupoid import (
     validate_groupoid,
     validate_transformation,
 )
+from groupoid_lab.groupoid import full_subgroupoid, pi1, product_groupoid
 from groupoid_lab.harness import gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J_data,
     comparison_T_data,
+    kernel_groupoid,
     strong_h_pullback,
 )
 
@@ -80,6 +82,11 @@ def _recheck(value, seen):
 def _built_from(fun):
     """Every trusted construction the library makes from one functor."""
     a, b = fun.dom, fun.cod
+    if a.instance is FINAB:
+        objects = generated_subgroup_indices(a.B0,
+                                             a.B0.generating_sequence()[:1])
+    else:
+        objects = [a.B0.basepoint, a.B0.size - 1]
     built = [
         fun,
         pullback(fun.F1, fun.F1),
@@ -94,6 +101,10 @@ def _built_from(fun):
         *enumerate_morphisms(a.B0, b.B0),
         arrow_groupoid(b).groupoid,
         strong_h_pullback(fun, fun).groupoid,
+        *product_groupoid(a, b),
+        *full_subgroupoid(a, objects),
+        *kernel_groupoid(fun),
+        *pi1(a),
     ]
     if a.instance is FINAB:
         sub = generated_subgroup_indices(b.B1, b.B1.generating_sequence()[:1])
