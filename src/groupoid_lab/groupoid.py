@@ -28,14 +28,16 @@ class InternalGroupoid:
 
     ``m.dom`` must be the canonical pullback carrier of composable pairs;
     helpers (``mul``, ``unit``, ``inv``) evaluate the structure maps on
-    elements.
+    elements.  A groupoid built by this module keeps its composition on
+    arrow indices and fills the table of ``m`` (trusted) on first read; one
+    built from outside data is given its table.
 
     >>> g = discrete_groupoid(finset_object(["p", "q"]))
     >>> g.unit("p")
     'p'
     """
 
-    __slots__ = ("B0", "B1", "d", "c", "e", "m", "i", "_pairs")
+    __slots__ = ("B0", "B1", "d", "c", "e", "i", "_m", "_mul", "_pairs")
 
     def __init__(self, B0, B1, d, c, e, m, i):
         self.B0 = B0
@@ -43,9 +45,19 @@ class InternalGroupoid:
         self.d = d
         self.c = c
         self.e = e
-        self.m = m
         self.i = i
+        self._m = m
+        self._mul = None
         self._pairs = None
+
+    @property
+    def m(self) -> BaseMorphism:
+        if self._m is None:
+            pairs = self.composition_pairs()
+            table = list(map(self._mul, pairs.legs["p1"].map,
+                             pairs.legs["p2"].map))
+            self._m = BaseMorphism(pairs.apex, self.B1, table, _trusted=True)
+        return self._m
 
     @property
     def instance(self):
@@ -58,7 +70,13 @@ class InternalGroupoid:
         return self._pairs
 
     def mul(self, x, y):
-        return self.m((x, y))
+        if self._mul is None:
+            return self.m((x, y))
+        b1 = self.B1
+        xi, yi = b1.index_of(x), b1.index_of(y)
+        if self.c.map[xi] != self.d.map[yi]:
+            raise DiagramError(f"arrows {x!r}, {y!r} are not composable")
+        return b1.carrier[self._mul(xi, yi)]
 
     def unit(self, obj):
         return self.e(obj)
@@ -67,9 +85,10 @@ class InternalGroupoid:
         return self.i(x)
 
     def __eq__(self, other):
-        return (isinstance(other, InternalGroupoid)
-                and all(getattr(self, a) == getattr(other, a)
-                        for a in ("B0", "B1", "d", "c", "e", "m", "i")))
+        return self is other or (
+            isinstance(other, InternalGroupoid)
+            and all(getattr(self, a) == getattr(other, a)
+                    for a in ("B0", "B1", "d", "c", "e", "m", "i")))
 
     def __hash__(self):
         return hash((self.B0, self.B1, self.d.map, self.c.map))
@@ -287,9 +306,11 @@ def validate_transformation(cell: NatTransformation) -> list[str]:
 
 
 def make_groupoid(B0, B1, d, c, e, i, compose_fn) -> InternalGroupoid:
-    """Assemble a groupoid, building m from an element-level pair function.
+    """Assemble a groupoid from an element-level pair function.
 
-    m is built trusted, so compose_fn must preserve the instance structure.
+    compose_fn is called only on composable pairs, when ``mul`` or ``m``
+    needs them; m is filled trusted on first read, so compose_fn must
+    preserve the instance structure.
     """
     arrows = B1.carrier
     return _assemble(B0, B1, d, c, e, i, lambda x, y: B1.index_of(
@@ -297,18 +318,19 @@ def make_groupoid(B0, B1, d, c, e, i, compose_fn) -> InternalGroupoid:
 
 
 def _assemble(B0, B1, d, c, e, i, mul) -> InternalGroupoid:
-    """Assemble a groupoid whose m sends composable arrow indices x, y to
-    the index mul(x, y) (built trusted)."""
-    pairs = pullback(c, d)
-    table = list(map(mul, pairs.legs["p1"].map, pairs.legs["p2"].map))
-    m = BaseMorphism(pairs.apex, B1, table, _trusted=True)
-    g = InternalGroupoid(B0, B1, d, c, e, m, i)
-    g._pairs = pairs
+    """Assemble a groupoid whose composition sends composable arrow indices
+    x, y to the index mul(x, y); m is filled from it (trusted) on first
+    read."""
+    g = InternalGroupoid(B0, B1, d, c, e, None, i)
+    g._mul = mul
     return g
 
 
 def _index_mul(g: InternalGroupoid):
-    """g's composition on arrow indices, read off the table of m."""
+    """g's composition on arrow indices: the stored one, or read off the
+    table of m for a groupoid given its table."""
+    if g._mul is not None:
+        return g._mul
     (start, rank), m = pullback_offsets(g.c, g.d), g.m.map
     return lambda x, y: m[start[x] + rank[y]]
 

@@ -3,10 +3,13 @@
 The exit contract is fixed: 0 success, 1 invalid object or failed
 property expectation, 2 usage or parse error.  Reports written with
 --out zero the timing field, so a fixed seed gives identical bytes.
+data/verify-seed42.json is the default ``verify --seed 42 --out`` report,
+recorded byte for byte.
 """
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +32,8 @@ from groupoid_lab.groupoid import (
     indiscrete_groupoid,
 )
 from groupoid_lab.serialize import to_json, value_to_data
+
+VERIFY_SEED42 = Path(__file__).parent / "data" / "verify-seed42.json"
 
 
 @pytest.fixture
@@ -303,6 +308,12 @@ class TestVerify:
                                    "failures", "elapsed_ms"}
         assert reports[0]["elapsed_ms"] == 0
         assert reports[0]["seed"] == 9
+
+    def test_default_report_matches_the_recorded_run(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--seed", "42", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == VERIFY_SEED42.read_bytes()
 
     def test_env_var_supplies_the_default_seed(self, tmp_path, capsys,
                                                monkeypatch):

@@ -20,6 +20,7 @@ from groupoid_lab.base import (
     FINPTDSET,
     FINSET,
     CapabilityError,
+    DiagramError,
     NoMediatorError,
     classify_morphism,
     compose,
@@ -35,6 +36,7 @@ from groupoid_lab.groupoid import (
     action_groupoid,
     compose_functors,
     cyclic_delooping,
+    delooping,
     discrete_embedding,
     discrete_groupoid,
     functor,
@@ -50,6 +52,9 @@ from groupoid_lab.groupoid import (
     zero_functor,
     zero_groupoid,
 )
+from groupoid_lab import groupoid as groupoid_module
+from groupoid_lab import holim
+from groupoid_lab.classify import classification_report
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J,
@@ -425,3 +430,61 @@ class TestHKernelIntoPullback:
         for mine, theirs in ((ell.F0, incl.F0), (ell.F1, incl.F1)):
             assert len(set(mine.map)) == len(mine.map)
             assert set(mine.map) == set(theirs.map)
+
+
+class TestComposition:
+    """``mul`` keeps rejecting what does not compose, before and after the
+    table of m is filled from the stored composition."""
+
+    def built(self):
+        yield indiscrete_groupoid(finset_object(["p", "q"]))
+        yield groupoid_from_arrow(embed_delta())
+        loop = identity_functor(cyclic_delooping(FINPTDSET, 2))
+        yield strong_h_pullback(loop, loop).groupoid
+        yield twist_iso(cyclic_delooping(FINAB, 2)).dom
+
+    def assert_rejects(self, g):
+        o0, o1 = g.B0.carrier[:2]
+        # units at two different objects: c(x) != d(y)
+        with pytest.raises(DiagramError):
+            g.mul(g.unit(o0), g.unit(o1))
+        with pytest.raises(DiagramError):
+            g.mul(("not", "an", "arrow"), g.unit(o0))
+        with pytest.raises(DiagramError):
+            g.mul(g.unit(o0), ("not", "an", "arrow"))
+
+    def test_mul_rejects_pairs_that_do_not_compose(self):
+        for g in self.built():
+            assert g.B0.size >= 2
+            self.assert_rejects(g)
+            pairs = g.m.dom.carrier
+            assert [g.mul(x, y) for x, y in pairs] == [g.m(p) for p in pairs]
+            self.assert_rejects(g)
+            assert validate_groupoid(g) == []
+
+
+class TestCompositionOnDemand:
+    def test_report_does_not_fill_square_tables(self, monkeypatch):
+        calls = []
+        make = groupoid_module.make_groupoid
+
+        def counting(b0, b1, d, c, e, i, compose_fn):
+            def counted(x, y):
+                calls.append(None)
+                return compose_fn(x, y)
+            return make(b0, b1, d, c, e, i, counted)
+
+        monkeypatch.setattr(groupoid_module, "make_groupoid", counting)
+        monkeypatch.setattr(holim, "make_groupoid", counting)
+        small = delooping(zmod(2))
+        assert len(small.m.map) == 4 and len(calls) == 4
+        b = delooping(zmod(8))
+        fun = functor(small, b, lambda o: o, lambda n: 4 * n)
+        calls.clear()
+        report = classification_report(fun)
+        assert not report.flags["fibration"]
+        assert len(calls) < 8 ** 3
+        squares = arrow_groupoid(b).groupoid
+        before = len(calls)
+        assert squares == squares
+        assert len(calls) == before
