@@ -221,7 +221,7 @@ def comparison_J_arr(m: ArrowMorphism) -> ArrowMorphism:
     ker = kernel_arr(m)
     hk = strong_h_kernel_arr(m)
     bottom = hk.limit.mediate(
-        {"p1": kernel(m.f0).legs["ker"],
+        {"p1": ker.inclusion.f0,
          "p2": zero_morphism(ker.object.bottom, m.cod.top)})
     return ArrowMorphism(ker.object, hk.object, ker.inclusion.f, bottom)
 

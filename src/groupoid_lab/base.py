@@ -12,9 +12,12 @@ limits computed by enumeration:
 
 Everything is index-level: a carrier is an ordered tuple of hashable
 elements, and a morphism stores, for each domain index, the codomain index
-of its image.  All limit carriers are canonically ordered (lexicographically
-by constituent indices), so "the same object built two ways" can be compared
-by relabelling followed by equality.
+of its image.  A limit apex is a set of index tuples over its parts; a cone
+is mediated by looking up the tuples its legs pick out, and the apex's
+element carrier and FINAB ``neg`` are built when first read.  All limit
+carriers are canonically ordered (lexicographically by constituent
+indices), so "the same object built two ways" can be compared by
+relabelling followed by equality.
 
 Validation policy: values from outside the library are validated exactly,
 at every size: the JSON decoder, and the public constructors when a caller
@@ -92,10 +95,11 @@ def _is_index(value, size: int) -> bool:
 class BaseObject:
     """A finite carrier with instance-specific structure.
 
-    ``carrier`` is an ordered tuple of hashable elements; the order is the
-    object's identity as much as the elements are.  FINPTDSET objects carry a
-    ``basepoint`` index, FINAB objects carry ``add``/``neg`` tables and a
-    ``zero`` index (validated abelian-group axioms).
+    ``carrier`` is an ordered tuple of hashable elements (a limit apex
+    builds it on first use, see ``_OnRead``); the order is the object's
+    identity as much as the elements are.  FINPTDSET objects carry a
+    ``basepoint`` index, FINAB objects ``add``/``neg`` tables and a ``zero``
+    index (validated abelian-group axioms).
 
     >>> X = finset_object(["a", "b"])
     >>> X.size
@@ -372,31 +376,24 @@ def subobject(parent: BaseObject, indices):
 
     Parent order is kept.  Each index must be an int in range; a FINPTDSET
     subobject must keep the basepoint, and a FINAB one must be a subgroup
-    (zero included, closed under the group structure).
+    (zero included, closed under the group structure).  A finite set S
+    holding zero is a subgroup iff the subgroup it generates is no larger.
     """
     indices = list(indices)
     # None when some index is not an int (a bool, a float, ...)
     idx = sorted(set(indices)) if set(map(type, indices)) <= {int} else None
     if idx is None or idx and not (0 <= idx[0] and idx[-1] < parent.size):
         raise DiagramError("subobject indices must be int indices in range")
-    carrier = [parent.carrier[i] for i in idx]
-    if parent.instance is FINSET:
-        obj = BaseObject(FINSET, carrier, _trusted=True)
-    elif parent.instance is FINPTDSET:
-        if parent.basepoint not in idx:
-            raise DiagramError("a pointed subobject must keep the basepoint")
-        obj = BaseObject(FINPTDSET, carrier,
-                         basepoint=idx.index(parent.basepoint), _trusted=True)
-    else:
-        pos = {p: k for k, p in enumerate(idx)}
-        if parent.zero not in pos:
+    if parent.instance is FINPTDSET and parent.basepoint not in idx:
+        raise DiagramError("a pointed subobject must keep the basepoint")
+    if parent.instance is FINAB:
+        if parent.zero not in idx:
             raise DiagramError("subgroup indices must include zero")
-        try:
-            add = [[pos[parent.add[i][j]] for j in idx] for i in idx]
-            neg = [pos[parent.neg[i]] for i in idx]
-        except KeyError:
-            raise DiagramError("subset is not closed under the group structure") from None
-        obj = finab_object(carrier, add, neg, pos[parent.zero], _trusted=True)
+        if len(_coset_walk(parent, idx)[0]) != len(idx):
+            raise DiagramError("subset is not closed under the group structure")
+    obj = _structured_tuple_object(parent.instance, [parent],
+                                   [(i,) for i in idx],
+                                   lambda: [parent.carrier[i] for i in idx])[0]
     return obj, BaseMorphism(obj, parent, idx, _trusted=True)
 
 
@@ -483,6 +480,50 @@ def compose(*morphisms: BaseMorphism) -> BaseMorphism:
 # limits
 
 
+class _OnRead:
+    """A tuple held in a slot of its owner, built when first used.
+
+    A limit apex keeps one in ``carrier`` (and, in FINAB, in ``neg``): its
+    length is known at once, so ``size`` builds nothing.  Any other use
+    builds the tuple and writes it back into the slot, so the owner's later
+    reads are plain tuple reads.  Tuple methods (``index``, ...) delegate.
+    """
+
+    __slots__ = ("_owner", "_slot", "_size", "_build", "_value")
+
+    def __init__(self, owner, slot, size, build):
+        self._owner, self._slot, self._size = owner, slot, size
+        self._build, self._value = build, None
+
+    def _get(self):
+        if self._value is None:
+            self._value = tuple(self._build())
+            setattr(self._owner, self._slot, self._value)
+            self._owner = self._build = None
+        return self._value
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        return self._get()[i]
+
+    def __iter__(self):
+        return iter(self._get())
+
+    def __eq__(self, other):
+        return self._get() == other
+
+    def __hash__(self):
+        return hash(self._get())
+
+    def __repr__(self):
+        return repr(self._get())
+
+    def __getattr__(self, name):
+        return getattr(self._get(), name)
+
+
 class _TupleAddRow:
     """One row of a lazy addition table (indexable and iterable)."""
 
@@ -543,6 +584,14 @@ class _TupleAddTable:
             self._sums[key] = s
         return s
 
+    def negs(self):
+        """The neg table, each entry looked up from the parts' negs."""
+        try:
+            return [self.lookup[tuple([p.neg[i] for p, i in zip(self.parts, t)])]
+                    for t in self.tuples]
+        except KeyError:
+            raise DiagramError("limit carrier is not sum-closed") from None
+
     def __getitem__(self, i):
         return _TupleAddRow(self, i)
 
@@ -569,26 +618,35 @@ class _TupleAddTable:
         return all(self[i] == other[i] for i in range(self.size))
 
 
-def _structured_tuple_object(instance, parts: list[BaseObject], tuples):
-    """Make a BaseObject on a list of index-tuples over the given parts."""
-    carrier = [tuple(parts[k].carrier[i] for k, i in enumerate(t)) for t in tuples]
-    if instance is FINSET:
-        return BaseObject(FINSET, carrier, _trusted=True)
+def _tuple_elements(parts, tuples):
+    """The element carrier of a limit apex: each index tuple read in its parts."""
+    return [tuple([p.carrier[i] for p, i in zip(parts, t)]) for t in tuples]
+
+
+def _structured_tuple_object(instance, parts: list[BaseObject], tuples,
+                             elements=None):
+    """A BaseObject on index tuples over the given parts, with its lookup.
+
+    Returns the object and ``{index tuple: index}``.  The element carrier
+    (``elements()``, or each tuple read in the parts) and a FINAB ``neg``
+    table are built when first read.
+    """
+    tuples = tuple(tuples)
     lookup = {t: i for i, t in enumerate(tuples)}
+    obj = BaseObject(instance, (), _trusted=True)
+    obj.carrier = _OnRead(obj, "carrier", len(tuples), elements
+                          or (lambda: _tuple_elements(parts, tuples)))
     if instance is FINPTDSET:
-        base = tuple(p.basepoint for p in parts)
-        if base not in lookup:
+        obj.basepoint = lookup.get(tuple(p.basepoint for p in parts))
+        if obj.basepoint is None:
             raise DiagramError("limit carrier lost the basepoint")
-        return BaseObject(FINPTDSET, carrier, basepoint=lookup[base], _trusted=True)
-    tup = tuple(tuples)
-    try:
-        neg = [lookup[tuple(parts[k].neg[t[k]] for k in range(len(parts)))]
-               for t in tup]
-        zero = lookup[tuple(p.zero for p in parts)]
-    except KeyError:
-        raise DiagramError("limit carrier is not sum-closed") from None
-    return BaseObject(FINAB, carrier, add=_TupleAddTable(parts, tup, lookup),
-                      neg=tuple(neg), zero=zero, _trusted=True)
+    elif instance is FINAB:
+        obj.zero = lookup.get(tuple(p.zero for p in parts))
+        if obj.zero is None:
+            raise DiagramError("limit carrier is not sum-closed")
+        obj.add = _TupleAddTable(parts, tuples, lookup)
+        obj.neg = _OnRead(obj, "neg", len(tuples), obj.add.negs)
+    return obj, lookup
 
 
 class LimitResult:
@@ -597,24 +655,23 @@ class LimitResult:
     ``legs`` maps leg names to projections out of the apex.  ``mediate``
     takes a cone (same names -> morphisms out of a common source) and returns
     the unique factorization through the apex; it raises NoMediatorError when
-    the cone does not satisfy the defining equations.
+    the cone does not satisfy the defining equations.  ``lookup`` maps the
+    tuple of leg indices of each apex element (legs in order) to its index,
+    in apex order; a cone is mediated by the tuples its legs pick out.
     """
 
-    def __init__(self, apex: BaseObject, legs: dict, recipe):
+    def __init__(self, apex: BaseObject, legs: dict, recipe, lookup: dict):
         self.apex = apex
         self.legs = dict(legs)
-        self._recipe = recipe  # callable: cone dict -> element builder
-        self._lookup = {x: i for i, x in enumerate(apex.carrier)}
+        self._recipe = recipe  # callable: cone dict -> (leg tuples, source)
+        self.lookup = lookup
 
     def mediate(self, cone: dict) -> BaseMorphism:
-        builder, source = self._recipe(cone)
-        table = []
-        for i in range(source.size):
-            el = builder(i)
-            j = self._lookup.get(el)
-            if j is None:
-                raise NoMediatorError("cone does not land in the limit")
-            table.append(j)
+        keys, source = self._recipe(cone)
+        try:
+            table = list(map(self.lookup.__getitem__, keys))
+        except KeyError:
+            raise NoMediatorError("cone does not land in the limit") from None
         for name, leg in self.legs.items():
             if name in cone and (
                     tuple([leg.map[j] for j in table]) != cone[name].map
@@ -641,7 +698,8 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
         raise CompositionError("pullback needs a common codomain")
     buckets = g.preimages()
     tuples = [(i, j) for i in range(f.dom.size) for j in buckets[f.map[i]]]
-    apex = _structured_tuple_object(f.dom.instance, [f.dom, g.dom], tuples)
+    apex, lookup = _structured_tuple_object(f.dom.instance, [f.dom, g.dom],
+                                            tuples)
     p1 = BaseMorphism(apex, f.dom, [t[0] for t in tuples], _trusted=True)
     p2 = BaseMorphism(apex, g.dom, [t[1] for t in tuples], _trusted=True)
 
@@ -652,10 +710,9 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
             raise CompositionError("codomain/domain mismatch in composite")
         if any(f.map[x] != g.map[y] for x, y in zip(u.map, v.map)):
             raise NoMediatorError("cone does not commute with the cospan")
-        return (lambda i: (u.cod.carrier[u.map[i]], v.cod.carrier[v.map[i]]),
-                src)
+        return zip(u.map, v.map), src
 
-    return LimitResult(apex, {"p1": p1, "p2": p2}, recipe)
+    return LimitResult(apex, {"p1": p1, "p2": p2}, recipe, lookup)
 
 
 def pullback_offsets(f: BaseMorphism, g: BaseMorphism):
@@ -672,17 +729,15 @@ def pullback_offsets(f: BaseMorphism, g: BaseMorphism):
 def product(a: BaseObject, b: BaseObject) -> LimitResult:
     """Binary product as the pullback over the terminal shape (all pairs)."""
     tuples = [(i, j) for i in range(a.size) for j in range(b.size)]
-    apex = _structured_tuple_object(a.instance, [a, b], tuples)
+    apex, lookup = _structured_tuple_object(a.instance, [a, b], tuples)
     p1 = BaseMorphism(apex, a, [t[0] for t in tuples], _trusted=True)
     p2 = BaseMorphism(apex, b, [t[1] for t in tuples], _trusted=True)
 
     def recipe(cone):
         u, v = cone["p1"], cone["p2"]
-        src = _common_source(u, v)
-        return (lambda i: (u.cod.carrier[u.map[i]], v.cod.carrier[v.map[i]]),
-                src)
+        return zip(u.map, v.map), _common_source(u, v)
 
-    return LimitResult(apex, {"p1": p1, "p2": p2}, recipe)
+    return LimitResult(apex, {"p1": p1, "p2": p2}, recipe, lookup)
 
 
 def pairing(lim: LimitResult, u: BaseMorphism, v: BaseMorphism) -> BaseMorphism:
@@ -771,8 +826,8 @@ def finite_limit(diagram: Diagram) -> LimitResult:
                 extend(k + 1)
 
     extend(0)
-    apex = _structured_tuple_object(objs[0].instance if objs else FINSET,
-                                    objs, tuples)
+    apex, lookup = _structured_tuple_object(
+        objs[0].instance if objs else FINSET, objs, tuples)
     legs = {}
     for k, n in enumerate(names):
         legs[n] = BaseMorphism(apex, objs[k], [t[k] for t in tuples],
@@ -797,14 +852,9 @@ def finite_limit(diagram: Diagram) -> LimitResult:
         for s, t, h in diagram.edges:
             if compose(cone[s], h) != cone[t]:
                 raise NoMediatorError(f"cone breaks the edge {s!r}->{t!r}")
-        picked = [cone[n] for n in names]
+        return zip(*(cone[n].map for n in names)), src
 
-        def builder(i):
-            return tuple(p.cod.carrier[p.map[i]] for p in picked)
-
-        return builder, src
-
-    return LimitResult(apex, legs, recipe)
+    return LimitResult(apex, legs, recipe, lookup)
 
 
 def kernel(f: BaseMorphism) -> LimitResult:
@@ -825,10 +875,10 @@ def kernel(f: BaseMorphism) -> LimitResult:
             raise CompositionError("codomain/domain mismatch in composite")
         if any(f.map[x] != z for x in u.map):
             raise NoMediatorError("cone composed with the map is not zero")
-        lookup = {i: k for k, i in enumerate(incl.map)}
-        return (lambda i: apex.carrier[lookup[u.map[i]]], u.dom)
+        return zip(u.map), u.dom
 
-    return LimitResult(apex, {"ker": incl}, recipe)
+    return LimitResult(apex, {"ker": incl}, recipe,
+                       {(i,): k for k, i in enumerate(incl.map)})
 
 
 def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,

@@ -341,13 +341,12 @@ def levelwise_groupoid(lim0: LimitResult, lim1: LimitResult, parts):
     ``lim0`` and ``lim1`` are limits of one diagram of objects and of
     arrows, leg k of each landing in ``parts[k]``.  The structure maps and
     the composition act legwise; each result is found by its tuple of leg
-    indices.  Returns (groupoid, projection functors in leg order).
+    indices in the limit's ``lookup``.  Returns (groupoid, projection
+    functors in leg order).
     """
     legs0, legs1 = lim0.legs.values(), lim1.legs.values()
-    objs = list(zip(*(leg.map for leg in legs0)))
-    arrs = list(zip(*(leg.map for leg in legs1)))
-    obj_index = {t: x for x, t in enumerate(objs)}
-    arr_index = {t: x for x, t in enumerate(arrs)}
+    obj_index, arr_index = lim0.lookup, lim1.lookup
+    objs, arrs = list(obj_index), list(arr_index)
     b0, b1 = lim0.apex, lim1.apex
 
     def mediator(rows, index, dom, cod, structure_map):

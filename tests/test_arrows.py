@@ -347,6 +347,15 @@ class TestComparisonJ:
             flags = classify_arrow_morphism(comparison_J_arr(m))
             assert flags["fully_faithful"]
 
+    def test_comparison_reuses_the_bottom_kernel(self):
+        # J mediates the kernel inclusion the kernel square already holds,
+        # so its bottom starts at that very kernel object
+        for m in (graph_square(), mod2_square(), fold_square(),
+                  restricted_square()):
+            j = comparison_J_arr(m)
+            assert j.f0.dom is j.dom.bottom
+            assert j.dom.bottom == kernel_arr(m).object.bottom
+
     def test_comparison_square_is_a_pullback(self):
         for m in (graph_square(), mod2_square(), fold_square(),
                   restricted_square()):

@@ -1,0 +1,266 @@
+"""Base limits against brute-force element-level oracles.
+
+Mediation is index-level (a cone is looked up by the index tuples its legs
+pick out), so these tests decide each mediator from the elements alone: for
+every source element, the apex elements whose legs agree with the cone's.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from groupoid_lab import arrow, base
+from groupoid_lab.base import (
+    FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError,
+    CompositionError, Diagram, DiagramError, NoMediatorError, direct_sum,
+    enumerate_morphisms, finite_limit, finptdset_object, finset_object,
+    kernel, product, pullback, subgroup_object, subobject, zmod)
+from groupoid_lab.harness import run_suite
+
+
+def _objects(instance):
+    if instance is FINSET:
+        return [finset_object([f"s{i}" for i in range(n)]) for n in (1, 2, 3)]
+    if instance is FINPTDSET:
+        return [finptdset_object(["*"] + [f"x{i}" for i in range(1, n)])
+                for n in (1, 2, 3)]
+    return [zmod(1), zmod(2), zmod(4), direct_sum(zmod(2), zmod(2))]
+
+
+def _random_map(rng, dom, cod):
+    """A uniformly drawn morphism dom -> cod."""
+    return rng.choice(list(enumerate_morphisms(dom, cod)))
+
+
+def _brute_force_images(lim, cone):
+    """For each source element, the apex elements the cone pins down."""
+    src = next(iter(cone.values())).dom
+    return [[a for a in lim.apex.carrier
+             if all(lim.legs[name](a) == u(x) for name, u in cone.items())]
+            for x in src.carrier]
+
+
+def _assert_mediates_as_brute_force(lim, cone):
+    images = _brute_force_images(lim, cone)
+    assert all(len(found) <= 1 for found in images)
+    if all(images):
+        med = lim.mediate(cone)
+        src = next(iter(cone.values())).dom
+        assert [med(x) for x in src.carrier] == [found[0] for found in images]
+        BaseMorphism(src, lim.apex, med.map)  # validates the structure
+        return True
+    with pytest.raises(NoMediatorError):
+        lim.mediate(cone)
+    return False
+
+
+_INSTANCES = [FINSET, FINPTDSET, FINAB]
+
+
+@pytest.mark.parametrize("instance", _INSTANCES, ids=lambda i: i.name)
+class TestMediationAgainstBruteForce:
+    def test_pullback(self, instance):
+        rng = random.Random(f"pullback:{instance.name}")
+        objs = _objects(instance)
+        outcomes = set()
+        for _ in range(40):
+            a, b, c, s = (rng.choice(objs) for _ in range(4))
+            f, g = _random_map(rng, a, c), _random_map(rng, b, c)
+            lim = pullback(f, g)
+            cone = {"p1": _random_map(rng, s, a), "p2": _random_map(rng, s, b)}
+            outcomes.add(_assert_mediates_as_brute_force(lim, cone))
+        assert outcomes == {True, False}
+
+    def test_product(self, instance):
+        rng = random.Random(f"product:{instance.name}")
+        objs = _objects(instance)
+        for _ in range(30):
+            a, b, s = (rng.choice(objs) for _ in range(3))
+            cone = {"p1": _random_map(rng, s, a), "p2": _random_map(rng, s, b)}
+            assert _assert_mediates_as_brute_force(product(a, b), cone)
+
+    def test_finite_limit(self, instance):
+        # an equalizer of a parallel pair, with a cospan hanging off it
+        rng = random.Random(f"finite_limit:{instance.name}")
+        objs = _objects(instance)
+        outcomes = set()
+        for _ in range(40):
+            x, y, z, s = (rng.choice(objs) for _ in range(4))
+            f, g = _random_map(rng, x, y), _random_map(rng, x, y)
+            h = _random_map(rng, z, y)
+            lim = finite_limit(Diagram(
+                nodes={"x": x, "y": y, "z": z},
+                edges=[("x", "y", f), ("x", "y", g), ("z", "y", h)]))
+            u, w = _random_map(rng, s, x), _random_map(rng, s, z)
+            full = {"x": u, "y": BaseMorphism(s, y, [f.map[i] for i in u.map],
+                                              _trusted=True), "z": w}
+            mediated = _assert_mediates_as_brute_force(lim, full)
+            if mediated:
+                # the missing leg "y" is derived along an edge
+                assert lim.mediate({"x": u, "z": w}) == lim.mediate(full)
+            outcomes.add(mediated)
+        assert outcomes == {True, False}
+
+    def test_kernel(self, instance):
+        if not instance.pointed:
+            with pytest.raises(CapabilityError):
+                kernel(_random_map(random.Random(0), *_objects(instance)[:2]))
+            return
+        rng = random.Random(f"kernel:{instance.name}")
+        objs = _objects(instance)
+        outcomes = set()
+        for _ in range(40):
+            a, b, s = (rng.choice(objs) for _ in range(3))
+            lim = kernel(_random_map(rng, a, b))
+            cone = {"ker": _random_map(rng, s, a)}
+            outcomes.add(_assert_mediates_as_brute_force(lim, cone))
+        assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("instance", _INSTANCES, ids=lambda i: i.name)
+class TestMistypedCones:
+    def test_pullback(self, instance):
+        a, b = _objects(instance)[1:3]
+        rng = random.Random(0)
+        f, g = _random_map(rng, a, b), _random_map(rng, b, b)
+        lim = pullback(f, g)
+        ida, idb = _random_map(rng, a, a), _random_map(rng, b, b)
+        with pytest.raises(CompositionError):
+            lim.mediate({"p1": ida, "p2": idb})  # different sources
+        with pytest.raises(CompositionError):
+            lim.mediate({"p1": _random_map(rng, b, b), "p2": idb})
+
+    def test_product(self, instance):
+        a, b = _objects(instance)[1:3]
+        rng = random.Random(0)
+        lim = product(a, a)
+        with pytest.raises(CompositionError):
+            lim.mediate({"p1": _random_map(rng, a, a),
+                         "p2": _random_map(rng, b, a)})
+        # a leg into another object is not recovered
+        with pytest.raises(NoMediatorError):
+            lim.mediate({"p1": _random_map(rng, a, b),
+                         "p2": _random_map(rng, a, a)})
+
+    def test_finite_limit(self, instance):
+        a, b = _objects(instance)[1:3]
+        rng = random.Random(0)
+        f, g = _random_map(rng, a, b), _random_map(rng, a, b)
+        lim = finite_limit(Diagram(nodes={"x": a, "y": b},
+                                   edges=[("x", "y", f), ("x", "y", g)]))
+        with pytest.raises(CompositionError):
+            lim.mediate({"x": _random_map(rng, a, b)})
+        with pytest.raises(NoMediatorError):
+            lim.mediate({})
+
+    def test_non_commuting_pullback_cone(self, instance):
+        a, b = _objects(instance)[1:3]
+        # a constant map and another one, which disagree on some element
+        homs = list(enumerate_morphisms(a, b))
+        f = next(h for h in homs if len(set(h.map)) == 1)
+        g = next(h for h in homs if h.map != f.map)
+        lim = pullback(f, g)
+        ida = next(h for h in enumerate_morphisms(a, a)
+                   if list(h.map) == list(range(a.size)))
+        with pytest.raises(NoMediatorError):
+            lim.mediate({"p1": ida, "p2": ida})
+
+
+@pytest.mark.parametrize("instance", [FINPTDSET, FINAB], ids=lambda i: i.name)
+def test_mistyped_kernel_cone(instance):
+    a, b = _objects(instance)[1:3]
+    rng = random.Random(0)
+    lim = kernel(_random_map(rng, b, a))
+    with pytest.raises(CompositionError):
+        lim.mediate({"ker": _random_map(rng, b, a)})
+
+
+def _is_sum_closed(group, subset):
+    return all(group.add[a][b] in subset for a in subset for b in subset)
+
+
+@pytest.mark.parametrize("orders", [(8,), (2, 4), (2, 2, 2)],
+                         ids=lambda o: "x".join(f"Z{n}" for n in o))
+def test_subobject_accepts_exactly_the_closed_subsets(orders):
+    group = zmod(orders[0])
+    for n in orders[1:]:
+        group = direct_sum(group, zmod(n))
+    others = [i for i in range(group.size) if i != group.zero]
+    accepted = 0
+    for r in range(len(others) + 1):
+        for chosen in itertools.combinations(others, r):
+            subset = {group.zero, *chosen}
+            if not _is_sum_closed(group, subset):
+                with pytest.raises(DiagramError,
+                                   match="^subset is not closed under the "
+                                         "group structure$"):
+                    subobject(group, subset)
+                continue
+            accepted += 1
+            sub, incl = subobject(group, subset)
+            idx = sorted(subset)
+            assert list(incl.map) == idx
+            assert list(sub.carrier) == [group.carrier[i] for i in idx]
+            pos = {p: k for k, p in enumerate(idx)}
+            assert sub.zero == pos[group.zero]
+            assert [list(row) for row in sub.add] == [
+                [pos[group.add[i][j]] for j in idx] for i in idx]
+            assert list(sub.neg) == [pos[group.neg[i]] for i in idx]
+            assert sub == subgroup_object(group, subset)
+            incl._validate()
+    # subgroup counts: Z8 has 4, Z2xZ4 has 8, Z2^3 has 16
+    assert accepted == {(8,): 4, (2, 4): 8, (2, 2, 2): 16}[orders]
+    with pytest.raises(DiagramError, match="^subgroup indices must include "
+                                           "zero$"):
+        subobject(group, others)
+
+
+def test_neg_outside_the_apex_raises_when_read():
+    # f is no hom (trusted on purpose): the pullback of f against zero is
+    # {(0, 0), (2, 0)}, which holds zero but neither -2 nor 2 + 2
+    z3 = zmod(3)
+    f = BaseMorphism(z3, z3, (0, 1, 0), _trusted=True)
+    apex = pullback(f, BaseMorphism(zmod(1), z3, (0,), _trusted=True)).apex
+    assert apex.size == 2 and apex.zero == 0
+    with pytest.raises(DiagramError, match="not sum-closed"):
+        apex.neg[1]
+    with pytest.raises(DiagramError, match="not sum-closed"):
+        apex.add[1][1]
+    assert list(apex.carrier) == [(0, 0), (2, 0)]
+
+
+class TestLimitsOnDemand:
+    def test_sweep_builds_no_carrier_neg_or_dense_kernel_table(
+            self, monkeypatch):
+        apexes, kernels = [], []
+
+        def collecting(build, into):
+            def collected(*args):
+                lim = build(*args)
+                into.append(lim.apex)
+                return lim
+            return collected
+
+        pullback_, kernel_ = base.pullback, base.kernel
+        for module in (base, arrow):
+            monkeypatch.setattr(module, "pullback",
+                                collecting(pullback_, apexes))
+            monkeypatch.setattr(module, "kernel", collecting(kernel_, kernels))
+        builds = []
+        elements, negs = base._tuple_elements, base._TupleAddTable.negs
+        monkeypatch.setattr(base, "_tuple_elements", lambda *args: (
+            builds.append("carrier"), elements(*args))[1])
+        monkeypatch.setattr(base._TupleAddTable, "negs", lambda table: (
+            builds.append("neg"), negs(table))[1])
+        report = run_suite("protomodularity-char", FINAB, 200, 0)
+        assert report.cases == 200 and report.failures == []
+        assert builds == []
+        assert len(apexes) >= 200 and len(kernels) >= 400
+        assert all(isinstance(k.add, base._TupleAddTable) for k in kernels)
+        assert not any(isinstance(o.carrier, tuple) or isinstance(o.neg, tuple)
+                       for o in apexes + kernels)
+        # a read builds the carrier and writes the tuple back into its slot
+        apex = apexes[-1]
+        assert len(apex.carrier[:]) == apex.size
+        assert isinstance(apex.carrier, tuple) and "carrier" in builds
