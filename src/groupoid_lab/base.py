@@ -14,10 +14,11 @@ Everything is index-level: a carrier is an ordered tuple of hashable
 elements, and a morphism stores, for each domain index, the codomain index
 of its image.  A limit apex is a set of index tuples over its parts; a cone
 is mediated by looking up the tuples its legs pick out, and the apex's
-element carrier and FINAB ``neg`` are built when first read.  All limit
-carriers are canonically ordered (lexicographically by constituent
-indices), so "the same object built two ways" can be compared by
-relabelling followed by equality.
+element carrier and FINAB ``neg`` are built when first read.  Morphisms are
+immutable, so a morphism keeps its kernel once built.  All limit carriers
+are canonically ordered (lexicographically by constituent indices), so "the
+same object built two ways" can be compared by relabelling followed by
+equality.
 
 Validation policy: values from outside the library are validated exactly,
 at every size: the JSON decoder, and the public constructors when a caller
@@ -269,7 +270,8 @@ class BaseMorphism:
     """A structure-preserving map, stored as a tuple of codomain indices.
 
     Composition is written in diagram order throughout the package:
-    ``compose(f, g)`` is "f then g".
+    ``compose(f, g)`` is "f then g".  A morphism is immutable, so it keeps
+    its preimage buckets and its kernel once built.
 
     >>> X = finset_object([0, 1]); Y = finset_object(["p"])
     >>> f = morphism_from_function(X, Y, lambda x: "p")
@@ -277,7 +279,7 @@ class BaseMorphism:
     'p'
     """
 
-    __slots__ = ("dom", "cod", "map", "_preimages")
+    __slots__ = ("dom", "cod", "map", "_preimages", "_kernel")
 
     def __init__(self, dom: BaseObject, cod: BaseObject, map,
                  _trusted=False):
@@ -285,6 +287,7 @@ class BaseMorphism:
         self.cod = cod
         self.map = tuple(map)
         self._preimages = None
+        self._kernel = None
         if not _trusted:
             self._validate()
 
@@ -861,24 +864,29 @@ def kernel(f: BaseMorphism) -> LimitResult:
     """Kernel of a morphism in a pointed instance, as a subobject.
 
     The apex keeps the domain's carrier order; the single leg is named
-    "ker" (the inclusion).
+    "ker" (the inclusion).  A morphism keeps its kernel once built: later
+    calls return the same limit, whose ``mediate`` checks every cone.
     """
+    if f._kernel is not None:
+        return f._kernel
     inst = f.dom.instance
     if not inst.pointed:
         raise CapabilityError("kernels need a pointed instance")
+    fmap, dom = f.map, f.dom  # the recipe keeps these, not f: no cycle
     z = f.cod.basepoint if inst is FINPTDSET else f.cod.zero
-    apex, incl = subobject(f.dom, [i for i, j in enumerate(f.map) if j == z])
+    apex, incl = subobject(dom, [i for i, j in enumerate(fmap) if j == z])
 
     def recipe(cone):
         u = cone["ker"]
-        if u.cod != f.dom:
+        if u.cod != dom:
             raise CompositionError("codomain/domain mismatch in composite")
-        if any(f.map[x] != z for x in u.map):
+        if any(fmap[x] != z for x in u.map):
             raise NoMediatorError("cone composed with the map is not zero")
         return zip(u.map), u.dom
 
-    return LimitResult(apex, {"ker": incl}, recipe,
-                       {(i,): k for k, i in enumerate(incl.map)})
+    f._kernel = LimitResult(apex, {"ker": incl}, recipe,
+                            {(i,): k for k, i in enumerate(incl.map)})
+    return f._kernel
 
 
 def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,

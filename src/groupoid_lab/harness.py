@@ -833,13 +833,20 @@ def _hom_memo():
     return hom
 
 
-def _arrow_square_space(instance):
-    """Deterministic stream of commutative squares, smallest carriers first."""
+def _fibration_squares(instance):
+    """Deterministic stream of the squares the protomodularity sweep reads.
+
+    These are the commutative squares of the catalogue whose top map is a
+    regular epi, smallest carriers first; each hom list is classified once.
+    """
     if instance is FINAB:
         objs = _finab_catalog(8)
     else:
         objs = _finptdset_catalog(3)
     hom = _hom_memo()
+    epis = {(id(x), id(y)): [f for f in hom(x, y)
+                             if classify_morphism(f).regular_epi]
+            for x in objs for y in objs}
     quads = sorted(
         ((a, a0, b, b0) for a in objs for a0 in objs
          for b in objs for b0 in objs),
@@ -848,8 +855,8 @@ def _arrow_square_space(instance):
     for a_obj, a0_obj, b_obj, b0_obj in quads:
         for bot in hom(b_obj, b0_obj):
             cod = ArrowObject(bot)
-            composites = [(f, b_el) for f in hom(a_obj, b_obj)
-                          for b_el in [compose(f, bot)]]
+            composites = [(f, compose(f, bot))
+                          for f in epis[id(a_obj), id(b_obj)]]
             for top in hom(a_obj, a0_obj):
                 dom = ArrowObject(top)
                 for f0 in hom(a0_obj, b0_obj):
@@ -1415,7 +1422,7 @@ def _search_protomodularity(instance, n):
     """
     examined = 0
     failures = []
-    for m in _arrow_square_space(instance):
+    for m in _fibration_squares(instance):
         if examined >= n:
             break
         if not classify_morphism(m.f).regular_epi:

@@ -18,6 +18,8 @@ Frozen facts, each re-derivable by rerunning the generators:
   data/search-witnesses-seed42.json.
 """
 
+import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -36,6 +38,7 @@ from groupoid_lab.base import (
     FINSET,
     DiagramError,
     classify_morphism,
+    enumerate_morphisms,
 )
 from groupoid_lab.classify import (
     classify_fibration,
@@ -323,3 +326,49 @@ class TestWitnessSearches:
         report = run_suite("protomodularity-char", FINAB, 200, 0)
         assert (report.cases, report.failures) == (200, [])
         assert calls == []
+
+
+def _brute_force_fibration_squares(instance):
+    """Every square of the sweep's catalogue whose top map is onto.
+
+    The same catalogue, quadruples and hom loops as the sweep's stream, in
+    the same order, with commutativity decided element by element.
+    """
+    objs = (harness._finab_catalog(8) if instance is FINAB
+            else harness._finptdset_catalog(3))
+    quads = sorted(itertools.product(objs, repeat=4),
+                   key=lambda q: (sum(o.size for o in q),
+                                  tuple(o.size for o in q)))
+    for a, a0, b, b0 in quads:
+        onto = [f for f in enumerate_morphisms(a, b)
+                if set(f.map) == set(range(b.size))]
+        for bot in enumerate_morphisms(b, b0):
+            for top in enumerate_morphisms(a, a0):
+                for f0 in enumerate_morphisms(a0, b0):
+                    for f in onto:
+                        if all(f0.map[top.map[x]] == bot.map[f.map[x]]
+                               for x in range(a.size)):
+                            yield top, f, f0, bot
+
+
+def _squares_digest(squares):
+    digest = hashlib.sha256()
+    count = 0
+    for maps in squares:
+        digest.update(repr(tuple(g.map for g in maps)).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+class TestFibrationSquares:
+    def test_finptdset_stream_is_every_fibration_square_in_order(self):
+        stream = [(m.dom.a, m.f, m.f0, m.cod.a)
+                  for m in harness._fibration_squares(FINPTDSET)]
+        assert stream == list(_brute_force_fibration_squares(FINPTDSET))
+
+    def test_finab_stream_is_every_fibration_square_in_order(self):
+        stream = ((m.dom.a, m.f, m.f0, m.cod.a)
+                  for m in harness._fibration_squares(FINAB))
+        expected = _squares_digest(_brute_force_fibration_squares(FINAB))
+        assert expected[0] == 20796
+        assert _squares_digest(stream) == expected

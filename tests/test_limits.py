@@ -176,6 +176,68 @@ def test_mistyped_kernel_cone(instance):
         lim.mediate({"ker": _random_map(rng, b, a)})
 
 
+@pytest.mark.parametrize("instance", [FINPTDSET, FINAB], ids=lambda i: i.name)
+class TestKernelMemo:
+    @staticmethod
+    def _onto(instance):
+        """An onto map with a proper kernel, its domain and codomain."""
+        b, a = _objects(instance)[1:3]
+        f = next(f for f in enumerate_morphisms(a, b)
+                 if len(set(f.map)) == b.size)
+        return f, a, b
+
+    def test_a_morphism_keeps_its_kernel(self, instance):
+        f, _, _ = self._onto(instance)
+        assert kernel(f) is kernel(f)
+
+    def test_the_kept_kernel_still_checks_every_cone(self, instance):
+        f, a, b = self._onto(instance)
+        zero = f.cod.basepoint if instance is FINPTDSET else f.cod.zero
+        bad = next(u for u in enumerate_morphisms(a, a)
+                   if any(f.map[x] != zero for x in u.map))
+        good = kernel(f).legs["ker"]
+        first = kernel(f).mediate({"ker": good})
+        for _ in range(2):
+            lim = kernel(f)
+            with pytest.raises(NoMediatorError):
+                lim.mediate({"ker": bad})
+            with pytest.raises(CompositionError):
+                lim.mediate({"ker": _random_map(random.Random(0), b, b)})
+            assert lim.mediate({"ker": good}) == first
+
+    def test_an_equal_morphism_builds_an_equal_kernel(self, instance):
+        f, _, _ = self._onto(instance)
+        g = BaseMorphism(f.dom, f.cod, f.map)
+        assert kernel(g) is not kernel(f)
+        assert kernel(g).apex == kernel(f).apex
+        assert kernel(g).legs == kernel(f).legs
+
+
+def test_finset_kernels_raise_on_every_call():
+    f = _random_map(random.Random(0), *_objects(FINSET)[1:3])
+    for _ in range(2):
+        with pytest.raises(CapabilityError):
+            kernel(f)
+    assert f._kernel is None
+
+
+def test_the_sweep_builds_each_kernel_once(monkeypatch):
+    taken, built = {}, []
+
+    def keeping(f):
+        taken[id(f)] = f  # kept alive, so no id is reused
+        return kernel(f)
+
+    for module in (base, arrow):
+        monkeypatch.setattr(module, "kernel", keeping)
+    subobject_ = base.subobject
+    monkeypatch.setattr(base, "subobject", lambda *args: (
+        built.append(args), subobject_(*args))[1])
+    report = run_suite("protomodularity-char", FINAB, 25000, 0)
+    assert (report.cases, report.failures) == (20796, [])
+    assert 0 < len(built) <= len(taken)
+
+
 def _is_sum_closed(group, subset):
     return all(group.add[a][b] in subset for a in subset for b in subset)
 

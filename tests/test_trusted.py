@@ -124,11 +124,22 @@ def _built_from(fun):
 
 # Seeds whose groupoids keep every apex small enough for the O(n^2)
 # re-checks to finish in well under a second each.
-@pytest.mark.parametrize("instance, seed", [
-    (FINAB, 5), (FINAB, 13), (FINAB, 24),
-    (FINPTDSET, 0), (FINPTDSET, 1), (FINPTDSET, 6),
-])
+_SEEDS = [(FINAB, 5), (FINAB, 13), (FINAB, 24),
+          (FINPTDSET, 0), (FINPTDSET, 1), (FINPTDSET, 6)]
+
+
+@pytest.mark.parametrize("instance, seed", _SEEDS)
 def test_trusted_constructions_pass_full_validation(instance, seed):
     seen = set()
     for value in _built_from(gen_functor(instance, seed)):
         _recheck(value, seen)
+
+
+@pytest.mark.parametrize("instance, seed", _SEEDS)
+def test_a_kept_kernel_passes_full_validation(instance, seed):
+    fun = gen_functor(instance, seed)
+    j_data = comparison_J_data(fun)  # takes the kernels of F0 and F1
+    kept = fun.F1._kernel
+    assert kept is not None and kernel(fun.F1) is kept
+    _recheck(kept, set())
+    _recheck(j_data.kernel, set())
