@@ -29,7 +29,7 @@ from .base import (
     identity,
     jointly_strongly_epi,
     kernel,
-    morphism_from_function,
+    product,
     pullback,
     zero_morphism,
 )
@@ -299,9 +299,10 @@ def graph_comparison(delta: BaseMorphism) -> ArrowMorphism:
     itself.
     """
     from .groupoid import groupoid_from_arrow
-    obj = normalize_obj(groupoid_from_arrow(delta))
-    top = morphism_from_function(obj.top, delta.dom, lambda t: t[1], _trusted=True)
-    return ArrowMorphism(obj, ArrowObject(delta), top, identity(delta.cod))
+    grp = groupoid_from_arrow(delta)  # its arrows: product(cod, dom).apex
+    top = compose(kernel(grp.d).legs["ker"],
+                  product(delta.cod, delta.dom).legs["p2"])
+    return ArrowMorphism(normalize_obj(grp), ArrowObject(delta), top, identity(delta.cod))
 
 
 def kernel_preservation_comparison(fun: InternalFunctor) -> ArrowMorphism:

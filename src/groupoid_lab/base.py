@@ -21,14 +21,15 @@ same object built two ways" can be compared by relabelling followed by
 equality.
 
 Validation policy: values from outside the library are validated exactly,
-at every size: the JSON decoder, and the public constructors when a caller
-passes its own data (BaseObject, BaseMorphism, finset_object,
+at every size: the JSON decoder and the public constructors (finset_object,
 finptdset_object, finab_object, morphism_from_function, functor,
-transformation).  Index fields must be ints; bools are rejected.  Everything
-the library derives from valid values (limit apexes, legs and mediators,
-subgroups, quotients, direct sums, homs, sections, the structure maps of
-built groupoids) is valid by construction and is built with the private
-``_trusted=True``.
+transformation, and BaseObject and BaseMorphism given caller data).  Index
+fields must be ints; bools are rejected.  Everything the library derives
+from valid values (limit apexes, legs and mediators, subgroups, quotients,
+direct sums, homs, sections, the structure maps of built groupoids) is built
+from indices, as a limit leg, a composite of legs, a ``LimitResult.mediate``
+(which checks its cone) or an index table, and skips the check through the
+private ``_trusted=True`` that only BaseObject and BaseMorphism take.
 """
 
 from __future__ import annotations
@@ -216,12 +217,6 @@ class BaseObject:
 
     # -- group helpers (FINAB) ---------------------------------------------
 
-    def add_elements(self, x, y):
-        return self.carrier[self.add[self.index_of(x)][self.index_of(y)]]
-
-    def neg_element(self, x):
-        return self.carrier[self.neg[self.index_of(x)]]
-
     def zero_element(self):
         if self.instance is FINAB:
             return self.carrier[self.zero]
@@ -351,10 +346,9 @@ def finptdset_object(elements, basepoint_index: int = 0) -> BaseObject:
     return BaseObject(FINPTDSET, elements, basepoint=basepoint_index)
 
 
-def finab_object(elements, add, neg, zero, _trusted=False) -> BaseObject:
-    return BaseObject(FINAB, elements,
-                      add=tuple(tuple(r) for r in add),
-                      neg=tuple(neg), zero=zero, _trusted=_trusted)
+def finab_object(elements, add, neg, zero) -> BaseObject:
+    return BaseObject(FINAB, elements, add=tuple(tuple(r) for r in add),
+                      neg=tuple(neg), zero=zero)
 
 
 def zmod(n: int) -> BaseObject:
@@ -364,7 +358,7 @@ def zmod(n: int) -> BaseObject:
     rng = range(n)
     add = tuple(tuple((i + j) % n for j in rng) for i in rng)
     neg = tuple((-i) % n for i in rng)
-    return finab_object(rng, add, neg, 0, _trusted=True)
+    return BaseObject(FINAB, rng, add=add, neg=neg, zero=0, _trusted=True)
 
 
 def direct_sum(a: BaseObject, b: BaseObject) -> BaseObject:
@@ -375,7 +369,14 @@ def direct_sum(a: BaseObject, b: BaseObject) -> BaseObject:
 
 
 def subobject(parent: BaseObject, indices):
-    """The subobject on a set of indices, with its inclusion into parent.
+    """The subobject on a set of indices, with its inclusion into parent."""
+    lim = subobject_limit(parent, indices)
+    return lim.apex, lim.legs["incl"]
+
+
+def subobject_limit(parent: BaseObject, indices) -> LimitResult:
+    """The subobject on a set of indices as a limit: the inclusion "incl"
+    and the lookup ``{(i,): k}``; a cone mediates when it lands inside.
 
     Parent order is kept.  Each index must be an int in range; a FINPTDSET
     subobject must keep the basepoint, and a FINAB one must be a subgroup
@@ -394,10 +395,12 @@ def subobject(parent: BaseObject, indices):
             raise DiagramError("subgroup indices must include zero")
         if len(_coset_walk(parent, idx)[0]) != len(idx):
             raise DiagramError("subset is not closed under the group structure")
-    obj = _structured_tuple_object(parent.instance, [parent],
-                                   [(i,) for i in idx],
-                                   lambda: [parent.carrier[i] for i in idx])[0]
-    return obj, BaseMorphism(obj, parent, idx, _trusted=True)
+    obj, lookup = _structured_tuple_object(
+        parent.instance, [parent], [(i,) for i in idx],
+        lambda: [parent.carrier[i] for i in idx])
+    incl = BaseMorphism(obj, parent, idx, _trusted=True)
+    return LimitResult(obj, {"incl": incl}, lambda cone: (
+        zip(cone["incl"].map), cone["incl"].dom), lookup)
 
 
 def subgroup_object(parent: BaseObject, indices) -> BaseObject:
@@ -431,10 +434,11 @@ def quotient_by_subgroup(obj: BaseObject, indices):
         for s in sub:
             rep[obj.add[i][s]] = i
     pos = {r: k for k, r in enumerate(reps)}
-    add = [[pos[rep[obj.add[a][b]]] for b in reps] for a in reps]
-    neg = [pos[rep[obj.neg[a]]] for a in reps]
-    carrier = [obj.carrier[r] for r in reps]
-    q_obj = finab_object(carrier, add, neg, pos[rep[obj.zero]], _trusted=True)
+    q_obj = BaseObject(
+        FINAB, [obj.carrier[r] for r in reps],
+        add=tuple(tuple(pos[rep[obj.add[a][b]]] for b in reps) for a in reps),
+        neg=tuple(pos[rep[obj.neg[a]]] for a in reps),
+        zero=pos[rep[obj.zero]], _trusted=True)
     proj = BaseMorphism(obj, q_obj, [pos[rep[i]] for i in range(obj.size)],
                         _trusted=True)
     return q_obj, proj
@@ -459,11 +463,9 @@ def zero_morphism(dom: BaseObject, cod: BaseObject) -> BaseMorphism:
     return BaseMorphism(dom, cod, [z] * dom.size, _trusted=True)
 
 
-def morphism_from_function(dom: BaseObject, cod: BaseObject, fn,
-                           _trusted=False) -> BaseMorphism:
-    """Build the index table of an element-level function (validated unless trusted)."""
-    return BaseMorphism(dom, cod, [cod.index_of(fn(x)) for x in dom.carrier],
-                        _trusted=_trusted)
+def morphism_from_function(dom: BaseObject, cod: BaseObject, fn) -> BaseMorphism:
+    """Build and validate the index table of an element-level function."""
+    return BaseMorphism(dom, cod, [cod.index_of(fn(x)) for x in dom.carrier])
 
 
 def compose(*morphisms: BaseMorphism) -> BaseMorphism:
@@ -874,7 +876,7 @@ def kernel(f: BaseMorphism) -> LimitResult:
         raise CapabilityError("kernels need a pointed instance")
     fmap, dom = f.map, f.dom  # the recipe keeps these, not f: no cycle
     z = f.cod.basepoint if inst is FINPTDSET else f.cod.zero
-    apex, incl = subobject(dom, [i for i, j in enumerate(fmap) if j == z])
+    sub = subobject_limit(dom, [i for i, j in enumerate(fmap) if j == z])
 
     def recipe(cone):
         u = cone["ker"]
@@ -884,8 +886,8 @@ def kernel(f: BaseMorphism) -> LimitResult:
             raise NoMediatorError("cone composed with the map is not zero")
         return zip(u.map), u.dom
 
-    f._kernel = LimitResult(apex, {"ker": incl}, recipe,
-                            {(i,): k for k, i in enumerate(incl.map)})
+    f._kernel = LimitResult(sub.apex, {"ker": sub.legs["incl"]}, recipe,
+                            sub.lookup)
     return f._kernel
 
 

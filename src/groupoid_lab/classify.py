@@ -253,13 +253,22 @@ def is_essentially_surjective(fun: InternalFunctor) -> bool:
     return _essential_flags(fun).regular_epi
 
 
+def classify_equivalence(fun: InternalFunctor) -> dict:
+    """Full faithfulness and the essential flags, each decided once, and the
+    (weak) equivalence flags read off them; an equivalence needs the
+    reachable-objects map to split, not merely be surjective."""
+    ff, ess = is_fully_faithful(fun), _essential_flags(fun)
+    return {"fully_faithful": ff, "essentially_surjective": ess.regular_epi,
+            "weak_equivalence": ff and ess.regular_epi,
+            "equivalence": ff and ess.split_epi}
+
+
 def is_weak_equivalence(fun: InternalFunctor) -> bool:
-    return is_fully_faithful(fun) and is_essentially_surjective(fun)
+    return classify_equivalence(fun)["weak_equivalence"]
 
 
 def is_equivalence(fun: InternalFunctor) -> bool:
-    # the reachable-objects map must split, not merely be surjective
-    return is_fully_faithful(fun) and _essential_flags(fun).split_epi
+    return classify_equivalence(fun)["equivalence"]
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +302,10 @@ class FunctorClassification:
 def classification_report(fun: InternalFunctor) -> FunctorClassification:
     label = classify_fibration(fun)
     zero = partial_zero(fun)
-    ff = is_fully_faithful(fun)
-    ess = _essential_flags(fun)
     flags = {
         "faithful": zero.faithful,
         "full": zero.full,
-        "fully_faithful": ff,
-        "essentially_surjective": ess.regular_epi,
-        "weak_equivalence": ff and ess.regular_epi,
-        "equivalence": ff and ess.split_epi,
+        **classify_equivalence(fun),
         "fibration": fibration_at_least(label, "fibration"),
         "split_epi_fibration": fibration_at_least(label, "split_epi_fibration"),
         "discrete_fibration": label == "discrete_fibration",

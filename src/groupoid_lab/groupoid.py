@@ -17,9 +17,9 @@ from operator import getitem
 
 from .base import (FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject,
                    CapabilityError, DiagramError, LimitResult, compose,
-                   direct_sum, finptdset_object, finset_object, identity,
+                   finptdset_object, finset_object, identity,
                    morphism_from_function, product, pullback,
-                   pullback_offsets, reflexive_coequalizer, subobject,
+                   pullback_offsets, reflexive_coequalizer, subobject_limit,
                    zero_morphism, zero_object, zmod)
 
 
@@ -28,9 +28,10 @@ class InternalGroupoid:
 
     ``m.dom`` must be the canonical pullback carrier of composable pairs;
     helpers (``mul``, ``unit``, ``inv``) evaluate the structure maps on
-    elements.  A groupoid built by this module keeps its composition on
-    arrow indices and fills the table of ``m`` (trusted) on first read; one
-    built from outside data is given its table.
+    elements.  A groupoid built by the library (``_assemble``) has structure
+    maps built from indices, keeps its composition on arrow indices and
+    fills the table of ``m`` (trusted) on first read; one built from outside
+    data is given its table.
 
     >>> g = discrete_groupoid(finset_object(["p", "q"]))
     >>> g.unit("p")
@@ -241,15 +242,12 @@ def validate_functor(fun: InternalFunctor) -> list[str]:
     if compose(a.e, fun.F1) != compose(fun.F0, b.e):
         bad.append("functor-identity")
     if "functor-source" not in bad and "functor-target" not in bad:
-        pair_index = {x: k
-                      for k, x in enumerate(b.composition_pairs().apex.carrier)}
-        f1 = fun.F1
-        for (x, y) in a.composition_pairs().apex.carrier:
-            lhs = f1(a.mul(x, y))
-            rhs = b.m.cod.carrier[b.m.map[pair_index[(f1(x), f1(y))]]]
-            if lhs != rhs:
-                bad.append("functor-composition")
-                break
+        # F1 then sends composable pairs to composable pairs
+        amul, bmul, f1 = _index_mul(a), _index_mul(b), fun.F1.map
+        legs = a.composition_pairs().legs
+        if any(f1[amul(x, y)] != bmul(f1[x], f1[y])
+               for x, y in zip(legs["p1"].map, legs["p2"].map)):
+            bad.append("functor-composition")
     return bad
 
 
@@ -306,11 +304,11 @@ def validate_transformation(cell: NatTransformation) -> list[str]:
 
 
 def make_groupoid(B0, B1, d, c, e, i, compose_fn) -> InternalGroupoid:
-    """Assemble a groupoid from an element-level pair function.
+    """Assemble a groupoid from a caller's element-level pair function.
 
-    compose_fn is called only on composable pairs, when ``mul`` or ``m``
-    needs them; m is filled trusted on first read, so compose_fn must
-    preserve the instance structure.
+    The library builds its own groupoids from indices.  compose_fn is called
+    only on composable pairs, when ``mul`` or ``m`` needs them; m is filled
+    trusted on first read, so ``validate_groupoid`` is the axiom check.
     """
     arrows = B1.carrier
     return _assemble(B0, B1, d, c, e, i, lambda x, y: B1.index_of(
@@ -318,10 +316,15 @@ def make_groupoid(B0, B1, d, c, e, i, compose_fn) -> InternalGroupoid:
 
 
 def _assemble(B0, B1, d, c, e, i, mul) -> InternalGroupoid:
-    """Assemble a groupoid whose composition sends composable arrow indices
-    x, y to the index mul(x, y); m is filled from it (trusted) on first
-    read."""
-    g = InternalGroupoid(B0, B1, d, c, e, None, i)
+    """Assemble a groupoid whose structure maps are morphisms or index
+    tables (wrapped trusted) and whose composition sends composable arrow
+    indices x, y to the index mul(x, y); m is filled from it (trusted) on
+    first read."""
+    def typed(f, dom, cod):
+        return (f if isinstance(f, BaseMorphism)
+                else BaseMorphism(dom, cod, f, _trusted=True))
+    g = InternalGroupoid(B0, B1, typed(d, B1, B0), typed(c, B1, B0),
+                         typed(e, B0, B1), None, typed(i, B1, B1))
     g._mul = mul
     return g
 
@@ -349,17 +352,15 @@ def levelwise_groupoid(lim0: LimitResult, lim1: LimitResult, parts):
     objs, arrs = list(obj_index), list(arr_index)
     b0, b1 = lim0.apex, lim1.apex
 
-    def mediator(rows, index, dom, cod, structure_map):
+    def mediator(rows, index, structure_map):
         maps = [getattr(p, structure_map).map for p in parts]
-        return BaseMorphism(dom, cod, [index[tuple(map(getitem, maps, row))]
-                                       for row in rows], _trusted=True)
+        return [index[tuple(map(getitem, maps, row))] for row in rows]
 
     muls = [_index_mul(p) for p in parts]
     grp = _assemble(
-        b0, b1, mediator(arrs, obj_index, b1, b0, "d"),
-        mediator(arrs, obj_index, b1, b0, "c"),
-        mediator(objs, arr_index, b0, b1, "e"),
-        mediator(arrs, arr_index, b1, b1, "i"), lambda x, y: arr_index[
+        b0, b1, mediator(arrs, obj_index, "d"), mediator(arrs, obj_index, "c"),
+        mediator(objs, arr_index, "e"), mediator(arrs, arr_index, "i"),
+        lambda x, y: arr_index[
             tuple(mul(u, v) for mul, u, v in zip(muls, arrs[x], arrs[y]))])
     return grp, [InternalFunctor(grp, p, l0, l1)
                  for p, l0, l1 in zip(parts, legs0, legs1)]
@@ -427,16 +428,17 @@ def identity_cell(fun: InternalFunctor) -> NatTransformation:
 def discrete_groupoid(x: BaseObject) -> InternalGroupoid:
     """Only identity arrows: B1 = B0 with every structure map trivial."""
     idm = identity(x)
-    return make_groupoid(x, x, idm, idm, idm, idm, lambda a, b: a)
+    return _assemble(x, x, idm, idm, idm, idm, lambda a, b: a)
 
 
 def indiscrete_groupoid(x: BaseObject) -> InternalGroupoid:
     """Exactly one arrow between any two objects: B1 = B0 x B0."""
     pairs = product(x, x)
-    b1, d, c = pairs.apex, pairs.legs["p1"], pairs.legs["p2"]
-    e = morphism_from_function(x, b1, lambda o: (o, o), _trusted=True)
-    i = morphism_from_function(b1, b1, lambda p: (p[1], p[0]), _trusted=True)
-    return make_groupoid(x, b1, d, c, e, i, lambda p, q: (p[0], q[1]))
+    d, c, look = pairs.legs["p1"], pairs.legs["p2"], pairs.lookup
+    return _assemble(x, pairs.apex, d, c,
+                     pairs.mediate({"p1": identity(x), "p2": identity(x)}),
+                     pairs.mediate({"p1": c, "p2": d}),
+                     lambda p, q: look[d.map[p], c.map[q]])
 
 
 def cyclic_delooping(instance, k: int) -> InternalGroupoid:
@@ -444,15 +446,11 @@ def cyclic_delooping(instance, k: int) -> InternalGroupoid:
     if instance is FINAB:
         return delooping(zmod(k))
     if instance is FINSET:
-        b0 = finset_object(["*"])
-        b1 = finset_object(range(k))
+        b0, b1 = finset_object(["*"]), finset_object(range(k))
     else:
-        b0 = finptdset_object(["*"])
-        b1 = finptdset_object(range(k), 0)
-    d = morphism_from_function(b1, b0, lambda _: "*", _trusted=True)
-    e = morphism_from_function(b0, b1, lambda _: 0, _trusted=True)
-    i = morphism_from_function(b1, b1, lambda j: (-j) % k, _trusted=True)
-    return make_groupoid(b0, b1, d, d, e, i, lambda a, b: (a + b) % k)
+        b0, b1 = finptdset_object(["*"]), finptdset_object(range(k), 0)
+    return _assemble(b0, b1, [0] * k, [0] * k, [0],
+                     [(-j) % k for j in range(k)], lambda a, b: (a + b) % k)
 
 
 def delooping(group: BaseObject) -> InternalGroupoid:
@@ -461,9 +459,8 @@ def delooping(group: BaseObject) -> InternalGroupoid:
         raise CapabilityError("delooping of a group object needs finab")
     b0 = zmod(1)
     d = zero_morphism(group, b0)
-    e = zero_morphism(b0, group)
-    i = morphism_from_function(group, group, group.neg_element, _trusted=True)
-    return make_groupoid(b0, group, d, d, e, i, group.add_elements)
+    return _assemble(b0, group, d, d, zero_morphism(b0, group), group.neg,
+                     lambda x, y: group.add[x][y])
 
 
 def groupoid_from_arrow(delta: BaseMorphism) -> InternalGroupoid:
@@ -476,16 +473,14 @@ def groupoid_from_arrow(delta: BaseMorphism) -> InternalGroupoid:
     if delta.dom.instance is not FINAB:
         raise CapabilityError("groupoid_from_arrow needs finab")
     a0, n = delta.cod, delta.dom
-    b1 = direct_sum(a0, n)
-    d = morphism_from_function(b1, a0, lambda t: t[0], _trusted=True)
-    c = morphism_from_function(b1, a0, lambda t: a0.add_elements(t[0], delta(t[1])),
-                               _trusted=True)
-    e = morphism_from_function(a0, b1, lambda a: (a, n.zero_element()), _trusted=True)
-    i = morphism_from_function(
-        b1, b1, lambda t: (a0.add_elements(t[0], delta(t[1])), n.neg_element(t[1])),
-        _trusted=True)
-    return make_groupoid(a0, b1, d, c, e, i,
-                         lambda p, q: (p[0], n.add_elements(p[1], q[1])))
+    lim = product(a0, n)  # the direct sum
+    look, arrows = lim.lookup, list(lim.lookup)
+    c = [a0.add[a][delta.map[k]] for a, k in arrows]
+    return _assemble(
+        a0, lim.apex, lim.legs["p1"], c,
+        lim.mediate({"p1": identity(a0), "p2": zero_morphism(a0, n)}),
+        [look[t, n.neg[k]] for t, (_, k) in zip(c, arrows)],
+        lambda p, q: look[arrows[p][0], n.add[arrows[p][1]][arrows[q][1]]])
 
 
 def action_groupoid(perm: BaseMorphism) -> InternalGroupoid:
@@ -506,19 +501,13 @@ def action_groupoid(perm: BaseMorphism) -> InternalGroupoid:
     orbit = [list(range(x.size))]
     for _ in range(k - 1):
         orbit.append([perm.map[j] for j in orbit[-1]])
-
-    def act(xe, j):
-        return x.carrier[orbit[j][x.index_of(xe)]]
-
-    b1 = product(x, finset_object(range(k))).apex
-    d = morphism_from_function(b1, x, lambda t: t[0], _trusted=True)
-    c = morphism_from_function(b1, x, lambda t: act(t[0], t[1]), _trusted=True)
-    e = morphism_from_function(x, b1, lambda o: (o, 0), _trusted=True)
-    i = morphism_from_function(b1, b1,
-                               lambda t: (act(t[0], t[1]), (k - t[1]) % k),
-                               _trusted=True)
-    return make_groupoid(x, b1, d, c, e, i,
-                         lambda p, q: (p[0], (p[1] + q[1]) % k))
+    lim = product(x, finset_object(range(k)))
+    look, arrows = lim.lookup, list(lim.lookup)
+    c = [orbit[j][o] for o, j in arrows]
+    return _assemble(
+        x, lim.apex, lim.legs["p1"], c, [look[o, 0] for o in range(x.size)],
+        [look[t, (k - j) % k] for t, (_, j) in zip(c, arrows)],
+        lambda p, q: look[arrows[p][0], (arrows[p][1] + arrows[q][1]) % k])
 
 
 def product_groupoid(g: InternalGroupoid, h: InternalGroupoid):
@@ -534,16 +523,12 @@ def full_subgroupoid(g: InternalGroupoid, object_indices):
     In FINAB the subset must be a subgroup; in FINPTDSET it must contain the
     basepoint.
     """
-    b0, in0 = subobject(g.B0, object_indices)
-    keep = set(in0.map)
-    b1, in1 = subobject(g.B1, [k for k in range(g.B1.size)
-                               if g.d.map[k] in keep and g.c.map[k] in keep])
-    d = morphism_from_function(b1, b0, g.d, _trusted=True)
-    c = morphism_from_function(b1, b0, g.c, _trusted=True)
-    e = morphism_from_function(b0, b1, g.e, _trusted=True)
-    i = morphism_from_function(b1, b1, g.i, _trusted=True)
-    sub = make_groupoid(b0, b1, d, c, e, i, g.mul)
-    return sub, InternalFunctor(sub, g, in0, in1)
+    lim0 = subobject_limit(g.B0, object_indices)
+    keep = set(lim0.legs["incl"].map)
+    lim1 = subobject_limit(g.B1, [k for k in range(g.B1.size)
+                                  if g.d.map[k] in keep and g.c.map[k] in keep])
+    sub, (incl,) = levelwise_groupoid(lim0, lim1, [g])
+    return sub, incl
 
 
 def zero_groupoid(instance) -> InternalGroupoid:
@@ -571,14 +556,19 @@ def pi0(g: InternalGroupoid):
     return proj.cod, proj
 
 
-def pi1(g: InternalGroupoid):
-    """Loops at the zero object, with their inclusion into B1 (pointed)."""
+def _loops(g: InternalGroupoid) -> LimitResult:
     inst = g.instance
     if not inst.pointed:
         raise CapabilityError("pi1 needs a pointed instance")
     z = g.B0.basepoint if inst is FINPTDSET else g.B0.zero
-    return subobject(g.B1, [k for k in range(g.B1.size)
-                            if g.d.map[k] == z and g.c.map[k] == z])
+    return subobject_limit(g.B1, [k for k in range(g.B1.size)
+                                  if g.d.map[k] == z and g.c.map[k] == z])
+
+
+def pi1(g: InternalGroupoid):
+    """Loops at the zero object, with their inclusion into B1 (pointed)."""
+    loops = _loops(g)
+    return loops.apex, loops.legs["incl"]
 
 
 def pi0_induced(fun: InternalFunctor) -> BaseMorphism:
@@ -590,6 +580,5 @@ def pi0_induced(fun: InternalFunctor) -> BaseMorphism:
 
 def pi1_induced(fun: InternalFunctor) -> BaseMorphism:
     """The restriction of F1 to loops at zero."""
-    la, _ = pi1(fun.dom)
-    lb, _ = pi1(fun.cod)
-    return morphism_from_function(la, lb, lambda x: fun.F1(x), _trusted=True)
+    return _loops(fun.cod).mediate(
+        {"incl": compose(_loops(fun.dom).legs["incl"], fun.F1)})

@@ -70,10 +70,10 @@ from .base import (
     zmod,
 )
 from .classify import (
+    classify_equivalence,
     classify_fibration,
     classify_star_fibration,
     fibration_at_least,
-    is_equivalence,
     is_essentially_surjective,
     is_fully_faithful,
     is_weak_equivalence,
@@ -1077,12 +1077,12 @@ def _check_prop_fibration_t(instance, case):
     if label is None:
         return
     tdata = comparison_T_data(fun)
-    t = tdata.functor
-    if fibration_at_least(label, "fibration") != is_weak_equivalence(t):
+    t = classify_equivalence(tdata.functor)
+    if fibration_at_least(label, "fibration") != t["weak_equivalence"]:
         case.fail("fibration flag disagrees with weak equivalence of the "
                   "strict comparison", functor=fun, label=label)
     if (fibration_at_least(label, "split_epi_fibration")
-            != is_equivalence(t)):
+            != t["equivalence"]):
         case.fail("split fibration flag disagrees with equivalence of the "
                   "strict comparison", functor=fun, label=label)
     if case.k % 4 == 0:
@@ -1099,12 +1099,12 @@ def _check_prop_star_fibration_j(instance, case):
     if _floor_holds(case, fun, floor) is None:
         return
     star = classify_star_fibration(fun)
-    j = comparison_J_data(fun).functor
-    if star_at_least(star, "star_fibration") != is_weak_equivalence(j):
+    j = classify_equivalence(comparison_J_data(fun).functor)
+    if star_at_least(star, "star_fibration") != j["weak_equivalence"]:
         case.fail("star flag disagrees with weak equivalence of the kernel "
                   "comparison", functor=fun, star=star)
     if (star_at_least(star, "split_epi_star_fibration")
-            != is_equivalence(j)):
+            != j["equivalence"]):
         case.fail("split star flag disagrees with equivalence of the kernel "
                   "comparison", functor=fun, star=star)
 
@@ -1153,12 +1153,12 @@ def _check_cor_weak_equivalence_j(instance, case):
     if label is None:
         return
     jdata = comparison_J_data(fun)
-    j = jdata.functor
-    if not is_weak_equivalence(j):
+    j = classify_equivalence(jdata.functor)
+    if not j["weak_equivalence"]:
         case.fail("fibration whose kernel comparison is not a weak "
                   "equivalence", functor=fun, label=label)
     if (fibration_at_least(label, "split_epi_fibration")
-            and not is_equivalence(j)):
+            and not j["equivalence"]):
         case.fail("split fibration whose kernel comparison is not an "
                   "equivalence", functor=fun, label=label)
     if case.k % 3 == 0:
@@ -1258,15 +1258,16 @@ def _check_pullback_transfer(instance, case):
                   functor=disc)
         return
     weq = _weak_equivalence_into(base, rng)
-    if not is_weak_equivalence(weq):
+    weq_flags = classify_equivalence(weq)
+    if not weq_flags["weak_equivalence"]:
         case.fail("generator produced a non-weak-equivalence leg",
                   functor=weq)
         return
-    pulled = pullback_groupoid(weq, disc).to_second
-    if not is_weak_equivalence(pulled):
+    pulled = classify_equivalence(pullback_groupoid(weq, disc).to_second)
+    if not pulled["weak_equivalence"]:
         case.fail("weak equivalence fails to transfer across the pullback",
                   functor=weq, along=disc)
-    if is_equivalence(weq) and not is_equivalence(pulled):
+    if weq_flags["equivalence"] and not pulled["equivalence"]:
         case.fail("equivalence fails to transfer across the pullback",
                   functor=weq, along=disc)
 

@@ -17,10 +17,11 @@ composition from the legs:
 
 ``arrow_groupoid`` is the groupoid of commutative squares of B: the
 pullback of the composition map against itself, with its two evaluation
-functors and the tautological 2-cell between them.  ``comparison_T`` runs
-out of the strict pullback along the object inclusion into the strong
-h-pullback, ``comparison_J`` out of the level-wise kernel into the strong
-h-kernel.
+functors and the tautological 2-cell between them.  Its structure maps
+are composites of the legs of ``pullback(m, m)`` and of the composable
+pairs, or mediators into them.  ``comparison_T`` runs out of the strict
+pullback along the object inclusion into the strong h-pullback,
+``comparison_J`` out of the level-wise kernel into the strong h-kernel.
 
 Squares are encoded as pairs of composable pairs: a square with sides
 ``left: x -> y``, ``right: x' -> y'``, ``top: x -> x'``, ``bottom: y -> y'``
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import (
+    BaseMorphism,
     CapabilityError,
     CompositionError,
     Diagram,
@@ -45,7 +47,6 @@ from .base import (
     finite_limit,
     identity,
     kernel,
-    morphism_from_function,
     pullback,
     zero_morphism,
 )
@@ -58,7 +59,6 @@ from .groupoid import (
     compose_functors,
     discrete_embedding,
     levelwise_groupoid,
-    make_groupoid,
     validate_transformation,
     zero_functor,
     zero_groupoid,
@@ -154,31 +154,35 @@ class ArrowGroupoid:
     pairs: LimitResult
 
 
+def _square_map(sq, pairs, left, bottom, top, right) -> BaseMorphism:
+    """The mediator into the squares ``sq`` over ``pairs`` with these sides."""
+    return sq.mediate({"p1": pairs.mediate({"p1": left, "p2": bottom}),
+                       "p2": pairs.mediate({"p1": top, "p2": right})})
+
+
 def arrow_groupoid(b: InternalGroupoid) -> ArrowGroupoid:
-    """Build the square groupoid of ``b`` with its evaluation structure."""
-    sq = pullback(b.m, b.m)
-    squares = sq.apex
-    d = morphism_from_function(squares, b.B1, lambda s: s[0][0], _trusted=True)
-    c = morphism_from_function(squares, b.B1, lambda s: s[1][1], _trusted=True)
-    e = morphism_from_function(
-        b.B1, squares,
-        lambda x: ((x, b.unit(b.c(x))), (b.unit(b.d(x)), x)), _trusted=True)
-    i = morphism_from_function(
-        squares, squares,
-        lambda s: ((s[1][1], b.inv(s[0][1])), (b.inv(s[1][0]), s[0][0])), _trusted=True)
+    """Build the square groupoid of ``b`` with its evaluation structure.
 
-    def paste(s, t):
-        # glue along the shared vertical side, composing tops and bottoms
-        return ((s[0][0], b.mul(s[0][1], t[0][1])),
-                (b.mul(s[1][0], t[1][0]), t[1][1]))
-
-    grp = make_groupoid(b.B1, squares, d, c, e, i, paste)
-    eval_dom = InternalFunctor(
-        grp, b, b.d, morphism_from_function(squares, b.B1, lambda s: s[1][0],
-                                            _trusted=True))
-    eval_cod = InternalFunctor(
-        grp, b, b.c, morphism_from_function(squares, b.B1, lambda s: s[0][1],
-                                            _trusted=True))
+    m is read onto b's own composable pairs: a groupoid given its table has
+    an equal but separate ``m.dom``, which each mediation would compare."""
+    pairs = b.composition_pairs()
+    first, second = pairs.legs["p1"], pairs.legs["p2"]
+    m = BaseMorphism(pairs.apex, b.B1, b.m.map, _trusted=True)
+    sq = pullback(m, m)
+    # a square is ((left, bottom), (top, right)): outer then inner pair
+    outer, inner = sq.legs["p1"], sq.legs["p2"]
+    d, c = compose(outer, first), compose(inner, second)
+    top, bottom = compose(inner, first), compose(outer, second)
+    e = _square_map(sq, pairs, identity(b.B1), compose(b.c, b.e),
+                    compose(b.d, b.e), identity(b.B1))
+    i = _square_map(sq, pairs, c, compose(bottom, b.i), compose(top, b.i), d)
+    # paste along the shared vertical side, composing tops and bottoms
+    mul, look, pair = _index_mul(b), sq.lookup, pairs.lookup
+    dm, cm, tm, bm = d.map, c.map, top.map, bottom.map
+    grp = _assemble(b.B1, sq.apex, d, c, e, i, lambda x, y: look[
+        pair[dm[x], mul(bm[x], bm[y])], pair[mul(tm[x], tm[y]), cm[y]]])
+    eval_dom = InternalFunctor(grp, b, b.d, top)
+    eval_cod = InternalFunctor(grp, b, b.c, bottom)
     cell = NatTransformation(eval_dom, eval_cod, identity(b.B1))
     return ArrowGroupoid(grp, eval_dom, eval_cod, cell, sq)
 
@@ -193,15 +197,16 @@ def mediate_squares(data: ArrowGroupoid, mu: NatTransformation) -> InternalFunct
     recovers mu.
     """
     k, h = mu.source, mu.target
-    if k.cod != data.eval_dom.cod:
+    b = data.eval_dom.cod
+    if k.cod != b:
         raise CompositionError("cell does not land in the square base")
     x = k.dom
-
-    def build(arrow):
-        return ((mu.alpha(x.d(arrow)), h.F1(arrow)),
-                (k.F1(arrow), mu.alpha(x.c(arrow))))
-
-    f1 = morphism_from_function(x.B1, data.groupoid.B1, build, _trusted=True)
+    try:
+        f1 = _square_map(data.pairs, b.composition_pairs(),
+                         compose(x.d, mu.alpha), h.F1, k.F1,
+                         compose(x.c, mu.alpha))
+    except (CompositionError, NoMediatorError) as exc:
+        raise DiagramError("cell components do not form squares") from exc
     return InternalFunctor(x, data.groupoid, mu.alpha, f1)
 
 
@@ -215,9 +220,8 @@ def twist_iso(b: InternalGroupoid, data: ArrowGroupoid | None = None) -> Interna
     """
     if data is None:
         data = arrow_groupoid(b)
-    sqg = data.groupoid
-    swap = morphism_from_function(sqg.B1, sqg.B1, lambda s: (s[1], s[0]),
-                                  _trusted=True)
+    sqg, sq = data.groupoid, data.pairs
+    swap = sq.mediate({"p1": sq.legs["p2"], "p2": sq.legs["p1"]})
     # the square groupoid conjugated by the swap, which is an involution
     sw, mul = swap.map, _index_mul(sqg)
     transposed = _assemble(b.B1, sqg.B1, compose(swap, sqg.d),
@@ -339,19 +343,14 @@ def mediate_h_pullback_cell(hp: HPullback, left: InternalFunctor,
     assembled from the two given components and the pasting square.
     """
     f, g = hp.f, hp.g
-    phi0 = hp.cell.alpha
-    x = left.dom
-
-    def build(obj):
-        ax = g_cell.alpha(obj)
-        bx = f_cell.alpha(obj)
-        square = ((phi0(left.F0(obj)), f.F1(bx)),
-                  (g.F1(ax), phi0(right.F0(obj))))
-        return (ax, square, bx, g.F1(ax), f.F1(bx))
-
+    phi0, ax, bx = hp.cell.alpha, g_cell.alpha, f_cell.alpha
     try:
-        amap = morphism_from_function(x.B0, hp.groupoid.B1, build, _trusted=True)
-    except DiagramError as exc:
+        square = _square_map(hp.squares.pairs, f.cod.composition_pairs(),
+                             compose(left.F0, phi0), compose(bx, f.F1),
+                             compose(ax, g.F1), compose(right.F0, phi0))
+        amap = hp.arrow_limit.mediate({"g_arr": ax, "squares": square,
+                                       "f_arr": bx})
+    except (CompositionError, NoMediatorError) as exc:
         raise NoMediatorError("cells do not paste with the structural cell") from exc
     cell = NatTransformation(left, right, amap)
     bad = validate_transformation(cell)

@@ -78,6 +78,18 @@ class TestObjects:
         with pytest.raises(DiagramError):
             BaseMorphism(zmod(4), zmod(4), [0, 1, 3, 2])
 
+    def test_caller_functions_are_always_validated(self):
+        # n -> n^2 keeps zero but sends 1 + 1 = 2 to 0, not to 1 + 1
+        with pytest.raises(DiagramError, match="not additive"):
+            morphism_from_function(zmod(4), zmod(4), lambda n: n * n % 4)
+        pointed = finptdset_object(["*", "a"])
+        with pytest.raises(DiagramError, match="basepoint"):
+            morphism_from_function(pointed, pointed, lambda v: "a")
+        with pytest.raises(TypeError):
+            morphism_from_function(zmod(2), zmod(2), lambda n: n, _trusted=True)
+        with pytest.raises(TypeError):
+            finab_object(range(2), zmod(2).add, zmod(2).neg, 0, _trusted=True)
+
 
 class TestCompose:
     def test_diagram_order_on_all_elements(self):

@@ -25,6 +25,7 @@ from groupoid_lab.base import (
     classify_morphism,
     compose,
     count_factorizations,
+    direct_sum,
     finptdset_object,
     finset_object,
     identity,
@@ -39,6 +40,7 @@ from groupoid_lab.groupoid import (
     delooping,
     discrete_embedding,
     discrete_groupoid,
+    full_subgroupoid,
     functor,
     groupoid_from_arrow,
     identity_cell,
@@ -52,9 +54,11 @@ from groupoid_lab.groupoid import (
     zero_functor,
     zero_groupoid,
 )
+from groupoid_lab import base
 from groupoid_lab import groupoid as groupoid_module
 from groupoid_lab import holim
 from groupoid_lab.classify import classification_report
+from groupoid_lab.harness import gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J,
@@ -74,6 +78,7 @@ from groupoid_lab.holim import (
     strong_h_pullback,
     twist_iso,
 )
+from groupoid_lab.serialize import from_json, to_json
 
 
 def embed_delta():
@@ -113,6 +118,49 @@ class TestArrowGroupoid:
             assert data.groupoid.c(s) == s[1][1]
             assert data.eval_dom.F1(s) == s[1][0]
             assert data.eval_cod.F1(s) == s[0][1]
+
+
+class TestBuiltFromIndices:
+    """Derived structure maps are limit legs, their composites, mediators
+    or index tables: building them reads no element carrier."""
+
+    @pytest.mark.parametrize("instance, seed",
+                             [(FINAB, 2), (FINPTDSET, 1), (FINSET, 4)])
+    def test_a_decoded_base_gives_the_same_squares(self, instance, seed):
+        b = gen_functor(instance, seed).cod
+        decoded = from_json(to_json(b))
+        assert decoded.m.dom is not decoded.composition_pairs().apex
+
+        def tables(data):
+            g = data.groupoid
+            return [g.d.map, g.c.map, g.e.map, g.i.map, data.eval_dom.F1.map,
+                    data.eval_cod.F1.map, g.m.map]
+
+        squares = arrow_groupoid(decoded)
+        # the squares are taken over the pairs the groupoid builds itself
+        assert squares.pairs.legs["p1"].cod is decoded.composition_pairs().apex
+        assert tables(squares) == tables(arrow_groupoid(b))
+
+    def test_building_reads_no_element_carrier(self, monkeypatch):
+        x = finset_object(["p", "q", "r"])
+        group = direct_sum(zmod(2), zmod(4))
+        base_groupoid = gen_functor(FINAB, 2).cod
+        pairs = indiscrete_groupoid(x)
+        perm = morphism_from_function(x, x, {"p": "q", "q": "p", "r": "r"}.get)
+        builds = []
+        elements = base._tuple_elements
+        monkeypatch.setattr(base, "_tuple_elements", lambda *args: (
+            builds.append(args), elements(*args))[1])
+        built = [discrete_groupoid(group), indiscrete_groupoid(x),
+                 cyclic_delooping(FINSET, 3), cyclic_delooping(FINPTDSET, 3),
+                 delooping(group), groupoid_from_arrow(embed_delta()),
+                 action_groupoid(perm), full_subgroupoid(pairs, [0, 2])[0],
+                 arrow_groupoid(base_groupoid).groupoid,
+                 arrow_groupoid(pairs).groupoid]
+        assert builds == []
+        for g in built:
+            assert validate_groupoid(g) == []
+        assert builds
 
 
 class TestTwist:
@@ -466,16 +514,16 @@ class TestComposition:
 class TestCompositionOnDemand:
     def test_report_does_not_fill_square_tables(self, monkeypatch):
         calls = []
-        make = groupoid_module.make_groupoid
+        assemble = groupoid_module._assemble
 
-        def counting(b0, b1, d, c, e, i, compose_fn):
+        def counting(b0, b1, d, c, e, i, mul):
             def counted(x, y):
                 calls.append(None)
-                return compose_fn(x, y)
-            return make(b0, b1, d, c, e, i, counted)
+                return mul(x, y)
+            return assemble(b0, b1, d, c, e, i, counted)
 
-        monkeypatch.setattr(groupoid_module, "make_groupoid", counting)
-        monkeypatch.setattr(holim, "make_groupoid", counting)
+        monkeypatch.setattr(groupoid_module, "_assemble", counting)
+        monkeypatch.setattr(holim, "_assemble", counting)
         small = delooping(zmod(2))
         assert len(small.m.map) == 4 and len(calls) == 4
         b = delooping(zmod(8))

@@ -230,9 +230,9 @@ def test_the_sweep_builds_each_kernel_once(monkeypatch):
 
     for module in (base, arrow):
         monkeypatch.setattr(module, "kernel", keeping)
-    subobject_ = base.subobject
-    monkeypatch.setattr(base, "subobject", lambda *args: (
-        built.append(args), subobject_(*args))[1])
+    subobject_limit = base.subobject_limit
+    monkeypatch.setattr(base, "subobject_limit", lambda *args: (
+        built.append(args), subobject_limit(*args))[1])
     report = run_suite("protomodularity-char", FINAB, 25000, 0)
     assert (report.cases, report.failures) == (20796, [])
     assert 0 < len(built) <= len(taken)
