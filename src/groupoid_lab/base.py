@@ -6,19 +6,19 @@ limits computed by enumeration:
 * ``FINSET`` -- finite sets.
 * ``FINPTDSET`` -- finite pointed sets (zero object: the one-point set).
 * ``FINAB`` -- finite abelian groups given by addition tables (zero
-  object: the trivial group).  FINAB is the protomodular instance.  Input
-  groups carry explicit tables; every limit apex carries a table whose
-  entries are computed from its parts when first read.
+  object: the trivial group).  FINAB is the protomodular instance.  Every
+  addition table is a sequence of row tuples: input groups carry theirs,
+  and a limit apex builds each row from its parts when first read.
 
 Everything is index-level: a carrier is an ordered tuple of hashable
 elements, and a morphism stores, for each domain index, the codomain index
 of its image.  A limit apex is a set of index tuples over its parts; a cone
 is mediated by looking up the tuples its legs pick out, and the apex's
-element carrier and FINAB ``neg`` are built when first read.  Morphisms are
-immutable, so a morphism keeps its kernel once built.  All limit carriers
-are canonically ordered (lexicographically by constituent indices), so "the
-same object built two ways" can be compared by relabelling followed by
-equality.
+element carrier, FINAB ``neg`` and addition rows are built when first read.
+Morphisms are immutable, so a morphism keeps its kernel once built.  All
+limit carriers are canonically ordered (lexicographically by constituent
+indices), so "the same object built two ways" can be compared by
+relabelling followed by equality.
 
 Validation policy: values from outside the library are validated exactly,
 at every size: the JSON decoder and the public constructors (finset_object,
@@ -35,6 +35,7 @@ private ``_trusted=True`` that only BaseObject and BaseMorphism take.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -112,7 +113,7 @@ class BaseObject:
     """
 
     __slots__ = ("instance", "carrier", "basepoint", "add", "neg", "zero",
-                 "_index", "_gens")
+                 "_index", "_gens", "__weakref__")
 
     def __init__(self, instance, carrier, basepoint=None, add=None, neg=None,
                  zero=None, _trusted=False):
@@ -251,9 +252,10 @@ def _coset_walk(obj: BaseObject, candidates) -> tuple[set[int], list[int]]:
         if i in span:
             continue
         grew.append(i)
+        row = obj.add[i]
         layer = list(span)
         while True:
-            layer = [obj.add[x][i] for x in layer]
+            layer = [row[x] for x in layer]
             fresh = [x for x in layer if x not in span]
             if not fresh:
                 break
@@ -304,11 +306,9 @@ class BaseMorphism:
                 raise DiagramError("map does not preserve zero")
             # Additivity on (everything) x (generators) implies additivity.
             for g in dom.generating_sequence():
-                fg = f[g]
-                dadd_g = [row[g] for row in dom.add]
-                for x in range(dom.size):
-                    if f[dadd_g[x]] != cod.add[f[x]][fg]:
-                        raise DiagramError("map is not additive")
+                dom_g, cod_g = dom.add[g], cod.add[f[g]]
+                if any(f[dom_g[x]] != cod_g[f[x]] for x in range(dom.size)):
+                    raise DiagramError("map is not additive")
 
     def __call__(self, element):
         return self.cod.carrier[self.map[self.dom.index_of(element)]]
@@ -431,8 +431,9 @@ def quotient_by_subgroup(obj: BaseObject, indices):
         if rep[i] >= 0:
             continue
         reps.append(i)
+        row = obj.add[i]
         for s in sub:
-            rep[obj.add[i][s]] = i
+            rep[row[s]] = i
     pos = {r: k for k, r in enumerate(reps)}
     q_obj = BaseObject(
         FINAB, [obj.carrier[r] for r in reps],
@@ -492,18 +493,22 @@ class _OnRead:
     length is known at once, so ``size`` builds nothing.  Any other use
     builds the tuple and writes it back into the slot, so the owner's later
     reads are plain tuple reads.  Tuple methods (``index``, ...) delegate.
+    The owner is held by a weak reference, so an apex whose slots were never
+    read is freed by reference counting.
     """
 
     __slots__ = ("_owner", "_slot", "_size", "_build", "_value")
 
     def __init__(self, owner, slot, size, build):
-        self._owner, self._slot, self._size = owner, slot, size
-        self._build, self._value = build, None
+        self._owner, self._slot = weakref.ref(owner), slot
+        self._size, self._build, self._value = size, build, None
 
     def _get(self):
         if self._value is None:
             self._value = tuple(self._build())
-            setattr(self._owner, self._slot, self._value)
+            owner = self._owner()
+            if owner is not None:
+                setattr(owner, self._slot, self._value)
             self._owner = self._build = None
         return self._value
 
@@ -529,65 +534,35 @@ class _OnRead:
         return getattr(self._get(), name)
 
 
-class _TupleAddRow:
-    """One row of a lazy addition table (indexable and iterable)."""
-
-    __slots__ = ("_table", "_i")
-
-    def __init__(self, table, i):
-        self._table = table
-        self._i = i
-
-    def __getitem__(self, j):
-        return self._table.entry(self._i, j)
-
-    def __len__(self):
-        return self._table.size
-
-    def __iter__(self):
-        return (self._table.entry(self._i, j)
-                for j in range(self._table.size))
-
-    def __eq__(self, other):
-        try:
-            if len(other) != self._table.size:
-                return False
-        except TypeError:
-            return NotImplemented
-        return all(self[j] == other[j] for j in range(self._table.size))
-
-
 class _TupleAddTable:
     """Componentwise addition on the index-tuple carrier of a limit apex.
 
-    Callers read few of the size^2 sums, so an entry is computed from the
-    parts the first time it is read and then kept: a table costs what is
-    read of it, and a read through nested apexes reuses the sums each level
-    already keeps.  Rows behave like tuples for the access patterns used
-    here (indexing, iteration, equality).
+    A sequence of row tuples, like an input's table, but row i is built
+    from the parts' rows when first read and then kept, so a table costs
+    the rows read of it.  Readers that add one fixed g to many x read row
+    g (the groups are commutative), and a read through nested apexes
+    builds only the parts' rows it needs.
     """
 
-    __slots__ = ("parts", "tuples", "lookup", "size", "_sums")
+    __slots__ = ("parts", "tuples", "lookup", "_rows")
 
     def __init__(self, parts, tuples, lookup):
         self.parts = tuple(parts)
         self.tuples = tuples
         self.lookup = lookup
-        self.size = len(tuples)
-        self._sums = {}
+        self._rows = {}
 
-    def entry(self, i, j):
-        key = i * self.size + j
-        s = self._sums.get(key)
-        if s is None:
-            t, u = self.tuples[i], self.tuples[j]
+    def __getitem__(self, i):
+        row = self._rows.get(i)
+        if row is None:
+            sums = [map(p.add[x].__getitem__, column) for p, x, column
+                    in zip(self.parts, self.tuples[i], zip(*self.tuples))]
             try:
-                s = self.lookup[tuple(self.parts[k].add[t[k]][u[k]]
-                                      for k in range(len(self.parts)))]
+                row = tuple(map(self.lookup.__getitem__, zip(*sums)))
             except KeyError:
                 raise DiagramError("limit carrier is not sum-closed") from None
-            self._sums[key] = s
-        return s
+            self._rows[i] = row
+        return row
 
     def negs(self):
         """The neg table, each entry looked up from the parts' negs."""
@@ -597,14 +572,11 @@ class _TupleAddTable:
         except KeyError:
             raise DiagramError("limit carrier is not sum-closed") from None
 
-    def __getitem__(self, i):
-        return _TupleAddRow(self, i)
-
     def __len__(self):
-        return self.size
+        return len(self.tuples)
 
     def __iter__(self):
-        return (self[i] for i in range(self.size))
+        return map(self.__getitem__, range(len(self.tuples)))
 
     def __eq__(self, other):
         if other is self:
@@ -616,11 +588,11 @@ class _TupleAddTable:
                             for p, q in zip(self.parts, other.parts))):
                 return True
         try:
-            if len(other) != self.size:
+            if len(other) != len(self.tuples):
                 return False
         except TypeError:
             return NotImplemented
-        return all(self[i] == other[i] for i in range(self.size))
+        return all(self[i] == other[i] for i in range(len(self.tuples)))
 
 
 def _tuple_elements(parts, tuples):
@@ -633,8 +605,8 @@ def _structured_tuple_object(instance, parts: list[BaseObject], tuples,
     """A BaseObject on index tuples over the given parts, with its lookup.
 
     Returns the object and ``{index tuple: index}``.  The element carrier
-    (``elements()``, or each tuple read in the parts) and a FINAB ``neg``
-    table are built when first read.
+    (``elements()``, or each tuple read in the parts), a FINAB ``neg``
+    table and each row of a FINAB ``add`` table are built when first read.
     """
     tuples = tuple(tuples)
     lookup = {t: i for i, t in enumerate(tuples)}
@@ -1056,9 +1028,9 @@ def enumerate_morphisms(dom: BaseObject, cod: BaseObject):
 
 
 def _element_order(obj: BaseObject, i: int) -> int:
-    n, x = 1, i
+    n, x, row = 1, i, obj.add[i]
     while x != obj.zero:
-        x = obj.add[x][i]
+        x = row[x]
         n += 1
     return n
 
@@ -1076,12 +1048,12 @@ def _closed_homs(dom: BaseObject, cod: BaseObject, candidates):
     def close(images):
         hom = {dom.zero: cod.zero}
         frontier = [dom.zero]
-        pairs = list(zip(gens, images))
+        rows = [(dom.add[g], cod.add[img]) for g, img in zip(gens, images)]
         while frontier:
             x = frontier.pop()
-            for g, img in pairs:
-                y = dom.add[x][g]
-                v = cod.add[hom[x]][img]
+            for dom_g, cod_img in rows:
+                y = dom_g[x]
+                v = cod_img[hom[x]]
                 if y in hom:
                     if hom[y] != v:
                         return None

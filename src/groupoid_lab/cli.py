@@ -35,19 +35,11 @@ from .groupoid import (
     validate_transformation,
 )
 from .harness import SUITES, run_suite, suite_names
-from .serialize import value_from_data
+from .serialize import UnknownShapeError, value_from_data
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-
-# value_from_data raises these two messages itself when the data has no
-# recognizable shape; every other decoding error means the shape was
-# recognized but the object inside is broken.
-_SHAPE_ERRORS = (
-    "serialized value must be a JSON object",
-    "unrecognized serialized value",
-)
 
 _KIND_NAMES = (
     (InternalGroupoid, "groupoid"),
@@ -85,9 +77,9 @@ def _load_value(path):
         return None, EXIT_USAGE, f"malformed JSON in {path}: {exc}"
     try:
         return value_from_data(data), None, None
+    except UnknownShapeError as exc:
+        return None, EXIT_USAGE, f"{path}: {exc}"
     except GroupoidLabError as exc:
-        if str(exc) in _SHAPE_ERRORS:
-            return None, EXIT_USAGE, f"{path}: {exc}"
         return None, EXIT_INVALID, f"{path}: {exc}"
     except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
         return None, EXIT_USAGE, f"{path}: malformed value data ({exc!r})"

@@ -646,6 +646,16 @@ def _random_arrow_morphism(instance, rng, budget=None) -> ArrowMorphism:
 # corruption
 
 
+def _first_corruption(strategies, rng):
+    """The first result that is not None, trying strategies in shuffled order."""
+    rng.shuffle(strategies)
+    for strategy in strategies:
+        out = strategy()
+        if out is not None:
+            return out
+    return None
+
+
 def corrupt_groupoid(g: InternalGroupoid, rng):
     """A structurally valid but axiom-breaking copy, or None.
 
@@ -699,14 +709,8 @@ def corrupt_groupoid(g: InternalGroupoid, rng):
             return bad, "identity-source"
         return None
 
-    strategies = [retype_source, retype_identity, drop_inverse,
-                  project_compose, zero_source]
-    rng.shuffle(strategies)
-    for strategy in strategies:
-        out = strategy()
-        if out is not None:
-            return out
-    return None
+    return _first_corruption([retype_source, retype_identity, drop_inverse,
+                              project_compose, zero_source], rng)
 
 
 def corrupt_functor(fun: InternalFunctor, rng):
@@ -744,14 +748,8 @@ def corrupt_functor(fun: InternalFunctor, rng):
                 return InternalFunctor(a, b, f0, fun.F1), "functor-source"
         return None
 
-    strategies = [collapse_arrows, retype_arrows, zero_objects,
-                  scramble_objects]
-    rng.shuffle(strategies)
-    for strategy in strategies:
-        out = strategy()
-        if out is not None:
-            return out
-    return None
+    return _first_corruption([collapse_arrows, retype_arrows, zero_objects,
+                              scramble_objects], rng)
 
 
 def corrupt_transformation(cell: NatTransformation, rng):
@@ -777,13 +775,8 @@ def corrupt_transformation(cell: NatTransformation, rng):
         return (NatTransformation(f, g, identity(f.dom.B0)),
                 "transformation-typing")
 
-    strategies = [invert_components, unit_components, retype_components]
-    rng.shuffle(strategies)
-    for strategy in strategies:
-        out = strategy()
-        if out is not None:
-            return out
-    return None
+    return _first_corruption([invert_components, unit_components,
+                              retype_components], rng)
 
 
 # ---------------------------------------------------------------------------

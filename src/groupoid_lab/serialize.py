@@ -188,10 +188,17 @@ def value_to_data(value):
     raise DiagramError(f"cannot serialize a {type(value).__name__}")
 
 
+class UnknownShapeError(DiagramError):
+    """Serialized data that names no value shape the decoder knows."""
+
+
 def value_from_data(data):
-    """Decode plain data by key signature (inverse of value_to_data)."""
+    """Decode plain data by key signature (inverse of value_to_data).
+
+    Data that names no known shape raises UnknownShapeError.
+    """
     if not isinstance(data, dict):
-        raise DiagramError("serialized value must be a JSON object")
+        raise UnknownShapeError("serialized value must be a JSON object")
     keys = set(data)
     if {"B0", "B1", "d", "c", "e", "m", "i"} <= keys:
         return groupoid_from_data(data)
@@ -209,7 +216,7 @@ def value_from_data(data):
         return morphism_from_data(data)
     if {"instance", "carrier"} <= keys:
         return object_from_data(data)
-    raise DiagramError("unrecognized serialized value")
+    raise UnknownShapeError("unrecognized serialized value")
 
 
 def to_json(value, indent=None) -> str:

@@ -3,8 +3,9 @@
 The exit contract is fixed: 0 success, 1 invalid object or failed
 property expectation, 2 usage or parse error.  Reports written with
 --out zero the timing field, so a fixed seed gives identical bytes.
-data/verify-seed42.json is the default ``verify --seed 42 --out`` report,
-recorded byte for byte.
+data/verify-seed0.json and data/verify-seed42.json are the default
+``verify --seed 0 --out`` and ``--seed 42 --out`` reports, recorded byte
+for byte.
 """
 
 import copy
@@ -33,7 +34,7 @@ from groupoid_lab.groupoid import (
 )
 from groupoid_lab.serialize import to_json, value_to_data
 
-VERIFY_SEED42 = Path(__file__).parent / "data" / "verify-seed42.json"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -309,11 +310,14 @@ class TestVerify:
         assert reports[0]["elapsed_ms"] == 0
         assert reports[0]["seed"] == 9
 
-    def test_default_report_matches_the_recorded_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_default_report_matches_the_recorded_run(self, seed, tmp_path,
+                                                     capsys):
         out = tmp_path / "verify.json"
-        assert main(["verify", "--seed", "42", "--out", str(out)]) == 0
+        assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
         capsys.readouterr()
-        assert out.read_bytes() == VERIFY_SEED42.read_bytes()
+        recorded = DATA / f"verify-seed{seed}.json"
+        assert out.read_bytes() == recorded.read_bytes()
 
     def test_env_var_supplies_the_default_seed(self, tmp_path, capsys,
                                                monkeypatch):

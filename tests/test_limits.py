@@ -5,6 +5,7 @@ pick out), so these tests decide each mediator from the elements alone: for
 every source element, the apex elements whose legs agree with the cone's.
 """
 
+import gc
 import itertools
 import random
 
@@ -14,8 +15,9 @@ from groupoid_lab import arrow, base
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError,
     CompositionError, Diagram, DiagramError, NoMediatorError, direct_sum,
-    enumerate_morphisms, finite_limit, finptdset_object, finset_object,
-    kernel, product, pullback, subgroup_object, subobject, zmod)
+    enumerate_morphisms, finab_object, finite_limit, finptdset_object,
+    finset_object, kernel, product, pullback, quotient_by_subgroup,
+    subgroup_object, subobject, zmod)
 from groupoid_lab.harness import run_suite
 
 
@@ -289,6 +291,9 @@ def test_neg_outside_the_apex_raises_when_read():
         apex.neg[1]
     with pytest.raises(DiagramError, match="not sum-closed"):
         apex.add[1][1]
+    assert apex.add[0] == (0, 1)
+    with pytest.raises(DiagramError, match="not sum-closed"):
+        apex.add[1]
     assert list(apex.carrier) == [(0, 0), (2, 0)]
 
 
@@ -326,3 +331,45 @@ class TestLimitsOnDemand:
         apex = apexes[-1]
         assert len(apex.carrier[:]) == apex.size
         assert isinstance(apex.carrier, tuple) and "carrier" in builds
+
+
+class TestAddRows:
+    def test_every_row_is_a_tuple(self):
+        z4 = zmod(4)
+        pair = product(zmod(2), z4)
+        objects = [
+            z4,
+            finab_object(range(3), zmod(3).add, zmod(3).neg, 0),
+            quotient_by_subgroup(z4, [2])[0],
+            pair.apex,
+            kernel(pair.legs["p1"]).apex,
+            subobject(z4, [0, 2])[0],
+        ]
+        for obj in objects:
+            assert all(type(obj.add[i]) is tuple for i in range(obj.size))
+
+    def test_a_read_builds_one_of_256_rows(self):
+        apex = product(zmod(16), zmod(16)).apex
+        assert apex.add[37][200] == 237  # (2, 5) + (12, 8) = (14, 13)
+        assert len(apex.add._rows) == 1
+
+    def test_a_kernel_builds_few_rows_of_its_domain(self):
+        lim = product(zmod(16), zmod(16))
+        kernel(lim.legs["p1"])
+        assert len(lim.apex.add._rows) <= 8
+
+
+def test_an_unread_apex_is_freed_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        z4, z2 = zmod(4), zmod(2)
+        onto = BaseMorphism(z4, z2, (0, 1, 0, 1))
+        pullback(onto, onto)
+        kernel(BaseMorphism(zmod(4), zmod(2), (0, 1, 0, 1)))
+        product(finset_object("ab"), finset_object("xyz"))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
