@@ -555,6 +555,7 @@ class _TupleAddTable:
     def __getitem__(self, i):
         row = self._rows.get(i)
         if row is None:
+            # entry j: tuples[i] + tuples[j] part by part, looked up here
             sums = [map(p.add[x].__getitem__, column) for p, x, column
                     in zip(self.parts, self.tuples[i], zip(*self.tuples))]
             try:
