@@ -14,7 +14,8 @@ Everything is index-level: a carrier is an ordered tuple of hashable
 elements, and a morphism stores, for each domain index, the codomain index
 of its image.  A limit apex is a set of index tuples over its parts; a cone
 is mediated by looking up the tuples its legs pick out, and the apex's
-element carrier, FINAB ``neg`` and addition rows are built when first read.
+element carrier, FINAB ``neg`` and addition rows are built when first read
+(``size`` is set at construction and builds nothing).
 Morphisms are immutable, so a morphism keeps its kernel once built.  All
 limit carriers are canonically ordered (lexicographically by constituent
 indices), so "the same object built two ways" can be compared by
@@ -35,7 +36,6 @@ private ``_trusted=True`` that only BaseObject and BaseMorphism take.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -98,11 +98,12 @@ def _is_index(value, size: int) -> bool:
 class BaseObject:
     """A finite carrier with instance-specific structure.
 
-    ``carrier`` is an ordered tuple of hashable elements (a limit apex
-    builds it on first use, see ``_OnRead``); the order is the object's
-    identity as much as the elements are.  FINPTDSET objects carry a
-    ``basepoint`` index, FINAB objects ``add``/``neg`` tables and a ``zero``
-    index (validated abelian-group axioms).
+    ``carrier`` is an ordered tuple of hashable elements; the order is the
+    object's identity as much as the elements are.  FINPTDSET objects carry
+    a ``basepoint`` index, FINAB objects ``add``/``neg`` tables and a
+    ``zero`` index (validated abelian-group axioms).  A limit apex builds
+    its ``carrier`` and FINAB ``neg`` when they are first read; ``size`` is
+    known from the start and builds nothing.
 
     >>> X = finset_object(["a", "b"])
     >>> X.size
@@ -112,21 +113,36 @@ class BaseObject:
     0
     """
 
-    __slots__ = ("instance", "carrier", "basepoint", "add", "neg", "zero",
-                 "_index", "_gens", "__weakref__")
+    __slots__ = ("instance", "size", "basepoint", "add", "zero", "_carrier",
+                 "_elements", "_neg", "_index", "_gens")
 
     def __init__(self, instance, carrier, basepoint=None, add=None, neg=None,
                  zero=None, _trusted=False):
         self.instance = instance
-        self.carrier = tuple(carrier)
+        self._carrier = tuple(carrier)
+        self._elements = None
+        self.size = len(self._carrier)
         self.basepoint = basepoint
         self.add = add
-        self.neg = neg
+        self._neg = neg
         self.zero = zero
         self._index = None
         self._gens = None
         if not _trusted:
             self._validate()
+
+    @property
+    def carrier(self) -> tuple:
+        if self._carrier is None:
+            self._carrier = tuple(self._elements())
+            self._elements = None
+        return self._carrier
+
+    @property
+    def neg(self):
+        if self._neg is None and type(self.add) is _TupleAddTable:
+            self._neg = tuple(self.add.negs())
+        return self._neg
 
     # -- construction-time validation ------------------------------------
 
@@ -136,7 +152,7 @@ class BaseObject:
             if x in seen:
                 raise DiagramError("carrier has duplicate elements")
             seen.add(x)
-        n = len(self.carrier)
+        n = self.size
         if self.instance is FINSET:
             if (self.basepoint, self.add) != (None, None):
                 raise DiagramError("finset objects carry no extra structure")
@@ -149,7 +165,7 @@ class BaseObject:
             raise DiagramError(f"unknown instance {self.instance!r}")
 
     def _validate_group(self) -> None:
-        n = len(self.carrier)
+        n = self.size
         if n == 0:
             raise DiagramError("a group carrier cannot be empty")
         add, neg, zero = self.add, self.neg, self.zero
@@ -182,10 +198,6 @@ class BaseObject:
                     raise DiagramError("addition table is not associative")
 
     # -- basics -----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.carrier)
 
     def index_of(self, element) -> int:
         if self._index is None:
@@ -397,7 +409,7 @@ def subobject_limit(parent: BaseObject, indices) -> LimitResult:
             raise DiagramError("subset is not closed under the group structure")
     obj, lookup = _structured_tuple_object(
         parent.instance, [parent], [(i,) for i in idx],
-        lambda: [parent.carrier[i] for i in idx])
+        lambda: map(parent.carrier.__getitem__, idx))
     incl = BaseMorphism(obj, parent, idx, _trusted=True)
     return LimitResult(obj, {"incl": incl}, lambda cone: (
         zip(cone["incl"].map), cone["incl"].dom), lookup)
@@ -486,54 +498,6 @@ def compose(*morphisms: BaseMorphism) -> BaseMorphism:
 # limits
 
 
-class _OnRead:
-    """A tuple held in a slot of its owner, built when first used.
-
-    A limit apex keeps one in ``carrier`` (and, in FINAB, in ``neg``): its
-    length is known at once, so ``size`` builds nothing.  Any other use
-    builds the tuple and writes it back into the slot, so the owner's later
-    reads are plain tuple reads.  Tuple methods (``index``, ...) delegate.
-    The owner is held by a weak reference, so an apex whose slots were never
-    read is freed by reference counting.
-    """
-
-    __slots__ = ("_owner", "_slot", "_size", "_build", "_value")
-
-    def __init__(self, owner, slot, size, build):
-        self._owner, self._slot = weakref.ref(owner), slot
-        self._size, self._build, self._value = size, build, None
-
-    def _get(self):
-        if self._value is None:
-            self._value = tuple(self._build())
-            owner = self._owner()
-            if owner is not None:
-                setattr(owner, self._slot, self._value)
-            self._owner = self._build = None
-        return self._value
-
-    def __len__(self):
-        return self._size
-
-    def __getitem__(self, i):
-        return self._get()[i]
-
-    def __iter__(self):
-        return iter(self._get())
-
-    def __eq__(self, other):
-        return self._get() == other
-
-    def __hash__(self):
-        return hash(self._get())
-
-    def __repr__(self):
-        return repr(self._get())
-
-    def __getattr__(self, name):
-        return getattr(self._get(), name)
-
-
 class _TupleAddTable:
     """Componentwise addition on the index-tuple carrier of a limit apex.
 
@@ -544,20 +508,23 @@ class _TupleAddTable:
     builds only the parts' rows it needs.
     """
 
-    __slots__ = ("parts", "tuples", "lookup", "_rows")
+    __slots__ = ("parts", "tuples", "lookup", "_rows", "_columns")
 
     def __init__(self, parts, tuples, lookup):
         self.parts = tuple(parts)
         self.tuples = tuples
         self.lookup = lookup
         self._rows = {}
+        self._columns = None
 
     def __getitem__(self, i):
         row = self._rows.get(i)
         if row is None:
+            if self._columns is None:
+                self._columns = tuple(zip(*self.tuples))
             # entry j: tuples[i] + tuples[j] part by part, looked up here
             sums = [map(p.add[x].__getitem__, column) for p, x, column
-                    in zip(self.parts, self.tuples[i], zip(*self.tuples))]
+                    in zip(self.parts, self.tuples[i], self._columns)]
             try:
                 row = tuple(map(self.lookup.__getitem__, zip(*sums)))
             except KeyError:
@@ -567,8 +534,9 @@ class _TupleAddTable:
 
     def negs(self):
         """The neg table, each entry looked up from the parts' negs."""
+        negs = [p.neg for p in self.parts]
         try:
-            return [self.lookup[tuple([p.neg[i] for p, i in zip(self.parts, t)])]
+            return [self.lookup[tuple([n[i] for n, i in zip(negs, t)])]
                     for t in self.tuples]
         except KeyError:
             raise DiagramError("limit carrier is not sum-closed") from None
@@ -598,7 +566,8 @@ class _TupleAddTable:
 
 def _tuple_elements(parts, tuples):
     """The element carrier of a limit apex: each index tuple read in its parts."""
-    return [tuple([p.carrier[i] for p, i in zip(parts, t)]) for t in tuples]
+    carriers = [p.carrier for p in parts]
+    return [tuple([c[i] for c, i in zip(carriers, t)]) for t in tuples]
 
 
 def _structured_tuple_object(instance, parts: list[BaseObject], tuples,
@@ -612,8 +581,8 @@ def _structured_tuple_object(instance, parts: list[BaseObject], tuples,
     tuples = tuple(tuples)
     lookup = {t: i for i, t in enumerate(tuples)}
     obj = BaseObject(instance, (), _trusted=True)
-    obj.carrier = _OnRead(obj, "carrier", len(tuples), elements
-                          or (lambda: _tuple_elements(parts, tuples)))
+    obj._carrier, obj.size = None, len(tuples)
+    obj._elements = elements or (lambda: _tuple_elements(parts, tuples))
     if instance is FINPTDSET:
         obj.basepoint = lookup.get(tuple(p.basepoint for p in parts))
         if obj.basepoint is None:
@@ -623,7 +592,6 @@ def _structured_tuple_object(instance, parts: list[BaseObject], tuples,
         if obj.zero is None:
             raise DiagramError("limit carrier is not sum-closed")
         obj.add = _TupleAddTable(parts, tuples, lookup)
-        obj.neg = _OnRead(obj, "neg", len(tuples), obj.add.negs)
     return obj, lookup
 
 
@@ -758,7 +726,11 @@ def finite_limit(diagram: Diagram) -> LimitResult:
     pos = {n: k for k, n in enumerate(names)}
     incoming = [[] for _ in names]   # (src_pos, morphism) for edges src->node
     outgoing = [[] for _ in names]   # (dst_pos, morphism) for edges node->dst
+    loops = [[] for _ in names]      # morphisms of the edges node->node
     for s, t, h in diagram.edges:
+        if s == t:
+            loops[pos[s]].append(h)
+            continue
         incoming[pos[t]].append((pos[s], h))
         outgoing[pos[s]].append((pos[t], h))
 
@@ -788,6 +760,9 @@ def finite_limit(diagram: Diagram) -> LimitResult:
                         candidates = bucket
             if candidates is None:
                 candidates = range(objs[k].size)
+        if loops[k]:
+            candidates = [v for v in candidates
+                          if all(h.map[v] == v for h in loops[k])]
         for v in candidates:
             ok = True
             for src, h in incoming[k]:

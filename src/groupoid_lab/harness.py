@@ -1419,8 +1419,6 @@ def _search_protomodularity(instance, n):
     for m in _fibration_squares(instance):
         if examined >= n:
             break
-        if not classify_morphism(m.f).regular_epi:
-            continue
         examined += 1
         j = comparison_J_arr(m)
         ff = classify_morphism(partial_zero_arr(j)).iso

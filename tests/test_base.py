@@ -208,6 +208,20 @@ class TestFiniteLimit:
         with pytest.raises(DiagramError):
             Diagram(nodes={"x": zmod(2)}, edges=[("x", "q", identity(zmod(2)))])
 
+    def test_loop_edges_cut_the_apex_to_the_fixed_points(self):
+        z4 = zmod(4)
+        negate = BaseMorphism(z4, z4, [0, 3, 2, 1])
+        lim = finite_limit(Diagram({"x": z4}, [("x", "x", negate)]))
+        assert list(lim.apex.carrier) == [(0,), (2,)]
+        incl = BaseMorphism(subgroup_object(z4, [0, 2]), z4, [0, 2])
+        assert lim.mediate({"x": incl}).map == (0, 1)
+        s = finset_object([0, 1, 2])
+        endo = BaseMorphism(s, s, [1, 1, 2])
+        lim = finite_limit(Diagram({"x": s}, [("x", "x", endo)]))
+        assert list(lim.apex.carrier) == [(1,), (2,)]
+        with pytest.raises(NoMediatorError):
+            lim.mediate({"x": identity(s)})
+
 
 class TestKernel:
     def test_kernel_of_identity_is_zero(self):

@@ -325,12 +325,54 @@ class TestLimitsOnDemand:
         assert builds == []
         assert len(apexes) >= 200 and len(kernels) >= 400
         assert all(isinstance(k.add, base._TupleAddTable) for k in kernels)
-        assert not any(isinstance(o.carrier, tuple) or isinstance(o.neg, tuple)
-                       for o in apexes + kernels)
+        assert all(o._carrier is None and o._neg is None
+                   for o in apexes + kernels)
         # a read builds the carrier and writes the tuple back into its slot
         apex = apexes[-1]
         assert len(apex.carrier[:]) == apex.size
         assert isinstance(apex.carrier, tuple) and "carrier" in builds
+
+
+class TestApexFieldsOnRead:
+    @staticmethod
+    def _finab_apex():
+        onto = BaseMorphism(zmod(4), zmod(2), (0, 1, 0, 1))
+        return pullback(onto, onto).apex
+
+    def test_size_builds_nothing(self):
+        apex = self._finab_apex()
+        assert apex.size == 8
+        assert apex._carrier is None and apex._neg is None
+
+    def test_the_first_read_builds_and_keeps_the_tuple(self):
+        apex = self._finab_apex()
+        carrier = apex.carrier
+        assert type(carrier) is tuple and len(carrier) == apex.size
+        assert apex.carrier is carrier and apex._carrier is carrier
+        assert apex._neg is None
+        neg = apex.neg
+        assert type(neg) is tuple and neg[carrier.index((1, 3))] == (
+            carrier.index((3, 1)))
+        assert apex.neg is neg and apex._neg is neg
+
+    @pytest.mark.parametrize("instance", [FINSET, FINPTDSET])
+    def test_an_apex_without_a_group_has_no_neg(self, instance, monkeypatch):
+        builds = []
+        elements = base._tuple_elements
+        monkeypatch.setattr(base, "_tuple_elements", lambda *args: (
+            builds.append(args), elements(*args))[1])
+        x = _objects(instance)[-1]
+        apex = product(x, x).apex
+        assert apex.neg is None and apex.size == x.size ** 2
+        assert builds == [] and apex._carrier is None
+
+    def test_caller_data_is_held_from_construction_on(self):
+        z3 = zmod(3)
+        group = finab_object("abc", z3.add, z3.neg, 0)
+        assert group._carrier == ("a", "b", "c") and group._neg == (0, 2, 1)
+        assert group.carrier is group._carrier and group.neg is group._neg
+        assert finset_object([2, 1])._carrier == (2, 1)
+        assert z3._carrier == (0, 1, 2) and z3._neg == (0, 2, 1)
 
 
 class TestAddRows:
