@@ -161,17 +161,28 @@ class ArrowHKernel:
     limit: LimitResult
 
 
+def _endpoint_factorization(m: ArrowMorphism):
+    """The pullback of m.f0 and m.cod.a, and (m.dom.a, m.f) mediated into it."""
+    lim = pullback(m.f0, m.cod.a)
+    return lim, lim.mediate({"p1": m.dom.a, "p2": m.f})
+
+
 def partial_zero_arr(m: ArrowMorphism) -> BaseMorphism:
     """The endpoint-image factorization of a square through one pullback."""
-    lim = pullback(m.f0, m.cod.a)
-    return lim.mediate({"p1": m.dom.a, "p2": m.f})
+    return _endpoint_factorization(m)[1]
 
 
 def strong_h_kernel_arr(m: ArrowMorphism) -> ArrowHKernel:
+    """The strong h-kernel triple of a square, built from one pullback.
+
+    The object is the endpoint factorization of the square, the inclusion
+    keeps the top and projects the bottom onto the first leg, and the
+    diagonal is the second leg, filling the inclusion followed by m.
+    """
     if not m.dom.top.instance.pointed:
         raise CapabilityError("strong h-kernels need a pointed instance")
-    lim = pullback(m.f0, m.cod.a)
-    obj = ArrowObject(lim.mediate({"p1": m.dom.a, "p2": m.f}))
+    lim, endpoint = _endpoint_factorization(m)
+    obj = ArrowObject(endpoint)
     incl = ArrowMorphism(obj, m.dom, identity(m.dom.top), lim.legs["p1"])
     diag = Diagonal(compose_arr(incl, m), lim.legs["p2"])
     return ArrowHKernel(of=m, object=obj, inclusion=incl, diagonal=diag,
@@ -217,13 +228,21 @@ def strong_lift(hk: ArrowHKernel, h: ArrowMorphism, mu: Diagonal) -> Diagonal:
 
 
 def comparison_J_arr(m: ArrowMorphism) -> ArrowMorphism:
-    """Canonical comparison from the kernel into the strong h-kernel."""
+    """Canonical comparison from the kernel into the strong h-kernel.
+
+    Builds the kernel square and, of the strong h-kernel, only its pullback
+    and its object: the h-kernel's inclusion and diagonal are not built.
+    The bottom pairs the kernel's bottom inclusion with the zero diagonal.
+    """
+    if not m.dom.top.instance.pointed:
+        raise CapabilityError("strong h-kernels need a pointed instance")
     ker = kernel_arr(m)
-    hk = strong_h_kernel_arr(m)
-    bottom = hk.limit.mediate(
+    lim, endpoint = _endpoint_factorization(m)
+    bottom = lim.mediate(
         {"p1": ker.inclusion.f0,
          "p2": zero_morphism(ker.object.bottom, m.cod.top)})
-    return ArrowMorphism(ker.object, hk.object, ker.inclusion.f, bottom)
+    return ArrowMorphism(ker.object, ArrowObject(endpoint), ker.inclusion.f,
+                         bottom)
 
 
 # ---------------------------------------------------------------------------

@@ -213,14 +213,25 @@ class BaseObject:
         return element in self._index
 
     def __eq__(self, other) -> bool:
-        return self is other or (
-                isinstance(other, BaseObject)
+        if self is other:
+            return True
+        if not (isinstance(other, BaseObject)
                 and self.instance is other.instance
-                and self.carrier == other.carrier
+                and self.size == other.size
                 and self.basepoint == other.basepoint
-                and self.add == other.add
-                and self.neg == other.neg
-                and self.zero == other.zero)
+                and self.zero == other.zero):
+            return False
+        # Equal index tuples over equal parts give equal carriers and negs,
+        # so two such apexes compare without building either.  A one-part
+        # apex may be a subobject, whose carrier is its parent's elements
+        # rather than 1-tuples, so it is compared in full.
+        add, other_add = self.add, other.add
+        if (type(add) is _TupleAddTable and type(other_add) is _TupleAddTable
+                and len(add.parts) > 1 and add.tuples == other_add.tuples
+                and add.parts == other_add.parts):
+            return True
+        return (self.carrier == other.carrier and add == other_add
+                and self.neg == other.neg)
 
     def __hash__(self) -> int:
         return hash((self.instance.name, self.carrier))

@@ -14,10 +14,13 @@ the mod-2 square between identities over Z4 and Z2 is the positive
 specimen.
 """
 
+import hashlib
+
 import pytest
 
 from groupoid_lab.base import (
     FINAB,
+    FINPTDSET,
     CapabilityError,
     DiagramError,
     NoMediatorError,
@@ -46,6 +49,7 @@ from groupoid_lab.groupoid import (
     whisker_left,
     zero_functor,
 )
+from groupoid_lab.harness import _fibration_squares
 from groupoid_lab.holim import kernel_groupoid, strong_h_kernel
 from groupoid_lab.arrow import (
     ArrowMorphism,
@@ -363,6 +367,40 @@ class TestComparisonJ:
             lim = pullback(j.cod.a, j.f0)
             med = lim.mediate({"p1": j.f, "p2": j.dom.a})
             assert classify_morphism(med).iso
+
+    def test_the_finab_sweep_comparisons_are_pinned(self):
+        # SHA-256 of every comparison's four index tables, in stream order,
+        # as built from the full strong h-kernel triple
+        digest = hashlib.sha256()
+        count = 0
+        for m in _fibration_squares(FINAB):
+            j = comparison_J_arr(m)
+            digest.update(repr((j.dom.a.map, j.cod.a.map, j.f.map,
+                                j.f0.map)).encode())
+            count += 1
+        assert count == 20796
+        assert digest.hexdigest() == (
+            "dcaf7928bc0f15ddd213db4d1a5e04a9cb0f92a5d21b0252d037a9a7a0e11377")
+
+    def test_comparison_lands_in_the_strong_h_kernel(self):
+        count = 0
+        for m in _fibration_squares(FINPTDSET):
+            j = comparison_J_arr(m)
+            hk = strong_h_kernel_arr(m)
+            ker = kernel_arr(m)
+            assert j.cod == hk.object
+            assert j.f0 == hk.limit.mediate(
+                {"p1": ker.inclusion.f0,
+                 "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+            count += 1
+        assert count == 795
+
+    def test_unpointed_squares_have_a_partial_zero_but_no_comparison(self):
+        x = finset_object([0, 1])
+        m = identity_arr(arrow_object(identity(x)))
+        assert classify_morphism(partial_zero_arr(m)).iso
+        with pytest.raises(CapabilityError):
+            comparison_J_arr(m)
 
 
 class TestClassification:

@@ -240,6 +240,20 @@ def test_the_sweep_builds_each_kernel_once(monkeypatch):
     assert 0 < len(built) <= len(taken)
 
 
+def test_the_sweep_builds_only_the_squares_j_returns(monkeypatch):
+    # per square: the streamed square, the kernel inclusion and J itself;
+    # the strong h-kernel's inclusion, composite and diagonal are not built
+    counts = {arrow.ArrowMorphism: 0, arrow.Diagonal: 0}
+    for cls in counts:
+        def counted(self, _cls=cls, _check=cls.__post_init__):
+            counts[_cls] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    report = run_suite("protomodularity-char", FINAB, 25000, 0)
+    assert (report.cases, report.failures) == (20796, [])
+    assert counts == {arrow.ArrowMorphism: 62388, arrow.Diagonal: 0}
+
+
 def _is_sum_closed(group, subset):
     return all(group.add[a][b] in subset for a in subset for b in subset)
 
@@ -373,6 +387,35 @@ class TestApexFieldsOnRead:
         assert group.carrier is group._carrier and group.neg is group._neg
         assert finset_object([2, 1])._carrier == (2, 1)
         assert z3._carrier == (0, 1, 2) and z3._neg == (0, 2, 1)
+
+
+    def test_equal_apexes_compare_without_building(self, monkeypatch):
+        builds = []
+        elements, negs = base._tuple_elements, base._TupleAddTable.negs
+        monkeypatch.setattr(base, "_tuple_elements", lambda *args: (
+            builds.append("carrier"), elements(*args))[1])
+        monkeypatch.setattr(base._TupleAddTable, "negs", lambda table: (
+            builds.append("neg"), negs(table))[1])
+        one = product(zmod(2), zmod(4)).apex
+        two = product(zmod(2), zmod(4)).apex
+        assert one is not two and one == two and builds == []
+        assert one._carrier is None and one._neg is None
+
+    def test_relabelled_parts_still_compare_unequal(self):
+        z2 = zmod(2)
+        relabelled = finab_object("ab", z2.add, z2.neg, 0)
+        one = product(z2, zmod(4)).apex
+        two = product(relabelled, zmod(4)).apex
+        assert one.add.tuples == two.add.tuples and one != two
+
+    def test_a_subobject_differs_from_a_one_part_limit(self):
+        # same part, same index tuples, but the subobject's carrier is its
+        # parent's elements and the limit's is 1-tuples
+        z4 = zmod(4)
+        sub = subobject(z4, range(4))[0]
+        lim = finite_limit(Diagram({"x": z4}, [])).apex
+        assert sub.add.tuples == lim.add.tuples and sub != lim
+        assert sub == subobject(zmod(4), range(4))[0]
 
 
 class TestAddRows:
