@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 
 class GroupoidLabError(Exception):
@@ -612,9 +613,10 @@ class LimitResult:
     ``legs`` maps leg names to projections out of the apex.  ``mediate``
     takes a cone (same names -> morphisms out of a common source) and returns
     the unique factorization through the apex; it raises NoMediatorError when
-    the cone does not satisfy the defining equations.  ``lookup`` maps the
-    tuple of leg indices of each apex element (legs in order) to its index,
-    in apex order; a cone is mediated by the tuples its legs pick out.
+    the cone lacks a leg it needs or does not satisfy the defining equations.
+    ``lookup`` maps the tuple of leg indices of each apex element (legs in
+    order) to its index, in apex order; a cone is mediated by the tuples its
+    legs pick out.
     """
 
     def __init__(self, apex: BaseObject, legs: dict, recipe, lookup: dict):
@@ -624,7 +626,10 @@ class LimitResult:
         self.lookup = lookup
 
     def mediate(self, cone: dict) -> BaseMorphism:
-        keys, source = self._recipe(cone)
+        try:
+            keys, source = self._recipe(cone)
+        except KeyError as exc:  # a recipe reads each leg it needs by name
+            raise NoMediatorError(f"cone has no leg {exc.args[0]!r}") from None
         try:
             table = list(map(self.lookup.__getitem__, keys))
         except KeyError:
@@ -726,97 +731,89 @@ class Diagram:
 
 
 def finite_limit(diagram: Diagram) -> LimitResult:
-    """Limit of a finite diagram by constraint-propagating enumeration.
+    """Limit of a finite diagram by a join of its nodes along its edges.
 
-    The apex carrier consists of tuples over *all* nodes (in node order)
-    satisfying every edge equation, lexicographically ordered by node
-    indices; legs are the coordinate projections, one per node.
+    Rows of indices grow one node at a time: a node with an edge from a
+    joined node is pinned by that edge (one lookup per row), else one with
+    an edge into a joined node takes that edge's preimages, and only a node
+    with no edge to the joined ones runs over its carrier.  Every other
+    edge, loops included, filters the rows once both its ends are joined.
+    The apex carrier is the rows in node order, sorted: all tuples over the
+    nodes satisfying every edge, lexicographic in node indices.  Legs are
+    the coordinate projections; a cone may omit legs its edges derive.
     """
     names = list(diagram.nodes)
-    objs = [diagram.nodes[n] for n in names]
-    pos = {n: k for k, n in enumerate(names)}
-    incoming = [[] for _ in names]   # (src_pos, morphism) for edges src->node
-    outgoing = [[] for _ in names]   # (dst_pos, morphism) for edges node->dst
-    loops = [[] for _ in names]      # morphisms of the edges node->node
-    for s, t, h in diagram.edges:
-        if s == t:
-            loops[pos[s]].append(h)
-            continue
-        incoming[pos[t]].append((pos[s], h))
-        outgoing[pos[s]].append((pos[t], h))
-
-    tuples: list[tuple] = []
-    assignment = [0] * len(names)
-
-    def extend(k: int) -> None:
-        if k == len(names):
-            tuples.append(tuple(assignment))
-            return
-        forced = None
-        for src, h in incoming[k]:
-            if src < k:
-                v = h.map[assignment[src]]
-                if forced is None:
-                    forced = v
-                elif forced != v:
-                    return
-        if forced is not None:
-            candidates = (forced,)
+    objs = [diagram.nodes[name] for name in names]
+    n = len(names)
+    edges = [(names.index(s), names.index(t), h) for s, t, h in diagram.edges]
+    col = {}     # joined node -> its column in the rows
+    rows, pending = [()], edges
+    for _ in range(n):
+        for edge in pending:
+            s, k, h = edge
+            if s in col and k not in col:
+                c, m = col[s], h.map
+                rows = [r + (m[r[c]],) for r in rows]
+                break
         else:
-            candidates = None
-            for dst, h in outgoing[k]:
-                if dst < k:
-                    bucket = h.preimages()[assignment[dst]]
-                    if candidates is None or len(bucket) < len(candidates):
-                        candidates = bucket
-            if candidates is None:
-                candidates = range(objs[k].size)
-        if loops[k]:
-            candidates = [v for v in candidates
-                          if all(h.map[v] == v for h in loops[k])]
-        for v in candidates:
-            ok = True
-            for src, h in incoming[k]:
-                if src < k and h.map[assignment[src]] != v:
-                    ok = False
+            for edge in pending:
+                k, t, h = edge
+                if t in col and k not in col:
+                    c, fibres = col[t], h.preimages()
+                    rows = [r + (v,) for r in rows for v in fibres[r[c]]]
                     break
-            if ok:
-                for dst, h in outgoing[k]:
-                    if dst < k and h.map[v] != assignment[dst]:
-                        ok = False
-                        break
-            if ok:
-                assignment[k] = v
-                extend(k + 1)
-
-    extend(0)
+            else:
+                edge, k = None, min(set(range(n)) - col.keys())
+                rows = [r + (v,) for r in rows for v in range(objs[k].size)]
+        col[k] = len(col)
+        rest = []
+        for e in pending:
+            s, t, h = e
+            if s not in col or t not in col:
+                rest.append(e)
+            elif e is not edge:
+                cs, ct, m = col[s], col[t], h.map
+                rows = [r for r in rows if m[r[cs]] == r[ct]]
+        pending = rest
+    if n > 1:
+        rows = map(itemgetter(*[col[k] for k in range(n)]), rows)
+    tuples = sorted(rows)
     apex, lookup = _structured_tuple_object(
         objs[0].instance if objs else FINSET, objs, tuples)
-    legs = {}
-    for k, n in enumerate(names):
-        legs[n] = BaseMorphism(apex, objs[k], [t[k] for t in tuples],
-                               _trusted=True)
+    columns = list(zip(*tuples)) or [()] * n
+    legs = {name: BaseMorphism(apex, obj, column, _trusted=True)
+            for name, obj, column in zip(names, objs, columns)}
 
     def recipe(cone):
-        cone = dict(cone)
         if not cone:
             raise NoMediatorError("empty cone")
-        # Derive missing legs along edges until everything is pinned.
-        changed = True
-        while changed:
-            changed = False
-            for s, t, h in diagram.edges:
-                if s in cone and t not in cone:
-                    cone[t] = compose(cone[s], h)
-                    changed = True
-        missing = [n for n in names if n not in cone]
+        maps = []
+        for name, obj in zip(names, objs):
+            u = cone.get(name)
+            if u is not None and u.cod != obj:
+                raise CompositionError(f"cone leg {name!r} is mistyped")
+            maps.append(None if u is None else u.map)
+        # Derive missing legs along edges; a derived edge holds as built.
+        unchecked, derived = edges, True
+        while derived:
+            derived, rest = False, []
+            for e in unchecked:
+                s, t, h = e
+                if maps[t] is None and maps[s] is not None:
+                    maps[t] = tuple(map(h.map.__getitem__, maps[s]))
+                    derived = True
+                else:
+                    rest.append(e)
+            unchecked = rest
+        missing = [name for name, m in zip(names, maps) if m is None]
         if missing:
             raise NoMediatorError(f"cone does not determine nodes {missing}")
         src = _common_source(*cone.values())
-        for s, t, h in diagram.edges:
-            if compose(cone[s], h) != cone[t]:
-                raise NoMediatorError(f"cone breaks the edge {s!r}->{t!r}")
-        return zip(*(cone[n].map for n in names)), src
+        for s, t, h in unchecked:
+            if tuple(map(h.map.__getitem__, maps[s])) != maps[t]:
+                raise NoMediatorError(
+                    f"cone breaks the edge {names[s]!r}->{names[t]!r}")
+        return zip(*maps), src
 
     return LimitResult(apex, legs, recipe, lookup)
 

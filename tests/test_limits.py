@@ -15,9 +15,9 @@ from groupoid_lab import arrow, base
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError,
     CompositionError, Diagram, DiagramError, NoMediatorError, direct_sum,
-    enumerate_morphisms, finab_object, finite_limit, finptdset_object,
-    finset_object, kernel, product, pullback, quotient_by_subgroup,
-    subgroup_object, subobject, zmod)
+    compose, enumerate_morphisms, finab_object, finite_limit,
+    finptdset_object, finset_object, identity, kernel, product, pullback,
+    quotient_by_subgroup, subgroup_object, subobject, subobject_limit, zmod)
 from groupoid_lab.harness import run_suite
 
 
@@ -153,8 +153,27 @@ class TestMistypedCones:
                                    edges=[("x", "y", f), ("x", "y", g)]))
         with pytest.raises(CompositionError):
             lim.mediate({"x": _random_map(rng, a, b)})
+        # a leg into a node that is no edge's source is checked too
+        with pytest.raises(CompositionError):
+            lim.mediate({"x": _random_map(rng, a, a),
+                         "y": _random_map(rng, a, a)})
         with pytest.raises(NoMediatorError):
             lim.mediate({})
+
+    def test_a_cone_without_a_leg(self, instance):
+        a, b = _objects(instance)[1:3]
+        rng = random.Random(0)
+        f = _random_map(rng, a, b)
+        u = _random_map(rng, a, a)
+        with pytest.raises(NoMediatorError, match="no leg 'p2'"):
+            pullback(f, f).mediate({"p1": u})
+        with pytest.raises(NoMediatorError, match="no leg 'p1'"):
+            product(a, b).mediate({"p2": _random_map(rng, a, b)})
+        with pytest.raises(NoMediatorError, match="no leg 'incl'"):
+            subobject_limit(a, range(a.size)).mediate({})
+        if instance.pointed:
+            with pytest.raises(NoMediatorError, match="no leg 'ker'"):
+                kernel(f).mediate({})
 
     def test_non_commuting_pullback_cone(self, instance):
         a, b = _objects(instance)[1:3]
@@ -167,6 +186,171 @@ class TestMistypedCones:
                    if list(h.map) == list(range(a.size)))
         with pytest.raises(NoMediatorError):
             lim.mediate({"p1": ida, "p2": ida})
+
+
+def _two_hop(x, base_obj, f):
+    """The five-node shape of a strong h-pullback: two cospans on one mid."""
+    return Diagram(
+        nodes={"x": x, "mid": x, "y": x, "base_d": base_obj,
+               "base_c": base_obj},
+        edges=[("x", "base_d", f), ("mid", "base_d", f),
+               ("mid", "base_c", f), ("y", "base_c", f)])
+
+
+def _random_diagram(rng, instance):
+    """Up to four nodes and five edges between any two, loops included."""
+    objs = _objects(instance)
+    names = [f"n{k}" for k in range(rng.randint(0, 4))]
+    nodes = {name: rng.choice(objs) for name in names}
+    edges = []
+    for _ in range(rng.randint(0, 5) if names else 0):
+        s, t = rng.choice(names), rng.choice(names)
+        edges.append((s, t, _random_map(rng, nodes[s], nodes[t])))
+    return Diagram(nodes, edges)
+
+
+def _oracle_tuples(diagram):
+    """Every tuple of node indices, in node order, kept by every edge."""
+    names = list(diagram.nodes)
+    pos = {name: k for k, name in enumerate(names)}
+    return [t for t in itertools.product(
+                *(range(diagram.nodes[name].size) for name in names))
+            if all(h.map[t[pos[s]]] == t[pos[d]]
+                   for s, d, h in diagram.edges)]
+
+
+def _random_map_into(rng, src, target):
+    """A morphism src -> target, drawn without enumerating large hom sets."""
+    if target.instance is FINAB:
+        return _random_map(rng, src, target)
+    table = [rng.randrange(target.size) for _ in range(src.size)]
+    if target.instance is FINPTDSET:
+        table[src.basepoint] = target.basepoint
+    return BaseMorphism(src, target, table)
+
+
+def _derived_along_edges(diagram, partial):
+    """The cone with each missing leg composed along an edge into it."""
+    cone, grown = dict(partial), True
+    while grown:
+        grown = False
+        for s, t, h in diagram.edges:
+            if s in cone and t not in cone:
+                cone[t] = compose(cone[s], h)
+                grown = True
+    return cone
+
+
+def _diagram_features(diagram):
+    names = list(diagram.nodes)
+    pos = {name: k for k, name in enumerate(names)}
+    pairs = [(pos[s], pos[t]) for s, t, _ in diagram.edges]
+    features = set()
+    if not names:
+        features.add("empty")
+    if any(s == t for s, t in pairs):
+        features.add("loop")
+    if any(s > t for s, t in pairs):
+        features.add("back edge")
+    if len(set(pairs)) < len(pairs):
+        features.add("parallel edges")
+    if any(k not in {v for pair in pairs for v in pair}
+           for k in range(len(names))):
+        features.add("isolated node")
+    reach = {k: {t for s, t in pairs if s == k and t != k}
+             for k in range(len(names))}
+    for _ in names:
+        reach = {k: ends.union(*(reach[j] for j in ends))
+                 for k, ends in reach.items()}
+    if any(k in ends for k, ends in reach.items()):
+        features.add("cycle")
+    return features
+
+
+@pytest.mark.parametrize("instance", _INSTANCES, ids=lambda i: i.name)
+class TestFiniteLimitAgainstOracle:
+    """The planned join against the product of the carriers filtered by
+    every edge, and its mediation against the element-level oracle."""
+
+    @staticmethod
+    def _diagrams(instance):
+        rng = random.Random(f"finite_limit_oracle:{instance.name}")
+        objs = _objects(instance)
+        x, base_obj = objs[-1], objs[1]
+        yield _two_hop(x, base_obj, _random_map(rng, x, base_obj))
+        yield Diagram({}, [])
+        for _ in range(60):
+            yield _random_diagram(rng, instance)
+
+    def test_apex_tuples_and_order(self, instance):
+        features = set()
+        for diagram in self._diagrams(instance):
+            features |= _diagram_features(diagram)
+            names = list(diagram.nodes)
+            expected = _oracle_tuples(diagram)
+            lim = finite_limit(diagram)
+            assert list(lim.lookup) == expected
+            assert list(lim.lookup.values()) == list(range(len(expected)))
+            assert lim.apex.size == len(expected)
+            assert list(lim.legs) == names
+            for k, name in enumerate(names):
+                assert lim.legs[name].map == tuple(t[k] for t in expected)
+            assert list(lim.apex.carrier) == [
+                tuple(diagram.nodes[name].carrier[i]
+                      for name, i in zip(names, t)) for t in expected]
+        assert features >= {"empty", "loop", "back edge", "parallel edges",
+                            "isolated node", "cycle"}
+
+    def test_mediation_with_derived_legs(self, instance):
+        rng = random.Random(f"finite_limit_cones:{instance.name}")
+        sources = _objects(instance)[:3]
+        outcomes = set()
+        for diagram in self._diagrams(instance):
+            lim = finite_limit(diagram)
+            names = list(diagram.nodes)
+            if not names or lim.apex.size == 0:
+                continue
+            src = rng.choice(sources)
+            through = _random_map_into(rng, src, lim.apex)
+            cone = {name: compose(through, lim.legs[name]) for name in names}
+            assert _assert_mediates_as_brute_force(lim, cone)
+            assert lim.mediate(cone) == through
+            # one leg redrawn: the cone mediates only if the edges agree
+            name = rng.choice(names)
+            cone[name] = _random_map(rng, src, diagram.nodes[name])
+            for r in range(len(names) + 1):
+                for kept in itertools.combinations(names, r):
+                    partial = {n: cone[n] for n in kept}
+                    derived = _derived_along_edges(diagram, partial)
+                    if len(derived) < len(names):
+                        with pytest.raises(NoMediatorError):
+                            lim.mediate(partial)
+                        continue
+                    mediated = _assert_mediates_as_brute_force(lim, derived)
+                    if mediated:
+                        assert lim.mediate(partial) == lim.mediate(derived)
+                    else:
+                        with pytest.raises(NoMediatorError):
+                            lim.mediate(partial)
+                    outcomes.add((mediated, r < len(names)))
+        assert outcomes == {(True, True), (True, False), (False, True),
+                            (False, False)}
+
+
+def test_mediating_a_finite_limit_composes_nothing(monkeypatch):
+    onto = BaseMorphism(zmod(4), zmod(2), (0, 1, 0, 1))
+    lim = finite_limit(_two_hop(zmod(4), zmod(2), onto))
+    calls = []
+    compose_ = base.compose
+    monkeypatch.setattr(base, "compose", lambda *ms: (
+        calls.append(ms), compose_(*ms))[1])
+    ident = identity(zmod(4))
+    double = BaseMorphism(zmod(4), zmod(4), (0, 2, 0, 2))
+    assert lim.mediate({"x": ident, "mid": ident, "y": ident}).map == tuple(
+        lim.lookup[(i, i, i, i % 2, i % 2)] for i in range(4))
+    with pytest.raises(NoMediatorError, match="breaks the edge 'mid'->"):
+        lim.mediate({"x": ident, "mid": double, "y": ident})
+    assert calls == []
 
 
 @pytest.mark.parametrize("instance", [FINPTDSET, FINAB], ids=lambda i: i.name)
@@ -454,6 +638,7 @@ def test_an_unread_apex_is_freed_by_reference_counting():
         pullback(onto, onto)
         kernel(BaseMorphism(zmod(4), zmod(2), (0, 1, 0, 1)))
         product(finset_object("ab"), finset_object("xyz"))
+        finite_limit(_two_hop(z4, z2, onto))
         assert gc.collect() == 0
     finally:
         if enabled:
