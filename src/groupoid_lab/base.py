@@ -12,10 +12,13 @@ limits computed by enumeration:
 
 Everything is index-level: a carrier is an ordered tuple of hashable
 elements, and a morphism stores, for each domain index, the codomain index
-of its image.  A limit apex is a set of index tuples over its parts; a cone
-is mediated by looking up the tuples its legs pick out, and the apex's
-element carrier, FINAB ``neg`` and addition rows are built when first read
-(``size`` is set at construction and builds nothing).
+of its image.  Every limit has one shape: its apex holds exactly the index
+tuples over its parts that solve the limit's equations, with a lookup from
+each tuple to its index, and its legs are the coordinate projections.  So a
+cone factors iff the tuples its legs pick out are in the lookup, and
+``LimitResult.mediate``, that lookup, is the only place a cone is checked.
+The apex's element carrier, FINAB ``neg`` and addition rows are built when
+first read (``size`` is set at construction and builds nothing).
 Morphisms are immutable, so a morphism keeps its kernel once built.  All
 limit carriers are canonically ordered (lexicographically by constituent
 indices), so "the same object built two ways" can be compared by
@@ -419,12 +422,8 @@ def subobject_limit(parent: BaseObject, indices) -> LimitResult:
             raise DiagramError("subgroup indices must include zero")
         if len(_coset_walk(parent, idx)[0]) != len(idx):
             raise DiagramError("subset is not closed under the group structure")
-    obj, lookup = _structured_tuple_object(
-        parent.instance, [parent], [(i,) for i in idx],
-        lambda: map(parent.carrier.__getitem__, idx))
-    incl = BaseMorphism(obj, parent, idx, _trusted=True)
-    return LimitResult(obj, {"incl": incl}, lambda cone: (
-        zip(cone["incl"].map), cone["incl"].dom), lookup)
+    return _tuple_limit(("incl",), [parent], [(i,) for i in idx],
+                        lambda: map(parent.carrier.__getitem__, idx))
 
 
 def subgroup_object(parent: BaseObject, indices) -> BaseObject:
@@ -582,64 +581,95 @@ def _tuple_elements(parts, tuples):
     return [tuple([c[i] for c, i in zip(carriers, t)]) for t in tuples]
 
 
-def _structured_tuple_object(instance, parts: list[BaseObject], tuples,
-                             elements=None):
-    """A BaseObject on index tuples over the given parts, with its lookup.
+def _tuple_limit(names, parts, tuples, elements=None, edges=()):
+    """The limit whose apex is the given index tuples over ``parts``.
 
-    Returns the object and ``{index tuple: index}``.  The element carrier
+    The apex's ``lookup`` is ``{index tuple: index}`` and its legs, named by
+    ``names``, are the coordinate projections.  The element carrier
     (``elements()``, or each tuple read in the parts), a FINAB ``neg``
     table and each row of a FINAB ``add`` table are built when first read.
     """
     tuples = tuple(tuples)
     lookup = {t: i for i, t in enumerate(tuples)}
-    obj = BaseObject(instance, (), _trusted=True)
-    obj._carrier, obj.size = None, len(tuples)
-    obj._elements = elements or (lambda: _tuple_elements(parts, tuples))
+    instance = parts[0].instance if parts else FINSET
+    apex = BaseObject(instance, (), _trusted=True)
+    apex._carrier, apex.size = None, len(tuples)
+    apex._elements = elements or (lambda: _tuple_elements(parts, tuples))
     if instance is FINPTDSET:
-        obj.basepoint = lookup.get(tuple(p.basepoint for p in parts))
-        if obj.basepoint is None:
+        apex.basepoint = lookup.get(tuple(p.basepoint for p in parts))
+        if apex.basepoint is None:
             raise DiagramError("limit carrier lost the basepoint")
     elif instance is FINAB:
-        obj.zero = lookup.get(tuple(p.zero for p in parts))
-        if obj.zero is None:
+        apex.zero = lookup.get(tuple(p.zero for p in parts))
+        if apex.zero is None:
             raise DiagramError("limit carrier is not sum-closed")
-        obj.add = _TupleAddTable(parts, tuples, lookup)
-    return obj, lookup
+        apex.add = _TupleAddTable(parts, tuples, lookup)
+    columns = list(zip(*tuples)) or [()] * len(parts)
+    legs = {name: BaseMorphism(apex, part, column, _trusted=True)
+            for name, part, column in zip(names, parts, columns)}
+    return LimitResult(apex, legs, lookup, edges)
 
 
 class LimitResult:
-    """A computed limit: apex object, named legs, and a mediator factory.
+    """A computed limit: apex object, named legs, and its one mediator.
 
-    ``legs`` maps leg names to projections out of the apex.  ``mediate``
-    takes a cone (same names -> morphisms out of a common source) and returns
-    the unique factorization through the apex; it raises NoMediatorError when
-    the cone lacks a leg it needs or does not satisfy the defining equations.
+    ``legs`` maps leg names to the coordinate projections out of the apex;
     ``lookup`` maps the tuple of leg indices of each apex element (legs in
-    order) to its index, in apex order; a cone is mediated by the tuples its
-    legs pick out.
+    order) to its index, in apex order.  The apex holds exactly the tuples
+    that solve the limit's equations, so a cone factors iff the tuple its
+    legs pick out at each source element is in ``lookup``: ``mediate`` is
+    that lookup, and the only place a cone is checked.  ``edges`` holds
+    ``(s, t, h)`` over leg positions (only ``finite_limit`` gives any): a
+    cone may omit a leg an edge derives, and a miss names a broken edge.
     """
 
-    def __init__(self, apex: BaseObject, legs: dict, recipe, lookup: dict):
+    def __init__(self, apex: BaseObject, legs: dict, lookup: dict, edges=()):
         self.apex = apex
         self.legs = dict(legs)
-        self._recipe = recipe  # callable: cone dict -> (leg tuples, source)
         self.lookup = lookup
+        self.edges = tuple(edges)
 
     def mediate(self, cone: dict) -> BaseMorphism:
-        try:
-            keys, source = self._recipe(cone)
-        except KeyError as exc:  # a recipe reads each leg it needs by name
-            raise NoMediatorError(f"cone has no leg {exc.args[0]!r}") from None
-        try:
-            table = list(map(self.lookup.__getitem__, keys))
-        except KeyError:
-            raise NoMediatorError("cone does not land in the limit") from None
+        """The unique factorization of a cone (leg name -> morphism).
+
+        Names that are not legs are ignored.  A leg into the wrong object or
+        legs from different sources raise CompositionError; a missing leg,
+        an empty cone or a cone that does not land raise NoMediatorError.
+        """
+        maps, given = [], []
         for name, leg in self.legs.items():
-            if name in cone and (
-                    tuple([leg.map[j] for j in table]) != cone[name].map
-                    or cone[name].dom != source or cone[name].cod != leg.cod):
-                raise NoMediatorError(f"mediator fails to recover leg {name!r}")
+            u = cone.get(name)
+            if u is not None:
+                if u.cod != leg.cod:
+                    raise CompositionError(
+                        f"cone leg {name!r}: codomain mismatch")
+                given.append(u)
+            maps.append(None if u is None else u.map)
+        derived = True
+        while derived:  # a derived leg meets its edge by construction
+            derived = False
+            for s, t, h in self.edges:
+                if maps[t] is None and maps[s] is not None:
+                    maps[t] = tuple(map(h.map.__getitem__, maps[s]))
+                    derived = True
+        for name, m in zip(self.legs, maps):
+            if m is None:
+                raise NoMediatorError(f"cone has no leg {name!r}")
+        if not given:
+            raise NoMediatorError("empty cone")
+        source = _common_source(*given)
+        try:
+            table = list(map(self.lookup.__getitem__, zip(*maps)))
+        except KeyError:
+            raise NoMediatorError(self._miss(maps)) from None
         return BaseMorphism(source, self.apex, table, _trusted=True)
+
+    def _miss(self, maps) -> str:
+        names = list(self.legs)
+        for s, t, h in self.edges:
+            if any(h.map[x] != y for x, y in zip(maps[s], maps[t])):
+                return f"cone breaks the edge {names[s]!r}->{names[t]!r}"
+        return "cone does not land in the limit"
 
 
 def _common_source(*legs: BaseMorphism) -> BaseObject:
@@ -659,22 +689,9 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
     if f.cod != g.cod:
         raise CompositionError("pullback needs a common codomain")
     buckets = g.preimages()
-    tuples = [(i, j) for i in range(f.dom.size) for j in buckets[f.map[i]]]
-    apex, lookup = _structured_tuple_object(f.dom.instance, [f.dom, g.dom],
-                                            tuples)
-    p1 = BaseMorphism(apex, f.dom, [t[0] for t in tuples], _trusted=True)
-    p2 = BaseMorphism(apex, g.dom, [t[1] for t in tuples], _trusted=True)
-
-    def recipe(cone):
-        u, v = cone["p1"], cone["p2"]
-        src = _common_source(u, v)
-        if u.cod != f.dom or v.cod != g.dom:
-            raise CompositionError("codomain/domain mismatch in composite")
-        if any(f.map[x] != g.map[y] for x, y in zip(u.map, v.map)):
-            raise NoMediatorError("cone does not commute with the cospan")
-        return zip(u.map, v.map), src
-
-    return LimitResult(apex, {"p1": p1, "p2": p2}, recipe, lookup)
+    return _tuple_limit(("p1", "p2"), [f.dom, g.dom],
+                        [(i, j) for i in range(f.dom.size)
+                         for j in buckets[f.map[i]]])
 
 
 def pullback_offsets(f: BaseMorphism, g: BaseMorphism):
@@ -690,21 +707,8 @@ def pullback_offsets(f: BaseMorphism, g: BaseMorphism):
 
 def product(a: BaseObject, b: BaseObject) -> LimitResult:
     """Binary product as the pullback over the terminal shape (all pairs)."""
-    tuples = [(i, j) for i in range(a.size) for j in range(b.size)]
-    apex, lookup = _structured_tuple_object(a.instance, [a, b], tuples)
-    p1 = BaseMorphism(apex, a, [t[0] for t in tuples], _trusted=True)
-    p2 = BaseMorphism(apex, b, [t[1] for t in tuples], _trusted=True)
-
-    def recipe(cone):
-        u, v = cone["p1"], cone["p2"]
-        return zip(u.map, v.map), _common_source(u, v)
-
-    return LimitResult(apex, {"p1": p1, "p2": p2}, recipe, lookup)
-
-
-def pairing(lim: LimitResult, u: BaseMorphism, v: BaseMorphism) -> BaseMorphism:
-    """The mediator <u, v> into a binary pullback/product result."""
-    return lim.mediate({"p1": u, "p2": v})
+    return _tuple_limit(("p1", "p2"), [a, b],
+                        [(i, j) for i in range(a.size) for j in range(b.size)])
 
 
 @dataclass
@@ -740,7 +744,9 @@ def finite_limit(diagram: Diagram) -> LimitResult:
     edge, loops included, filters the rows once both its ends are joined.
     The apex carrier is the rows in node order, sorted: all tuples over the
     nodes satisfying every edge, lexicographic in node indices.  Legs are
-    the coordinate projections; a cone may omit legs its edges derive.
+    the coordinate projections, and the limit keeps the edges: ``mediate``
+    derives along them the legs a cone omits, and names an edge a cone
+    breaks.
     """
     names = list(diagram.nodes)
     objs = [diagram.nodes[name] for name in names]
@@ -777,45 +783,7 @@ def finite_limit(diagram: Diagram) -> LimitResult:
         pending = rest
     if n > 1:
         rows = map(itemgetter(*[col[k] for k in range(n)]), rows)
-    tuples = sorted(rows)
-    apex, lookup = _structured_tuple_object(
-        objs[0].instance if objs else FINSET, objs, tuples)
-    columns = list(zip(*tuples)) or [()] * n
-    legs = {name: BaseMorphism(apex, obj, column, _trusted=True)
-            for name, obj, column in zip(names, objs, columns)}
-
-    def recipe(cone):
-        if not cone:
-            raise NoMediatorError("empty cone")
-        maps = []
-        for name, obj in zip(names, objs):
-            u = cone.get(name)
-            if u is not None and u.cod != obj:
-                raise CompositionError(f"cone leg {name!r} is mistyped")
-            maps.append(None if u is None else u.map)
-        # Derive missing legs along edges; a derived edge holds as built.
-        unchecked, derived = edges, True
-        while derived:
-            derived, rest = False, []
-            for e in unchecked:
-                s, t, h = e
-                if maps[t] is None and maps[s] is not None:
-                    maps[t] = tuple(map(h.map.__getitem__, maps[s]))
-                    derived = True
-                else:
-                    rest.append(e)
-            unchecked = rest
-        missing = [name for name, m in zip(names, maps) if m is None]
-        if missing:
-            raise NoMediatorError(f"cone does not determine nodes {missing}")
-        src = _common_source(*cone.values())
-        for s, t, h in unchecked:
-            if tuple(map(h.map.__getitem__, maps[s])) != maps[t]:
-                raise NoMediatorError(
-                    f"cone breaks the edge {names[s]!r}->{names[t]!r}")
-        return zip(*maps), src
-
-    return LimitResult(apex, legs, recipe, lookup)
+    return _tuple_limit(names, objs, sorted(rows), edges=edges)
 
 
 def kernel(f: BaseMorphism) -> LimitResult:
@@ -830,20 +798,9 @@ def kernel(f: BaseMorphism) -> LimitResult:
     inst = f.dom.instance
     if not inst.pointed:
         raise CapabilityError("kernels need a pointed instance")
-    fmap, dom = f.map, f.dom  # the recipe keeps these, not f: no cycle
     z = f.cod.basepoint if inst is FINPTDSET else f.cod.zero
-    sub = subobject_limit(dom, [i for i, j in enumerate(fmap) if j == z])
-
-    def recipe(cone):
-        u = cone["ker"]
-        if u.cod != dom:
-            raise CompositionError("codomain/domain mismatch in composite")
-        if any(fmap[x] != z for x in u.map):
-            raise NoMediatorError("cone composed with the map is not zero")
-        return zip(u.map), u.dom
-
-    f._kernel = LimitResult(sub.apex, {"ker": sub.legs["incl"]}, recipe,
-                            sub.lookup)
+    sub = subobject_limit(f.dom, [i for i, j in enumerate(f.map) if j == z])
+    f._kernel = LimitResult(sub.apex, {"ker": sub.legs["incl"]}, sub.lookup)
     return f._kernel
 
 

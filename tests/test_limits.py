@@ -140,8 +140,8 @@ class TestMistypedCones:
         with pytest.raises(CompositionError):
             lim.mediate({"p1": _random_map(rng, a, a),
                          "p2": _random_map(rng, b, a)})
-        # a leg into another object is not recovered
-        with pytest.raises(NoMediatorError):
+        # a leg into another object
+        with pytest.raises(CompositionError):
             lim.mediate({"p1": _random_map(rng, a, b),
                          "p2": _random_map(rng, a, a)})
 
@@ -174,6 +174,28 @@ class TestMistypedCones:
         if instance.pointed:
             with pytest.raises(NoMediatorError, match="no leg 'ker'"):
                 kernel(f).mediate({})
+
+    def test_every_limit_names_a_mistyped_or_missing_leg(self, instance):
+        a, b = _objects(instance)[1:3]
+        rng = random.Random(0)
+        f = _random_map(rng, a, b)
+        limits = [pullback(f, f), product(a, b),
+                  finite_limit(Diagram({"x": a, "y": b}, [("x", "y", f)])),
+                  subobject_limit(a, range(a.size))]
+        if instance.pointed:
+            limits.append(kernel(f))
+        for lim in limits:
+            cone = {name: _random_map(rng, a, leg.cod)
+                    for name, leg in lim.legs.items()}
+            for name, leg in lim.legs.items():
+                wrong = b if leg.cod == a else a
+                with pytest.raises(CompositionError,
+                                   match=f"^cone leg {name!r}"):
+                    lim.mediate({**cone, name: _random_map(rng, a, wrong)})
+            # no edge enters the first leg, so nothing derives it
+            first = next(iter(lim.legs))
+            with pytest.raises(NoMediatorError, match=f"no leg {first!r}"):
+                lim.mediate({n: u for n, u in cone.items() if n != first})
 
     def test_non_commuting_pullback_cone(self, instance):
         a, b = _objects(instance)[1:3]
@@ -335,6 +357,15 @@ class TestFiniteLimitAgainstOracle:
                     outcomes.add((mediated, r < len(names)))
         assert outcomes == {(True, True), (True, False), (False, True),
                             (False, False)}
+
+
+def test_the_empty_diagram_mediates_no_cone():
+    # its apex is terminal, but a cone with no leg names no source
+    lim = finite_limit(Diagram({}, []))
+    assert lim.apex.size == 1 and lim.legs == {}
+    for cone in ({}, {"other": identity(finset_object("ab"))}):
+        with pytest.raises(NoMediatorError, match="^empty cone$"):
+            lim.mediate(cone)
 
 
 def test_mediating_a_finite_limit_composes_nothing(monkeypatch):
