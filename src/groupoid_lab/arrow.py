@@ -37,8 +37,10 @@ from .groupoid import (
     InternalFunctor,
     InternalGroupoid,
     NatTransformation,
+    groupoid_from_arrow,
     zero_functor,
 )
+from .holim import HKernel, kernel_groupoid
 
 
 @dataclass
@@ -317,7 +319,6 @@ def graph_comparison(delta: BaseMorphism) -> ArrowMorphism:
     correspondence (0, n) -> n identifies the normalized object with delta
     itself.
     """
-    from .groupoid import groupoid_from_arrow
     grp = groupoid_from_arrow(delta)  # its arrows: product(cod, dom).apex
     top = compose(kernel(grp.d).legs["ker"],
                   product(delta.cod, delta.dom).legs["p2"])
@@ -331,7 +332,6 @@ def kernel_preservation_comparison(fun: InternalFunctor) -> ArrowMorphism:
     and by the functor); the comparison re-indexes one carrier into the
     other and must be a levelwise iso.
     """
-    from .holim import kernel_groupoid
     kg, incl = kernel_groupoid(fun)
     square = normalize(fun)
     karr = kernel_arr(square)
@@ -342,19 +342,18 @@ def kernel_preservation_comparison(fun: InternalFunctor) -> ArrowMorphism:
     return ArrowMorphism(normalize_obj(kg), karr.object, top, bottom)
 
 
-def h_kernel_preservation_comparison(fun: InternalFunctor) -> ArrowMorphism:
+def h_kernel_preservation_comparison(hk: HKernel,
+                                     arr: ArrowHKernel) -> ArrowMorphism:
     """Canonical iso between the two strong h-kernels of a functor.
 
-    Normalizing the groupoid-level strong h-kernel, or taking the square-
-    level strong h-kernel of the normalization, gives the same object up to
-    the comparison built here: the top re-indexes kernel arrows through the
-    projection, the bottom pairs the projected object with the universal
-    2-cell's component.
+    Normalizing the groupoid-level strong h-kernel ``hk`` of a functor, or
+    taking the square-level strong h-kernel ``arr`` of its normalization,
+    gives the same object up to the comparison built here: the top
+    re-indexes kernel arrows through the projection, the bottom pairs the
+    projected object with the universal 2-cell's component.
     """
-    from .holim import strong_h_kernel
-    hk = strong_h_kernel(fun)
+    fun = hk.data.f
     proj = hk.projection
-    arr = strong_h_kernel_arr(normalize(fun))
     top = kernel(fun.dom.d).mediate(
         {"ker": compose(kernel(hk.groupoid.d).legs["ker"], proj.F1)})
     beta = kernel(fun.cod.d).mediate({"ker": hk.cell.alpha})

@@ -109,74 +109,49 @@ def validate_groupoid(g: InternalGroupoid) -> list[str]:
     bad = _typing_failures(g)
     if bad:
         return bad
-    b0, b1 = g.B0, g.B1
-    apex = g.composition_pairs().apex
+    n0, n1 = g.B0.size, g.B1.size
+    pairs = g.composition_pairs()
+    lookup = pairs.lookup
+    p1, p2 = pairs.legs["p1"].map, pairs.legs["p2"].map
     d, c, e, m, i = g.d.map, g.c.map, g.e.map, g.m.map, g.i.map
-    pair_index = {x: k for k, x in enumerate(apex.carrier)}
-    carrier1 = b1.carrier
 
-    if any(d[e[o]] != o for o in range(b0.size)):
+    if any(d[e[o]] != o for o in range(n0)):
         bad.append("identity-source")
-    if any(c[e[o]] != o for o in range(b0.size)):
+    if any(c[e[o]] != o for o in range(n0)):
         bad.append("identity-target")
 
-    comp_src = any(d[m[k]] != d[b1.index_of(x)]
-                   for k, (x, _) in enumerate(apex.carrier))
-    comp_tgt = any(c[m[k]] != c[b1.index_of(y)]
-                   for k, (_, y) in enumerate(apex.carrier))
+    comp_src = any(d[m[k]] != d[x] for k, x in enumerate(p1))
+    comp_tgt = any(c[m[k]] != c[y] for k, y in enumerate(p2))
     if comp_src:
         bad.append("composition-source")
     if comp_tgt:
         bad.append("composition-target")
 
-    unit_ok = True
-    for fi in range(b1.size):
-        f = carrier1[fi]
-        # with a broken identity law the unit pairs need not be composable
-        left = pair_index.get((carrier1[e[d[fi]]], f))
-        right = pair_index.get((f, carrier1[e[c[fi]]]))
-        if left is None or right is None or m[left] != fi or m[right] != fi:
-            unit_ok = False
-            break
-    if not unit_ok:
+    # with a broken identity law the unit pairs need not be composable
+    units = ((f, lookup.get((e[d[f]], f)), lookup.get((f, e[c[f]])))
+             for f in range(n1))
+    if any(left is None or right is None or m[left] != f or m[right] != f
+           for f, left, right in units):
         bad.append("unit-law")
 
     if not comp_src and not comp_tgt:
-        assoc_ok = True
-        by_source: list[list[int]] = [[] for _ in range(b0.size)]
-        for hi in range(b1.size):
-            by_source[d[hi]].append(hi)
-        for k, (x, y) in enumerate(apex.carrier):
-            xy = m[k]
-            for hi in by_source[c[b1.index_of(y)]]:
-                h = carrier1[hi]
-                lhs = m[pair_index[(carrier1[xy], h)]]
-                yh = m[pair_index[(y, h)]]
-                rhs = m[pair_index[(x, carrier1[yh])]]
-                if lhs != rhs:
-                    assoc_ok = False
-                    break
-            if not assoc_ok:
-                break
-        if not assoc_ok:
+        by_source: list[list[int]] = [[] for _ in range(n0)]
+        for h in range(n1):
+            by_source[d[h]].append(h)
+        if any(m[lookup[(m[k], h)]] != m[lookup[(x, m[lookup[(y, h)]])]]
+               for k, (x, y) in enumerate(zip(p1, p2))
+               for h in by_source[c[y]]):
             bad.append("associativity")
 
-    if any(d[i[fi]] != c[fi] for fi in range(b1.size)):
+    if any(d[i[f]] != c[f] for f in range(n1)):
         bad.append("inverse-source")
-    if any(c[i[fi]] != d[fi] for fi in range(b1.size)):
+    if any(c[i[f]] != d[f] for f in range(n1)):
         bad.append("inverse-target")
-    inv_ok = True
-    for fi in range(b1.size):
-        f = carrier1[fi]
-        fin = carrier1[i[fi]]
-        if (fin, f) not in pair_index or (f, fin) not in pair_index:
-            inv_ok = False
-            break
-        if (m[pair_index[(f, fin)]] != e[d[fi]]
-                or m[pair_index[(fin, f)]] != e[c[fi]]):
-            inv_ok = False
-            break
-    if not inv_ok:
+    inverses = ((f, lookup.get((f, i[f])), lookup.get((i[f], f)))
+                for f in range(n1))
+    if any(right is None or left is None
+           or m[right] != e[d[f]] or m[left] != e[c[f]]
+           for f, right, left in inverses):
         bad.append("inverse-law")
     return bad
 

@@ -283,12 +283,17 @@ def _basic_families(instance):
     return fams
 
 
-def _fam_product(instance, rng, budget):
+def _random_product(instance, rng, budget):
+    """``product_groupoid`` of two basic groupoids: (product, pr1, pr2)."""
     p = rng.randint(1, max(1, budget // 2))
     q = max(1, budget // max(p, 2))
     left = rng.choice(_basic_families(instance))(instance, rng, p)
     right = rng.choice(_basic_families(instance))(instance, rng, q)
-    return product_groupoid(left, right)[0]
+    return product_groupoid(left, right)
+
+
+def _fam_product(instance, rng, budget):
+    return _random_product(instance, rng, budget)[0]
 
 
 def _random_groupoid(instance, rng, budget) -> InternalGroupoid:
@@ -417,11 +422,8 @@ def _fibration_family(instance, rng, budget):
     "fibration", "split_epi_fibration", or "discrete_fibration".
     """
     def f_projection():
-        p = rng.randint(1, max(1, budget // 2))
-        q = max(1, budget // max(p, 2))
-        left = rng.choice(_basic_families(instance))(instance, rng, p)
-        right = rng.choice(_basic_families(instance))(instance, rng, q)
-        return product_groupoid(left, right)[1], "split_epi_fibration"
+        return (_random_product(instance, rng, budget)[1],
+                "split_epi_fibration")
 
     def f_identity():
         g = _random_groupoid(instance, rng, budget)
@@ -504,10 +506,7 @@ def _weak_equivalence_into(base: InternalGroupoid, rng):
 def _meet_all_components(g: InternalGroupoid, rng):
     inst = g.instance
     if inst is FINAB:
-        seeds = rng.sample(range(g.B0.size),
-                           rng.randint(1, min(2, g.B0.size)))
-        idx = generated_subgroup_indices(g.B0, seeds)
-        return full_subgroupoid(g, idx)[1]
+        return _subgroupoid_inclusion(g, rng)
     _, proj = pi0(g)
     reps = {}
     order = list(range(g.B0.size))
@@ -689,9 +688,9 @@ def corrupt_groupoid(g: InternalGroupoid, rng):
         if proj.map == g.m.map:
             return None
         bad = InternalGroupoid(g.B0, g.B1, g.d, g.c, g.e, proj, g.i)
-        for (x, y) in pairs.apex.carrier:
-            if g.c(x) != g.c(y):
-                return bad, "composition-target"
+        c = g.c.map
+        if any(c[x] != c[y] for x, y in zip(proj.map, pairs.legs["p2"].map)):
+            return bad, "composition-target"
         if any(g.e.map[g.d.map[k]] != k for k in range(g.B1.size)):
             return bad, "unit-law"
         return None
@@ -1283,7 +1282,7 @@ def _check_normalization_preserves_kernels(instance, case):
                   functor=fun)
     hk = strong_h_kernel(fun)
     arr = strong_h_kernel_arr(nf)
-    cmp_h = h_kernel_preservation_comparison(fun)
+    cmp_h = h_kernel_preservation_comparison(hk, arr)
     if not (classify_morphism(cmp_h.f).iso
             and classify_morphism(cmp_h.f0).iso):
         case.fail("h-kernel comparison is not an isomorphism", functor=fun)

@@ -85,106 +85,50 @@ def morphism_from_data(data: dict) -> BaseMorphism:
 
 
 # ---------------------------------------------------------------------------
-# groupoids, functors, transformations
+# composite values
+
+# Each composite shape: its class and its fields in constructor order, each
+# field with the class it holds.  A value encodes to one key per field, and
+# the keys double as its signature when data is decoded without a declared
+# class.  Dispatch order is this table's order, then the two base formats.
+_SHAPES = {
+    InternalGroupoid: {"B0": BaseObject, "B1": BaseObject,
+                       "d": BaseMorphism, "c": BaseMorphism,
+                       "e": BaseMorphism, "m": BaseMorphism,
+                       "i": BaseMorphism},
+    InternalFunctor: {"dom": InternalGroupoid, "cod": InternalGroupoid,
+                      "F0": BaseMorphism, "F1": BaseMorphism},
+    NatTransformation: {"source": InternalFunctor, "target": InternalFunctor,
+                        "alpha": BaseMorphism},
+    Diagonal: {"morphism": ArrowMorphism, "d": BaseMorphism},
+    ArrowMorphism: {"dom": ArrowObject, "cod": ArrowObject,
+                    "f": BaseMorphism, "f0": BaseMorphism},
+    ArrowObject: {"a": BaseMorphism},
+}
+
+_BASE = {BaseMorphism: (morphism_to_data, morphism_from_data),
+         BaseObject: (object_to_data, object_from_data)}
 
 
-def groupoid_to_data(grp: InternalGroupoid) -> dict:
-    return {"B0": object_to_data(grp.B0), "B1": object_to_data(grp.B1),
-            "d": morphism_to_data(grp.d), "c": morphism_to_data(grp.c),
-            "e": morphism_to_data(grp.e), "m": morphism_to_data(grp.m),
-            "i": morphism_to_data(grp.i)}
+def _encode(cls, value):
+    if cls in _BASE:
+        return _BASE[cls][0](value)
+    return {name: _encode(held, getattr(value, name))
+            for name, held in _SHAPES[cls].items()}
 
 
-def groupoid_from_data(data: dict) -> InternalGroupoid:
-    return InternalGroupoid(object_from_data(data["B0"]),
-                            object_from_data(data["B1"]),
-                            morphism_from_data(data["d"]),
-                            morphism_from_data(data["c"]),
-                            morphism_from_data(data["e"]),
-                            morphism_from_data(data["m"]),
-                            morphism_from_data(data["i"]))
-
-
-def functor_to_data(fun: InternalFunctor) -> dict:
-    return {"dom": groupoid_to_data(fun.dom), "cod": groupoid_to_data(fun.cod),
-            "F0": morphism_to_data(fun.F0), "F1": morphism_to_data(fun.F1)}
-
-
-def functor_from_data(data: dict) -> InternalFunctor:
-    return InternalFunctor(groupoid_from_data(data["dom"]),
-                           groupoid_from_data(data["cod"]),
-                           morphism_from_data(data["F0"]),
-                           morphism_from_data(data["F1"]))
-
-
-def transformation_to_data(cell: NatTransformation) -> dict:
-    return {"source": functor_to_data(cell.source),
-            "target": functor_to_data(cell.target),
-            "alpha": morphism_to_data(cell.alpha)}
-
-
-def transformation_from_data(data: dict) -> NatTransformation:
-    return NatTransformation(functor_from_data(data["source"]),
-                             functor_from_data(data["target"]),
-                             morphism_from_data(data["alpha"]))
-
-
-# ---------------------------------------------------------------------------
-# the arrow category
-
-
-def arrow_object_to_data(obj: ArrowObject) -> dict:
-    return {"a": morphism_to_data(obj.a)}
-
-
-def arrow_object_from_data(data: dict) -> ArrowObject:
-    return ArrowObject(morphism_from_data(data["a"]))
-
-
-def arrow_morphism_to_data(mor: ArrowMorphism) -> dict:
-    return {"dom": arrow_object_to_data(mor.dom),
-            "cod": arrow_object_to_data(mor.cod),
-            "f": morphism_to_data(mor.f), "f0": morphism_to_data(mor.f0)}
-
-
-def arrow_morphism_from_data(data: dict) -> ArrowMorphism:
-    return ArrowMorphism(arrow_object_from_data(data["dom"]),
-                         arrow_object_from_data(data["cod"]),
-                         morphism_from_data(data["f"]),
-                         morphism_from_data(data["f0"]))
-
-
-def diagonal_to_data(diag: Diagonal) -> dict:
-    return {"morphism": arrow_morphism_to_data(diag.morphism),
-            "d": morphism_to_data(diag.d)}
-
-
-def diagonal_from_data(data: dict) -> Diagonal:
-    return Diagonal(arrow_morphism_from_data(data["morphism"]),
-                    morphism_from_data(data["d"]))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-_ENCODERS = (
-    (InternalGroupoid, groupoid_to_data),
-    (InternalFunctor, functor_to_data),
-    (NatTransformation, transformation_to_data),
-    (Diagonal, diagonal_to_data),
-    (ArrowMorphism, arrow_morphism_to_data),
-    (ArrowObject, arrow_object_to_data),
-    (BaseMorphism, morphism_to_data),
-    (BaseObject, object_to_data),
-)
+def _decode(cls, data):
+    if cls in _BASE:
+        return _BASE[cls][1](data)
+    return cls(*[_decode(held, data[name])
+                 for name, held in _SHAPES[cls].items()])
 
 
 def value_to_data(value):
     """Encode any serializable package value to plain data."""
-    for cls, encoder in _ENCODERS:
+    for cls in (*_SHAPES, *_BASE):
         if isinstance(value, cls):
-            return encoder(value)
+            return _encode(cls, value)
     raise DiagramError(f"cannot serialize a {type(value).__name__}")
 
 
@@ -195,26 +139,20 @@ class UnknownShapeError(DiagramError):
 def value_from_data(data):
     """Decode plain data by key signature (inverse of value_to_data).
 
+    A composite shape matches when its field names are among the keys; an
+    arrow object, whose one key is common, only on the exact key set.
     Data that names no known shape raises UnknownShapeError.
     """
     if not isinstance(data, dict):
         raise UnknownShapeError("serialized value must be a JSON object")
-    keys = set(data)
-    if {"B0", "B1", "d", "c", "e", "m", "i"} <= keys:
-        return groupoid_from_data(data)
-    if {"dom", "cod", "F0", "F1"} <= keys:
-        return functor_from_data(data)
-    if {"source", "target", "alpha"} <= keys:
-        return transformation_from_data(data)
-    if {"morphism", "d"} <= keys:
-        return diagonal_from_data(data)
-    if {"dom", "cod", "f", "f0"} <= keys:
-        return arrow_morphism_from_data(data)
-    if keys == {"a"}:
-        return arrow_object_from_data(data)
-    if {"dom", "cod", "map"} <= keys:
+    keys = data.keys()
+    for cls, fields in _SHAPES.items():
+        if (keys == fields.keys() if cls is ArrowObject
+                else keys >= fields.keys()):
+            return _decode(cls, data)
+    if keys >= {"dom", "cod", "map"}:
         return morphism_from_data(data)
-    if {"instance", "carrier"} <= keys:
+    if keys >= {"instance", "carrier"}:
         return object_from_data(data)
     raise UnknownShapeError("unrecognized serialized value")
 

@@ -497,18 +497,18 @@ class TestPreservationComparisons:
 
     def test_h_kernel_preservation(self):
         fun = mod2_collapse()
-        cmp = h_kernel_preservation_comparison(fun)
-        assert classify_morphism(cmp.f).iso
-        assert classify_morphism(cmp.f0).iso
         hk = strong_h_kernel(fun)
         arr = strong_h_kernel_arr(normalize(fun))
+        cmp = h_kernel_preservation_comparison(hk, arr)
+        assert classify_morphism(cmp.f).iso
+        assert classify_morphism(cmp.f0).iso
         assert compose_arr(cmp, arr.inclusion) == normalize(hk.projection)
 
     def test_h_kernel_preservation_matches_the_diagonal(self):
         fun = identity_functor(groupoid_from_arrow(doubling_arrow()))
-        cmp = h_kernel_preservation_comparison(fun)
         hk = strong_h_kernel(fun)
         arr = strong_h_kernel_arr(normalize(fun))
+        cmp = h_kernel_preservation_comparison(hk, arr)
         direct = normalize_homotopy(hk.cell)
         acted = act_on_diagonal(cmp, arr.diagonal, identity_arr(arr.of.cod))
         assert direct.d == acted.d

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from groupoid_lab.arrow import normalize
+from groupoid_lab.arrow import ArrowObject, Diagonal, identity_arr, normalize
 from groupoid_lab.base import (
     FINPTDSET,
     FINSET,
     finptdset_object,
+    identity,
     morphism_from_function,
     zmod,
 )
@@ -148,6 +149,51 @@ class TestValidate:
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+
+# One small value of each shape the decoder knows, and the fields of each
+# composite shape with the shape each field holds.
+_Z2_SQUARE = identity_arr(ArrowObject(identity(zmod(2))))
+_SHAPE_DATA = {name: value_to_data(v) for name, v in {
+    "groupoid": delooping(zmod(2)),
+    "functor": identity_functor(delooping(zmod(2))),
+    "transformation": identity_cell(identity_functor(delooping(zmod(2)))),
+    "diagonal": Diagonal(_Z2_SQUARE, identity(zmod(2))),
+    "arrow morphism": _Z2_SQUARE,
+    "arrow object": _Z2_SQUARE.dom,
+    "morphism": identity(zmod(2)),
+    "object": zmod(2),
+}.items()}
+_FIELDS = {
+    "groupoid": {"B0": "object", "B1": "object", "d": "morphism",
+                 "c": "morphism", "e": "morphism", "m": "morphism",
+                 "i": "morphism"},
+    "functor": {"dom": "groupoid", "cod": "groupoid", "F0": "morphism",
+                "F1": "morphism"},
+    "transformation": {"source": "functor", "target": "functor",
+                       "alpha": "morphism"},
+    "diagonal": {"morphism": "arrow morphism", "d": "morphism"},
+    "arrow morphism": {"dom": "arrow object", "cod": "arrow object",
+                       "f": "morphism", "f0": "morphism"},
+    "arrow object": {"a": "morphism"},
+}
+_CROSS = [(shape, field, filler) for shape, fields in _FIELDS.items()
+          for field in fields for filler in _SHAPE_DATA]
+
+
+@pytest.mark.parametrize("shape, field, filler", _CROSS,
+                         ids=[f"{s}.{f}={x}" for s, f, x in _CROSS])
+def test_a_field_decodes_only_its_own_shape(tmp_path, capsys, shape, field,
+                                           filler):
+    """Another shape's data in a field is a usage error; the field's own
+    shape decodes, and the value is then valid or invalid."""
+    data = copy.deepcopy(_SHAPE_DATA[shape])
+    data[field] = _SHAPE_DATA[filler]
+    path = tmp_path / "crossed.json"
+    path.write_text(json.dumps(data))
+    code = main(["validate", str(path)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code in ((0, 1) if filler == _FIELDS[shape][field] else (2,))
 
 
 # Values whose serialized form the fuzz test below corrupts: one of each

@@ -122,7 +122,8 @@ class TestArrowGroupoid:
 
 class TestBuiltFromIndices:
     """Derived structure maps are limit legs, their composites, mediators
-    or index tables: building them reads no element carrier."""
+    or index tables: building and validating them reads no element
+    carrier."""
 
     @pytest.mark.parametrize("instance, seed",
                              [(FINAB, 2), (FINPTDSET, 1), (FINSET, 4)])
@@ -157,9 +158,11 @@ class TestBuiltFromIndices:
                  action_groupoid(perm), full_subgroupoid(pairs, [0, 2])[0],
                  arrow_groupoid(base_groupoid).groupoid,
                  arrow_groupoid(pairs).groupoid]
-        assert builds == []
         for g in built:
             assert validate_groupoid(g) == []
+        assert builds == []
+        # the probe sees a carrier that is read
+        built[-1].composition_pairs().apex.carrier
         assert builds
 
 

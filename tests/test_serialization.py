@@ -26,8 +26,6 @@ from groupoid_lab.holim import arrow_groupoid
 from groupoid_lab.arrow import ArrowMorphism, Diagonal, arrow_object
 from groupoid_lab.serialize import (
     from_json,
-    groupoid_from_data,
-    groupoid_to_data,
     object_from_data,
     object_to_data,
     to_json,
@@ -69,9 +67,9 @@ class TestBaseRoundTrips:
 class TestStructureRoundTrips:
     def test_groupoid(self):
         g = groupoid_from_arrow(doubling_arrow())
-        data = groupoid_to_data(g)
+        data = value_to_data(g)
         assert set(data) == {"B0", "B1", "d", "c", "e", "m", "i"}
-        assert groupoid_from_data(data) == g
+        assert value_from_data(data) == g
 
     def test_groupoid_families(self):
         for g in (cyclic_delooping(FINAB, 4),
