@@ -13,18 +13,11 @@ import sys
 
 from .arrow import (
     ArrowMorphism,
-    ArrowObject,
-    Diagonal,
     classify_arrow_morphism,
     comparison_J_arr,
     partial_zero_arr,
 )
-from .base import (
-    BaseMorphism,
-    BaseObject,
-    GroupoidLabError,
-    parse_instance,
-)
+from .base import GroupoidLabError, parse_instance
 from .classify import classification_report
 from .groupoid import (
     InternalFunctor,
@@ -35,30 +28,11 @@ from .groupoid import (
     validate_transformation,
 )
 from .harness import SUITES, run_suite, suite_names
-from .serialize import UnknownShapeError, value_from_data
+from .serialize import UnknownShapeError, kind_name, value_from_data
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-
-_KIND_NAMES = (
-    (InternalGroupoid, "groupoid"),
-    (InternalFunctor, "functor"),
-    (NatTransformation, "transformation"),
-    (Diagonal, "diagonal"),
-    (ArrowMorphism, "arrow morphism"),
-    (ArrowObject, "arrow object"),
-    (BaseMorphism, "morphism"),
-    (BaseObject, "object"),
-)
-
-
-def _kind_name(value) -> str:
-    for cls, name in _KIND_NAMES:
-        if isinstance(value, cls):
-            return name
-    return type(value).__name__
-
 
 def _load_value(path):
     """Decode one JSON file.
@@ -95,7 +69,7 @@ def cmd_validate(args) -> int:
         (InternalFunctor, validate_functor),
         (NatTransformation, validate_transformation),
     )
-    kind = _kind_name(value)
+    kind = kind_name(value)
     for cls, validator in validators:
         if isinstance(value, cls):
             try:
@@ -153,7 +127,7 @@ def cmd_classify(args) -> int:
         if args.kind == "functor":
             if not isinstance(value, InternalFunctor):
                 print(f"expected a functor, file holds a "
-                      f"{_kind_name(value)}", file=sys.stderr)
+                      f"{kind_name(value)}", file=sys.stderr)
                 return EXIT_INVALID
             violations = validate_functor(value)
             if violations:
@@ -164,7 +138,7 @@ def cmd_classify(args) -> int:
         else:
             if not isinstance(value, ArrowMorphism):
                 print(f"expected an arrow morphism, file holds a "
-                      f"{_kind_name(value)}", file=sys.stderr)
+                      f"{kind_name(value)}", file=sys.stderr)
                 return EXIT_INVALID
             payload = _arrow_payload(value)
     except GroupoidLabError as exc:

@@ -203,13 +203,10 @@ def validate_functor(fun: InternalFunctor) -> list[str]:
     A mistyped structure map of either groupoid is reported under its
     validate_groupoid name and aborts the checks it would crash.
     """
-    a, b = fun.dom, fun.cod
-    bad = _typing_failures(a) or _typing_failures(b)
+    bad = _functor_typing_failures(fun)
     if bad:
         return bad
-    if (fun.F0.dom != a.B0 or fun.F0.cod != b.B0
-            or fun.F1.dom != a.B1 or fun.F1.cod != b.B1):
-        return ["functor-typing"]
+    a, b = fun.dom, fun.cod
     if compose(fun.F1, b.d) != compose(a.d, fun.F0):
         bad.append("functor-source")
     if compose(fun.F1, b.c) != compose(a.c, fun.F0):
@@ -223,6 +220,16 @@ def validate_functor(fun: InternalFunctor) -> list[str]:
         if any(f1[amul(x, y)] != bmul(f1[x], f1[y])
                for x, y in zip(legs["p1"].map, legs["p2"].map)):
             bad.append("functor-composition")
+    return bad
+
+
+def _functor_typing_failures(fun: InternalFunctor) -> list[str]:
+    """Typing failures of either groupoid, or "functor-typing"."""
+    a, b = fun.dom, fun.cod
+    bad = _typing_failures(a) or _typing_failures(b)
+    if not bad and (fun.F0.dom != a.B0 or fun.F0.cod != b.B0
+                    or fun.F1.dom != a.B1 or fun.F1.cod != b.B1):
+        bad.append("functor-typing")
     return bad
 
 
@@ -251,24 +258,28 @@ class NatTransformation:
 
 
 def validate_transformation(cell: NatTransformation) -> list[str]:
-    """Names of 2-cell axioms that fail (empty list = valid)."""
+    """Names of 2-cell axioms that fail (empty list = valid).  A source or
+    target that is no functor, so that a pair fails to compose, raises."""
     f, g = cell.source, cell.target
     if f.dom != g.dom or f.cod != g.cod:
         return ["transformation-typing"]
     a, b = f.dom, f.cod
     if cell.alpha.dom != a.B0 or cell.alpha.cod != b.B1:
         return ["transformation-typing"]
+    if _functor_typing_failures(f) or _functor_typing_failures(g):
+        raise DiagramError("2-cell between mistyped functors")
     bad = []
     if compose(cell.alpha, b.d) != f.F0:
         bad.append("component-source")
     if compose(cell.alpha, b.c) != g.F0:
         bad.append("component-target")
     if not bad:
-        alpha = cell.alpha
-        for x in a.B1.carrier:
-            lhs = b.mul(alpha(a.d(x)), g.F1(x))
-            rhs = b.mul(f.F1(x), alpha(a.c(x)))
-            if lhs != rhs:
+        alpha, mul, d, c = cell.alpha.map, _index_mul(b), b.d.map, b.c.map
+        for x, y, fx, gx in zip(a.d.map, a.c.map, f.F1.map, g.F1.map):
+            if c[alpha[x]] != d[gx] or c[fx] != d[alpha[y]]:
+                raise DiagramError("naturality pair does not compose: "
+                                   "source or target is no functor")
+            if mul(alpha[x], gx) != mul(fx, alpha[y]):
                 bad.append("naturality")
                 break
     return bad

@@ -3,16 +3,18 @@
 Generators assemble small structures from hand-picked families so that
 every classifier flag shows up on both sides somewhere in a run.  Each
 suite checks one structural fact at desk scale and reports serialized
-witnesses for whatever failed.  Two suites are bounded searches whose
-expected outcome is a found witness rather than a clean pass.  Each suite
-is registered once, in ``SUITES``, with the instances it applies to, the
-instances that expect witnesses, and its default case bound.
+witnesses for whatever failed.  Each suite is registered once, in
+``SUITES``, with the instances it applies to, the instances that expect
+witnesses, and its default case bound.  Two suites are bounded searches
+over a fixed catalogue, registered by ``@_search``, which owns their loop.
+The star search expects a witness on FinAb; protomodularity expects one
+on FinPtdSet and a clean pass on FinAb.
 
 Determinism: every generator derives its stream from a string seed of the
 form "<instance>:<seed>", and one runner loop gives each case of a suite
-the seed "<instance>:<suite>:<seed>:<k>".  Search suites use no randomness
-at all; they walk a fixed catalog in increasing size order, so the number
-of examined candidates in the report is the explicit search bound.
+the seed "<instance>:<suite>:<seed>:<k>".  Searches use no randomness at
+all, so the number of cases in the report is the number of candidates
+examined.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt
 
 from .arrow import (
@@ -66,6 +69,7 @@ from .base import (
     product,
     pullback,
     quotient_by_subgroup,
+    subobject_limit,
     zero_morphism,
     zmod,
 )
@@ -264,14 +268,17 @@ def _fam_action(instance, rng, budget):
     return action_groupoid(BaseMorphism(x, x, table))
 
 
+def _cyclic_hom(m, n, j) -> BaseMorphism:
+    """The j-th hom Z_m -> Z_n, x -> x * j * n / gcd(m, n)."""
+    t = n // gcd(m, n) * j
+    return morphism_from_function(zmod(m), zmod(n), lambda x: x * t % n)
+
+
 def _fam_graph(instance, rng, budget):
     pairs = [(m, n) for m in range(1, budget + 1)
              for n in range(1, budget + 1) if m * n <= budget]
     m, n = rng.choice(pairs)
-    g = gcd(m, n)
-    t = (n // g) * rng.randrange(g) if g else 0
-    delta = morphism_from_function(zmod(m), zmod(n), lambda x: (x * t) % n)
-    return groupoid_from_arrow(delta)
+    return groupoid_from_arrow(_cyclic_hom(m, n, rng.randrange(gcd(m, n))))
 
 
 def _basic_families(instance):
@@ -632,11 +639,8 @@ def _random_arrow_morphism(instance, rng, budget=None) -> ArrowMorphism:
         def s_graph():
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
-            g = gcd(m, n)
-            t = (n // g) * rng.randrange(g)
-            delta = morphism_from_function(zmod(m), zmod(n),
-                                           lambda x: (x * t) % n)
-            return graph_comparison(delta)
+            return graph_comparison(
+                _cyclic_hom(m, n, rng.randrange(gcd(m, n))))
         strategies.append(s_graph)
     return rng.choice(strategies)()
 
@@ -803,12 +807,8 @@ def _groupoid_catalog(max_arrows):
     out.append(indiscrete_groupoid(zmod(2)))
     for m in range(1, max_arrows + 1):
         for n in range(1, max_arrows // m + 1):
-            g = gcd(m, n)
-            for j in range(g):
-                t = (n // g) * j
-                delta = morphism_from_function(
-                    zmod(m), zmod(n), lambda x, t=t, n=n: (x * t) % n)
-                out.append(groupoid_from_arrow(delta))
+            for j in range(gcd(m, n)):
+                out.append(groupoid_from_arrow(_cyclic_hom(m, n, j)))
     return sorted(out, key=lambda b: (b.B1.size, b.B0.size))
 
 
@@ -859,64 +859,39 @@ def _fibration_squares(instance):
 
 
 def _shrink_square(m: ArrowMorphism, still_bad) -> ArrowMorphism:
-    """Greedy element removal on a pointed square while the defect persists."""
-    changed = True
-    while changed:
-        changed = False
-        for which in range(4):
-            obj = [m.dom.top, m.dom.bottom, m.cod.top, m.cod.bottom][which]
-            for drop in range(obj.size):
-                if drop == obj.basepoint:
-                    continue
-                smaller = _remove_element(m, which, drop)
-                if smaller is not None and still_bad(smaller):
-                    m = smaller
-                    changed = True
-                    break
-            if changed:
-                break
-    return m
+    """Greedy element removal on a pointed square: take the first smaller
+    square that is still bad, until none is."""
+    while True:
+        corners = (m.dom.top, m.dom.bottom, m.cod.top, m.cod.bottom)
+        smaller = (_remove_element(m, which, drop)
+                   for which, obj in enumerate(corners)
+                   for drop in range(obj.size) if drop != obj.basepoint)
+        bad = next((s for s in smaller if s is not None and still_bad(s)),
+                   None)
+        if bad is None:
+            return m
+        m = bad
 
 
 def _remove_element(m: ArrowMorphism, which, drop):
-    objs = [m.dom.top, m.dom.bottom, m.cod.top, m.cod.bottom]
-    # removal must not strand an element some kept map still hits
-    incoming = {1: [(m.dom.a, 0)], 2: [(m.f, 0)],
-                3: [(m.f0, 1), (m.cod.a, 2)]}.get(which, [])
-    for mor, src in incoming:
-        keep = [i for i in range(objs[src].size)
-                if src != which or i != drop]
-        if any(mor.map[i] == drop for i in keep):
-            return None
-    old = objs[which]
-    keep = [i for i in range(old.size) if i != drop]
-    new_obj = finptdset_object([old.carrier[i] for i in keep],
-                               keep.index(old.basepoint))
-    objs = list(objs)
-    objs[which] = new_obj
-    reindex = {i: k for k, i in enumerate(keep)}
-
-    def restrict(mor, src, dst):
-        table = []
-        for i in range(objs[src].size):
-            j = mor.map[i if src != which else keep[i]]
-            if dst == which:
-                if j not in reindex:
-                    return None
-                j = reindex[j]
-            table.append(j)
-        return BaseMorphism(objs[src], objs[dst], table)
-
-    a = restrict(m.dom.a, 0, 1)
-    b = restrict(m.cod.a, 2, 3)
-    f = restrict(m.f, 0, 2)
-    f0 = restrict(m.f0, 1, 3)
-    if None in (a, b, f, f0):
-        return None
-    try:
-        return ArrowMorphism(ArrowObject(a), ArrowObject(b), f, f0)
-    except DiagramError:
-        return None
+    """The square with element ``drop`` of corner ``which`` (domain top and
+    bottom, then codomain top and bottom) removed, or None when a kept
+    element still maps onto it."""
+    corner = (m.dom.top, m.dom.bottom, m.cod.top, m.cod.bottom)[which]
+    sub = subobject_limit(corner, [i for i in range(corner.size) if i != drop])
+    maps = {}
+    for (src, dst), mor in {(0, 1): m.dom.a, (2, 3): m.cod.a,
+                            (0, 2): m.f, (1, 3): m.f0}.items():
+        if src == which:
+            mor = compose(sub.legs["incl"], mor)
+        if dst == which:
+            try:
+                mor = sub.mediate({"incl": mor})
+            except NoMediatorError:
+                return None
+        maps[src, dst] = mor
+    return ArrowMorphism(ArrowObject(maps[0, 1]), ArrowObject(maps[2, 3]),
+                         maps[0, 2], maps[1, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -968,12 +943,24 @@ def _suite(name, instances):
 
 
 def _search(name, instances, witness_instances, default_cases):
-    """Register a seedless ``run(instance, n) -> (examined, witnesses)``."""
-    def register(run):
-        SUITES[name] = _Suite(lambda instance, n, seed: run(instance, n),
-                              instances, frozenset(witness_instances),
+    """Register a generator ``search(instance)`` that yields one verdict per
+    catalogue candidate, in order: None, or a failure ``(reason, values)``.
+    A run takes the first n verdicts as cases 0, 1, ... and reports each
+    failure as a witness; on a witness instance it stops at the third."""
+    def register(search):
+        def run(instance, n, seed):
+            cases, failures = 0, []
+            for cases, verdict in enumerate(islice(search(instance), n), 1):
+                if verdict is not None:
+                    reason, values = verdict
+                    failures.append(_witness(cases - 1, reason, **values))
+                    if (len(failures) == 3
+                            and instance.name in witness_instances):
+                        break
+            return cases, failures
+        SUITES[name] = _Suite(run, instances, frozenset(witness_instances),
                               default_cases)
-        return run
+        return search
     return register
 
 
@@ -1178,41 +1165,30 @@ def _check_fibration_implies_star(instance, case):
 
 
 @_search("star-not-fibration-search", ("finab",), ("finab",), 200)
-def _search_star_not_fibration(instance, n):
-    """Bounded search for a star-fibration that is not a fibration, over
-    small groupoid pairs, smallest first."""
+def _search_star_not_fibration(instance):
+    """Search for a star-fibration that is not a fibration: each functor
+    between small groupoid pairs, smallest first, is one candidate."""
     catalog = _groupoid_catalog(8)
     hom = _hom_memo()
-
-    examined = 0
-    witnesses = []
     pairs = sorted(
         ((a, b) for a in catalog for b in catalog),
         key=lambda p: (p[0].B1.size + p[1].B1.size,
                        p[0].B1.size, p[1].B1.size))
     for dom, cod in pairs:
-        if examined >= n or len(witnesses) >= 3:
-            break
         for f0 in hom(dom.B0, cod.B0):
-            if examined >= n or len(witnesses) >= 3:
-                break
             for f1 in hom(dom.B1, cod.B1):
                 candidate = InternalFunctor(dom, cod, f0, f1)
                 if validate_functor(candidate):
                     continue
-                examined += 1
                 label = classify_fibration(candidate)
-                if label != "not_fibration":
-                    continue
-                star = classify_star_fibration(candidate)
-                if star_at_least(star, "star_fibration"):
-                    witnesses.append(_witness(
-                        examined - 1,
-                        "star-fibration that is not a fibration",
-                        functor=candidate, label=label, star=star))
-                if examined >= n or len(witnesses) >= 3:
-                    break
-    return examined, witnesses
+                if label == "not_fibration":
+                    star = classify_star_fibration(candidate)
+                    if star_at_least(star, "star_fibration"):
+                        yield ("star-fibration that is not a fibration",
+                               {"functor": candidate, "label": label,
+                                "star": star})
+                        continue
+                yield None
 
 
 @_suite("hkernel-discrete-fibration", _POINTED)
@@ -1403,51 +1379,40 @@ def _check_kernels_strong_arr(instance, case):
         case.fail("star flag disagrees with the joint-epi oracle", square=m)
 
 
+def _j_flags(m: ArrowMorphism):
+    """(J(m) is fully faithful, J(m) is essentially surjective)."""
+    j = comparison_J_arr(m)
+    return (classify_morphism(partial_zero_arr(j)).iso,
+            is_essentially_surjective_arr(j))
+
+
 @_search("protomodularity-char", _POINTED, ("finptdset",), 100)
-def _search_protomodularity(instance, n):
+def _search_protomodularity(instance):
     """Fibration squares have weakly invertible kernel comparisons exactly
     in the protomodular instance.
 
     Sweeps fibration squares and tests the kernel comparison.  On FinAb
     the comparison must always be a weak equivalence (violations are
     failures); on FinPtdSet the sweep is a counterexample search and
-    found witnesses are the expected outcome.
+    found witnesses, shrunk while they stay bad, are the expected outcome.
     """
-    examined = 0
-    failures = []
+    def still_bad(cand):
+        return (classify_morphism(cand.f).regular_epi
+                and not all(_j_flags(cand)))
+
     for m in _fibration_squares(instance):
-        if examined >= n:
-            break
-        examined += 1
-        j = comparison_J_arr(m)
-        ff = classify_morphism(partial_zero_arr(j)).iso
-        ess = is_essentially_surjective_arr(j)
-        if ff and ess:
-            continue
-        if instance is FINAB:
-            failures.append(_witness(
-                examined - 1,
-                "fibration square whose kernel comparison fails weak "
-                "equivalence", square=m))
+        if all(_j_flags(m)):
+            yield None
+        elif instance is FINAB:
+            yield ("fibration square whose kernel comparison fails weak "
+                   "equivalence", {"square": m})
         else:
-            def still_bad(cand):
-                if not classify_morphism(cand.f).regular_epi:
-                    return False
-                cj = comparison_J_arr(cand)
-                return not (classify_morphism(partial_zero_arr(cj)).iso
-                            and is_essentially_surjective_arr(cj))
             small = _shrink_square(m, still_bad)
-            small_j = comparison_J_arr(small)
-            failures.append(_witness(
-                examined - 1,
-                "fibration square whose kernel comparison fails the "
-                "joint-epi oracle", square=small,
-                joint_epi=is_essentially_surjective_arr(small_j),
-                fully_faithful=classify_morphism(
-                    partial_zero_arr(small_j)).iso))
-            if len(failures) >= 3:
-                break
-    return examined, failures
+            fully_faithful, joint_epi = _j_flags(small)
+            yield ("fibration square whose kernel comparison fails the "
+                   "joint-epi oracle",
+                   {"square": small, "joint_epi": joint_epi,
+                    "fully_faithful": fully_faithful})
 
 
 @_suite("pi-invariance", _ALL)

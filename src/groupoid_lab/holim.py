@@ -408,8 +408,8 @@ def h_kernel_into_pullback(hp: HPullback):
 
     Returns (h-kernel bundle of hp.f, mediating functor).  The mediator
     composes to zero on the g side, to the h-kernel projection on the f
-    side, and its image is a kernel of the g-side projection (the check
-    lives in the harness).
+    side, and its image is a kernel of the g-side projection (checked in
+    tests/test_holim.py::TestHKernelIntoPullback).
     """
     hk = strong_h_kernel(hp.f)
     to_g = zero_functor(hk.groupoid, hp.g.dom)

@@ -87,49 +87,61 @@ def morphism_from_data(data: dict) -> BaseMorphism:
 # ---------------------------------------------------------------------------
 # composite values
 
-# Each composite shape: its class and its fields in constructor order, each
-# field with the class it holds.  A value encodes to one key per field, and
-# the keys double as its signature when data is decoded without a declared
-# class.  Dispatch order is this table's order, then the two base formats.
+# Each composite shape: its class, its kind name and its fields in
+# constructor order, each field with the class it holds.  A value encodes to
+# one key per field, and the keys double as its signature when data is
+# decoded without a declared class.  Dispatch order is this table's order,
+# then the two base formats.
 _SHAPES = {
-    InternalGroupoid: {"B0": BaseObject, "B1": BaseObject,
-                       "d": BaseMorphism, "c": BaseMorphism,
-                       "e": BaseMorphism, "m": BaseMorphism,
-                       "i": BaseMorphism},
-    InternalFunctor: {"dom": InternalGroupoid, "cod": InternalGroupoid,
-                      "F0": BaseMorphism, "F1": BaseMorphism},
-    NatTransformation: {"source": InternalFunctor, "target": InternalFunctor,
-                        "alpha": BaseMorphism},
-    Diagonal: {"morphism": ArrowMorphism, "d": BaseMorphism},
-    ArrowMorphism: {"dom": ArrowObject, "cod": ArrowObject,
-                    "f": BaseMorphism, "f0": BaseMorphism},
-    ArrowObject: {"a": BaseMorphism},
+    InternalGroupoid: ("groupoid", {
+        "B0": BaseObject, "B1": BaseObject, "d": BaseMorphism,
+        "c": BaseMorphism, "e": BaseMorphism, "m": BaseMorphism,
+        "i": BaseMorphism}),
+    InternalFunctor: ("functor", {"dom": InternalGroupoid,
+                                  "cod": InternalGroupoid,
+                                  "F0": BaseMorphism, "F1": BaseMorphism}),
+    NatTransformation: ("transformation", {"source": InternalFunctor,
+                                           "target": InternalFunctor,
+                                           "alpha": BaseMorphism}),
+    Diagonal: ("diagonal", {"morphism": ArrowMorphism, "d": BaseMorphism}),
+    ArrowMorphism: ("arrow morphism", {"dom": ArrowObject, "cod": ArrowObject,
+                                       "f": BaseMorphism, "f0": BaseMorphism}),
+    ArrowObject: ("arrow object", {"a": BaseMorphism}),
 }
 
-_BASE = {BaseMorphism: (morphism_to_data, morphism_from_data),
-         BaseObject: (object_to_data, object_from_data)}
+_BASE = {BaseMorphism: ("morphism", morphism_to_data, morphism_from_data),
+         BaseObject: ("object", object_to_data, object_from_data)}
 
 
 def _encode(cls, value):
     if cls in _BASE:
-        return _BASE[cls][0](value)
+        return _BASE[cls][1](value)
     return {name: _encode(held, getattr(value, name))
-            for name, held in _SHAPES[cls].items()}
+            for name, held in _SHAPES[cls][1].items()}
 
 
 def _decode(cls, data):
     if cls in _BASE:
-        return _BASE[cls][1](data)
+        return _BASE[cls][2](data)
     return cls(*[_decode(held, data[name])
-                 for name, held in _SHAPES[cls].items()])
+                 for name, held in _SHAPES[cls][1].items()])
+
+
+def _shape(value):
+    for cls in (*_SHAPES, *_BASE):
+        if isinstance(value, cls):
+            return cls
+    raise DiagramError(f"cannot serialize a {type(value).__name__}")
 
 
 def value_to_data(value):
     """Encode any serializable package value to plain data."""
-    for cls in (*_SHAPES, *_BASE):
-        if isinstance(value, cls):
-            return _encode(cls, value)
-    raise DiagramError(f"cannot serialize a {type(value).__name__}")
+    return _encode(_shape(value), value)
+
+
+def kind_name(value) -> str:
+    """The name of a value's shape: "groupoid", "arrow morphism", ..."""
+    return {**_SHAPES, **_BASE}[_shape(value)][0]
 
 
 class UnknownShapeError(DiagramError):
@@ -146,7 +158,7 @@ def value_from_data(data):
     if not isinstance(data, dict):
         raise UnknownShapeError("serialized value must be a JSON object")
     keys = data.keys()
-    for cls, fields in _SHAPES.items():
+    for cls, (_, fields) in _SHAPES.items():
         if (keys == fields.keys() if cls is ArrowObject
                 else keys >= fields.keys()):
             return _decode(cls, data)

@@ -150,6 +150,18 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_cell_over_a_mistyped_functor_is_invalid(self, tmp_path, capsys):
+        g = indiscrete_groupoid(finptdset_object(["*", "a"]))
+        data = value_to_data(identity_cell(identity_functor(g)))
+        # F1 lands in a larger object than the codomain's arrows
+        data["source"]["F1"]["cod"] = value_to_data(
+            finptdset_object(["*"] + list("abcdef")))
+        data["source"]["F1"]["map"] = [0, 6, 6, 6]
+        path = tmp_path / "mistyped-cell.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
 
 # One small value of each shape the decoder knows, and the fields of each
 # composite shape with the shape each field holds.
@@ -194,6 +206,14 @@ def test_a_field_decodes_only_its_own_shape(tmp_path, capsys, shape, field,
     code = main(["validate", str(path)])
     assert "Traceback" not in capsys.readouterr().err
     assert code in ((0, 1) if filler == _FIELDS[shape][field] else (2,))
+
+
+@pytest.mark.parametrize("name", list(_SHAPE_DATA))
+def test_each_shape_validates_under_its_kind_name(tmp_path, capsys, name):
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(_SHAPE_DATA[name]))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"valid {name}\n"
 
 
 # Values whose serialized form the fuzz test below corrupts: one of each
@@ -287,7 +307,8 @@ class TestClassify:
 
     def test_kind_mismatch_is_invalid(self, groupoid_file, capsys):
         assert main(["classify", groupoid_file, "--kind", "arrow"]) == 1
-        assert "expected an arrow morphism" in capsys.readouterr().err
+        assert ("expected an arrow morphism, file holds a groupoid"
+                in capsys.readouterr().err)
 
     def test_unpointed_square_is_rejected(self, tmp_path, capsys):
         from groupoid_lab.arrow import ArrowMorphism, ArrowObject

@@ -18,6 +18,8 @@ from groupoid_lab.groupoid import (InternalFunctor, InternalGroupoid,
                                    validate_functor, validate_groupoid,
                                    validate_transformation, whisker,
                                    zero_functor, zero_groupoid)
+from groupoid_lab.cli import main
+from groupoid_lab.serialize import from_json, to_json
 
 
 def embed_delta():
@@ -108,6 +110,26 @@ class TestValidators:
                                 morphism_from_function(gs.B0, gs.B1,
                                                        lambda _: 1))
         assert validate_transformation(off) == []  # still central in Z4
+
+    def test_cell_between_non_functors_raises(self, tmp_path, capsys):
+        # F sends p to u but the unit of p to the unit of v, so F is no
+        # functor; the components type, but alpha_p then F(1_p) do not
+        # compose.
+        a = discrete_groupoid(finset_object(["p"]))
+        b = indiscrete_groupoid(finset_object(["u", "v"]))
+        unit_u, unit_v = b.e.map
+        fun = InternalFunctor(a, b, BaseMorphism(a.B0, b.B0, [0]),
+                              BaseMorphism(a.B1, b.B1, [unit_v]))
+        cell = NatTransformation(fun, fun, BaseMorphism(a.B0, b.B1, [unit_u]))
+        assert "functor-source" in validate_functor(fun)
+        for value in (cell, from_json(to_json(cell))):
+            with pytest.raises(DiagramError):
+                validate_transformation(value)
+        path = tmp_path / "cell.json"
+        path.write_text(to_json(cell))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "compose" in err and "Traceback" not in err
 
 
 class TestStockShapes:

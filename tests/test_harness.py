@@ -27,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from groupoid_lab.arrow import (
+    ArrowMorphism,
+    ArrowObject,
     comparison_J_arr,
     is_essentially_surjective_arr,
     partial_zero_arr,
@@ -36,9 +38,11 @@ from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
     FINSET,
+    BaseMorphism,
     DiagramError,
     classify_morphism,
     enumerate_morphisms,
+    finptdset_object,
 )
 from groupoid_lab.classify import (
     classify_fibration,
@@ -326,6 +330,84 @@ class TestWitnessSearches:
         report = run_suite("protomodularity-char", FINAB, 200, 0)
         assert (report.cases, report.failures) == (200, [])
         assert calls == []
+
+
+class TestSearchContract:
+    """``@_search`` alone bounds a search, numbers its cases and caps its
+    witnesses; a toy search only yields its verdicts."""
+
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        monkeypatch.setattr(harness, "SUITES", dict(SUITES))
+        pulled = []
+
+        def register(verdicts):
+            def search(instance):
+                for verdict in verdicts:
+                    pulled.append(verdict)
+                    yield verdict
+            harness._search("toy-search", ("finset", "finab"), ("finab",),
+                            10)(search)
+            return pulled
+        return register
+
+    def test_the_bound_cuts_a_longer_catalogue(self, toy):
+        pulled = toy([None] * 20)
+        report = run_suite("toy-search", FINSET, 7, 0)
+        assert (report.cases, report.failures) == (7, [])
+        assert len(pulled) == 7
+
+    def test_a_shorter_catalogue_is_read_to_its_end(self, toy):
+        toy([None] * 4)
+        assert run_suite("toy-search", FINSET, 10, 0).cases == 4
+
+    def test_a_witness_instance_stops_at_the_third_failure(self, toy):
+        toy([("bad", {"k": k}) for k in range(6)])
+        report = run_suite("toy-search", FINAB, 10, 0)
+        assert report.cases == 3
+        assert [f["case"] for f in report.failures] == [0, 1, 2]
+        assert [f["witness"] for f in report.failures] == [
+            {"k": 0}, {"k": 1}, {"k": 2}]
+        assert report.expectation_met
+
+    def test_other_instances_report_every_failure_up_to_the_bound(self,
+                                                                  toy):
+        toy([None, ("bad", {})] * 6)
+        report = run_suite("toy-search", FINSET, 9, 0)
+        assert report.cases == 9
+        assert [f["case"] for f in report.failures] == [1, 3, 5, 7]
+        assert not report.expectation_met
+
+
+class TestRemoveElement:
+    """Restricting a pointed square to a corner without one element."""
+
+    def test_a_kept_element_hitting_the_dropped_one_blocks_removal(self):
+        # f0 sends x to y, so y cannot leave the codomain's bottom
+        top = finptdset_object(["*"])
+        a0 = finptdset_object(["*", "x"])
+        b0 = finptdset_object(["*", "y"])
+        square = ArrowMorphism(
+            ArrowObject(BaseMorphism(top, a0, [0])),
+            ArrowObject(BaseMorphism(top, b0, [0])),
+            BaseMorphism(top, top, [0]), BaseMorphism(a0, b0, [0, 1]))
+        assert harness._remove_element(square, 3, 1) is None
+
+    def test_the_square_over_the_smaller_corner(self):
+        top = finptdset_object(["*"])
+        a0 = finptdset_object(["p", "*", "q"], 1)
+        b0 = finptdset_object(["*", "y"])
+        square = ArrowMorphism(
+            ArrowObject(BaseMorphism(top, a0, [1])),
+            ArrowObject(BaseMorphism(top, b0, [0])),
+            BaseMorphism(top, top, [0]), BaseMorphism(a0, b0, [1, 0, 1]))
+        smaller = harness._remove_element(square, 1, 0)
+        # parent order kept, the basepoint moves from 1 to 0, and the maps
+        # into and out of the corner are reindexed
+        a0_less = finptdset_object(["*", "q"], 0)
+        assert value_to_data(smaller) == value_to_data(ArrowMorphism(
+            ArrowObject(BaseMorphism(top, a0_less, [0])), square.cod,
+            square.f, BaseMorphism(a0_less, b0, [0, 1])))
 
 
 def _brute_force_fibration_squares(instance):

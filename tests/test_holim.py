@@ -19,6 +19,7 @@ from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
     FINSET,
+    BaseMorphism,
     CapabilityError,
     DiagramError,
     NoMediatorError,
@@ -33,6 +34,7 @@ from groupoid_lab.base import (
     zmod,
 )
 from groupoid_lab.groupoid import (
+    InternalFunctor,
     NatTransformation,
     action_groupoid,
     compose_functors,
@@ -164,6 +166,29 @@ class TestBuiltFromIndices:
         # the probe sees a carrier that is read
         built[-1].composition_pairs().apex.carrier
         assert builds
+
+    def test_validating_a_cell_reads_no_element_carrier(self, monkeypatch):
+        group = delooping(direct_sum(zmod(2), zmod(4)))
+        squares = arrow_groupoid(gen_functor(FINAB, 2).cod).groupoid
+        pairs = indiscrete_groupoid(finset_object(["p", "q", "r"]))
+        cells = [identity_cell(identity_functor(g))
+                 for g in (group, squares, pairs)]
+        # from the identity to the constant functor at p: the arrows o -> p
+        arrow = {(s, t): k for k, (s, t) in
+                 enumerate(zip(pairs.d.map, pairs.c.map))}
+        constant = InternalFunctor(
+            pairs, pairs, BaseMorphism(pairs.B0, pairs.B0, [0] * 3),
+            BaseMorphism(pairs.B1, pairs.B1, [arrow[0, 0]] * 9))
+        cells.append(NatTransformation(
+            identity_functor(pairs), constant,
+            BaseMorphism(pairs.B0, pairs.B1, [arrow[o, 0] for o in range(3)])))
+        builds = []
+        elements = base._tuple_elements
+        monkeypatch.setattr(base, "_tuple_elements", lambda *args: (
+            builds.append(args), elements(*args))[1])
+        for cell in cells:
+            assert validate_transformation(cell) == []
+        assert builds == []
 
 
 class TestTwist:
