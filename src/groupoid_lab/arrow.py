@@ -16,7 +16,7 @@ strong h-kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .base import (
     BaseMorphism,
@@ -45,9 +45,17 @@ from .holim import HKernel, kernel_groupoid
 
 @dataclass
 class ArrowObject:
-    """A single base morphism, seen as an object of the arrow category."""
+    """A single base morphism, seen as an object of the arrow category.
+
+    As the codomain of squares it keeps the pullback of each bottom map f0
+    against ``a`` that their endpoint factorizations read, keyed by
+    ``id(f0)`` next to f0 itself: squares into one object that share their
+    f0 share that pullback, and it is freed with the object.
+    """
 
     a: BaseMorphism
+    _pullbacks: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
 
     @property
     def top(self):
@@ -60,14 +68,22 @@ class ArrowObject:
 
 @dataclass
 class ArrowMorphism:
-    """A commutative square between two arrow objects."""
+    """A commutative square between two arrow objects.
+
+    Squares the library builds and knows to commute pass the private
+    ``_trusted=True`` and skip the typing and commutation checks, as
+    BaseObject and BaseMorphism do.
+    """
 
     dom: ArrowObject
     cod: ArrowObject
     f: BaseMorphism
     f0: BaseMorphism
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _trusted):
+        if _trusted:
+            return
         if self.f.dom != self.dom.top or self.f.cod != self.cod.top:
             raise DiagramError("top component is mistyped")
         if self.f0.dom != self.dom.bottom or self.f0.cod != self.cod.bottom:
@@ -148,7 +164,8 @@ def kernel_arr(m: ArrowMorphism) -> ArrowKernel:
     restricted = bottom.mediate(
         {"ker": compose(top.legs["ker"], m.dom.a)})
     obj = ArrowObject(restricted)
-    incl = ArrowMorphism(obj, m.dom, top.legs["ker"], bottom.legs["ker"])
+    incl = ArrowMorphism(obj, m.dom, top.legs["ker"], bottom.legs["ker"],
+                         _trusted=True)
     return ArrowKernel(object=obj, inclusion=incl)
 
 
@@ -164,8 +181,16 @@ class ArrowHKernel:
 
 
 def _endpoint_factorization(m: ArrowMorphism):
-    """The pullback of m.f0 and m.cod.a, and (m.dom.a, m.f) mediated into it."""
-    lim = pullback(m.f0, m.cod.a)
+    """The pullback of m.f0 and m.cod.a, and (m.dom.a, m.f) mediated into it.
+
+    The pullback is built once per codomain object and f0, and kept on the
+    codomain object.
+    """
+    f0, kept = m.f0, m.cod._pullbacks
+    hit = kept.get(id(f0))
+    if hit is None or hit[0] is not f0:
+        hit = kept[id(f0)] = (f0, pullback(f0, m.cod.a))
+    lim = hit[1]
     return lim, lim.mediate({"p1": m.dom.a, "p2": m.f})
 
 
@@ -244,7 +269,7 @@ def comparison_J_arr(m: ArrowMorphism) -> ArrowMorphism:
         {"p1": ker.inclusion.f0,
          "p2": zero_morphism(ker.object.bottom, m.cod.top)})
     return ArrowMorphism(ker.object, ArrowObject(endpoint), ker.inclusion.f,
-                         bottom)
+                         bottom, _trusted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from valid values (limit apexes, legs and mediators, subgroups, quotients,
 direct sums, homs, sections, the structure maps of built groupoids) is built
 from indices, as a limit leg, a composite of legs, a ``LimitResult.mediate``
 (which checks its cone) or an index table, and skips the check through the
-private ``_trusted=True`` that only BaseObject and BaseMorphism take.
+private ``_trusted=True`` that BaseObject and BaseMorphism take (and
+``arrow.ArrowMorphism``, for the squares the library builds).
 """
 
 from __future__ import annotations

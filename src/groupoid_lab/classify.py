@@ -85,8 +85,12 @@ def _fibration_label(flags) -> str:
 
 def classify_fibration(fun: InternalFunctor) -> str:
     """Strongest fibration label, decided on both sides and compared."""
-    label_d = _fibration_label(classify_morphism(tau_factorization(fun, "d")))
-    label_c = _fibration_label(classify_morphism(tau_factorization(fun, "c")))
+    return _fibration_of(_tau(fun, "d")[1], _tau(fun, "c")[1])
+
+
+def _fibration_of(tau_d: BaseMorphism, tau_c: BaseMorphism) -> str:
+    label_d = _fibration_label(classify_morphism(tau_d))
+    label_c = _fibration_label(classify_morphism(tau_c))
     if label_d != label_c:
         raise SideDivergenceError(
             f"fibration sides disagree: {label_d} vs {label_c}")
@@ -137,9 +141,13 @@ def classify_star_fibration(fun: InternalFunctor) -> str:
     built from the restricted inversions must commute, which forces the two
     labels to agree.  Both the square and the labels are still checked.
     """
+    return _star_of(fun, _hat_tau(fun, "d"), _hat_tau(fun, "c"))
+
+
+def _star_of(fun: InternalFunctor, hat_d, hat_c) -> str:
     a, b = fun.dom, fun.cod
-    lim_d, tau_d, ending_d, ker_c = _hat_tau(fun, "d")
-    lim_c, tau_c, ending_c, ker_d = _hat_tau(fun, "c")
+    lim_d, tau_d, ending_d, ker_c = hat_d
+    lim_c, tau_c, ending_c, ker_d = hat_c
     flip_base = ker_d.mediate({"ker": compose(ker_c.legs["ker"], b.i)})
     flip_source = ending_c.mediate(
         {"ker": compose(ending_d.legs["ker"], a.i)})
@@ -181,7 +189,12 @@ def partial_zero(fun: InternalFunctor) -> PartialZero:
     Injectivity of this map is faithfulness, surjectivity is fullness, and
     bijectivity is fully-faithfulness.
     """
-    first, tau_d = _tau(fun, "d")
+    return _partial_zero(fun, _tau(fun, "d"))
+
+
+def _partial_zero(fun: InternalFunctor, tau) -> PartialZero:
+    """partial_zero, given the side-"d" lifting measurement ``_tau``."""
+    first, tau_d = tau
     second = pullback(compose(first.legs["p2"], fun.cod.c), fun.F0)
     morphism = second.mediate({"p1": tau_d, "p2": fun.dom.c})
     flags = classify_morphism(morphism)
@@ -223,8 +236,12 @@ def fully_faithful_comparison(fun: InternalFunctor) -> BaseMorphism:
 
 def is_fully_faithful(fun: InternalFunctor) -> bool:
     """Decide fully-faithfulness twice and insist the answers match."""
+    return _fully_faithful(fun, partial_zero(fun))
+
+
+def _fully_faithful(fun: InternalFunctor, zero: PartialZero) -> bool:
     via_limit = classify_morphism(fully_faithful_comparison(fun)).iso
-    via_partial = classify_morphism(partial_zero(fun).morphism).iso
+    via_partial = classify_morphism(zero.morphism).iso
     if via_limit != via_partial:
         raise SideDivergenceError("fully-faithful routes disagree")
     return via_limit
@@ -242,8 +259,13 @@ def essential_surjectivity_witness(fun: InternalFunctor,
 
 
 def _essential_flags(fun: InternalFunctor):
-    fd = classify_morphism(essential_surjectivity_witness(fun, "d"))
-    fc = classify_morphism(essential_surjectivity_witness(fun, "c"))
+    return _essential_of(essential_surjectivity_witness(fun, "d"),
+                         essential_surjectivity_witness(fun, "c"))
+
+
+def _essential_of(witness_d: BaseMorphism, witness_c: BaseMorphism):
+    fd = classify_morphism(witness_d)
+    fc = classify_morphism(witness_c)
     if (fd.regular_epi, fd.split_epi) != (fc.regular_epi, fc.split_epi):
         raise SideDivergenceError("essential surjectivity sides disagree")
     return fd
@@ -257,7 +279,10 @@ def classify_equivalence(fun: InternalFunctor) -> dict:
     """Full faithfulness and the essential flags, each decided once, and the
     (weak) equivalence flags read off them; an equivalence needs the
     reachable-objects map to split, not merely be surjective."""
-    ff, ess = is_fully_faithful(fun), _essential_flags(fun)
+    return _equivalence_flags(is_fully_faithful(fun), _essential_flags(fun))
+
+
+def _equivalence_flags(ff: bool, ess) -> dict:
     return {"fully_faithful": ff, "essentially_surjective": ess.regular_epi,
             "weak_equivalence": ff and ess.regular_epi,
             "equivalence": ff and ess.split_epi}
@@ -300,28 +325,35 @@ class FunctorClassification:
 
 
 def classification_report(fun: InternalFunctor) -> FunctorClassification:
-    label = classify_fibration(fun)
-    zero = partial_zero(fun)
+    """Every flag and witness of one functor; each measurement is built once
+    and read by both the flags it decides and the witness it is."""
+    tau_d, tau_c = _tau(fun, "d"), _tau(fun, "c")
+    label = _fibration_of(tau_d[1], tau_c[1])
+    zero = _partial_zero(fun, tau_d)
+    reach_d = essential_surjectivity_witness(fun, "d")
+    reach_c = essential_surjectivity_witness(fun, "c")
     flags = {
         "faithful": zero.faithful,
         "full": zero.full,
-        **classify_equivalence(fun),
+        **_equivalence_flags(_fully_faithful(fun, zero),
+                             _essential_of(reach_d, reach_c)),
         "fibration": fibration_at_least(label, "fibration"),
         "split_epi_fibration": fibration_at_least(label, "split_epi_fibration"),
         "discrete_fibration": label == "discrete_fibration",
     }
     witnesses = {
-        "tau_d": tau_factorization(fun, "d"),
-        "tau_c": tau_factorization(fun, "c"),
+        "tau_d": tau_d[1],
+        "tau_c": tau_c[1],
         "partial_zero": zero.morphism,
-        "essential_surjectivity": essential_surjectivity_witness(fun, "d"),
+        "essential_surjectivity": reach_d,
         "T": comparison_T(fun),
     }
     if fun.dom.instance.pointed:
-        star = classify_star_fibration(fun)
+        hat_d, hat_c = _hat_tau(fun, "d"), _hat_tau(fun, "c")
+        star = _star_of(fun, hat_d, hat_c)
         flags["star_fibration"] = star_at_least(star, "star_fibration")
         flags["split_epi_star_fibration"] = star == "split_epi_star_fibration"
-        witnesses["hat_tau_d"] = hat_tau_factorization(fun, "d")
-        witnesses["hat_tau_c"] = hat_tau_factorization(fun, "c")
+        witnesses["hat_tau_d"] = hat_d[1]
+        witnesses["hat_tau_c"] = hat_c[1]
         witnesses["J"] = comparison_J(fun)
     return FunctorClassification(flags=flags, witnesses=witnesses)

@@ -168,7 +168,10 @@ def _typing_failures(g: InternalGroupoid) -> list[str]:
         bad.append("identity-map")
     if g.i.dom != b1 or g.i.cod != b1:
         bad.append("inverse-map")
-    if not bad and (g.m.dom != g.composition_pairs().apex or g.m.cod != b1):
+    # an unbuilt composition table is built on the pairs apex, so typed
+    m = g._m
+    if not bad and m is not None and (m.dom != g.composition_pairs().apex
+                                      or m.cod != b1):
         bad.append("composition-carrier")
     return bad
 

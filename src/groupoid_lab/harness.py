@@ -29,6 +29,7 @@ from .arrow import (
     ArrowMorphism,
     ArrowObject,
     Diagonal,
+    _then,
     act_on_diagonal,
     classify_arrow_morphism,
     comparison_J_arr,
@@ -830,6 +831,9 @@ def _fibration_squares(instance):
 
     These are the commutative squares of the catalogue whose top map is a
     regular epi, smallest carriers first; each hom list is classified once.
+    Squares commute on index tables: per quadruple the table of top;f0 is
+    built once, per bottom map the epis f are bucketed by the table of
+    f;bot, so each (top, f0) finds its squares by one lookup.
     """
     if instance is FINAB:
         objs = _finab_catalog(8)
@@ -845,17 +849,18 @@ def _fibration_squares(instance):
         key=lambda q: (sum(o.size for o in q),
                        tuple(o.size for o in q)))
     for a_obj, a0_obj, b_obj, b0_obj in quads:
+        f0s = hom(a0_obj, b0_obj)
+        sides = [(ArrowObject(top), [(f0, _then(top, f0)) for f0 in f0s])
+                 for top in hom(a_obj, a0_obj)]
         for bot in hom(b_obj, b0_obj):
             cod = ArrowObject(bot)
-            composites = [(f, compose(f, bot))
-                          for f in epis[id(a_obj), id(b_obj)]]
-            for top in hom(a_obj, a0_obj):
-                dom = ArrowObject(top)
-                for f0 in hom(a0_obj, b0_obj):
-                    lhs = compose(top, f0)
-                    for f, rhs in composites:
-                        if lhs.map == rhs.map:
-                            yield ArrowMorphism(dom, cod, f, f0)
+            by_table = {}
+            for f in epis[id(a_obj), id(b_obj)]:
+                by_table.setdefault(_then(f, bot), []).append(f)
+            for dom, tables in sides:
+                for f0, table in tables:
+                    for f in by_table.get(table, ()):
+                        yield ArrowMorphism(dom, cod, f, f0, _trusted=True)
 
 
 def _shrink_square(m: ArrowMorphism, still_bad) -> ArrowMorphism:

@@ -37,6 +37,7 @@ from groupoid_lab.groupoid import (
     zero_functor,
     zero_groupoid,
 )
+from groupoid_lab import classify
 from groupoid_lab.holim import arrow_groupoid, comparison_J, comparison_T
 from groupoid_lab.classify import (
     FIBRATION_LABELS,
@@ -302,6 +303,21 @@ class TestClassificationReport:
             "J0", "J1", "T0", "T1", "essential_surjectivity",
             "hat_tau_c", "hat_tau_d", "partial_zero", "tau_c", "tau_d"]
         json.dumps(payload)
+
+    def test_each_measurement_is_built_once(self, monkeypatch):
+        calls = []
+        for name in ("_tau", "_hat_tau", "_partial_zero",
+                     "essential_surjectivity_witness"):
+            def counted(fun, arg, _name=name, _build=getattr(classify, name)):
+                calls.append((_name, arg if isinstance(arg, str) else None))
+                return _build(fun, arg)
+            monkeypatch.setattr(classify, name, counted)
+        classification_report(mod2_collapse())
+        assert sorted(calls) == [
+            ("_hat_tau", "c"), ("_hat_tau", "d"), ("_partial_zero", None),
+            ("_tau", "c"), ("_tau", "d"),
+            ("essential_surjectivity_witness", "c"),
+            ("essential_surjectivity_witness", "d")]
 
     def test_unpointed_report_skips_star_entries(self):
         perm = morphism_from_function(finset_object([0, 1, 2]),

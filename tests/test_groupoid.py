@@ -19,6 +19,8 @@ from groupoid_lab.groupoid import (InternalFunctor, InternalGroupoid,
                                    validate_transformation, whisker,
                                    zero_functor, zero_groupoid)
 from groupoid_lab.cli import main
+from groupoid_lab.harness import gen_functor
+from groupoid_lab.holim import arrow_groupoid
 from groupoid_lab.serialize import from_json, to_json
 
 
@@ -95,6 +97,22 @@ class TestValidators:
             InternalFunctor(broken, g, fun.F0, fun.F1)) == ["source-map"]
         assert validate_functor(
             InternalFunctor(g, broken, fun.F0, fun.F1)) == ["source-map"]
+
+    def test_validators_leave_a_lazy_composition_table_unbuilt(self):
+        g = arrow_groupoid(gen_functor(FINAB, 2).cod).groupoid
+        assert g._m is None
+        fun = identity_functor(g)
+        assert validate_functor(fun) == []
+        assert validate_transformation(identity_cell(fun)) == []
+        assert g._m is None
+
+    def test_a_given_composition_table_is_still_typed(self):
+        g = delooping(zmod(2))
+        broken = InternalGroupoid(g.B0, g.B1, g.d, g.c, g.e, identity(g.B1),
+                                  g.i)
+        assert validate_groupoid(broken) == ["composition-carrier"]
+        assert validate_functor(identity_functor(broken)) == [
+            "composition-carrier"]
 
     def test_transformation_validation(self):
         g = cyclic_delooping(FINAB, 4)

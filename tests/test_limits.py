@@ -456,17 +456,71 @@ def test_the_sweep_builds_each_kernel_once(monkeypatch):
 
 
 def test_the_sweep_builds_only_the_squares_j_returns(monkeypatch):
-    # per square: the streamed square, the kernel inclusion and J itself;
-    # the strong h-kernel's inclusion, composite and diagonal are not built
-    counts = {arrow.ArrowMorphism: 0, arrow.Diagonal: 0}
-    for cls in counts:
-        def counted(self, _cls=cls, _check=cls.__post_init__):
-            counts[_cls] += 1
-            _check(self)
+    # per square: the streamed square, the kernel inclusion and J itself,
+    # each built trusted; the strong h-kernel's inclusion, composite and
+    # diagonal are not built
+    built = {arrow.ArrowMorphism: 0, arrow.Diagonal: 0}
+    checked = dict(built)
+    for cls in built:
+        def counted(self, *trusted, _cls=cls, _check=cls.__post_init__):
+            built[_cls] += 1
+            checked[_cls] += not any(trusted)
+            _check(self, *trusted)
         monkeypatch.setattr(cls, "__post_init__", counted)
     report = run_suite("protomodularity-char", FINAB, 25000, 0)
     assert (report.cases, report.failures) == (20796, [])
-    assert counts == {arrow.ArrowMorphism: 62388, arrow.Diagonal: 0}
+    assert built == {arrow.ArrowMorphism: 62388, arrow.Diagonal: 0}
+    assert checked == {arrow.ArrowMorphism: 0, arrow.Diagonal: 0}
+
+
+def test_the_sweep_builds_each_endpoint_pullback_once_per_codomain(
+        monkeypatch):
+    # one pullback per (codomain object, f0) for the 20796 streamed squares,
+    # one per square for J, whose codomain object is new each time
+    calls = []
+
+    def counted(f, g):
+        calls.append(None)
+        return pullback(f, g)
+
+    for module in (base, arrow):
+        monkeypatch.setattr(module, "pullback", counted)
+    report = run_suite("protomodularity-char", FINAB, 25000, 0)
+    assert (report.cases, report.failures) == (20796, [])
+    assert len(calls) == 25724
+
+
+def _squares_into_one_object():
+    """Two squares into one codomain object with one bottom map f0."""
+    z2 = zmod(2)
+    cod = arrow.ArrowObject(identity(z2))
+    f0 = identity(z2)
+    zero = base.zero_morphism(z2, z2)
+    return (arrow.ArrowMorphism(arrow.ArrowObject(identity(z2)), cod,
+                                identity(z2), f0),
+            arrow.ArrowMorphism(arrow.ArrowObject(zero), cod, zero, f0))
+
+
+def test_squares_sharing_codomain_and_f0_share_the_endpoint_pullback():
+    m, n = _squares_into_one_object()
+    lim = arrow.strong_h_kernel_arr(m).limit
+    assert arrow.strong_h_kernel_arr(n).limit is lim
+    assert arrow.comparison_J_arr(n).cod.a.cod is lim.apex
+    assert list(m.cod._pullbacks.values()) == [(m.f0, lim)]
+
+
+def test_another_codomain_object_or_f0_builds_its_own_pullback():
+    m, _ = _squares_into_one_object()
+    lim = arrow.strong_h_kernel_arr(m).limit
+    other_cod = arrow.ArrowMorphism(m.dom, arrow.ArrowObject(m.cod.a),
+                                    m.f, m.f0)
+    equal_f0 = BaseMorphism(m.f0.dom, m.f0.cod, m.f0.map)
+    other_f0 = arrow.ArrowMorphism(m.dom, m.cod, m.f, equal_f0)
+    assert other_cod == m and other_f0 == m
+    own = [arrow.strong_h_kernel_arr(x).limit for x in (other_cod, other_f0)]
+    assert own[0] is not lim and own[1] is not lim and own[0] is not own[1]
+    assert all(x.apex == lim.apex for x in own)
+    assert len(m.cod._pullbacks) == 2
 
 
 def _is_sum_closed(group, subset):

@@ -1,14 +1,24 @@
 """Re-validate what the library builds trusted.
 
 Limit apexes, legs, mediators, subgroups, quotients, direct sums,
-enumerated homs, sections and the structure maps of built groupoids skip
-construction-time validation because they are valid by construction.
+enumerated homs, sections, the structure maps of built groupoids and the
+squares the arrow layer builds (kernel inclusions, kernel comparisons and
+the protomodularity sweep's stream) skip construction-time validation
+because they are valid by construction.
 These tests build each of them from seeded inputs, run the skipped checks
 by hand, and run the axiom validators on every groupoid and functor built.
 """
 
+from itertools import islice
+
 import pytest
 
+from groupoid_lab.arrow import (
+    ArrowMorphism,
+    comparison_J_arr,
+    kernel_arr,
+    normalize,
+)
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
@@ -37,7 +47,7 @@ from groupoid_lab.groupoid import (
     validate_transformation,
 )
 from groupoid_lab.groupoid import full_subgroupoid, pi1, product_groupoid
-from groupoid_lab.harness import gen_functor
+from groupoid_lab.harness import _fibration_squares, gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J_data,
@@ -62,6 +72,11 @@ def _recheck(value, seen):
         _recheck(value.apex, seen)
         for leg in value.legs.values():
             _recheck(leg, seen)
+    elif isinstance(value, ArrowMorphism):
+        for part in (value.dom.a, value.cod.a, value.f, value.f0):
+            _recheck(part, seen)
+        # the untrusted rebuild checks typing and commutation
+        ArrowMorphism(value.dom, value.cod, value.f, value.f0)
     elif isinstance(value, InternalGroupoid):
         for part in (value.B0, value.B1, value.d, value.c, value.e,
                      value.m, value.i):
@@ -119,6 +134,9 @@ def _built_from(fun):
               t_data.relaxed.object_limit, t_data.relaxed.arrow_limit,
               t_data.functor, j_data.inclusion, j_data.h_kernel.projection,
               j_data.functor]
+    square = normalize(fun)
+    built += [kernel_arr(square).inclusion, comparison_J_arr(square),
+              *islice(_fibration_squares(a.instance), 50)]
     return [v for v in built if v is not None]
 
 
