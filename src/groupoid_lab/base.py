@@ -10,6 +10,11 @@ limits computed by enumeration:
   addition table is a sequence of row tuples: input groups carry theirs,
   and a limit apex builds each row from its parts when first read.
 
+Both pointed instances keep their distinguished point in one field, an
+object's ``zero`` index: the basepoint of a pointed set, the zero of a
+group.  Every construction that needs the point (zero maps, kernels, loops,
+limits, subobjects, quotients) reads ``zero`` under ``instance.pointed``.
+
 Everything is index-level: a carrier is an ordered tuple of hashable
 elements, and a morphism stores, for each domain index, the codomain index
 of its image.  Every limit has one shape: its apex holds exactly the index
@@ -104,9 +109,11 @@ class BaseObject:
     """A finite carrier with instance-specific structure.
 
     ``carrier`` is an ordered tuple of hashable elements; the order is the
-    object's identity as much as the elements are.  FINPTDSET objects carry
-    a ``basepoint`` index, FINAB objects ``add``/``neg`` tables and a
-    ``zero`` index (validated abelian-group axioms).  A limit apex builds
+    object's identity as much as the elements are.  An object of a pointed
+    instance carries its point as the ``zero`` index (a FINPTDSET basepoint,
+    a FINAB zero), and a FINSET object holds None there.  FINAB objects also
+    carry ``add``/``neg`` tables (validated abelian-group axioms), and the
+    other instances carry none.  A limit apex builds
     its ``carrier`` and FINAB ``neg`` when they are first read; ``size`` is
     known from the start and builds nothing.
 
@@ -118,16 +125,15 @@ class BaseObject:
     0
     """
 
-    __slots__ = ("instance", "size", "basepoint", "add", "zero", "_carrier",
-                 "_elements", "_neg", "_index", "_gens")
+    __slots__ = ("instance", "size", "add", "zero", "_carrier", "_elements",
+                 "_neg", "_index", "_gens")
 
-    def __init__(self, instance, carrier, basepoint=None, add=None, neg=None,
-                 zero=None, _trusted=False):
+    def __init__(self, instance, carrier, add=None, neg=None, zero=None,
+                 _trusted=False):
         self.instance = instance
         self._carrier = tuple(carrier)
         self._elements = None
         self.size = len(self._carrier)
-        self.basepoint = basepoint
         self.add = add
         self._neg = neg
         self.zero = zero
@@ -157,17 +163,18 @@ class BaseObject:
             if x in seen:
                 raise DiagramError("carrier has duplicate elements")
             seen.add(x)
-        n = self.size
-        if self.instance is FINSET:
-            if (self.basepoint, self.add) != (None, None):
-                raise DiagramError("finset objects carry no extra structure")
-        elif self.instance is FINPTDSET:
-            if not _is_index(self.basepoint, n):
-                raise DiagramError("finptdset object needs a basepoint index")
-        elif self.instance is FINAB:
+        inst = self.instance
+        if inst is FINAB:
             self._validate_group()
-        else:
-            raise DiagramError(f"unknown instance {self.instance!r}")
+        elif inst not in _INSTANCES.values():
+            raise DiagramError(f"unknown instance {inst!r}")
+        elif self.add is not None or self._neg is not None:
+            raise DiagramError(f"{inst.name} objects carry no add/neg tables")
+        elif inst.pointed:
+            if not _is_index(self.zero, self.size):
+                raise DiagramError("a pointed set needs a basepoint index")
+        elif self.zero is not None:
+            raise DiagramError("finset objects carry no distinguished point")
 
     def _validate_group(self) -> None:
         n = self.size
@@ -223,7 +230,6 @@ class BaseObject:
         if not (isinstance(other, BaseObject)
                 and self.instance is other.instance
                 and self.size == other.size
-                and self.basepoint == other.basepoint
                 and self.zero == other.zero):
             return False
         # Equal index tuples over equal parts give equal carriers and negs,
@@ -247,10 +253,8 @@ class BaseObject:
     # -- group helpers (FINAB) ---------------------------------------------
 
     def zero_element(self):
-        if self.instance is FINAB:
+        if self.instance.pointed:
             return self.carrier[self.zero]
-        if self.instance is FINPTDSET:
-            return self.carrier[self.basepoint]
         raise CapabilityError("finset objects have no distinguished point")
 
     def generating_sequence(self) -> list[int]:
@@ -324,14 +328,10 @@ class BaseMorphism:
         n = self.cod.size
         if not all(_is_index(j, n) for j in self.map):
             raise DiagramError("morphism image is not an int index in range")
-        inst = self.dom.instance
-        if inst is FINPTDSET:
-            if self.map[self.dom.basepoint] != self.cod.basepoint:
-                raise DiagramError("map does not preserve the basepoint")
-        elif inst is FINAB:
-            dom, cod, f = self.dom, self.cod, self.map
-            if f[dom.zero] != cod.zero:
-                raise DiagramError("map does not preserve zero")
+        dom, cod, f = self.dom, self.cod, self.map
+        if dom.instance.pointed and f[dom.zero] != cod.zero:
+            raise DiagramError("map does not preserve the basepoint (zero)")
+        if dom.instance is FINAB:
             # Additivity on (everything) x (generators) implies additivity.
             for g in dom.generating_sequence():
                 dom_g, cod_g = dom.add[g], cod.add[f[g]]
@@ -371,7 +371,7 @@ def finset_object(elements) -> BaseObject:
 
 
 def finptdset_object(elements, basepoint_index: int = 0) -> BaseObject:
-    return BaseObject(FINPTDSET, elements, basepoint=basepoint_index)
+    return BaseObject(FINPTDSET, elements, zero=basepoint_index)
 
 
 def finab_object(elements, add, neg, zero) -> BaseObject:
@@ -406,23 +406,21 @@ def subobject_limit(parent: BaseObject, indices) -> LimitResult:
     """The subobject on a set of indices as a limit: the inclusion "incl"
     and the lookup ``{(i,): k}``; a cone mediates when it lands inside.
 
-    Parent order is kept.  Each index must be an int in range; a FINPTDSET
-    subobject must keep the basepoint, and a FINAB one must be a subgroup
-    (zero included, closed under the group structure).  A finite set S
-    holding zero is a subgroup iff the subgroup it generates is no larger.
+    Parent order is kept.  Each index must be an int in range; a pointed
+    subobject must keep the zero, and a FINAB one must be a subgroup
+    (closed under the group structure).  A finite set S holding zero is a
+    subgroup iff the subgroup it generates is no larger.
     """
     indices = list(indices)
     # None when some index is not an int (a bool, a float, ...)
     idx = sorted(set(indices)) if set(map(type, indices)) <= {int} else None
     if idx is None or idx and not (0 <= idx[0] and idx[-1] < parent.size):
         raise DiagramError("subobject indices must be int indices in range")
-    if parent.instance is FINPTDSET and parent.basepoint not in idx:
-        raise DiagramError("a pointed subobject must keep the basepoint")
-    if parent.instance is FINAB:
-        if parent.zero not in idx:
-            raise DiagramError("subgroup indices must include zero")
-        if len(_coset_walk(parent, idx)[0]) != len(idx):
-            raise DiagramError("subset is not closed under the group structure")
+    if parent.instance.pointed and parent.zero not in idx:
+        raise DiagramError("a pointed subobject must keep the zero")
+    if (parent.instance is FINAB
+            and len(_coset_walk(parent, idx)[0]) != len(idx)):
+        raise DiagramError("subset is not closed under the group structure")
     return _tuple_limit(("incl",), [parent], [(i,) for i in idx],
                         lambda: map(parent.carrier.__getitem__, idx))
 
@@ -442,31 +440,42 @@ def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
 def quotient_by_subgroup(obj: BaseObject, indices):
     """Quotient by the subgroup ``indices`` generate, and its projection.
 
-    Cosets are named by their least-index member; the quotient is built
-    trusted.
+    Cosets are named by their least-index member (see ``_quotient``).
     """
     indices = list(indices)
     if not all(_is_index(i, obj.size) for i in indices):
         raise DiagramError("subgroup generators must be int indices in range")
     sub = generated_subgroup_indices(obj, indices)
     rep = [-1] * obj.size
-    reps: list[int] = []
     for i in range(obj.size):
-        if rep[i] >= 0:
-            continue
-        reps.append(i)
-        row = obj.add[i]
-        for s in sub:
-            rep[row[s]] = i
+        if rep[i] < 0:
+            row = obj.add[i]
+            for s in sub:
+                rep[row[s]] = i
+    proj = _quotient(obj, rep)
+    return proj.cod, proj
+
+
+def _quotient(obj: BaseObject, rep) -> BaseMorphism:
+    """The projection onto the quotient of obj whose classes ``rep`` names.
+
+    ``rep[i]`` is the least index of i's class, so the quotient lists its
+    classes by least member and names each by that member's element.  The
+    classes must respect the structure (in FINAB, the cosets of a subgroup),
+    so the quotient's zero and tables are read off the least members, and
+    it is built trusted.
+    """
+    reps = sorted(set(rep))
     pos = {r: k for k, r in enumerate(reps)}
-    q_obj = BaseObject(
-        FINAB, [obj.carrier[r] for r in reps],
-        add=tuple(tuple(pos[rep[obj.add[a][b]]] for b in reps) for a in reps),
-        neg=tuple(pos[rep[obj.neg[a]]] for a in reps),
-        zero=pos[rep[obj.zero]], _trusted=True)
-    proj = BaseMorphism(obj, q_obj, [pos[rep[i]] for i in range(obj.size)],
-                        _trusted=True)
-    return q_obj, proj
+    proj = [pos[r] for r in rep]
+    inst, add, neg = obj.instance, None, None
+    if inst is FINAB:
+        add = tuple(tuple(proj[obj.add[a][b]] for b in reps) for a in reps)
+        neg = tuple(proj[obj.neg[a]] for a in reps)
+    q_obj = BaseObject(inst, [obj.carrier[r] for r in reps], add=add, neg=neg,
+                       zero=proj[obj.zero] if inst.pointed else None,
+                       _trusted=True)
+    return BaseMorphism(obj, q_obj, proj, _trusted=True)
 
 
 def zero_object(instance: BaseInstance) -> BaseObject:
@@ -482,10 +491,9 @@ def identity(obj: BaseObject) -> BaseMorphism:
 
 
 def zero_morphism(dom: BaseObject, cod: BaseObject) -> BaseMorphism:
-    if dom.instance is FINSET:
+    if not dom.instance.pointed:
         raise CapabilityError("finset has no zero morphisms")
-    z = cod.basepoint if cod.instance is FINPTDSET else cod.zero
-    return BaseMorphism(dom, cod, [z] * dom.size, _trusted=True)
+    return BaseMorphism(dom, cod, [cod.zero] * dom.size, _trusted=True)
 
 
 def morphism_from_function(dom: BaseObject, cod: BaseObject, fn) -> BaseMorphism:
@@ -589,6 +597,7 @@ def _tuple_limit(names, parts, tuples, elements=None, edges=()):
     ``names``, are the coordinate projections.  The element carrier
     (``elements()``, or each tuple read in the parts), a FINAB ``neg``
     table and each row of a FINAB ``add`` table are built when first read.
+    A pointed apex's zero is the tuple of its parts' zeros.
     """
     tuples = tuple(tuples)
     lookup = {t: i for i, t in enumerate(tuples)}
@@ -596,14 +605,11 @@ def _tuple_limit(names, parts, tuples, elements=None, edges=()):
     apex = BaseObject(instance, (), _trusted=True)
     apex._carrier, apex.size = None, len(tuples)
     apex._elements = elements or (lambda: _tuple_elements(parts, tuples))
-    if instance is FINPTDSET:
-        apex.basepoint = lookup.get(tuple(p.basepoint for p in parts))
-        if apex.basepoint is None:
-            raise DiagramError("limit carrier lost the basepoint")
-    elif instance is FINAB:
+    if instance.pointed:
         apex.zero = lookup.get(tuple(p.zero for p in parts))
         if apex.zero is None:
-            raise DiagramError("limit carrier is not sum-closed")
+            raise DiagramError("limit carrier lost the zero")
+    if instance is FINAB:
         apex.add = _TupleAddTable(parts, tuples, lookup)
     columns = list(zip(*tuples)) or [()] * len(parts)
     legs = {name: BaseMorphism(apex, part, column, _trusted=True)
@@ -796,10 +802,9 @@ def kernel(f: BaseMorphism) -> LimitResult:
     """
     if f._kernel is not None:
         return f._kernel
-    inst = f.dom.instance
-    if not inst.pointed:
+    if not f.dom.instance.pointed:
         raise CapabilityError("kernels need a pointed instance")
-    z = f.cod.basepoint if inst is FINPTDSET else f.cod.zero
+    z = f.cod.zero
     sub = subobject_limit(f.dom, [i for i, j in enumerate(f.map) if j == z])
     f._kernel = LimitResult(sub.apex, {"ker": sub.legs["incl"]}, sub.lookup)
     return f._kernel
@@ -811,7 +816,8 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
 
     In FINSET/FINPTDSET this is the quotient of the codomain by the
     equivalence generated by d(x) ~ c(x) (union-find, least-index
-    representatives).  In FINAB it is the cokernel of d - c.
+    representatives).  In FINAB it is the cokernel of d - c.  Both end in
+    ``_quotient``.
     """
     if d.dom != c.dom or d.cod != c.cod:
         raise CompositionError("parallel pair is mistyped")
@@ -836,17 +842,7 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
         a, b = find(d.map[i]), find(c.map[i])
         if a != b:
             parent[max(a, b)] = min(a, b)
-    rep = [find(i) for i in range(target.size)]
-    reps = sorted(set(rep))
-    pos = {r: k for k, r in enumerate(reps)}
-    carrier = [target.carrier[r] for r in reps]
-    if target.instance is FINPTDSET:
-        q_obj = BaseObject(FINPTDSET, carrier,
-                           basepoint=pos[rep[target.basepoint]], _trusted=True)
-    else:
-        q_obj = BaseObject(FINSET, carrier, _trusted=True)
-    return BaseMorphism(target, q_obj, [pos[rep[i]] for i in range(target.size)],
-                        _trusted=True)
+    return _quotient(target, [find(i) for i in range(target.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -898,8 +894,8 @@ def split_section(f: BaseMorphism):
     for i, j in enumerate(f.map):
         if table[j] < 0:
             table[j] = i
-    if inst is FINPTDSET:
-        table[f.cod.basepoint] = f.dom.basepoint
+    if inst.pointed:
+        table[f.cod.zero] = f.dom.zero
     return BaseMorphism(f.cod, f.dom, table, _trusted=True)
 
 
@@ -961,8 +957,8 @@ def enumerate_morphisms(dom: BaseObject, cod: BaseObject):
         return
     slots = []
     for i in range(dom.size):
-        if inst is FINPTDSET and i == dom.basepoint:
-            slots.append((cod.basepoint,))
+        if inst.pointed and i == dom.zero:
+            slots.append((cod.zero,))
         else:
             slots.append(range(cod.size))
     for table in itertools.product(*slots):

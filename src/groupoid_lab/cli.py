@@ -152,6 +152,15 @@ def cmd_verify(args) -> int:
     if args.cases is not None and args.cases < 1:
         print("--cases must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    seed = args.seed
+    if seed is None:
+        raw_seed = os.environ.get("GROUPOID_LAB_SEED", "0")
+        try:
+            seed = int(raw_seed)
+        except ValueError:
+            print(f"GROUPOID_LAB_SEED must be an integer, got {raw_seed!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     names = suite_names()
     if args.suite == "all":
         selected = names
@@ -181,7 +190,7 @@ def cmd_verify(args) -> int:
         if cases is None:
             cases = spec.default_cases
         for instance in targets:
-            report = run_suite(name, instance, cases, args.seed)
+            report = run_suite(name, instance, cases, seed)
             reports.append(report)
             met = report.expectation_met
             all_met = all_met and met
@@ -207,7 +216,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_met else EXIT_INVALID
 
 
-def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoid-lab",
         description="Validate, classify, and property-test internal "
@@ -234,7 +243,7 @@ def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
                           help="finset, finptdset, finab, or 'all'")
     p_verify.add_argument("--cases", type=int, default=None,
                           help="cases per suite (default: per-suite bound)")
-    p_verify.add_argument("--seed", type=int, default=default_seed,
+    p_verify.add_argument("--seed", type=int, default=None,
                           help="generator seed (default: GROUPOID_LAB_SEED "
                                "or 0)")
     p_verify.add_argument("--out", default=None,
@@ -243,18 +252,7 @@ def build_parser(default_seed: int = 0) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    raw_seed = os.environ.get("GROUPOID_LAB_SEED")
-    if raw_seed is None:
-        default_seed = 0
-    else:
-        try:
-            default_seed = int(raw_seed)
-        except ValueError:
-            print(f"GROUPOID_LAB_SEED must be an integer, got {raw_seed!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    parser = build_parser(default_seed)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "validate": cmd_validate,
         "classify": cmd_classify,

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from operator import getitem
 
-from .base import (FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject,
-                   CapabilityError, DiagramError, LimitResult, compose,
-                   finptdset_object, finset_object, identity,
-                   morphism_from_function, product, pullback,
-                   pullback_offsets, reflexive_coequalizer, subobject_limit,
-                   zero_morphism, zero_object, zmod)
+from .base import (FINAB, FINSET, BaseMorphism, BaseObject, CapabilityError,
+                   DiagramError, LimitResult, compose, finptdset_object,
+                   finset_object, identity, morphism_from_function, product,
+                   pullback, pullback_offsets, reflexive_coequalizer,
+                   subobject_limit, zero_morphism, zero_object, zmod)
 
 
 class InternalGroupoid:
@@ -509,8 +508,8 @@ def product_groupoid(g: InternalGroupoid, h: InternalGroupoid):
 def full_subgroupoid(g: InternalGroupoid, object_indices):
     """Full subgroupoid on a subset of objects, with its inclusion functor.
 
-    In FINAB the subset must be a subgroup; in FINPTDSET it must contain the
-    basepoint.
+    In a pointed instance the subset must contain the zero; in FINAB it must
+    be a subgroup.
     """
     lim0 = subobject_limit(g.B0, object_indices)
     keep = set(lim0.legs["incl"].map)
@@ -546,10 +545,9 @@ def pi0(g: InternalGroupoid):
 
 
 def _loops(g: InternalGroupoid) -> LimitResult:
-    inst = g.instance
-    if not inst.pointed:
+    if not g.instance.pointed:
         raise CapabilityError("pi1 needs a pointed instance")
-    z = g.B0.basepoint if inst is FINPTDSET else g.B0.zero
+    z = g.B0.zero
     return subobject_limit(g.B1, [k for k in range(g.B1.size)
                                   if g.d.map[k] == z and g.c.map[k] == z])
 

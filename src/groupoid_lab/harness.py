@@ -64,7 +64,6 @@ from .base import (
     finset_object,
     generated_subgroup_indices,
     identity,
-    jointly_strongly_epi,
     kernel,
     morphism_from_function,
     product,
@@ -210,7 +209,7 @@ def _random_map(dom: BaseObject, cod: BaseObject, rng) -> BaseMorphism:
         return rng.choice(list(enumerate_morphisms(dom, cod)))
     table = [rng.randrange(cod.size) for _ in range(dom.size)]
     if dom.instance is FINPTDSET:
-        table[dom.basepoint] = cod.basepoint
+        table[dom.zero] = cod.zero
     return BaseMorphism(dom, cod, table)
 
 
@@ -233,9 +232,8 @@ def _random_surjection(dom: BaseObject, rng) -> BaseMorphism:
             table[rng.choice([i for i in range(dom.size)
                               if table.count(table[i]) > 1])] = j
     if inst is FINPTDSET:
-        base_pre = table.index(cod.basepoint)
-        table[base_pre], table[dom.basepoint] = (table[dom.basepoint],
-                                                 table[base_pre])
+        base_pre = table.index(cod.zero)
+        table[base_pre], table[dom.zero] = table[dom.zero], table[base_pre]
     return BaseMorphism(dom, cod, table)
 
 
@@ -351,7 +349,7 @@ def _subgroupoid_inclusion(g: InternalGroupoid, rng) -> InternalFunctor:
         take = rng.randint(1, g.B0.size)
         idx = set(rng.sample(pool, take))
         if inst is FINPTDSET:
-            idx.add(g.B0.basepoint)
+            idx.add(g.B0.zero)
     return full_subgroupoid(g, idx)[1]
 
 
@@ -523,7 +521,7 @@ def _meet_all_components(g: InternalGroupoid, rng):
         reps.setdefault(proj.map[o], o)
     idx = set(reps.values())
     if inst is FINPTDSET:
-        idx.add(g.B0.basepoint)
+        idx.add(g.B0.zero)
     extras = [o for o in range(g.B0.size) if o not in idx]
     for o in extras:
         if rng.random() < 0.3:
@@ -870,7 +868,7 @@ def _shrink_square(m: ArrowMorphism, still_bad) -> ArrowMorphism:
         corners = (m.dom.top, m.dom.bottom, m.cod.top, m.cod.bottom)
         smaller = (_remove_element(m, which, drop)
                    for which, obj in enumerate(corners)
-                   for drop in range(obj.size) if drop != obj.basepoint)
+                   for drop in range(obj.size) if drop != obj.zero)
         bad = next((s for s in smaller if s is not None and still_bad(s)),
                    None)
         if bad is None:
@@ -1379,8 +1377,14 @@ def _check_kernels_strong_arr(instance, case):
     if factor != j:
         case.fail("factorization disagrees with the kernel comparison",
                   square=m)
-    flags = classify_arrow_morphism(m)
-    if flags["star_fibration"] != jointly_strongly_epi([j.f0, j.cod.a]):
+    # J(m) is essentially surjective iff its bottom map and its codomain's
+    # arrow are jointly strongly epic: their images cover the codomain
+    # (FinPtdSet) or generate it as a subgroup (FinAb)
+    cover = set(j.f0.map) | set(j.cod.a.map)
+    if instance is FINAB:
+        cover = generated_subgroup_indices(j.f0.cod, cover)
+    joint_epi = len(cover) == j.f0.cod.size
+    if classify_arrow_morphism(m)["star_fibration"] != joint_epi:
         case.fail("star flag disagrees with the joint-epi oracle", square=m)
 
 

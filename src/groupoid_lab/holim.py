@@ -81,8 +81,6 @@ class GroupoidPullback:
     groupoid: InternalGroupoid
     to_first: InternalFunctor
     to_second: InternalFunctor
-    first: InternalFunctor
-    second: InternalFunctor
     object_limit: LimitResult
     arrow_limit: LimitResult
 
@@ -98,9 +96,7 @@ def pullback_groupoid(f: InternalFunctor, g: InternalFunctor) -> GroupoidPullbac
     lim0 = pullback(f.F0, g.F0)
     lim1 = pullback(f.F1, g.F1)
     grp, (to_first, to_second) = levelwise_groupoid(lim0, lim1, [f.dom, g.dom])
-    return GroupoidPullback(
-        groupoid=grp, to_first=to_first, to_second=to_second,
-        first=f, second=g, object_limit=lim0, arrow_limit=lim1)
+    return GroupoidPullback(grp, to_first, to_second, lim0, lim1)
 
 
 def mediate_pullback(pb: GroupoidPullback, u: InternalFunctor,

@@ -50,7 +50,7 @@ def _decode_element(x):
 def object_to_data(obj: BaseObject) -> dict:
     structure: dict = {}
     if obj.instance is FINPTDSET:
-        structure["basepoint"] = obj.basepoint
+        structure["basepoint"] = obj.zero
     elif obj.instance is FINAB:
         structure["add"] = [list(row) for row in obj.add]
         structure["neg"] = list(obj.neg)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from groupoid_lab import base
 from groupoid_lab.base import (
-    FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError, CompositionError,
+    FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject, CapabilityError,
+    CompositionError,
     Diagram, DiagramError, NoMediatorError, additive_section, classify_morphism,
     compose, count_factorizations, direct_sum, enumerate_morphisms,
     finab_object, finite_limit, finptdset_object, finset_object, generated_subgroup_indices,
@@ -64,6 +65,25 @@ class TestObjects:
         with pytest.raises(DiagramError):
             from groupoid_lab.base import finab_object
             finab_object(range(4), add, zmod(4).neg, 0)
+
+    # A pointed set keeps its basepoint in ``zero`` and carries no tables; a
+    # set carries no point; a group has one point, its zero.
+    @pytest.mark.parametrize("instance, structure", [
+        (FINPTDSET, {"zero": 0, "add": zmod(2).add, "neg": zmod(2).neg}),
+        (FINPTDSET, {"zero": 1, "neg": zmod(2).neg}),
+        (FINSET, {"zero": 0}),
+        (FINSET, {"neg": zmod(2).neg}),
+    ], ids=["pointed-set-with-tables", "pointed-set-with-neg",
+            "set-with-zero", "set-with-neg"])
+    def test_stray_structure_is_rejected(self, instance, structure):
+        with pytest.raises(DiagramError, match="carry no"):
+            BaseObject(instance, ["*", "x"], **structure)
+
+    def test_a_group_has_no_second_point(self):
+        z2 = zmod(2)
+        with pytest.raises(TypeError):
+            BaseObject(FINAB, range(2), add=z2.add, neg=z2.neg, zero=0,
+                       basepoint=1)
 
     def test_duplicate_carrier_rejected(self):
         with pytest.raises(DiagramError):
@@ -168,7 +188,7 @@ class TestPullback:
         y = finptdset_object(["*", "c"])
         f = morphism_from_function(x, y, lambda e: "*" if e == "*" else "c")
         pb = pullback(f, f)
-        assert pb.apex.carrier[pb.apex.basepoint] == ("*", "*")
+        assert pb.apex.carrier[pb.apex.zero] == ("*", "*")
 
 
 class TestFiniteLimit:

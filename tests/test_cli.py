@@ -404,3 +404,10 @@ class TestVerify:
         monkeypatch.setenv("GROUPOID_LAB_SEED", "not-a-number")
         assert main(["verify", "--suite", "axioms"]) == 2
         assert "GROUPOID_LAB_SEED" in capsys.readouterr().err
+
+    def test_bad_env_seed_leaves_seedless_commands_alone(
+            self, groupoid_file, functor_file, capsys, monkeypatch):
+        monkeypatch.setenv("GROUPOID_LAB_SEED", "not-a-number")
+        assert main(["validate", groupoid_file]) == 0
+        assert main(["classify", functor_file]) == 0
+        assert "GROUPOID_LAB_SEED" not in capsys.readouterr().err

@@ -40,7 +40,7 @@ def _object_indices(g):
         return generated_subgroup_indices(b0, b0.generating_sequence()[:1])
     keep = set(range(0, b0.size, 2))
     if b0.instance is FINPTDSET:
-        keep.add(b0.basepoint)
+        keep.add(b0.zero)
     return sorted(keep)
 
 

@@ -33,7 +33,7 @@ from groupoid_lab.arrow import (
     is_essentially_surjective_arr,
     partial_zero_arr,
 )
-from groupoid_lab import base, harness
+from groupoid_lab import arrow, base, harness
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
@@ -266,6 +266,18 @@ class TestTheoremSuites:
                 assert report.failures == [], (name, instance_name,
                                                report.failures)
                 assert report.expectation_met
+
+    def test_the_square_star_flag_is_checked_against_its_definition(
+            self, monkeypatch):
+        # In FinAb images that only generate the codomain are jointly
+        # strongly epic; a joint-epi test that wants them to cover it gives
+        # wrong star flags, which the suite's own check must catch.
+        assert run_suite("kernels-strong-arr", FINAB, 50, 0).failures == []
+        monkeypatch.setattr(arrow, "jointly_strongly_epi", lambda ms: len(
+            {j for m in ms for j in m.map}) == ms[0].cod.size)
+        report = run_suite("kernels-strong-arr", FINAB, 50, 0)
+        assert [f["reason"] for f in report.failures] == [
+            "star flag disagrees with the joint-epi oracle"] * 2
 
     def test_witness_suites_are_unmet_when_the_bound_is_tiny(self):
         report = run_suite("star-not-fibration-search", FINAB, 5, 0)

@@ -247,7 +247,7 @@ def _random_map_into(rng, src, target):
         return _random_map(rng, src, target)
     table = [rng.randrange(target.size) for _ in range(src.size)]
     if target.instance is FINPTDSET:
-        table[src.basepoint] = target.basepoint
+        table[src.zero] = target.zero
     return BaseMorphism(src, target, table)
 
 
@@ -409,7 +409,7 @@ class TestKernelMemo:
 
     def test_the_kept_kernel_still_checks_every_cone(self, instance):
         f, a, b = self._onto(instance)
-        zero = f.cod.basepoint if instance is FINPTDSET else f.cod.zero
+        zero = f.cod.zero
         bad = next(u for u in enumerate_morphisms(a, a)
                    if any(f.map[x] != zero for x in u.map))
         good = kernel(f).legs["ker"]
@@ -558,8 +558,8 @@ def test_subobject_accepts_exactly_the_closed_subsets(orders):
             incl._validate()
     # subgroup counts: Z8 has 4, Z2xZ4 has 8, Z2^3 has 16
     assert accepted == {(8,): 4, (2, 4): 8, (2, 2, 2): 16}[orders]
-    with pytest.raises(DiagramError, match="^subgroup indices must include "
-                                           "zero$"):
+    with pytest.raises(DiagramError, match="^a pointed subobject must keep "
+                                           "the zero$"):
         subobject(group, others)
 
 

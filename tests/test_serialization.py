@@ -3,10 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoid_lab.base import (
     FINAB,
+    FINPTDSET,
     FINSET,
+    BaseObject,
     DiagramError,
     finptdset_object,
     finset_object,
@@ -62,6 +66,24 @@ class TestBaseRoundTrips:
     def test_nested_carriers_restore_tuples(self):
         ag = arrow_groupoid(cyclic_delooping(FINSET, 3))
         assert from_json(to_json(ag.groupoid)) == ag.groupoid
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_accepted_object_round_trips(data):
+    """Whatever the validated constructor accepts, JSON gives back equal."""
+    instance = data.draw(st.sampled_from([FINSET, FINPTDSET, FINAB]))
+    n = data.draw(st.integers(1, 4))
+    group = zmod(n)
+    fields = data.draw(st.sets(st.sampled_from(["zero", "add", "neg"])))
+    structure = {"zero": data.draw(st.integers(0, n - 1)),
+                 "add": group.add, "neg": group.neg}
+    try:
+        obj = BaseObject(instance, [f"e{i}" for i in range(n)],
+                         **{k: structure[k] for k in fields})
+    except DiagramError:
+        return
+    assert from_json(to_json(obj)) == obj
 
 
 class TestStructureRoundTrips:

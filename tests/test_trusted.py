@@ -22,6 +22,7 @@ from groupoid_lab.arrow import (
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
+    FINSET,
     BaseMorphism,
     BaseObject,
     Diagram,
@@ -46,7 +47,8 @@ from groupoid_lab.groupoid import (
     validate_groupoid,
     validate_transformation,
 )
-from groupoid_lab.groupoid import full_subgroupoid, pi1, product_groupoid
+from groupoid_lab.groupoid import (full_subgroupoid, pi0, pi1,
+                                   product_groupoid)
 from groupoid_lab.harness import _fibration_squares, gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
@@ -97,11 +99,12 @@ def _recheck(value, seen):
 def _built_from(fun):
     """Every trusted construction the library makes from one functor."""
     a, b = fun.dom, fun.cod
+    pointed = a.instance.pointed
     if a.instance is FINAB:
         objects = generated_subgroup_indices(a.B0,
                                              a.B0.generating_sequence()[:1])
-    else:
-        objects = [a.B0.basepoint, a.B0.size - 1]
+    else:  # the zero (if any) and the last object
+        objects = [o for o in (a.B0.zero, a.B0.size - 1) if o is not None]
     built = [
         fun,
         pullback(fun.F1, fun.F1),
@@ -110,7 +113,6 @@ def _built_from(fun):
             nodes={"arrow": a.B1, "image": b.B1, "source": b.B0},
             edges=[("arrow", "image", fun.F1),
                    ("image", "source", b.d)])),
-        kernel(fun.F1),
         pullback(fun.F0, fun.F0).mediate(
             {"p1": identity(a.B0), "p2": identity(a.B0)}),
         *enumerate_morphisms(a.B0, b.B0),
@@ -118,32 +120,38 @@ def _built_from(fun):
         strong_h_pullback(fun, fun).groupoid,
         *product_groupoid(a, b),
         *full_subgroupoid(a, objects),
-        *kernel_groupoid(fun),
-        *pi1(a),
     ]
+    # pi0 ends in the one quotient constructor on every instance
+    for g in (a, b):
+        _, projection = pi0(g)
+        built += [projection, split_section(projection)]
     if a.instance is FINAB:
         sub = generated_subgroup_indices(b.B1, b.B1.generating_sequence()[:1])
         quotient, projection = quotient_by_subgroup(b.B1, sub)
         built += [subgroup_object(b.B1, sub), quotient, projection,
                   split_section(projection), direct_sum(a.B1, b.B0)]
     t_data = comparison_T_data(fun)
-    j_data = comparison_J_data(fun)
     built += [t_data.strict.groupoid, t_data.strict.to_first,
               t_data.strict.to_second, t_data.relaxed.to_f_dom,
               t_data.relaxed.to_g_dom, t_data.relaxed.cell,
               t_data.relaxed.object_limit, t_data.relaxed.arrow_limit,
-              t_data.functor, j_data.inclusion, j_data.h_kernel.projection,
-              j_data.functor]
-    square = normalize(fun)
-    built += [kernel_arr(square).inclusion, comparison_J_arr(square),
-              *islice(_fibration_squares(a.instance), 50)]
+              t_data.functor]
+    if pointed:
+        j_data = comparison_J_data(fun)
+        square = normalize(fun)
+        built += [kernel(fun.F1), *kernel_groupoid(fun), *pi1(a),
+                  j_data.inclusion, j_data.h_kernel.projection,
+                  j_data.functor, kernel_arr(square).inclusion,
+                  comparison_J_arr(square)]
+    built += islice(_fibration_squares(a.instance), 50)
     return [v for v in built if v is not None]
 
 
 # Seeds whose groupoids keep every apex small enough for the O(n^2)
 # re-checks to finish in well under a second each.
-_SEEDS = [(FINAB, 5), (FINAB, 13), (FINAB, 24),
-          (FINPTDSET, 0), (FINPTDSET, 1), (FINPTDSET, 6)]
+_POINTED_SEEDS = [(FINAB, 5), (FINAB, 13), (FINAB, 24),
+                  (FINPTDSET, 0), (FINPTDSET, 1), (FINPTDSET, 6)]
+_SEEDS = _POINTED_SEEDS + [(FINSET, 4), (FINSET, 5), (FINSET, 6)]
 
 
 @pytest.mark.parametrize("instance, seed", _SEEDS)
@@ -153,7 +161,7 @@ def test_trusted_constructions_pass_full_validation(instance, seed):
         _recheck(value, seen)
 
 
-@pytest.mark.parametrize("instance, seed", _SEEDS)
+@pytest.mark.parametrize("instance, seed", _POINTED_SEEDS)
 def test_a_kept_kernel_passes_full_validation(instance, seed):
     fun = gen_functor(instance, seed)
     j_data = comparison_J_data(fun)  # takes the kernels of F0 and F1
