@@ -40,7 +40,7 @@ from .groupoid import (
     groupoid_from_arrow,
     zero_functor,
 )
-from .holim import HKernel, kernel_groupoid
+from .holim import HPullback, kernel_groupoid
 
 
 @dataclass
@@ -367,7 +367,7 @@ def kernel_preservation_comparison(fun: InternalFunctor) -> ArrowMorphism:
     return ArrowMorphism(normalize_obj(kg), karr.object, top, bottom)
 
 
-def h_kernel_preservation_comparison(hk: HKernel,
+def h_kernel_preservation_comparison(hk: HPullback,
                                      arr: ArrowHKernel) -> ArrowMorphism:
     """Canonical iso between the two strong h-kernels of a functor.
 
@@ -377,8 +377,7 @@ def h_kernel_preservation_comparison(hk: HKernel,
     re-indexes kernel arrows through the projection, the bottom pairs the
     projected object with the universal 2-cell's component.
     """
-    fun = hk.data.f
-    proj = hk.projection
+    fun, proj = hk.f, hk.to_f_dom
     top = kernel(fun.dom.d).mediate(
         {"ker": compose(kernel(hk.groupoid.d).legs["ker"], proj.F1)})
     beta = kernel(fun.cod.d).mediate({"ker": hk.cell.alpha})

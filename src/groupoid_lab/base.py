@@ -434,6 +434,11 @@ def subgroup_object(parent: BaseObject, indices) -> BaseObject:
 
 def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
     """Indices of the subgroup generated by a set of indices (FINAB)."""
+    if obj.instance is not FINAB:
+        raise CapabilityError("subgroups are a finab construction")
+    seed_indices = list(seed_indices)
+    if not all(_is_index(i, obj.size) for i in seed_indices):
+        raise DiagramError("subgroup generators must be int indices in range")
     return sorted(_coset_walk(obj, seed_indices)[0])
 
 
@@ -442,9 +447,6 @@ def quotient_by_subgroup(obj: BaseObject, indices):
 
     Cosets are named by their least-index member (see ``_quotient``).
     """
-    indices = list(indices)
-    if not all(_is_index(i, obj.size) for i in indices):
-        raise DiagramError("subgroup generators must be int indices in range")
     sub = generated_subgroup_indices(obj, indices)
     rep = [-1] * obj.size
     for i in range(obj.size):

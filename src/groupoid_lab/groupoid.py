@@ -431,6 +431,8 @@ def indiscrete_groupoid(x: BaseObject) -> InternalGroupoid:
 
 def cyclic_delooping(instance, k: int) -> InternalGroupoid:
     """One object with Z_k worth of loops, in any instance."""
+    if k < 1:
+        raise DiagramError("cyclic group order must be >= 1")
     if instance is FINAB:
         return delooping(zmod(k))
     if instance is FINSET:

@@ -116,6 +116,7 @@ from .holim import (
     is_levelwise_pullback_square,
     kernel_groupoid,
     mediate_h_pullback,
+    mediate_pullback,
     pullback_groupoid,
     strong_h_kernel,
     strong_h_pullback,
@@ -495,7 +496,7 @@ def _discrete_fibration_into(base: InternalGroupoid, rng):
         extra = discrete_groupoid(_random_object(base.instance, rng, 3))
         return product_groupoid(base, extra)[1]
     target = _random_groupoid(base.instance, rng, 4)
-    return strong_h_kernel(zero_functor(base, target)).projection
+    return strong_h_kernel(zero_functor(base, target)).to_f_dom
 
 
 def _weak_equivalence_into(base: InternalGroupoid, rng):
@@ -1094,24 +1095,18 @@ def _check_prop_star_fibration_j(instance, case):
 def _kernel_square_checks(fun: InternalFunctor, jdata):
     """The kernel comparison against the strict comparison, as one square."""
     tdata = comparison_T_data(fun)
-    kg, incl = jdata.kernel, jdata.inclusion
-    b = fun.cod
-    strict = tdata.strict
+    kg, hk = jdata.strict, jdata.relaxed
     try:
-        l0 = strict.object_limit.mediate(
-            {"p1": zero_morphism(kg.B0, b.B0), "p2": incl.F0})
-        l1 = strict.arrow_limit.mediate(
-            {"p1": zero_morphism(kg.B1, b.B0), "p2": incl.F1})
+        ell = mediate_pullback(tdata.strict, zero_functor(
+            kg.groupoid, tdata.strict.to_first.cod), kg.to_second)
     except NoMediatorError:
         return "kernel cone misses the strict pullback"
-    ell = InternalFunctor(kg, strict.groupoid, l0, l1)
-    hk = jdata.h_kernel
     to_g = zero_functor(hk.groupoid, tdata.relaxed.g.dom)
     cell = NatTransformation(
         compose_functors(to_g, tdata.relaxed.g),
-        compose_functors(hk.projection, fun), hk.cell.alpha)
+        compose_functors(hk.to_f_dom, fun), hk.cell.alpha)
     try:
-        i_fun = mediate_h_pullback(tdata.relaxed, hk.projection, to_g, cell)
+        i_fun = mediate_h_pullback(tdata.relaxed, hk.to_f_dom, to_g, cell)
     except NoMediatorError:
         return "h-kernel cone misses the relaxed pullback"
     if compose_functors(jdata.functor, i_fun) != compose_functors(
@@ -1199,7 +1194,7 @@ def _check_hkernel_discrete_fibration(instance, case):
     """h-kernel projections classify as discrete fibrations."""
     heavy = 6 if instance is FINPTDSET else 8
     fun = _random_functor(instance, case.rng, heavy)
-    label = classify_fibration(strong_h_kernel(fun).projection)
+    label = classify_fibration(strong_h_kernel(fun).to_f_dom)
     if label != "discrete_fibration":
         case.fail(f"h-kernel projection classified {label!r}", functor=fun)
 
@@ -1266,7 +1261,7 @@ def _check_normalization_preserves_kernels(instance, case):
             and classify_morphism(cmp_h.f0).iso):
         case.fail("h-kernel comparison is not an isomorphism", functor=fun)
         return
-    if compose_arr(cmp_h, arr.inclusion) != normalize(hk.projection):
+    if compose_arr(cmp_h, arr.inclusion) != normalize(hk.to_f_dom):
         case.fail("h-kernel comparison does not commute with projections",
                   functor=fun)
         return

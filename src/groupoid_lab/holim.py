@@ -12,16 +12,19 @@ composition from the legs:
   a five-node finite limit per level with the square groupoid in the
   middle, with both halves of its universal property
   (``mediate_h_pullback``, ``mediate_h_pullback_cell``); ``strong_h_kernel``
-  is its pointed specialization along the zero functor.
+  is the strong h-pullback along the zero functor 0 -> B.
 * ``kernel_groupoid`` -- the level-wise kernel.
 
 ``arrow_groupoid`` is the groupoid of commutative squares of B: the
 pullback of the composition map against itself, with its two evaluation
 functors and the tautological 2-cell between them.  Its structure maps
 are composites of the legs of ``pullback(m, m)`` and of the composable
-pairs, or mediators into them.  ``comparison_T`` runs out of the strict
-pullback along the object inclusion into the strong h-pullback,
-``comparison_J`` out of the level-wise kernel into the strong h-kernel.
+pairs, or mediators into them.  T and J are one comparison along a leg g
+into the codomain: from the strict pullback along g into the strong
+h-pullback along g.  ``comparison_T`` takes g = Dis(B0) -> B, the object
+inclusion, and ``comparison_J`` takes g = 0 -> B, so J runs out of the
+strict pullback along zero (the kernel, objects (0, a)) into the strong
+h-kernel.
 
 Squares are encoded as pairs of composable pairs: a square with sides
 ``left: x -> y``, ``right: x' -> y'``, ``top: x -> x'``, ``bottom: y -> y'``
@@ -48,7 +51,6 @@ from .base import (
     identity,
     kernel,
     pullback,
-    zero_morphism,
 )
 from .groupoid import (
     InternalFunctor,
@@ -370,46 +372,35 @@ def kernel_groupoid(fun: InternalFunctor):
     return grp, incl
 
 
-@dataclass
-class HKernel:
-    """A strong h-kernel: the h-pullback of a functor along zero.
-
-    ``projection`` is the functor back to the domain groupoid and ``cell``
-    the null-homotopy zero => projection . f; ``data`` keeps the full
-    h-pullback bundle for mediation.
-    """
-
-    groupoid: InternalGroupoid
-    projection: InternalFunctor
-    cell: NatTransformation
-    data: HPullback
+def _zero_leg(b: InternalGroupoid) -> InternalFunctor:
+    """The zero functor 0 -> b, the leg along which kernels are taken."""
+    if not b.instance.pointed:
+        raise CapabilityError("strong h-kernels need a pointed instance")
+    return zero_functor(zero_groupoid(b.instance), b)
 
 
-def strong_h_kernel(fun: InternalFunctor) -> HKernel:
-    """Strong h-kernel of a functor over a pointed instance.
+def strong_h_kernel(fun: InternalFunctor) -> HPullback:
+    """Strong h-kernel of a functor: its strong h-pullback along zero.
 
     The level-0 carrier is, up to the redundant coordinates of the limit
-    tuples, the set of pairs (object a0, arrow from zero to its image).
+    tuples, the set of pairs (object a0, arrow from zero to its image);
+    ``to_f_dom`` is the projection and ``cell`` the null-homotopy
+    zero => to_f_dom . f.
     """
-    inst = fun.dom.instance
-    if not inst.pointed:
-        raise CapabilityError("strong h-kernels need a pointed instance")
-    hp = strong_h_pullback(fun, zero_functor(zero_groupoid(inst), fun.cod))
-    return HKernel(groupoid=hp.groupoid, projection=hp.to_f_dom,
-                   cell=hp.cell, data=hp)
+    return strong_h_pullback(fun, _zero_leg(fun.cod))
 
 
 def h_kernel_into_pullback(hp: HPullback):
     """The mediator of the h-kernel cone into any strong h-pullback of f.
 
-    Returns (h-kernel bundle of hp.f, mediating functor).  The mediator
+    Returns (strong h-kernel of hp.f, mediating functor).  The mediator
     composes to zero on the g side, to the h-kernel projection on the f
     side, and its image is a kernel of the g-side projection (checked in
     tests/test_holim.py::TestHKernelIntoPullback).
     """
     hk = strong_h_kernel(hp.f)
     to_g = zero_functor(hk.groupoid, hp.g.dom)
-    return hk, _mediate_cone(hp, hk.projection, to_g, hk.cell.alpha)
+    return hk, _mediate_cone(hp, hk.to_f_dom, to_g, hk.cell.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +408,13 @@ def h_kernel_into_pullback(hp: HPullback):
 
 
 @dataclass
-class TComparison:
-    """The comparison from the strict pullback along the object inclusion.
+class Comparison:
+    """The comparison from a strict pullback to the strong h-pullback.
 
-    ``strict`` is the level-wise pullback of the object inclusion against
-    f, ``relaxed`` the strong h-pullback of f along the same inclusion, and
-    ``functor`` the mediating comparison between them.
+    Along a leg g into the codomain of f, ``strict`` is the level-wise
+    pullback of g against f, ``relaxed`` the strong h-pullback of f along
+    g, and ``functor`` the mediator of the strict square, whose cell is the
+    identity at each common image.
     """
 
     strict: GroupoidPullback
@@ -430,14 +422,18 @@ class TComparison:
     functor: InternalFunctor
 
 
-def comparison_T_data(fun: InternalFunctor) -> TComparison:
-    b = fun.cod
-    n = discrete_embedding(b)
-    strict = pullback_groupoid(n, fun)
-    relaxed = strong_h_pullback(fun, n)
-    t = _mediate_cone(relaxed, strict.to_second, strict.to_first,
-                      compose(strict.object_limit.legs["p1"], b.e))
-    return TComparison(strict=strict, relaxed=relaxed, functor=t)
+def _comparison(fun: InternalFunctor, g: InternalFunctor) -> Comparison:
+    strict = pullback_groupoid(g, fun)
+    relaxed = strong_h_pullback(fun, g)
+    functor = _mediate_cone(relaxed, strict.to_second, strict.to_first,
+                            compose(strict.object_limit.legs["p1"], g.F0,
+                                    fun.cod.e))
+    return Comparison(strict=strict, relaxed=relaxed, functor=functor)
+
+
+def comparison_T_data(fun: InternalFunctor) -> Comparison:
+    """The comparison along the object inclusion Dis(B0) -> B."""
+    return _comparison(fun, discrete_embedding(fun.cod))
 
 
 def comparison_T(fun: InternalFunctor) -> InternalFunctor:
@@ -449,22 +445,10 @@ def comparison_T(fun: InternalFunctor) -> InternalFunctor:
     return comparison_T_data(fun).functor
 
 
-@dataclass
-class JComparison:
-    """The comparison from the level-wise kernel to the strong h-kernel."""
-
-    kernel: InternalGroupoid
-    inclusion: InternalFunctor
-    h_kernel: HKernel
-    functor: InternalFunctor
-
-
-def comparison_J_data(fun: InternalFunctor) -> JComparison:
-    hk = strong_h_kernel(fun)
-    kg, incl = kernel_groupoid(fun)
-    j = _mediate_cone(hk.data, incl, zero_functor(kg, hk.data.g.dom),
-                      zero_morphism(kg.B0, fun.cod.B1))
-    return JComparison(kernel=kg, inclusion=incl, h_kernel=hk, functor=j)
+def comparison_J_data(fun: InternalFunctor) -> Comparison:
+    """The comparison along the zero functor 0 -> B: out of the kernel, as
+    the strict pullback along zero, into the strong h-kernel."""
+    return _comparison(fun, _zero_leg(fun.cod))
 
 
 def comparison_J(fun: InternalFunctor) -> InternalFunctor:

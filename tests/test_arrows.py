@@ -502,7 +502,7 @@ class TestPreservationComparisons:
         cmp = h_kernel_preservation_comparison(hk, arr)
         assert classify_morphism(cmp.f).iso
         assert classify_morphism(cmp.f0).iso
-        assert compose_arr(cmp, arr.inclusion) == normalize(hk.projection)
+        assert compose_arr(cmp, arr.inclusion) == normalize(hk.to_f_dom)
 
     def test_h_kernel_preservation_matches_the_diagonal(self):
         fun = identity_functor(groupoid_from_arrow(doubling_arrow()))

@@ -434,6 +434,15 @@ class TestSubgroupMachinery:
         with pytest.raises(DiagramError):
             quotient_by_subgroup(zmod(4), bad)
 
+    @pytest.mark.parametrize("bad", [[-1], [True], [7], [1.0], [4]])
+    def test_generated_subgroup_rejects_bad_generators(self, bad):
+        with pytest.raises(DiagramError, match="int indices in range"):
+            generated_subgroup_indices(zmod(4), bad)
+
+    def test_generated_subgroup_needs_finab(self):
+        with pytest.raises(CapabilityError):
+            generated_subgroup_indices(finset_object(["a", "b"]), [0])
+
 
 def _closure(obj, seeds):
     """The subgroup generated by seeds, by closing under sums until stable."""

@@ -62,7 +62,7 @@ def _derived(fun):
     if a.instance.pointed:
         yield "kernel_groupoid", kernel_groupoid(fun)
         hk = strong_h_kernel(fun)
-        yield "strong_h_kernel", (hk.groupoid, hk.projection, hk.cell)
+        yield "strong_h_kernel", (hk.groupoid, hk.to_f_dom, hk.cell)
         yield "pi1", pi1(a)
 
 

@@ -211,6 +211,13 @@ class TestStockShapes:
             zero_groupoid(FINSET)
 
 
+@pytest.mark.parametrize("instance", [FINSET, FINPTDSET, FINAB])
+@pytest.mark.parametrize("k", [0, -2])
+def test_cyclic_delooping_rejects_orders_below_one(instance, k):
+    with pytest.raises(DiagramError, match="order must be >= 1"):
+        cyclic_delooping(instance, k)
+
+
 class TestPi:
     def test_pi0_counts_components(self):
         g = groupoid_from_arrow(embed_delta())

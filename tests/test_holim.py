@@ -434,8 +434,8 @@ class TestStrongHKernel:
     def test_h_kernel_of_zero_projects_isomorphically(self):
         g = groupoid_from_arrow(embed_delta())
         hk = strong_h_kernel(zero_functor(g, zero_groupoid(FINAB)))
-        assert classify_morphism(hk.projection.F0).iso
-        assert classify_morphism(hk.projection.F1).iso
+        assert classify_morphism(hk.to_f_dom.F0).iso
+        assert classify_morphism(hk.to_f_dom.F1).iso
 
     def test_pointed_sets_instance(self):
         p = discrete_groupoid(finptdset_object(["*", "x", "y"]))
@@ -447,6 +447,8 @@ class TestStrongHKernel:
         g = discrete_groupoid(finset_object([0, 1]))
         with pytest.raises(CapabilityError):
             strong_h_kernel(identity_functor(g))
+        with pytest.raises(CapabilityError):
+            comparison_J_data(identity_functor(g))
 
 
 class TestComparisons:
@@ -470,7 +472,7 @@ class TestComparisons:
         g = groupoid_from_arrow(embed_delta())
         jd = comparison_J_data(identity_functor(g))
         assert validate_functor(jd.functor) == []
-        assert compose_functors(jd.functor, jd.h_kernel.projection) == jd.inclusion
+        assert compose_functors(jd.functor, jd.relaxed.to_f_dom) == jd.strict.to_second
 
     def test_comparison_J_of_zero_is_a_level_bijection(self):
         g = groupoid_from_arrow(embed_delta())
@@ -487,6 +489,42 @@ class TestComparisons:
             identity_functor(g)).functor
 
 
+_COMPARISON_SEEDS = [(instance, seed) for instance in (FINPTDSET, FINAB)
+                     for seed in (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("build", [comparison_T_data, comparison_J_data],
+                         ids=["T", "J"])
+@pytest.mark.parametrize("instance, seed", _COMPARISON_SEEDS)
+def test_both_comparisons_mediate_the_strict_square(build, instance, seed):
+    """T and J are one comparison along the leg g: both projections of the
+    strict pullback are recovered, and the cell is the identity at each
+    common image."""
+    data = build(gen_functor(instance, seed))
+    strict, relaxed, t = data.strict, data.relaxed, data.functor
+    g = relaxed.g
+    assert compose_functors(t, relaxed.to_f_dom) == strict.to_second
+    assert compose_functors(t, relaxed.to_g_dom) == strict.to_first
+    assert compose(t.F0, relaxed.cell.alpha) == compose(
+        strict.object_limit.legs["p1"], g.F0, g.cod.e)
+
+
+@pytest.mark.parametrize("instance, seed", _COMPARISON_SEEDS)
+def test_the_kernel_is_the_strict_pullback_along_zero(instance, seed):
+    fun = gen_functor(instance, seed)
+    kg, incl = kernel_groupoid(fun)
+    strict = comparison_J_data(fun).strict
+    med = mediate_pullback(strict, zero_functor(kg, strict.to_first.cod), incl)
+    assert classify_morphism(med.F0).iso and classify_morphism(med.F1).iso
+    assert compose_functors(med, strict.to_second) == incl
+
+
+def test_both_comparisons_are_exported_alike():
+    from groupoid_lab import comparison_J, comparison_T_data
+    assert comparison_J is holim.comparison_J
+    assert comparison_T_data is holim.comparison_T_data
+
+
 class TestHKernelIntoPullback:
     def test_mediator_laws(self):
         g = groupoid_from_arrow(embed_delta())
@@ -494,7 +532,7 @@ class TestHKernelIntoPullback:
         hp = strong_h_pullback(idg, idg)
         hk, ell = h_kernel_into_pullback(hp)
         assert validate_functor(ell) == []
-        assert compose_functors(ell, hp.to_f_dom) == hk.projection
+        assert compose_functors(ell, hp.to_f_dom) == hk.to_f_dom
         assert compose_functors(ell, hp.to_g_dom) == zero_functor(hk.groupoid, g)
 
     def test_image_is_the_kernel_of_the_other_projection(self):
