@@ -4,9 +4,10 @@ An object is a single base morphism a: A -> A0, a morphism is a commutative
 square (f, f0), and a null-homotopy of a square is a diagonal filler.  The
 category carries kernels (levelwise) and strong h-kernels (built from one
 pullback), giving classification notions that mirror the internal-functor
-ones: the endpoint-image factorization of a square decides faithful / full /
-fully faithful, joint surjectivity onto the base decides essential
-surjectivity, and the top component decides fibrations.
+ones: the fibres of the two vertical arrows decide faithful / full / fully
+faithful (the flags of the endpoint-image factorization, with no pullback
+built), joint surjectivity onto the base decides essential surjectivity,
+and the top component decides fibrations.
 
 ``normalize`` translates internal groupoids and functors into this category
 by restricting to kernel arrows of d; the comparison helpers at the bottom
@@ -16,6 +17,7 @@ strong h-kernels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 
 from .base import (
@@ -276,23 +278,41 @@ def comparison_J_arr(m: ArrowMorphism) -> ArrowMorphism:
 # classification
 
 
+def _fibre_flags(m: ArrowMorphism) -> tuple[bool, bool]:
+    """(faithful, full) of a square, counted on the fibres of its arrows.
+
+    These are the mono and regular-epi flags of the endpoint factorization
+    x -> (a x, f x) into A0 x_B0 B, decided without building the pullback.
+    It is injective iff the pairs (a x, f x) are distinct, that is iff f is
+    injective on every fibre a^-1(x0).  As the square commutes, its image
+    lies in the pullback, which has |b^-1(f0 x0)| points over each x0; so
+    it is surjective iff the two counts agree, that is iff f maps every
+    a^-1(x0) onto b^-1(f0 x0), also where the a-fibre is empty.
+    """
+    image = len(set(zip(m.dom.a.map, m.f.map)))
+    b_fibre = Counter(m.cod.a.map)
+    apex = sum(map(b_fibre.__getitem__, m.f0.map))
+    return image == len(m.f.map), image == apex
+
+
 def is_essentially_surjective_arr(m: ArrowMorphism) -> bool:
     return jointly_strongly_epi([m.f0, m.cod.a])
 
 
 def classify_arrow_morphism(m: ArrowMorphism) -> dict:
-    """All square-level classification flags, decided by one factorization.
+    """All square-level classification flags.
 
-    Pointed instances only: the star flag needs the kernel comparison.
+    Faithful and full are counted on fibres, with no pullback built; the
+    star flag builds the kernel comparison, so pointed instances only.
     """
     if not m.dom.top.instance.pointed:
         raise CapabilityError("square classification needs a pointed instance")
-    flags = classify_morphism(partial_zero_arr(m))
-    ff = flags.iso
+    faithful, full = _fibre_flags(m)
+    ff = faithful and full
     ess = is_essentially_surjective_arr(m)
     return {
-        "faithful": flags.mono,
-        "full": flags.regular_epi,
+        "faithful": faithful,
+        "full": full,
         "fully_faithful": ff,
         "essentially_surjective": ess,
         "weak_equivalence": ff and ess,

@@ -379,10 +379,17 @@ def finab_object(elements, add, neg, zero) -> BaseObject:
                       neg=tuple(neg), zero=zero)
 
 
-def zmod(n: int) -> BaseObject:
-    """The cyclic group of order n on carrier 0..n-1."""
+def _check_order(n) -> None:
+    """Reject a cyclic group order that is not an int (or is a bool) >= 1."""
+    if type(n) is not int:
+        raise DiagramError(f"cyclic group order must be an int, not {n!r}")
     if n < 1:
         raise DiagramError("cyclic group order must be >= 1")
+
+
+def zmod(n: int) -> BaseObject:
+    """The cyclic group of order n on carrier 0..n-1."""
+    _check_order(n)
     rng = range(n)
     add = tuple(tuple((i + j) % n for j in rng) for i in rng)
     neg = tuple((-i) % n for i in rng)

@@ -16,10 +16,11 @@ from __future__ import annotations
 from operator import getitem
 
 from .base import (FINAB, FINSET, BaseMorphism, BaseObject, CapabilityError,
-                   DiagramError, LimitResult, compose, finptdset_object,
-                   finset_object, identity, morphism_from_function, product,
-                   pullback, pullback_offsets, reflexive_coequalizer,
-                   subobject_limit, zero_morphism, zero_object, zmod)
+                   DiagramError, LimitResult, _check_order, compose,
+                   finptdset_object, finset_object, identity,
+                   morphism_from_function, product, pullback,
+                   pullback_offsets, reflexive_coequalizer, subobject_limit,
+                   zero_morphism, zero_object, zmod)
 
 
 class InternalGroupoid:
@@ -431,8 +432,7 @@ def indiscrete_groupoid(x: BaseObject) -> InternalGroupoid:
 
 def cyclic_delooping(instance, k: int) -> InternalGroupoid:
     """One object with Z_k worth of loops, in any instance."""
-    if k < 1:
-        raise DiagramError("cyclic group order must be >= 1")
+    _check_order(k)
     if instance is FINAB:
         return delooping(zmod(k))
     if instance is FINSET:

@@ -29,6 +29,7 @@ from .arrow import (
     ArrowMorphism,
     ArrowObject,
     Diagonal,
+    _fibre_flags,
     _then,
     act_on_diagonal,
     classify_arrow_morphism,
@@ -1345,11 +1346,16 @@ def _check_normalization_transfer(instance, case):
 
 @_suite("kernels-strong-arr", _POINTED)
 def _check_kernels_strong_arr(instance, case):
-    """Square-level kernel comparisons are fully faithful and factor
-    kernel cones."""
+    """Square-level kernel comparisons are fully faithful, by the endpoint
+    pullback and by the fibrewise count alike, and factor kernel cones."""
     m = _random_arrow_morphism(instance, case.rng, 6)
     j = comparison_J_arr(m)
-    if not classify_morphism(partial_zero_arr(j)).iso:
+    flags = classify_morphism(partial_zero_arr(j))
+    if _fibre_flags(j) != (flags.mono, flags.regular_epi):
+        case.fail("fibrewise flags of the kernel comparison disagree with "
+                  "its endpoint pullback", square=m)
+        return
+    if not flags.iso:
         case.fail("kernel comparison of a square is not fully faithful",
                   square=m)
         return
@@ -1386,8 +1392,7 @@ def _check_kernels_strong_arr(instance, case):
 def _j_flags(m: ArrowMorphism):
     """(J(m) is fully faithful, J(m) is essentially surjective)."""
     j = comparison_J_arr(m)
-    return (classify_morphism(partial_zero_arr(j)).iso,
-            is_essentially_surjective_arr(j))
+    return all(_fibre_flags(j)), is_essentially_surjective_arr(j)
 
 
 @_search("protomodularity-char", _POINTED, ("finptdset",), 100)

@@ -15,6 +15,8 @@ specimen.
 """
 
 import hashlib
+import random
+from itertools import islice
 
 import pytest
 
@@ -49,11 +51,12 @@ from groupoid_lab.groupoid import (
     whisker_left,
     zero_functor,
 )
-from groupoid_lab.harness import _fibration_squares
+from groupoid_lab.harness import _fibration_squares, _random_arrow_morphism
 from groupoid_lab.holim import kernel_groupoid, strong_h_kernel
 from groupoid_lab.arrow import (
     ArrowMorphism,
     Diagonal,
+    _fibre_flags,
     act_on_diagonal,
     arrow_object,
     classify_arrow_morphism,
@@ -437,6 +440,53 @@ class TestClassification:
     def test_partial_zero_drives_the_flags(self):
         flags = classify_morphism(partial_zero_arr(fold_square()))
         assert flags.mono and not flags.regular_epi
+
+
+def empty_fibre_square(instance):
+    # a: 0 -> X misses the point x, over which b = id_X has the fibre {x}
+    x = zmod(2) if instance is FINAB else finptdset_object(["*", "x"])
+    point = zero_morphism(zmod(1) if instance is FINAB
+                          else finptdset_object(["*"]), x)
+    return ArrowMorphism(arrow_object(point), arrow_object(identity(x)),
+                         point, identity(x))
+
+
+def random_squares(instance):
+    return (_random_arrow_morphism(instance, random.Random(seed))
+            for seed in range(100))
+
+
+class TestFibreFlags:
+    """The fibrewise flags are the mono / regular-epi flags of the
+    endpoint factorization that the pullback builds."""
+
+    @staticmethod
+    def _agrees(m):
+        flags = classify_morphism(partial_zero_arr(m))
+        return _fibre_flags(m) == (flags.mono, flags.regular_epi)
+
+    @pytest.mark.parametrize("squares, count", [
+        (lambda: islice(_fibration_squares(FINAB), 2000), 2000),
+        (lambda: _fibration_squares(FINPTDSET), 795),
+        (lambda: random_squares(FINAB), 100),
+        (lambda: random_squares(FINPTDSET), 100),
+    ], ids=["finab-sweep", "finptdset-sweep", "finab-random",
+            "finptdset-random"])
+    def test_agree_with_the_pullback_on_squares_and_their_j(self, squares,
+                                                            count):
+        seen = 0
+        for m in squares():
+            assert self._agrees(m) and self._agrees(comparison_J_arr(m))
+            seen += 1
+        assert seen == count
+
+    @pytest.mark.parametrize("instance", [FINAB, FINPTDSET])
+    def test_an_empty_fibre_under_a_full_one_is_not_full(self, instance):
+        m = empty_fibre_square(instance)
+        assert _fibre_flags(m) == (True, False)
+        assert self._agrees(m)
+        flags = classify_arrow_morphism(m)
+        assert flags["faithful"] and not flags["full"]
 
 
 class TestNormalization:

@@ -218,6 +218,19 @@ def test_cyclic_delooping_rejects_orders_below_one(instance, k):
         cyclic_delooping(instance, k)
 
 
+@pytest.mark.parametrize("instance", [FINSET, FINPTDSET, FINAB])
+@pytest.mark.parametrize("k", [2.5, "3", True, False, None])
+def test_cyclic_delooping_rejects_orders_that_are_not_ints(instance, k):
+    with pytest.raises(DiagramError, match="order must be an int"):
+        cyclic_delooping(instance, k)
+
+
+@pytest.mark.parametrize("n", [2.5, "3", True, False, 4.0])
+def test_zmod_rejects_orders_that_are_not_ints(n):
+    with pytest.raises(DiagramError, match="order must be an int"):
+        zmod(n)
+
+
 class TestPi:
     def test_pi0_counts_components(self):
         g = groupoid_from_arrow(embed_delta())

@@ -475,8 +475,9 @@ def test_the_sweep_builds_only_the_squares_j_returns(monkeypatch):
 
 def test_the_sweep_builds_each_endpoint_pullback_once_per_codomain(
         monkeypatch):
-    # one pullback per (codomain object, f0) for the 20796 streamed squares,
-    # one per square for J, whose codomain object is new each time
+    # one pullback per (codomain object, f0) for the 20796 streamed squares;
+    # J's flags are read off fibres, so J, whose codomain object is new for
+    # every square, builds none
     calls = []
 
     def counted(f, g):
@@ -487,7 +488,7 @@ def test_the_sweep_builds_each_endpoint_pullback_once_per_codomain(
         monkeypatch.setattr(module, "pullback", counted)
     report = run_suite("protomodularity-char", FINAB, 25000, 0)
     assert (report.cases, report.failures) == (20796, [])
-    assert len(calls) == 25724
+    assert len(calls) == 4928
 
 
 def _squares_into_one_object():
@@ -606,7 +607,7 @@ class TestLimitsOnDemand:
         report = run_suite("protomodularity-char", FINAB, 200, 0)
         assert report.cases == 200 and report.failures == []
         assert builds == []
-        assert len(apexes) >= 200 and len(kernels) >= 400
+        assert len(apexes) == 145 and len(kernels) >= 400
         assert all(isinstance(k.add, base._TupleAddTable) for k in kernels)
         assert all(o._carrier is None and o._neg is None
                    for o in apexes + kernels)
