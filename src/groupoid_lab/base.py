@@ -33,13 +33,17 @@ Validation policy: values from outside the library are validated exactly,
 at every size: the JSON decoder and the public constructors (finset_object,
 finptdset_object, finab_object, morphism_from_function, functor,
 transformation, and BaseObject and BaseMorphism given caller data).  Index
-fields must be ints; bools are rejected.  Everything the library derives
-from valid values (limit apexes, legs and mediators, subgroups, quotients,
-direct sums, homs, sections, the structure maps of built groupoids) is built
-from indices, as a limit leg, a composite of legs, a ``LimitResult.mediate``
-(which checks its cone) or an index table, and skips the check through the
-private ``_trusted=True`` that BaseObject and BaseMorphism take (and
-``arrow.ArrowMorphism``, for the squares the library builds).
+fields must be ints; bools are rejected.  The decoder validates each
+distinct object once per decoded value, and it accepts a groupoid's object
+of composable pairs by exact equality with the pullback of its validated
+``c`` and ``d``, a limit and so valid by construction.  Everything the
+library derives from valid values (limit apexes, legs and mediators,
+subgroups, quotients, direct sums, homs, sections, the structure maps of
+built groupoids) is built from indices, as a limit leg, a composite of
+legs, a ``LimitResult.mediate`` (which checks its cone) or an index table,
+and skips the check through the private ``_trusted=True`` that BaseObject
+and BaseMorphism take (and ``arrow.ArrowMorphism``, for the squares the
+library builds).
 """
 
 from __future__ import annotations

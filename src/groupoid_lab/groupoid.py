@@ -31,7 +31,8 @@ class InternalGroupoid:
     elements.  A groupoid built by the library (``_assemble``) has structure
     maps built from indices, keeps its composition on arrow indices and
     fills the table of ``m`` (trusted) on first read; one built from outside
-    data is given its table.
+    data is given its table.  The private ``_pairs=`` hands over a
+    ``pullback(c, d)`` already built (the JSON decoder's).
 
     >>> g = discrete_groupoid(finset_object(["p", "q"]))
     >>> g.unit("p")
@@ -40,7 +41,7 @@ class InternalGroupoid:
 
     __slots__ = ("B0", "B1", "d", "c", "e", "i", "_m", "_mul", "_pairs")
 
-    def __init__(self, B0, B1, d, c, e, m, i):
+    def __init__(self, B0, B1, d, c, e, m, i, _pairs=None):
         self.B0 = B0
         self.B1 = B1
         self.d = d
@@ -49,7 +50,7 @@ class InternalGroupoid:
         self.i = i
         self._m = m
         self._mul = None
-        self._pairs = None
+        self._pairs = _pairs
 
     @property
     def m(self) -> BaseMorphism:
@@ -177,9 +178,16 @@ def _typing_failures(g: InternalGroupoid) -> list[str]:
 
 
 class InternalFunctor:
-    """A pair (F0, F1) of base morphisms commuting with all structure maps."""
+    """A pair (F0, F1) of base morphisms commuting with all structure maps.
 
-    __slots__ = ("dom", "cod", "F0", "F1")
+    A functor keeps the square groupoid of its codomain once a strong
+    h-pullback of it along some leg has built one, so its T and J share
+    it.  The codomain does not keep it: the squares refer back to the
+    codomain, and that cycle would leave every such groupoid to the cycle
+    collector.
+    """
+
+    __slots__ = ("dom", "cod", "F0", "F1", "_squares")
 
     def __init__(self, dom: InternalGroupoid, cod: InternalGroupoid,
                  F0: BaseMorphism, F1: BaseMorphism):
@@ -187,6 +195,7 @@ class InternalFunctor:
         self.cod = cod
         self.F0 = F0
         self.F1 = F1
+        self._squares = None
 
     def __eq__(self, other):
         return (isinstance(other, InternalFunctor) and self.dom == other.dom

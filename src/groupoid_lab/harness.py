@@ -1347,15 +1347,18 @@ def _check_normalization_transfer(instance, case):
 @_suite("kernels-strong-arr", _POINTED)
 def _check_kernels_strong_arr(instance, case):
     """Square-level kernel comparisons are fully faithful, by the endpoint
-    pullback and by the fibrewise count alike, and factor kernel cones."""
+    pullback and by the fibrewise count alike, and factor kernel cones.
+    The two counts are also compared on the square itself, whose flags
+    take every value, as J's are always true."""
     m = _random_arrow_morphism(instance, case.rng, 6)
     j = comparison_J_arr(m)
-    flags = classify_morphism(partial_zero_arr(j))
-    if _fibre_flags(j) != (flags.mono, flags.regular_epi):
-        case.fail("fibrewise flags of the kernel comparison disagree with "
-                  "its endpoint pullback", square=m)
-        return
-    if not flags.iso:
+    for square, name in ((m, "square"), (j, "kernel comparison")):
+        flags = classify_morphism(partial_zero_arr(square))
+        if _fibre_flags(square) != (flags.mono, flags.regular_epi):
+            case.fail(f"fibrewise flags of the {name} disagree with its "
+                      "endpoint pullback", square=m)
+            return
+    if not flags.iso:  # J's flags, read last
         case.fail("kernel comparison of a square is not fully faithful",
                   square=m)
         return

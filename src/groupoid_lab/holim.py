@@ -261,12 +261,15 @@ def strong_h_pullback(f: InternalFunctor, g: InternalFunctor) -> HPullback:
     object of f.dom) where the middle arrow runs from the g-image to the
     f-image; level 1 is the analogous limit one dimension up, with the
     square groupoid in the middle slot.  Structure maps act componentwise.
+    f keeps the square groupoid of the codomain for its next h-pullback.
     """
     if f.cod != g.cod:
         raise DiagramError("strong h-pullback needs a common codomain")
     b = f.cod
     a, c = f.dom, g.dom
-    sq = arrow_groupoid(b)
+    if f._squares is None:  # kept on f, so T and J share it
+        f._squares = arrow_groupoid(b)
+    sq = f._squares
     sqg = sq.groupoid
 
     lim0 = finite_limit(Diagram(

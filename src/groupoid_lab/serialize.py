@@ -2,10 +2,20 @@
 
 Every encoder returns plain dict/list/scalar data; ``to_json`` renders it
 with sorted keys so equal values always produce identical bytes.  Decoders
-rebuild values through the public constructors, so instance-level structure
-(basepoints, addition tables) is revalidated on load, while groupoid and
-functor axioms are deliberately not checked here: validation of possibly
-corrupted structures is its own operation.
+rebuild values through the validated constructors, so instance-level
+structure (basepoints, addition tables) is revalidated on load, while
+groupoid and functor axioms are deliberately not checked here: validation
+of possibly corrupted structures is its own operation.
+
+One ``value_from_data`` call validates each distinct object once: equal
+object data decodes to the same object (``is``), so a functor file's many
+copies of B1 are one object.  Data holding a bool or a float, which equal
+ints, is validated each time it occurs.  A groupoid's composable-pairs
+object, the domain of ``m``, is accepted by exact equality (carrier,
+table, ``neg``, zero) with the pullback of its validated ``c`` and ``d``,
+which is a valid object by construction; the groupoid keeps that pullback
+as its ``composition_pairs()``.  Any other data is validated on its own,
+so it fails as it would alone.
 
 Carrier elements may be nested tuples (limit carriers are built from
 pairs); JSON stores them as nested lists and decoding restores tuples
@@ -15,6 +25,7 @@ recursively.  Carriers never contain genuine lists, so this is lossless.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .base import (
     FINAB,
@@ -22,10 +33,8 @@ from .base import (
     BaseMorphism,
     BaseObject,
     DiagramError,
-    finab_object,
-    finptdset_object,
-    finset_object,
     parse_instance,
+    pullback,
 )
 from .groupoid import InternalFunctor, InternalGroupoid, NatTransformation
 from .arrow import ArrowMorphism, ArrowObject, Diagonal
@@ -61,17 +70,7 @@ def object_to_data(obj: BaseObject) -> dict:
 
 
 def object_from_data(data: dict) -> BaseObject:
-    instance = parse_instance(data["instance"])
-    if not isinstance(data["carrier"], list):
-        raise DiagramError("carrier must be a JSON array")
-    carrier = [_decode_element(x) for x in data["carrier"]]
-    structure = data.get("structure") or {}
-    if instance is FINPTDSET:
-        return finptdset_object(carrier, structure["basepoint"])
-    if instance is FINAB:
-        return finab_object(carrier, structure["add"], structure["neg"],
-                            structure["zero"])
-    return finset_object(carrier)
+    return _object(data, {})
 
 
 def morphism_to_data(mor: BaseMorphism) -> dict:
@@ -80,8 +79,83 @@ def morphism_to_data(mor: BaseMorphism) -> dict:
 
 
 def morphism_from_data(data: dict) -> BaseMorphism:
-    return BaseMorphism(object_from_data(data["dom"]),
-                        object_from_data(data["cod"]), data["map"])
+    return _morphism(data, {})
+
+
+# The node types a memo key may hold.  A bool or a float equals an int
+# (True == 1 == 1.0) that validation tells apart from it, and other data
+# may not hash, so an object with any other leaf bypasses the memo.
+_EXACT_NODES = frozenset({int, str, type(None), tuple})
+
+
+def _exact(*fields) -> bool:
+    """Whether every leaf under these fields is an int, a str or None.
+
+    A field is a leaf or nested tuples, read one level at a time, so each
+    level's types are taken in one pass.
+    """
+    for field in fields:
+        level = [field]
+        while level:
+            types = set(map(type, level))
+            if not types <= _EXACT_NODES:
+                return False
+            if tuple not in types:
+                break
+            if len(types) > 1:
+                level = [v for v in level if type(v) is tuple]
+            level = list(chain.from_iterable(level))
+    return True
+
+
+def _object(data: dict, memo: dict) -> BaseObject:
+    """The object of this data: the one the memo holds for equal data, else
+    a validated one, which the memo then keeps.  ``memo`` maps the
+    normalized constructor arguments (instance, carrier, add, neg, zero)
+    to an object built from them."""
+    instance = parse_instance(data["instance"])
+    if not isinstance(data["carrier"], list):
+        raise DiagramError("carrier must be a JSON array")
+    carrier = tuple(_decode_element(x) for x in data["carrier"])
+    structure = data.get("structure") or {}
+    add = neg = zero = None
+    if instance is FINPTDSET:
+        zero = structure["basepoint"]
+    elif instance is FINAB:
+        add, neg, zero = structure["add"], structure["neg"], structure["zero"]
+        add, neg = tuple(tuple(r) for r in add), tuple(neg)
+    key = (instance, carrier, add, neg, zero)
+    if not _exact(*key[1:]):
+        return BaseObject(*key)
+    obj = memo.get(key)
+    if obj is None:
+        obj = memo[key] = BaseObject(*key)
+    return obj
+
+
+def _morphism(data: dict, memo: dict) -> BaseMorphism:
+    return BaseMorphism(_object(data["dom"], memo), _object(data["cod"], memo),
+                        data["map"])
+
+
+def _groupoid(data: dict, memo: dict) -> InternalGroupoid:
+    """A groupoid decoded field by field, with the pullback of c against d
+    offered to the memo before m: validated homs with a common codomain
+    have a valid pullback, so m's domain needs no check of its own when its
+    data equals that pullback.  The groupoid keeps the pullback."""
+    b0, b1 = _object(data["B0"], memo), _object(data["B1"], memo)
+    d, c, e = (_morphism(data[name], memo) for name in ("d", "c", "e"))
+    pairs = None
+    if c.cod == d.cod:
+        pairs = pullback(c, d)
+        apex = pairs.apex
+        key = (apex.instance, apex.carrier,
+               None if apex.add is None else tuple(apex.add), apex.neg,
+               apex.zero)
+        if _exact(*key[1:]):
+            memo[key] = apex
+    return InternalGroupoid(b0, b1, d, c, e, _morphism(data["m"], memo),
+                            _morphism(data["i"], memo), _pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +183,8 @@ _SHAPES = {
     ArrowObject: ("arrow object", {"a": BaseMorphism}),
 }
 
-_BASE = {BaseMorphism: ("morphism", morphism_to_data, morphism_from_data),
-         BaseObject: ("object", object_to_data, object_from_data)}
+_BASE = {BaseMorphism: ("morphism", morphism_to_data, _morphism),
+         BaseObject: ("object", object_to_data, _object)}
 
 
 def _encode(cls, value):
@@ -120,10 +194,12 @@ def _encode(cls, value):
             for name, held in _SHAPES[cls][1].items()}
 
 
-def _decode(cls, data):
+def _decode(cls, data, memo):
     if cls in _BASE:
-        return _BASE[cls][2](data)
-    return cls(*[_decode(held, data[name])
+        return _BASE[cls][2](data, memo)
+    if cls is InternalGroupoid:
+        return _groupoid(data, memo)
+    return cls(*[_decode(held, data[name], memo)
                  for name, held in _SHAPES[cls][1].items()])
 
 
@@ -153,7 +229,8 @@ def value_from_data(data):
 
     A composite shape matches when its field names are among the keys; an
     arrow object, whose one key is common, only on the exact key set.
-    Data that names no known shape raises UnknownShapeError.
+    Data that names no known shape raises UnknownShapeError.  The call
+    keeps one object memo (see the module docstring).
     """
     if not isinstance(data, dict):
         raise UnknownShapeError("serialized value must be a JSON object")
@@ -161,7 +238,7 @@ def value_from_data(data):
     for cls, (_, fields) in _SHAPES.items():
         if (keys == fields.keys() if cls is ArrowObject
                 else keys >= fields.keys()):
-            return _decode(cls, data)
+            return _decode(cls, data, {})
     if keys >= {"dom", "cod", "map"}:
         return morphism_from_data(data)
     if keys >= {"instance", "carrier"}:

@@ -35,6 +35,7 @@ from groupoid_lab.base import (
 )
 from groupoid_lab.groupoid import (
     InternalFunctor,
+    InternalGroupoid,
     NatTransformation,
     action_groupoid,
     compose_functors,
@@ -132,17 +133,25 @@ class TestBuiltFromIndices:
     def test_a_decoded_base_gives_the_same_squares(self, instance, seed):
         b = gen_functor(instance, seed).cod
         decoded = from_json(to_json(b))
-        assert decoded.m.dom is not decoded.composition_pairs().apex
+        # the decoder gives m the groupoid's own pairs as its domain; a
+        # groupoid given its table by hand may hold an equal, separate one
+        assert decoded.m.dom is decoded.composition_pairs().apex
+        m = decoded.m
+        given = InternalGroupoid(
+            decoded.B0, decoded.B1, decoded.d, decoded.c, decoded.e,
+            BaseMorphism(from_json(to_json(m.dom)), m.cod, m.map), decoded.i)
+        assert given.m.dom is not given.composition_pairs().apex
 
         def tables(data):
             g = data.groupoid
             return [g.d.map, g.c.map, g.e.map, g.i.map, data.eval_dom.F1.map,
                     data.eval_cod.F1.map, g.m.map]
 
-        squares = arrow_groupoid(decoded)
+        squares = arrow_groupoid(given)
         # the squares are taken over the pairs the groupoid builds itself
-        assert squares.pairs.legs["p1"].cod is decoded.composition_pairs().apex
+        assert squares.pairs.legs["p1"].cod is given.composition_pairs().apex
         assert tables(squares) == tables(arrow_groupoid(b))
+        assert tables(arrow_groupoid(decoded)) == tables(arrow_groupoid(b))
 
     def test_building_reads_no_element_carrier(self, monkeypatch):
         x = finset_object(["p", "q", "r"])
@@ -355,6 +364,17 @@ class TestStrongHPullback:
         cone0 = {"g_obj": hp.to_g_dom.F0, "arrows": hp.cell.alpha,
                  "f_obj": hp.to_f_dom.F0}
         assert count_factorizations(hp.object_limit, cone0) == 1
+
+    def test_t_and_j_share_the_codomain_squares(self, monkeypatch):
+        fun = gen_functor(FINAB, 2)
+        builds = []
+        monkeypatch.setattr(holim, "arrow_groupoid", lambda b: (
+            builds.append(b), arrow_groupoid(b))[1])
+        squares = comparison_T_data(fun).relaxed.squares
+        assert comparison_J_data(fun).relaxed.squares is squares
+        assert builds == [fun.cod]
+        # the public constructor still builds afresh
+        assert arrow_groupoid(fun.cod) is not squares
 
     def test_mistyped_cone_cell_is_rejected(self):
         b = cyclic_delooping(FINAB, 2)

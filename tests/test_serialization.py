@@ -1,5 +1,6 @@
 """Round-trip and determinism checks for the JSON formats."""
 
+import copy
 import json
 
 import pytest
@@ -25,7 +26,10 @@ from groupoid_lab.groupoid import (
     identity_cell,
     identity_functor,
     indiscrete_groupoid,
+    validate_functor,
 )
+from groupoid_lab.classify import classification_report
+from groupoid_lab.harness import gen_functor
 from groupoid_lab.holim import arrow_groupoid
 from groupoid_lab.arrow import ArrowMorphism, Diagonal, arrow_object
 from groupoid_lab.serialize import (
@@ -140,3 +144,85 @@ class TestDeterminismAndErrors:
         data["map"] = [0, 9]
         with pytest.raises(DiagramError):
             value_from_data(data)
+
+
+class TestOneObjectPerDistinctData:
+    """One decode builds each distinct object once, and takes a groupoid's
+    composable pairs from the pullback of its c and d."""
+
+    @pytest.mark.parametrize("instance", [FINSET, FINPTDSET, FINAB])
+    def test_copies_are_one_object(self, instance):
+        for seed in range(6):
+            fun = from_json(to_json(gen_functor(instance, seed)))
+            for g in (fun.dom, fun.cod):
+                assert g.d.dom is g.B1 and g.c.cod is g.B0
+                assert g.m.dom is g.composition_pairs().apex
+            assert fun.F1.dom is fun.dom.B1 and fun.F1.cod is fun.cod.B1
+
+    @pytest.mark.parametrize("instance", [FINSET, FINPTDSET, FINAB])
+    def test_decoding_keeps_bytes_and_verdicts(self, instance):
+        for seed in range(21):
+            fun = gen_functor(instance, seed)
+            text = to_json(fun)
+            decoded = from_json(text)
+            assert to_json(decoded) == text
+            assert (classification_report(decoded).payload()
+                    == classification_report(fun).payload())
+
+    @staticmethod
+    def _outcome(data):
+        try:
+            fun = value_from_data(data)
+        except DiagramError as exc:
+            return str(exc)
+        return validate_functor(fun)
+
+    def _changed(self, instance, *path, edit):
+        data = value_to_data(gen_functor(instance, 2))
+        obj = data
+        for key in path:
+            obj = obj[key]
+        edit(obj)
+        return self._outcome(data)
+
+    def test_a_changed_pairs_table_fails_its_own_check(self):
+        def change(obj):  # kept commutative, so associativity must catch it
+            add = obj["structure"]["add"]
+            add[1][2] = add[2][1] = (add[1][2] + 1) % len(add)
+        assert (self._changed(FINAB, "cod", "m", "dom", edit=change)
+                == "addition table is not associative")
+
+    def test_a_valid_pairs_object_that_is_no_pullback_is_mistyped(self):
+        def reverse(obj):
+            obj["carrier"].reverse()
+        assert (self._changed(FINAB, "cod", "m", "dom", edit=reverse)
+                == ["composition-carrier"])
+
+    def test_ill_typed_copies_miss_the_memo(self):
+        # each edit is to a later copy of an object decoded before it, and
+        # bool, float and list entries equal or hold valid indices
+        def listed(obj):
+            add = obj["structure"]["add"]
+            add[1][0] = [add[1][0]]
+
+        def field(name, value):
+            return lambda obj: obj["structure"].__setitem__(name, value)
+        bad_index = "group table entry is not an int index in range"
+        assert self._changed(FINAB, "cod", "c", "dom", edit=listed) == bad_index
+        assert self._changed(FINAB, "cod", "d", "cod",
+                             edit=field("zero", False)) == bad_index
+        assert self._changed(FINAB, "cod", "m", "dom",
+                             edit=field("zero", 0.0)) == bad_index
+        assert (self._changed(FINPTDSET, "cod", "e", "dom",
+                              edit=field("basepoint", True))
+                == "a pointed set needs a basepoint index")
+
+    def test_carrier_types_survive_the_memo(self):
+        # True == 1, but a copy with bool elements is an object of its own
+        data = value_to_data(identity_functor(cyclic_delooping(FINSET, 3)))
+        data["dom"]["d"]["dom"]["carrier"] = [False, True, 2]
+        fun = value_from_data(data)
+        assert fun.dom.d.dom is not fun.dom.B1
+        assert fun.dom.d.dom.carrier == (False, True, 2)
+        assert to_json(fun) == json.dumps(data, sort_keys=True)
+
