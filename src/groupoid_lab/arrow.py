@@ -50,9 +50,10 @@ class ArrowObject:
     """A single base morphism, seen as an object of the arrow category.
 
     As the codomain of squares it keeps the pullback of each bottom map f0
-    against ``a`` that their endpoint factorizations read, keyed by
+    against ``a`` that their endpoint factorizations read, and the bottom
+    map of their kernel comparison J once one is built, keyed by
     ``id(f0)`` next to f0 itself: squares into one object that share their
-    f0 share that pullback, and it is freed with the object.
+    f0 share both, and they are freed with the object.
     """
 
     a: BaseMorphism
@@ -182,17 +183,23 @@ class ArrowHKernel:
     limit: LimitResult
 
 
+def _kept_entry(m: ArrowMorphism) -> list:
+    """The entry [f0, pullback of f0 and m.cod.a, J's bottom or None] kept
+    on the codomain object for m.f0, built on the first square that asks."""
+    f0, kept = m.f0, m.cod._pullbacks
+    hit = kept.get(id(f0))
+    if hit is None or hit[0] is not f0:
+        hit = kept[id(f0)] = [f0, pullback(f0, m.cod.a), None]
+    return hit
+
+
 def _endpoint_factorization(m: ArrowMorphism):
     """The pullback of m.f0 and m.cod.a, and (m.dom.a, m.f) mediated into it.
 
     The pullback is built once per codomain object and f0, and kept on the
     codomain object.
     """
-    f0, kept = m.f0, m.cod._pullbacks
-    hit = kept.get(id(f0))
-    if hit is None or hit[0] is not f0:
-        hit = kept[id(f0)] = (f0, pullback(f0, m.cod.a))
-    lim = hit[1]
+    lim = _kept_entry(m)[1]
     return lim, lim.mediate({"p1": m.dom.a, "p2": m.f})
 
 
@@ -262,14 +269,20 @@ def comparison_J_arr(m: ArrowMorphism) -> ArrowMorphism:
     Builds the kernel square and, of the strong h-kernel, only its pullback
     and its object: the h-kernel's inclusion and diagonal are not built.
     The bottom pairs the kernel's bottom inclusion with the zero diagonal.
+    That bottom reads only f0 and the codomain object, so the first J that
+    asks keeps it in their entry beside the endpoint pullback, and squares
+    sharing both share it.
     """
     if not m.dom.top.instance.pointed:
         raise CapabilityError("strong h-kernels need a pointed instance")
     ker = kernel_arr(m)
-    lim, endpoint = _endpoint_factorization(m)
-    bottom = lim.mediate(
-        {"p1": ker.inclusion.f0,
-         "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+    entry = _kept_entry(m)
+    _, lim, bottom = entry
+    if bottom is None:
+        bottom = entry[2] = lim.mediate(
+            {"p1": ker.inclusion.f0,
+             "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+    endpoint = lim.mediate({"p1": m.dom.a, "p2": m.f})
     return ArrowMorphism(ker.object, ArrowObject(endpoint), ker.inclusion.f,
                          bottom, _trusted=True)
 

@@ -660,21 +660,21 @@ class LimitResult:
         for name, leg in self.legs.items():
             u = cone.get(name)
             if u is not None:
-                if u.cod != leg.cod:
+                if u.cod is not leg.cod and u.cod != leg.cod:
                     raise CompositionError(
                         f"cone leg {name!r}: codomain mismatch")
                 given.append(u)
             maps.append(None if u is None else u.map)
-        derived = True
+        derived = bool(self.edges)
         while derived:  # a derived leg meets its edge by construction
             derived = False
             for s, t, h in self.edges:
                 if maps[t] is None and maps[s] is not None:
                     maps[t] = tuple(map(h.map.__getitem__, maps[s]))
                     derived = True
-        for name, m in zip(self.legs, maps):
-            if m is None:
-                raise NoMediatorError(f"cone has no leg {name!r}")
+        if None in maps:
+            missing = list(self.legs)[maps.index(None)]
+            raise NoMediatorError(f"cone has no leg {missing!r}")
         if not given:
             raise NoMediatorError("empty cone")
         source = _common_source(*given)
@@ -940,7 +940,7 @@ def jointly_strongly_epi(morphisms) -> bool:
     if not ms:
         raise CompositionError("empty family")
     cod = ms[0].cod
-    if any(m.cod != cod for m in ms):
+    if any(m.cod is not cod and m.cod != cod for m in ms):
         raise CompositionError("family has mixed codomains")
     hit = {j for m in ms[:-1] for j in m.map}
     last = set(ms[-1].map)

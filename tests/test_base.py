@@ -183,6 +183,34 @@ class TestPullback:
         with pytest.raises(CompositionError, match="mismatch"):
             pb.mediate({"p1": mod_map(4, 2), "p2": identity(z4)})
 
+    def test_equal_objects_mediate_as_the_identical_ones(self):
+        # legs into an object equal to, but not, the leg's codomain, from
+        # sources equal to, but not, each other, mediate to the same table
+        pb = pullback(mod_map(4, 2), mod_map(4, 2))
+        z4 = pb.legs["p1"].cod
+        same = pb.mediate({"p1": identity(z4), "p2": scale_map(z4, 3)})
+        copies = [zmod(4), zmod(4)]
+        assert copies[0] is not z4 and copies[0] is not copies[1]
+        equal = pb.mediate({"p1": identity(copies[0]),
+                            "p2": scale_map(copies[1], 3)})
+        assert equal.map == same.map
+        assert equal.cod is same.cod is pb.apex
+
+    def test_a_mistyped_leg_wins_over_a_missing_one(self):
+        pb = pullback(mod_map(4, 2), mod_map(4, 2))
+        for cone in ({"p1": mod_map(4, 2)}, {"p2": mod_map(4, 2)}):
+            with pytest.raises(CompositionError, match="mismatch"):
+                pb.mediate(cone)
+
+    def test_a_missing_leg_is_named_first_in_leg_order(self):
+        pb = pullback(mod_map(4, 2), mod_map(4, 2))
+        z4 = pb.legs["p1"].cod
+        for cone, missing in (({}, "p1"), ({"p2": identity(z4)}, "p1"),
+                              ({"p1": identity(z4)}, "p2")):
+            with pytest.raises(NoMediatorError,
+                               match=f"cone has no leg '{missing}'"):
+                pb.mediate(cone)
+
     def test_pointed_pullback_keeps_basepoint(self):
         x = finptdset_object(["*", "a", "b"])
         y = finptdset_object(["*", "c"])
@@ -223,6 +251,18 @@ class TestFiniteLimit:
         lim = finite_limit(self.cospan_diagram(f, f))
         med = lim.mediate({"x": identity(zmod(4)), "y": identity(zmod(4))})
         assert med(1) == (1, 1, 1)
+
+    def test_a_missing_leg_is_named_first_in_leg_order(self):
+        # an edge derives its target from its source, never the reverse
+        f = mod_map(4, 2)
+        lim = finite_limit(self.cospan_diagram(f, f))
+        z4, z2 = f.dom, f.cod
+        for cone, missing in (({}, "x"), ({"z": identity(z2)}, "x"),
+                              ({"y": identity(z4)}, "x"),
+                              ({"x": identity(z4)}, "y")):
+            with pytest.raises(NoMediatorError,
+                               match=f"cone has no leg '{missing}'"):
+                lim.mediate(cone)
 
     def test_mistyped_diagram_rejected(self):
         with pytest.raises(DiagramError):
@@ -408,6 +448,28 @@ class TestJointlyStronglyEpi:
                                     lambda e: "*" if e == "*" else "y")
         assert jointly_strongly_epi([fx, fy])
         assert not jointly_strongly_epi([fx, fx])
+
+
+    def test_equal_codomains_count_as_one(self):
+        f = morphism_from_function(zmod(2), zmod(4), lambda x: 2 * x)
+        assert f.cod is not zmod(4)
+        for g, epi in ((identity(zmod(4)), True), (scale_map(zmod(4), 2), False)):
+            assert g.cod == f.cod and g.cod is not f.cod
+            assert jointly_strongly_epi([f, g]) == epi
+            same = BaseMorphism(g.dom, f.cod, g.map)
+            assert jointly_strongly_epi([f, same]) == epi
+        t = [finptdset_object(["*", "x", "y"]) for _ in range(2)]
+        fx = morphism_from_function(finptdset_object(["*", "a"]), t[0],
+                                    lambda e: "*" if e == "*" else "x")
+        fy = morphism_from_function(finptdset_object(["*", "a"]), t[1],
+                                    lambda e: "*" if e == "*" else "y")
+        assert jointly_strongly_epi([fx, fy])
+
+    def test_mixed_codomains_raise(self):
+        f = identity(zmod(4))
+        for family in ([f, identity(zmod(2))], [f, f, identity(zmod(8))]):
+            with pytest.raises(CompositionError, match="mixed codomains"):
+                jointly_strongly_epi(family)
 
 
 class TestSubgroupMachinery:

@@ -491,6 +491,23 @@ def test_the_sweep_builds_each_endpoint_pullback_once_per_codomain(
     assert len(calls) == 4928
 
 
+def test_the_sweep_mediates_each_j_bottom_once_per_codomain(monkeypatch):
+    # per square: the kernel's restricted arrow and the endpoint
+    # factorization; J's bottom once per (codomain object, f0), beside the
+    # 4928 kept pullbacks: 2 * 20796 + 4928
+    calls = []
+    mediate = base.LimitResult.mediate
+
+    def counted(self, cone):
+        calls.append(None)
+        return mediate(self, cone)
+
+    monkeypatch.setattr(base.LimitResult, "mediate", counted)
+    report = run_suite("protomodularity-char", FINAB, 25000, 0)
+    assert (report.cases, report.failures) == (20796, [])
+    assert len(calls) == 46520
+
+
 def _squares_into_one_object():
     """Two squares into one codomain object with one bottom map f0."""
     z2 = zmod(2)
@@ -506,8 +523,16 @@ def test_squares_sharing_codomain_and_f0_share_the_endpoint_pullback():
     m, n = _squares_into_one_object()
     lim = arrow.strong_h_kernel_arr(m).limit
     assert arrow.strong_h_kernel_arr(n).limit is lim
-    assert arrow.comparison_J_arr(n).cod.a.cod is lim.apex
-    assert list(m.cod._pullbacks.values()) == [(m.f0, lim)]
+    j = arrow.comparison_J_arr(n)
+    assert j.cod.a.cod is lim.apex
+    assert list(m.cod._pullbacks.values()) == [[m.f0, lim, j.f0]]
+
+
+def test_squares_sharing_codomain_and_f0_share_the_j_bottom():
+    m, n = _squares_into_one_object()
+    bottom = arrow.comparison_J_arr(m).f0
+    assert arrow.comparison_J_arr(n).f0 is bottom
+    assert bottom.cod is arrow.strong_h_kernel_arr(n).limit.apex
 
 
 def test_another_codomain_object_or_f0_builds_its_own_pullback():
@@ -522,6 +547,21 @@ def test_another_codomain_object_or_f0_builds_its_own_pullback():
     assert own[0] is not lim and own[1] is not lim and own[0] is not own[1]
     assert all(x.apex == lim.apex for x in own)
     assert len(m.cod._pullbacks) == 2
+
+
+def test_another_codomain_object_or_f0_builds_its_own_j_bottom():
+    m, _ = _squares_into_one_object()
+    bottom = arrow.comparison_J_arr(m).f0
+    other_cod = arrow.ArrowMorphism(m.dom, arrow.ArrowObject(m.cod.a),
+                                    m.f, m.f0)
+    equal_f0 = BaseMorphism(m.f0.dom, m.f0.cod, m.f0.map)
+    other_f0 = arrow.ArrowMorphism(m.dom, m.cod, m.f, equal_f0)
+    own = [arrow.comparison_J_arr(x).f0 for x in (other_cod, other_f0)]
+    assert own[0] is not bottom and own[1] is not bottom
+    assert own[0] is not own[1]
+    assert all(x.map == bottom.map for x in own)
+    assert [entry[2] for entry in m.cod._pullbacks.values()] == [
+        bottom, own[1]]
 
 
 def _is_sum_closed(group, subset):

@@ -2,8 +2,9 @@
 
 Limit apexes, legs, mediators, subgroups, quotients, direct sums,
 enumerated homs, sections, the structure maps of built groupoids and the
-squares the arrow layer builds (kernel inclusions, kernel comparisons and
-the protomodularity sweep's stream) skip construction-time validation
+squares the arrow layer builds (kernel inclusions, kernel comparisons with
+the bottom maps they share, and the protomodularity sweep's stream) skip
+construction-time validation
 because they are valid by construction.
 These tests build each of them from seeded inputs, run the skipped checks
 by hand, and run the axiom validators on every groupoid and functor built.
@@ -15,7 +16,10 @@ import pytest
 
 from groupoid_lab.arrow import (
     ArrowMorphism,
+    ArrowObject,
+    _fibre_flags,
     comparison_J_arr,
+    is_essentially_surjective_arr,
     kernel_arr,
     normalize,
 )
@@ -38,6 +42,7 @@ from groupoid_lab.base import (
     quotient_by_subgroup,
     split_section,
     subgroup_object,
+    zero_morphism,
 )
 from groupoid_lab.groupoid import (
     InternalFunctor,
@@ -49,7 +54,7 @@ from groupoid_lab.groupoid import (
 )
 from groupoid_lab.groupoid import (full_subgroupoid, pi0, pi1,
                                    product_groupoid)
-from groupoid_lab.harness import _fibration_squares, gen_functor
+from groupoid_lab.harness import _fibration_squares, _j_flags, gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J_data,
@@ -170,3 +175,29 @@ def test_a_kept_kernel_passes_full_validation(instance, seed):
     assert kept is not None and kernel(fun.F1) is kept
     _recheck(kept, set())
     _recheck(kg, set())
+
+
+@pytest.mark.parametrize("instance, count", [(FINAB, 300), (FINPTDSET, 795)])
+def test_a_shared_j_bottom_matches_a_fresh_one(instance, count):
+    # a stream square's J reads the bottom kept for an earlier square with
+    # its codomain object and f0; it must be the J built afresh
+    seen, squares = set(), list(islice(_fibration_squares(instance), count))
+    assert len(squares) == count
+    bottoms = set()
+    for m in squares:
+        j = comparison_J_arr(m)
+        bottoms.add(id(j.f0))
+        ker = kernel_arr(m)
+        lim = pullback(m.f0, m.cod.a)
+        bottom = lim.mediate(
+            {"p1": ker.inclusion.f0,
+             "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+        assert j.f0 == bottom
+        _recheck(j, seen)
+        fresh = ArrowMorphism(ker.object,
+                              ArrowObject(lim.mediate({"p1": m.dom.a,
+                                                       "p2": m.f})),
+                              ker.inclusion.f, bottom)
+        assert _j_flags(m) == (all(_fibre_flags(fresh)),
+                               is_essentially_surjective_arr(fresh))
+    assert len(bottoms) < count  # some squares did share a bottom
