@@ -714,17 +714,6 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
                          for j in buckets[f.map[i]]])
 
 
-def pullback_offsets(f: BaseMorphism, g: BaseMorphism):
-    """(start, rank): the pair (i, j) of ``pullback(f, g)`` has apex index
-    start[i] + rank[j] (dom f in order, each fibre of g in order)."""
-    fibres = g.preimages()
-    rank = [0] * g.dom.size
-    for fibre in fibres:
-        for r, j in enumerate(fibre):
-            rank[j] = r
-    return [0, *itertools.accumulate(len(fibres[y]) for y in f.map)], rank
-
-
 def product(a: BaseObject, b: BaseObject) -> LimitResult:
     """Binary product as the pullback over the terminal shape (all pairs)."""
     return _tuple_limit(("p1", "p2"), [a, b],

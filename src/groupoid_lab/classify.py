@@ -13,6 +13,10 @@ morphism:
 * the essential-surjectivity witness asks which objects of the codomain are
   reachable by an arrow from the image.
 
+``FunctorClassification`` is the one record of a functor's measurements:
+it builds each once, on its first read.  Each public classifier reads a
+fresh record, and ``classification_report`` reads all of one.
+
 Each classification exists in a "d" and a "c" flavour.  Both are always
 computed and compared; a mismatch raises SideDivergenceError because the
 theory promises agreement and a divergence can only be an implementation
@@ -23,6 +27,7 @@ encoded limits, and cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, wraps
 
 from .base import (
     BaseMorphism,
@@ -53,122 +58,19 @@ def _ends(g, side: str):
     return (g.d, g.c) if side == "d" else (g.c, g.d)
 
 
-# ---------------------------------------------------------------------------
-# fibrations
-
-
-def _tau(fun: InternalFunctor, side: str):
-    """The lifting measurement plus the pullback it factors through."""
-    lim = pullback(fun.F0, _ends(fun.cod, side)[0])
-    return lim, lim.mediate({"p1": _ends(fun.dom, side)[0], "p2": fun.F1})
-
-
-def tau_factorization(fun: InternalFunctor, side: str = "d") -> BaseMorphism:
-    """The canonical map from arrows to (endpoint object, image arrow) pairs.
-
-    For side "d" it sends an arrow x to (d x, F1 x), landing in the pullback
-    of F0 against the codomain's d; composition with the pullback legs
-    recovers d and F1.  Side "c" is the symmetric construction.
-    """
-    return _tau(fun, side)[1]
-
-
-def _fibration_label(flags) -> str:
-    if flags.iso:
-        return "discrete_fibration"
-    if flags.split_epi:
-        return "split_epi_fibration"
-    if flags.regular_epi:
-        return "fibration"
-    return "not_fibration"
-
-
-def classify_fibration(fun: InternalFunctor) -> str:
-    """Strongest fibration label, decided on both sides and compared."""
-    return _fibration_of(_tau(fun, "d")[1], _tau(fun, "c")[1])
-
-
-def _fibration_of(tau_d: BaseMorphism, tau_c: BaseMorphism) -> str:
-    label_d = _fibration_label(classify_morphism(tau_d))
-    label_c = _fibration_label(classify_morphism(tau_c))
-    if label_d != label_c:
-        raise SideDivergenceError(
-            f"fibration sides disagree: {label_d} vs {label_c}")
-    return label_d
-
-
 def fibration_at_least(label: str, floor: str) -> bool:
     return FIBRATION_LABELS.index(label) >= FIBRATION_LABELS.index(floor)
-
-
-# ---------------------------------------------------------------------------
-# star fibrations
-
-
-def _hat_tau(fun: InternalFunctor, side: str):
-    """Kernel-restricted lifting measurement (pointed instances only).
-
-    Side "d": arrows of the domain whose image ends at zero, measured by
-    (domain object, image arrow) against kernel arrows of the codomain.
-    Returns (pullback, measurement, source kernel, codomain-arrow kernel).
-    """
-    near, far = _ends(fun.cod, side)
-    ending = kernel(compose(fun.F1, far))
-    target = kernel(far)
-    restricted = target.mediate({"ker": compose(ending.legs["ker"], fun.F1)})
-    lim = pullback(fun.F0, compose(target.legs["ker"], near))
-    source = compose(ending.legs["ker"], _ends(fun.dom, side)[0])
-    tau = lim.mediate({"p1": source, "p2": restricted})
-    return lim, tau, ending, target
-
-
-def hat_tau_factorization(fun: InternalFunctor, side: str = "d") -> BaseMorphism:
-    return _hat_tau(fun, side)[1]
-
-
-def _star_label(flags) -> str:
-    if flags.split_epi:
-        return "split_epi_star_fibration"
-    if flags.regular_epi:
-        return "star_fibration"
-    return "not_star"
-
-
-def classify_star_fibration(fun: InternalFunctor) -> str:
-    """Strongest star label; sides are matched through the inversion square.
-
-    Inversion of arrows identifies the two kernel measurements: the square
-    built from the restricted inversions must commute, which forces the two
-    labels to agree.  Both the square and the labels are still checked.
-    """
-    return _star_of(fun, _hat_tau(fun, "d"), _hat_tau(fun, "c"))
-
-
-def _star_of(fun: InternalFunctor, hat_d, hat_c) -> str:
-    a, b = fun.dom, fun.cod
-    lim_d, tau_d, ending_d, ker_c = hat_d
-    lim_c, tau_c, ending_c, ker_d = hat_c
-    flip_base = ker_d.mediate({"ker": compose(ker_c.legs["ker"], b.i)})
-    flip_source = ending_c.mediate(
-        {"ker": compose(ending_d.legs["ker"], a.i)})
-    across = lim_c.mediate({"p1": lim_d.legs["p1"],
-                            "p2": compose(lim_d.legs["p2"], flip_base)})
-    if compose(tau_d, across) != compose(flip_source, tau_c):
-        raise SideDivergenceError("star inversion square does not commute")
-    label_d = _star_label(classify_morphism(tau_d))
-    label_c = _star_label(classify_morphism(tau_c))
-    if label_d != label_c:
-        raise SideDivergenceError(
-            f"star sides disagree: {label_d} vs {label_c}")
-    return label_d
 
 
 def star_at_least(label: str, floor: str) -> bool:
     return STAR_LABELS.index(label) >= STAR_LABELS.index(floor)
 
 
-# ---------------------------------------------------------------------------
-# faithful / full / fully faithful
+def _agreed(what: str, label_d: str, label_c: str) -> str:
+    if label_d != label_c:
+        raise SideDivergenceError(
+            f"{what} sides disagree: {label_d} vs {label_c}")
+    return label_d
 
 
 @dataclass
@@ -181,39 +83,6 @@ class PartialZero:
     to_dom: BaseMorphism
     to_arrow: BaseMorphism
     to_cod: BaseMorphism
-
-
-def partial_zero(fun: InternalFunctor) -> PartialZero:
-    """Send an arrow x to ((d x, F1 x), c x) in the iterated pullback.
-
-    Injectivity of this map is faithfulness, surjectivity is fullness, and
-    bijectivity is fully-faithfulness.
-    """
-    return _partial_zero(fun, _tau(fun, "d"))
-
-
-def _partial_zero(fun: InternalFunctor, tau) -> PartialZero:
-    """partial_zero, given the side-"d" lifting measurement ``_tau``."""
-    first, tau_d = tau
-    second = pullback(compose(first.legs["p2"], fun.cod.c), fun.F0)
-    morphism = second.mediate({"p1": tau_d, "p2": fun.dom.c})
-    flags = classify_morphism(morphism)
-    return PartialZero(
-        morphism=morphism,
-        faithful=flags.mono,
-        full=flags.regular_epi,
-        to_dom=compose(second.legs["p1"], first.legs["p1"]),
-        to_arrow=compose(second.legs["p1"], first.legs["p2"]),
-        to_cod=second.legs["p2"],
-    )
-
-
-def is_faithful(fun: InternalFunctor) -> bool:
-    return partial_zero(fun).faithful
-
-
-def is_full(fun: InternalFunctor) -> bool:
-    return partial_zero(fun).full
 
 
 def fully_faithful_comparison(fun: InternalFunctor) -> BaseMorphism:
@@ -234,83 +103,153 @@ def fully_faithful_comparison(fun: InternalFunctor) -> BaseMorphism:
     return lim.mediate({"left": a.d, "mid": fun.F1, "right": a.c})
 
 
-def is_fully_faithful(fun: InternalFunctor) -> bool:
-    """Decide fully-faithfulness twice and insist the answers match."""
-    return _fully_faithful(fun, partial_zero(fun))
+def _per_side(build):
+    """A record's measurement on one side, built on its first read and kept."""
+    @wraps(build)
+    def read(self, side):
+        key = (build.__name__, side)
+        if key not in self._sides:
+            self._sides[key] = build(self, side)
+        return self._sides[key]
+    return read
 
 
-def _fully_faithful(fun: InternalFunctor, zero: PartialZero) -> bool:
-    via_limit = classify_morphism(fully_faithful_comparison(fun)).iso
-    via_partial = classify_morphism(zero.morphism).iso
-    if via_limit != via_partial:
-        raise SideDivergenceError("fully-faithful routes disagree")
-    return via_limit
-
-
-# ---------------------------------------------------------------------------
-# essential surjectivity and the equivalence notions
-
-
-def essential_surjectivity_witness(fun: InternalFunctor,
-                                   side: str = "d") -> BaseMorphism:
-    """The reachable-objects map (image-endpoint pair) -> far endpoint."""
-    near, far = _ends(fun.cod, side)
-    return compose(pullback(fun.F0, near).legs["p2"], far)
-
-
-def _essential_flags(fun: InternalFunctor):
-    return _essential_of(essential_surjectivity_witness(fun, "d"),
-                         essential_surjectivity_witness(fun, "c"))
-
-
-def _essential_of(witness_d: BaseMorphism, witness_c: BaseMorphism):
-    fd = classify_morphism(witness_d)
-    fc = classify_morphism(witness_c)
-    if (fd.regular_epi, fd.split_epi) != (fc.regular_epi, fc.split_epi):
-        raise SideDivergenceError("essential surjectivity sides disagree")
-    return fd
-
-
-def is_essentially_surjective(fun: InternalFunctor) -> bool:
-    return _essential_flags(fun).regular_epi
-
-
-def classify_equivalence(fun: InternalFunctor) -> dict:
-    """Full faithfulness and the essential flags, each decided once, and the
-    (weak) equivalence flags read off them; an equivalence needs the
-    reachable-objects map to split, not merely be surjective."""
-    return _equivalence_flags(is_fully_faithful(fun), _essential_flags(fun))
-
-
-def _equivalence_flags(ff: bool, ess) -> dict:
-    return {"fully_faithful": ff, "essentially_surjective": ess.regular_epi,
-            "weak_equivalence": ff and ess.regular_epi,
-            "equivalence": ff and ess.split_epi}
-
-
-def is_weak_equivalence(fun: InternalFunctor) -> bool:
-    return classify_equivalence(fun)["weak_equivalence"]
-
-
-def is_equivalence(fun: InternalFunctor) -> bool:
-    return classify_equivalence(fun)["equivalence"]
-
-
-# ---------------------------------------------------------------------------
-# the aggregate report
-
-
-@dataclass
 class FunctorClassification:
-    """All flags of one functor plus the morphisms that decided them.
+    """The measurements of one functor, each built on its first read and kept.
 
-    ``witnesses`` maps names to base morphisms, except "T" and "J" which
-    are the comparison functors.  Star entries appear only for pointed
-    instances.
+    Per side ("d" or "c"): the pullback of F0 against the codomain's
+    endpoint, which tau and the reachable-objects map both read, then tau,
+    hat tau and that map; once: the partial zero.  ``flags`` reads the
+    labels off them and runs every cross-check; ``witnesses`` maps names to
+    the base morphisms that decided them, except "T" and "J", which are the
+    comparison functors.  Star entries appear only for pointed instances.
     """
 
-    flags: dict
-    witnesses: dict
+    def __init__(self, fun: InternalFunctor):
+        self.fun = fun
+        self._sides = {}
+
+    @_per_side
+    def endpoint_pullback(self, side):
+        return pullback(self.fun.F0, _ends(self.fun.cod, side)[0])
+
+    @_per_side
+    def tau(self, side):
+        return self.endpoint_pullback(side).mediate(
+            {"p1": _ends(self.fun.dom, side)[0], "p2": self.fun.F1})
+
+    @_per_side
+    def reach(self, side):
+        return compose(self.endpoint_pullback(side).legs["p2"],
+                       _ends(self.fun.cod, side)[1])
+
+    @_per_side
+    def hat_tau(self, side):
+        """Kernel-restricted lifting measurement (pointed instances only).
+
+        Side "d": arrows of the domain whose image ends at zero, measured by
+        (domain object, image arrow) against kernel arrows of the codomain.
+        Returns (pullback, measurement, source kernel, codomain-arrow kernel).
+        """
+        fun = self.fun
+        near, far = _ends(fun.cod, side)
+        ending = kernel(compose(fun.F1, far))
+        target = kernel(far)
+        restricted = target.mediate(
+            {"ker": compose(ending.legs["ker"], fun.F1)})
+        lim = pullback(fun.F0, compose(target.legs["ker"], near))
+        source = compose(ending.legs["ker"], _ends(fun.dom, side)[0])
+        return lim, lim.mediate({"p1": source, "p2": restricted}), ending, target
+
+    # iso implies split epi, which implies regular epi, so the number of
+    # these flags a measurement has is the index of its label
+
+    @cached_property
+    def fibration(self) -> str:
+        return _agreed("fibration", *(
+            FIBRATION_LABELS[f.regular_epi + f.split_epi + f.iso]
+            for f in map(classify_morphism, (self.tau("d"), self.tau("c")))))
+
+    @cached_property
+    def star(self) -> str:
+        """Inversion of arrows identifies the two kernel measurements: the
+        square built from the restricted inversions must commute, which
+        forces the two labels to agree.  Both are still checked."""
+        a, b = self.fun.dom, self.fun.cod
+        lim_d, tau_d, ending_d, ker_c = self.hat_tau("d")
+        lim_c, tau_c, ending_c, ker_d = self.hat_tau("c")
+        flip_base = ker_d.mediate({"ker": compose(ker_c.legs["ker"], b.i)})
+        flip_source = ending_c.mediate(
+            {"ker": compose(ending_d.legs["ker"], a.i)})
+        across = lim_c.mediate({"p1": lim_d.legs["p1"],
+                                "p2": compose(lim_d.legs["p2"], flip_base)})
+        if compose(tau_d, across) != compose(flip_source, tau_c):
+            raise SideDivergenceError("star inversion square does not commute")
+        return _agreed("star", *(
+            STAR_LABELS[f.regular_epi + f.split_epi]
+            for f in map(classify_morphism, (tau_d, tau_c))))
+
+    @cached_property
+    def zero(self) -> PartialZero:
+        fun, tau_d, first = self.fun, self.tau("d"), self.endpoint_pullback("d")
+        second = pullback(compose(first.legs["p2"], fun.cod.c), fun.F0)
+        morphism = second.mediate({"p1": tau_d, "p2": fun.dom.c})
+        flags = classify_morphism(morphism)
+        return PartialZero(morphism, flags.mono, flags.regular_epi,
+                           compose(second.legs["p1"], first.legs["p1"]),
+                           compose(second.legs["p1"], first.legs["p2"]),
+                           second.legs["p2"])
+
+    @cached_property
+    def fully_faithful(self) -> bool:
+        zero = self.zero
+        via_limit = classify_morphism(fully_faithful_comparison(self.fun)).iso
+        if via_limit != classify_morphism(zero.morphism).iso:
+            raise SideDivergenceError("fully-faithful routes disagree")
+        return via_limit
+
+    @cached_property
+    def essential(self):
+        """The flags of the reachable-objects map, both sides compared."""
+        fd = classify_morphism(self.reach("d"))
+        fc = classify_morphism(self.reach("c"))
+        if (fd.regular_epi, fd.split_epi) != (fc.regular_epi, fc.split_epi):
+            raise SideDivergenceError("essential surjectivity sides disagree")
+        return fd
+
+    @cached_property
+    def equivalence(self) -> dict:
+        ff, ess = self.fully_faithful, self.essential
+        return {"fully_faithful": ff, "essentially_surjective": ess.regular_epi,
+                "weak_equivalence": ff and ess.regular_epi,
+                "equivalence": ff and ess.split_epi}
+
+    @cached_property
+    def flags(self) -> dict:
+        """Every flag; a label has each tier up to its own."""
+        flags = {"faithful": self.zero.faithful, "full": self.zero.full,
+                 **self.equivalence}
+        for tier in FIBRATION_LABELS[1:]:
+            flags[tier] = fibration_at_least(self.fibration, tier)
+        if self.fun.dom.instance.pointed:
+            for tier in STAR_LABELS[1:]:
+                flags[tier] = star_at_least(self.star, tier)
+        return flags
+
+    @cached_property
+    def T(self):
+        return comparison_T(self.fun)
+
+    @cached_property
+    def witnesses(self) -> dict:
+        witnesses = {"tau_d": self.tau("d"), "tau_c": self.tau("c"),
+                     "partial_zero": self.zero.morphism,
+                     "essential_surjectivity": self.reach("d"), "T": self.T}
+        if self.fun.dom.instance.pointed:
+            witnesses["hat_tau_d"] = self.hat_tau("d")[1]
+            witnesses["hat_tau_c"] = self.hat_tau("c")[1]
+            witnesses["J"] = comparison_J(self.fun)
+        return witnesses
 
     def payload(self) -> dict:
         """JSON-ready view: flags plus domain/codomain witness sizes."""
@@ -325,35 +264,85 @@ class FunctorClassification:
 
 
 def classification_report(fun: InternalFunctor) -> FunctorClassification:
-    """Every flag and witness of one functor; each measurement is built once
-    and read by both the flags it decides and the witness it is."""
-    tau_d, tau_c = _tau(fun, "d"), _tau(fun, "c")
-    label = _fibration_of(tau_d[1], tau_c[1])
-    zero = _partial_zero(fun, tau_d)
-    reach_d = essential_surjectivity_witness(fun, "d")
-    reach_c = essential_surjectivity_witness(fun, "c")
-    flags = {
-        "faithful": zero.faithful,
-        "full": zero.full,
-        **_equivalence_flags(_fully_faithful(fun, zero),
-                             _essential_of(reach_d, reach_c)),
-        "fibration": fibration_at_least(label, "fibration"),
-        "split_epi_fibration": fibration_at_least(label, "split_epi_fibration"),
-        "discrete_fibration": label == "discrete_fibration",
-    }
-    witnesses = {
-        "tau_d": tau_d[1],
-        "tau_c": tau_c[1],
-        "partial_zero": zero.morphism,
-        "essential_surjectivity": reach_d,
-        "T": comparison_T(fun),
-    }
-    if fun.dom.instance.pointed:
-        hat_d, hat_c = _hat_tau(fun, "d"), _hat_tau(fun, "c")
-        star = _star_of(fun, hat_d, hat_c)
-        flags["star_fibration"] = star_at_least(star, "star_fibration")
-        flags["split_epi_star_fibration"] = star == "split_epi_star_fibration"
-        witnesses["hat_tau_d"] = hat_d[1]
-        witnesses["hat_tau_c"] = hat_c[1]
-        witnesses["J"] = comparison_J(fun)
-    return FunctorClassification(flags=flags, witnesses=witnesses)
+    """The record of one functor with its flags and witnesses read, so a
+    failed cross-check raises here; on a functor over a non-groupoid, T is
+    built before the star measurements and raises first."""
+    report = FunctorClassification(fun)
+    report.fibration, report.equivalence, report.T, report.flags
+    report.witnesses
+    return report
+
+
+# ---------------------------------------------------------------------------
+# the public classifiers: each reads a fresh record
+
+
+def tau_factorization(fun: InternalFunctor, side: str = "d") -> BaseMorphism:
+    """The canonical map from arrows to (endpoint object, image arrow) pairs.
+
+    For side "d" it sends an arrow x to (d x, F1 x), landing in the pullback
+    of F0 against the codomain's d; composition with the pullback legs
+    recovers d and F1.  Side "c" is the symmetric construction.
+    """
+    return FunctorClassification(fun).tau(side)
+
+
+def classify_fibration(fun: InternalFunctor) -> str:
+    """Strongest fibration label, decided on both sides and compared."""
+    return FunctorClassification(fun).fibration
+
+
+def hat_tau_factorization(fun: InternalFunctor, side: str = "d") -> BaseMorphism:
+    return FunctorClassification(fun).hat_tau(side)[1]
+
+
+def classify_star_fibration(fun: InternalFunctor) -> str:
+    """Strongest star label; sides are matched through the inversion square."""
+    return FunctorClassification(fun).star
+
+
+def partial_zero(fun: InternalFunctor) -> PartialZero:
+    """Send an arrow x to ((d x, F1 x), c x) in the iterated pullback.
+
+    Injectivity of this map is faithfulness, surjectivity is fullness, and
+    bijectivity is fully-faithfulness.
+    """
+    return FunctorClassification(fun).zero
+
+
+def is_faithful(fun: InternalFunctor) -> bool:
+    return partial_zero(fun).faithful
+
+
+def is_full(fun: InternalFunctor) -> bool:
+    return partial_zero(fun).full
+
+
+def is_fully_faithful(fun: InternalFunctor) -> bool:
+    """Decide fully-faithfulness twice and insist the answers match."""
+    return FunctorClassification(fun).fully_faithful
+
+
+def essential_surjectivity_witness(fun: InternalFunctor,
+                                   side: str = "d") -> BaseMorphism:
+    """The reachable-objects map (image-endpoint pair) -> far endpoint."""
+    return FunctorClassification(fun).reach(side)
+
+
+def is_essentially_surjective(fun: InternalFunctor) -> bool:
+    return FunctorClassification(fun).essential.regular_epi
+
+
+def classify_equivalence(fun: InternalFunctor) -> dict:
+    """Full faithfulness and the essential flags, each decided once, and the
+    (weak) equivalence flags read off them; an equivalence needs the
+    reachable-objects map to split, not merely be surjective."""
+    return FunctorClassification(fun).equivalence
+
+
+def is_weak_equivalence(fun: InternalFunctor) -> bool:
+    return classify_equivalence(fun)["weak_equivalence"]
+
+
+def is_equivalence(fun: InternalFunctor) -> bool:
+    return classify_equivalence(fun)["equivalence"]

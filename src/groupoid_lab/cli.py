@@ -59,34 +59,43 @@ def _load_value(path):
         return None, EXIT_USAGE, f"{path}: malformed value data ({exc!r})"
 
 
+def _violations(value) -> list[str]:
+    """The axioms a groupoid, functor or transformation breaks, checked from
+    the bottom up: the groupoids it sits on, a transformation's two
+    functors, then the value itself, stopping at the first level that
+    reports one.  Other kinds validate inside their constructors."""
+    if isinstance(value, InternalGroupoid):
+        return validate_groupoid(value)
+    if isinstance(value, InternalFunctor):
+        functors, validator = [value], validate_functor
+    elif isinstance(value, NatTransformation):
+        functors = [value.source, value.target]
+        validator = validate_transformation
+    else:
+        return []
+    groupoids = {id(g): g for f in functors for g in (f.dom, f.cod)}
+    bad = [axiom for g in groupoids.values() for axiom in validate_groupoid(g)]
+    if not bad and validator is validate_transformation:
+        bad = [axiom for f in functors for axiom in validate_functor(f)]
+    return list(dict.fromkeys(bad)) if bad else validator(value)
+
+
 def cmd_validate(args) -> int:
     value, code, message = _load_value(args.path)
     if code is not None:
         print(message, file=sys.stderr)
         return code
-    validators = (
-        (InternalGroupoid, validate_groupoid),
-        (InternalFunctor, validate_functor),
-        (NatTransformation, validate_transformation),
-    )
-    kind = kind_name(value)
-    for cls, validator in validators:
-        if isinstance(value, cls):
-            try:
-                violations = validator(value)
-            except GroupoidLabError as exc:
-                # parts of mistyped shape cannot even be composed
-                print(f"{args.path}: {exc}", file=sys.stderr)
-                return EXIT_INVALID
-            if violations:
-                for axiom in violations:
-                    print(axiom)
-                return EXIT_INVALID
-            print(f"valid {kind}")
-            return EXIT_OK
-    # remaining kinds validate inside their constructors, so decoding
-    # succeeding is already the proof
-    print(f"valid {kind}")
+    try:
+        violations = _violations(value)
+    except GroupoidLabError as exc:
+        # parts of mistyped shape cannot even be composed
+        print(f"{args.path}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    for axiom in violations:
+        print(axiom)
+    if violations:
+        return EXIT_INVALID
+    print(f"valid {kind_name(value)}")
     return EXIT_OK
 
 
@@ -129,7 +138,7 @@ def cmd_classify(args) -> int:
                 print(f"expected a functor, file holds a "
                       f"{kind_name(value)}", file=sys.stderr)
                 return EXIT_INVALID
-            violations = validate_functor(value)
+            violations = _violations(value)
             if violations:
                 for axiom in violations:
                     print(axiom)

@@ -19,7 +19,7 @@ from .base import (FINAB, FINSET, BaseMorphism, BaseObject, CapabilityError,
                    DiagramError, LimitResult, _check_order, compose,
                    finptdset_object, finset_object, identity,
                    morphism_from_function, product, pullback,
-                   pullback_offsets, reflexive_coequalizer, subobject_limit,
+                   reflexive_coequalizer, subobject_limit,
                    zero_morphism, zero_object, zmod)
 
 
@@ -329,11 +329,11 @@ def _assemble(B0, B1, d, c, e, i, mul) -> InternalGroupoid:
 
 def _index_mul(g: InternalGroupoid):
     """g's composition on arrow indices: the stored one, or read off the
-    table of m for a groupoid given its table."""
+    table of m at the pair's index in the composable pairs."""
     if g._mul is not None:
         return g._mul
-    (start, rank), m = pullback_offsets(g.c, g.d), g.m.map
-    return lambda x, y: m[start[x] + rank[y]]
+    lookup, m = g.composition_pairs().lookup, g.m.map
+    return lambda x, y: m[lookup[x, y]]
 
 
 def levelwise_groupoid(lim0: LimitResult, lim1: LimitResult, parts):

@@ -18,8 +18,10 @@ import pytest
 
 from groupoid_lab.base import (
     FINAB,
+    FINPTDSET,
     FINSET,
     CapabilityError,
+    MorphismFlags,
     classify_morphism,
     compose,
     finset_object,
@@ -28,6 +30,8 @@ from groupoid_lab.base import (
     zmod,
 )
 from groupoid_lab.groupoid import (
+    InternalFunctor,
+    InternalGroupoid,
     action_groupoid,
     cyclic_delooping,
     discrete_embedding,
@@ -38,11 +42,13 @@ from groupoid_lab.groupoid import (
     zero_groupoid,
 )
 from groupoid_lab import classify
+from groupoid_lab.harness import gen_functor
 from groupoid_lab.holim import arrow_groupoid, comparison_J, comparison_T
 from groupoid_lab.classify import (
     FIBRATION_LABELS,
     STAR_LABELS,
     classification_report,
+    classify_equivalence,
     classify_fibration,
     classify_star_fibration,
     essential_surjectivity_witness,
@@ -304,20 +310,25 @@ class TestClassificationReport:
             "hat_tau_c", "hat_tau_d", "partial_zero", "tau_c", "tau_d"]
         json.dumps(payload)
 
-    def test_each_measurement_is_built_once(self, monkeypatch):
+    @staticmethod
+    def count_pullbacks(monkeypatch):
         calls = []
-        for name in ("_tau", "_hat_tau", "_partial_zero",
-                     "essential_surjectivity_witness"):
-            def counted(fun, arg, _name=name, _build=getattr(classify, name)):
-                calls.append((_name, arg if isinstance(arg, str) else None))
-                return _build(fun, arg)
-            monkeypatch.setattr(classify, name, counted)
+        build = classify.pullback
+        monkeypatch.setattr(classify, "pullback",
+                            lambda f, g: calls.append(None) or build(f, g))
+        return calls
+
+    def test_each_measurement_is_built_once(self, monkeypatch):
+        # tau and the reachable-objects map of one side share its endpoint
+        # pullback: two of those, the partial zero's, and the two hat taus
+        calls = self.count_pullbacks(monkeypatch)
         classification_report(mod2_collapse())
-        assert sorted(calls) == [
-            ("_hat_tau", "c"), ("_hat_tau", "d"), ("_partial_zero", None),
-            ("_tau", "c"), ("_tau", "d"),
-            ("essential_surjectivity_witness", "c"),
-            ("essential_surjectivity_witness", "d")]
+        assert len(calls) == 5
+
+    def test_equivalence_builds_three_pullbacks(self, monkeypatch):
+        calls = self.count_pullbacks(monkeypatch)
+        classify_equivalence(mod2_collapse())
+        assert len(calls) == 3
 
     def test_unpointed_report_skips_star_entries(self):
         perm = morphism_from_function(finset_object([0, 1, 2]),
@@ -328,3 +339,52 @@ class TestClassificationReport:
         assert "J0" not in rep.payload()["witness_sizes"]
         assert rep.flags["equivalence"]
         assert rep.flags["discrete_fibration"]
+
+
+class TestCrossChecks:
+    """Each cross-check raises when its two routes disagree."""
+
+    @staticmethod
+    def flip_second_call(monkeypatch):
+        # the second classify_morphism call, the c side, sees no surjection
+        calls = []
+
+        def flipped(f):
+            calls.append(f)
+            if len(calls) == 2:
+                return MorphismFlags(mono=False, regular_epi=False, iso=False,
+                                     morphism=f)
+            return classify_morphism(f)
+        monkeypatch.setattr(classify, "classify_morphism", flipped)
+
+    def test_star_inversion_square(self):
+        fun = gen_functor(FINPTDSET, 1)
+        a = fun.dom
+        broken = InternalGroupoid(a.B0, a.B1, a.d, a.c, a.e, a.m,
+                                  identity(a.B1))
+        with pytest.raises(classify.SideDivergenceError,
+                           match="star inversion square does not commute"):
+            classify_star_fibration(
+                InternalFunctor(broken, fun.cod, fun.F0, fun.F1))
+
+    def test_fibration_sides(self, monkeypatch):
+        self.flip_second_call(monkeypatch)
+        with pytest.raises(classify.SideDivergenceError,
+                           match="fibration sides disagree: "
+                                 "discrete_fibration vs not_fibration"):
+            classify_fibration(identity_functor(cyclic_delooping(FINAB, 2)))
+
+    def test_essential_surjectivity_sides(self, monkeypatch):
+        self.flip_second_call(monkeypatch)
+        with pytest.raises(classify.SideDivergenceError,
+                           match="essential surjectivity sides disagree"):
+            is_essentially_surjective(
+                identity_functor(cyclic_delooping(FINAB, 2)))
+
+    def test_fully_faithful_routes(self, monkeypatch):
+        # the source map of Z2's delooping is no iso, the comparison is
+        monkeypatch.setattr(classify, "fully_faithful_comparison",
+                            lambda fun: fun.dom.d)
+        with pytest.raises(classify.SideDivergenceError,
+                           match="fully-faithful routes disagree"):
+            is_fully_faithful(identity_functor(cyclic_delooping(FINAB, 2)))

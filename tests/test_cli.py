@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from groupoid_lab.arrow import ArrowObject, Diagonal, identity_arr, normalize
 from groupoid_lab.base import (
+    FINAB,
     FINPTDSET,
     FINSET,
     finptdset_object,
@@ -27,12 +28,16 @@ from groupoid_lab.base import (
 )
 from groupoid_lab.cli import main
 from groupoid_lab.groupoid import (
+    InternalFunctor,
+    InternalGroupoid,
+    NatTransformation,
     cyclic_delooping,
     delooping,
     identity_cell,
     identity_functor,
     indiscrete_groupoid,
 )
+from groupoid_lab.harness import gen_functor, gen_transformation
 from groupoid_lab.serialize import to_json, value_to_data
 
 DATA = Path(__file__).parent / "data"
@@ -319,6 +324,44 @@ class TestClassify:
         path = tmp_path / "finset-square.json"
         path.write_text(to_json(square))
         assert main(["classify", str(path), "--kind", "arrow"]) == 1
+
+
+def _without_inverses(g):
+    """g with its inverse map replaced by the identity: typed, no groupoid."""
+    return InternalGroupoid(g.B0, g.B1, g.d, g.c, g.e, g.m, identity(g.B1))
+
+
+def _over(fun, dom):
+    return InternalFunctor(dom, fun.cod, fun.F0, fun.F1)
+
+
+class TestGroupoidsUnderneath:
+    """validate and classify check the groupoids under a functor or a cell
+    first; the functor and cell validators check only their typing."""
+
+    @pytest.mark.parametrize("instance, seed",
+                             [(FINSET, 1), (FINAB, 3), (FINPTDSET, 0)],
+                             ids=["finset-1", "finab-3", "finptdset-0"])
+    def test_functor_over_a_non_groupoid(self, tmp_path, capsys, instance,
+                                         seed):
+        fun = gen_functor(instance, seed)
+        path = tmp_path / "functor.json"
+        path.write_text(to_json(_over(fun, _without_inverses(fun.dom))))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == "inverse-law\n"
+        assert main(["classify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "inverse-law\n"
+        assert "Traceback" not in err
+
+    def test_cell_over_a_non_groupoid(self, tmp_path, capsys):
+        cell = gen_transformation(FINSET, 4)
+        dom = _without_inverses(cell.source.dom)
+        path = tmp_path / "cell.json"
+        path.write_text(to_json(NatTransformation(
+            _over(cell.source, dom), _over(cell.target, dom), cell.alpha)))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == "inverse-law\n"
 
 
 class TestVerify:

@@ -143,11 +143,12 @@ class TestValidators:
         for value in (cell, from_json(to_json(cell))):
             with pytest.raises(DiagramError):
                 validate_transformation(value)
+        # the CLI checks the functors under a cell before the cell itself
         path = tmp_path / "cell.json"
         path.write_text(to_json(cell))
         assert main(["validate", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "compose" in err and "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert "functor-source" in out.split() and "Traceback" not in err
 
 
 class TestStockShapes:
