@@ -118,10 +118,6 @@ def _then(f: BaseMorphism, g: BaseMorphism) -> tuple:
     return tuple([g_map[j] for j in f.map])
 
 
-def arrow_object(a: BaseMorphism) -> ArrowObject:
-    return ArrowObject(a)
-
-
 def identity_arr(obj: ArrowObject) -> ArrowMorphism:
     return ArrowMorphism(obj, obj, identity(obj.top), identity(obj.bottom))
 

@@ -407,12 +407,6 @@ def direct_sum(a: BaseObject, b: BaseObject) -> BaseObject:
     return product(a, b).apex
 
 
-def subobject(parent: BaseObject, indices):
-    """The subobject on a set of indices, with its inclusion into parent."""
-    lim = subobject_limit(parent, indices)
-    return lim.apex, lim.legs["incl"]
-
-
 def subobject_limit(parent: BaseObject, indices) -> LimitResult:
     """The subobject on a set of indices as a limit: the inclusion "incl"
     and the lookup ``{(i,): k}``; a cone mediates when it lands inside.
@@ -434,13 +428,6 @@ def subobject_limit(parent: BaseObject, indices) -> LimitResult:
         raise DiagramError("subset is not closed under the group structure")
     return _tuple_limit(("incl",), [parent], [(i,) for i in idx],
                         lambda: map(parent.carrier.__getitem__, idx))
-
-
-def subgroup_object(parent: BaseObject, indices) -> BaseObject:
-    """The subgroup on a sum-closed subset of indices (parent order kept)."""
-    if parent.instance is not FINAB:
-        raise DiagramError("subgroups are taken in finab")
-    return subobject(parent, indices)[0]
 
 
 def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:

@@ -22,6 +22,11 @@ computed and compared; a mismatch raises SideDivergenceError because the
 theory promises agreement and a divergence can only be an implementation
 bug.  Fully-faithfulness is likewise decided twice, through two differently
 encoded limits, and cross-checked.
+
+The classifiers assume that their functor sits on groupoids; the CLI
+checks this first.  On other input they may raise or return flags: with a
+domain whose inverse map is the identity, ``classify_fibration`` still
+returns a label while T's strong h-pullback raises DiagramError.
 """
 
 from __future__ import annotations

@@ -352,7 +352,11 @@ def levelwise_groupoid(lim0: LimitResult, lim1: LimitResult, parts):
 
     def mediator(rows, index, structure_map):
         maps = [getattr(p, structure_map).map for p in parts]
-        return [index[tuple(map(getitem, maps, row))] for row in rows]
+        try:
+            return [index[tuple(map(getitem, maps, row))] for row in rows]
+        except KeyError:  # a part that is no groupoid
+            raise DiagramError(f"structure map {structure_map!r} of a part "
+                               "leaves the limit") from None
 
     muls = [_index_mul(p) for p in parts]
     grp = _assemble(

@@ -75,11 +75,11 @@ from .base import (
     zmod,
 )
 from .classify import (
+    FunctorClassification,
     classify_equivalence,
     classify_fibration,
     classify_star_fibration,
     fibration_at_least,
-    is_essentially_surjective,
     is_fully_faithful,
     is_weak_equivalence,
     partial_zero,
@@ -1103,11 +1103,9 @@ def _kernel_square_checks(fun: InternalFunctor, jdata):
     except NoMediatorError:
         return "kernel cone misses the strict pullback"
     to_g = zero_functor(hk.groupoid, tdata.relaxed.g.dom)
-    cell = NatTransformation(
-        compose_functors(to_g, tdata.relaxed.g),
-        compose_functors(hk.to_f_dom, fun), hk.cell.alpha)
     try:
-        i_fun = mediate_h_pullback(tdata.relaxed, hk.to_f_dom, to_g, cell)
+        i_fun = mediate_h_pullback(tdata.relaxed, hk.to_f_dom, to_g,
+                                   hk.cell.alpha)
     except NoMediatorError:
         return "h-kernel cone misses the relaxed pullback"
     if compose_functors(jdata.functor, i_fun) != compose_functors(
@@ -1319,10 +1317,10 @@ def _check_normalization_transfer(instance, case):
         fun = _random_fully_faithful(instance, rng)
     else:
         fun = _random_functor(instance, rng)
-    pz = partial_zero(fun)
-    ess = is_essentially_surjective(fun)
-    fib = fibration_at_least(classify_fibration(fun), "fibration")
-    ff = is_fully_faithful(fun)
+    record = FunctorClassification(fun)
+    pz, ff = record.zero, record.fully_faithful
+    ess = record.essential.regular_epi
+    fib = fibration_at_least(record.fibration, "fibration")
     arrow_flags = classify_arrow_morphism(normalize(fun))
     items = [
         (1, pz.faithful, arrow_flags["faithful"]),
@@ -1442,9 +1440,9 @@ def _check_pi_invariance(instance, case):
                   functor=fun)
 
 
-def _test_source(instance, apex_size, cap=60000):
+def _test_source(instance, apex_size):
     w = 1
-    while apex_size ** (w + 1) <= cap and w < 3:
+    while apex_size ** (w + 1) <= 60000 and w < 3:
         w += 1
     if instance is FINAB:
         return zmod(w)
@@ -1502,14 +1500,6 @@ def _cospan_leg(b: InternalGroupoid, rng) -> InternalFunctor:
 
 def suite_names():
     return list(SUITES)
-
-
-def suite_instances(name):
-    return SUITES[name].instances
-
-
-def expects_witness(name, instance_name) -> bool:
-    return instance_name in SUITES[name].witness_instances
 
 
 def run_suite(name, instance, n_cases, seed) -> SuiteReport:

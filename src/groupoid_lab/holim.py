@@ -15,6 +15,10 @@ composition from the legs:
   is the strong h-pullback along the zero functor 0 -> B.
 * ``kernel_groupoid`` -- the level-wise kernel.
 
+A mediator takes each 2-cell of its cone as its components X0 -> B1, as
+the functors beside it fix the cell's ends; T, J and the h-kernel's cone
+all go through ``mediate_h_pullback``.
+
 ``arrow_groupoid`` is the groupoid of commutative squares of B: the
 pullback of the composition map against itself, with its two evaluation
 functors and the tautological 2-cell between them.  Its structure maps
@@ -112,16 +116,16 @@ def mediate_pullback(pb: GroupoidPullback, u: InternalFunctor,
 
 
 def mediate_pullback_cell(pb: GroupoidPullback, left: InternalFunctor,
-                          right: InternalFunctor, alpha: NatTransformation,
-                          beta: NatTransformation) -> NatTransformation:
+                          right: InternalFunctor, alpha: BaseMorphism,
+                          beta: BaseMorphism) -> NatTransformation:
     """The 2-dimensional half of strictness for level-wise pullbacks.
 
-    Given L, M into the pullback and 2-cells alpha: L.to_first => M.to_first,
-    beta: L.to_second => M.to_second whose whiskered composites into the
-    cospan codomain agree, returns the unique 2-cell L => M projecting to
-    both.  The component at x is just the pair (alpha_x, beta_x).
+    Given L, M into the pullback and the components alpha, beta of 2-cells
+    L.to_first => M.to_first, L.to_second => M.to_second whose whiskered
+    composites into the cospan codomain agree, returns the unique (checked)
+    2-cell L => M projecting to both, with components (alpha_x, beta_x).
     """
-    amap = pb.arrow_limit.mediate({"p1": alpha.alpha, "p2": beta.alpha})
+    amap = pb.arrow_limit.mediate({"p1": alpha, "p2": beta})
     cell = NatTransformation(left, right, amap)
     bad = validate_transformation(cell)
     if bad:
@@ -296,24 +300,24 @@ def strong_h_pullback(f: InternalFunctor, g: InternalFunctor) -> HPullback:
 
 def mediate_h_pullback(hp: HPullback, to_f: InternalFunctor,
                        to_g: InternalFunctor,
-                       cell: NatTransformation) -> InternalFunctor:
+                       alpha: BaseMorphism) -> InternalFunctor:
     """The unique functor into a strong h-pullback induced by a cone.
 
-    The cone consists of functors to_f: X -> f.dom, to_g: X -> g.dom and a
-    2-cell to_g . g => to_f . f.  The result T satisfies
-    T . hp.to_f_dom = to_f, T . hp.to_g_dom = to_g, and recovers the cone
-    cell when composed with the structural one.
+    The cone consists of functors to_f: X -> f.dom, to_g: X -> g.dom and
+    the components alpha: X0 -> B1 of a 2-cell to_g . g => to_f . f.  The
+    result T satisfies T . hp.to_f_dom = to_f, T . hp.to_g_dom = to_g, and
+    recovers alpha through the structural cell.  Components that are not
+    natural raise NoMediatorError.
     """
     f, g = hp.f, hp.g
     if to_f.cod != f.dom or to_g.cod != g.dom:
         raise CompositionError("cone legs do not match the cospan domains")
     if to_f.dom != to_g.dom:
         raise CompositionError("cone legs have different source groupoids")
-    if (cell.source != compose_functors(to_g, g)
-            or cell.target != compose_functors(to_f, f)):
-        raise NoMediatorError("cone cell is mistyped for the cospan")
-    t0 = hp.object_limit.mediate({"g_obj": to_g.F0, "arrows": cell.alpha,
+    t0 = hp.object_limit.mediate({"g_obj": to_g.F0, "arrows": alpha,
                                   "f_obj": to_f.F0})
+    cell = NatTransformation(compose_functors(to_g, g),
+                             compose_functors(to_f, f), alpha)
     try:
         # the naturality square of the cone cell over each arrow
         squares = mediate_squares(hp.squares, cell)
@@ -324,33 +328,24 @@ def mediate_h_pullback(hp: HPullback, to_f: InternalFunctor,
     return InternalFunctor(to_f.dom, hp.groupoid, t0, t1)
 
 
-def _mediate_cone(hp: HPullback, to_f: InternalFunctor, to_g: InternalFunctor,
-                  alpha) -> InternalFunctor:
-    """``mediate_h_pullback`` of the cone whose cell has components alpha."""
-    cell = NatTransformation(compose_functors(to_g, hp.g),
-                             compose_functors(to_f, hp.f), alpha)
-    return mediate_h_pullback(hp, to_f, to_g, cell)
-
-
 def mediate_h_pullback_cell(hp: HPullback, left: InternalFunctor,
-                            right: InternalFunctor, g_cell: NatTransformation,
-                            f_cell: NatTransformation) -> NatTransformation:
+                            right: InternalFunctor, g_alpha: BaseMorphism,
+                            f_alpha: BaseMorphism) -> NatTransformation:
     """The 2-dimensional universal property of a strong h-pullback.
 
-    Given functors L, M: X -> apex and transformations
-    g_cell: L . to_g_dom => M . to_g_dom, f_cell: L . to_f_dom => M . to_f_dom
-    that paste compatibly with the structural cell, returns the unique
+    Given functors L, M: X -> apex and the components g_alpha, f_alpha of
+    2-cells L . to_g_dom => M . to_g_dom, L . to_f_dom => M . to_f_dom that
+    paste compatibly with the structural cell, returns the unique (checked)
     mu: L => M whiskering to both.  The component at x is the apex arrow
     assembled from the two given components and the pasting square.
     """
-    f, g = hp.f, hp.g
-    phi0, ax, bx = hp.cell.alpha, g_cell.alpha, f_cell.alpha
+    f, g, phi0 = hp.f, hp.g, hp.cell.alpha
     try:
         square = _square_map(hp.squares.pairs, f.cod.composition_pairs(),
-                             compose(left.F0, phi0), compose(bx, f.F1),
-                             compose(ax, g.F1), compose(right.F0, phi0))
-        amap = hp.arrow_limit.mediate({"g_arr": ax, "squares": square,
-                                       "f_arr": bx})
+                             compose(left.F0, phi0), compose(f_alpha, f.F1),
+                             compose(g_alpha, g.F1), compose(right.F0, phi0))
+        amap = hp.arrow_limit.mediate({"g_arr": g_alpha, "squares": square,
+                                       "f_arr": f_alpha})
     except (CompositionError, NoMediatorError) as exc:
         raise NoMediatorError("cells do not paste with the structural cell") from exc
     cell = NatTransformation(left, right, amap)
@@ -403,7 +398,7 @@ def h_kernel_into_pullback(hp: HPullback):
     """
     hk = strong_h_kernel(hp.f)
     to_g = zero_functor(hk.groupoid, hp.g.dom)
-    return hk, _mediate_cone(hp, hk.to_f_dom, to_g, hk.cell.alpha)
+    return hk, mediate_h_pullback(hp, hk.to_f_dom, to_g, hk.cell.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +423,9 @@ class Comparison:
 def _comparison(fun: InternalFunctor, g: InternalFunctor) -> Comparison:
     strict = pullback_groupoid(g, fun)
     relaxed = strong_h_pullback(fun, g)
-    functor = _mediate_cone(relaxed, strict.to_second, strict.to_first,
-                            compose(strict.object_limit.legs["p1"], g.F0,
-                                    fun.cod.e))
+    functor = mediate_h_pullback(relaxed, strict.to_second, strict.to_first,
+                                 compose(strict.object_limit.legs["p1"], g.F0,
+                                         fun.cod.e))
     return Comparison(strict=strict, relaxed=relaxed, functor=functor)
 
 

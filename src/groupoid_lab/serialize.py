@@ -69,17 +69,9 @@ def object_to_data(obj: BaseObject) -> dict:
             "structure": structure}
 
 
-def object_from_data(data: dict) -> BaseObject:
-    return _object(data, {})
-
-
 def morphism_to_data(mor: BaseMorphism) -> dict:
     return {"dom": object_to_data(mor.dom), "cod": object_to_data(mor.cod),
             "map": list(mor.map)}
-
-
-def morphism_from_data(data: dict) -> BaseMorphism:
-    return _morphism(data, {})
 
 
 # The node types a memo key may hold.  A bool or a float equals an int
@@ -240,15 +232,15 @@ def value_from_data(data):
                 else keys >= fields.keys()):
             return _decode(cls, data, {})
     if keys >= {"dom", "cod", "map"}:
-        return morphism_from_data(data)
+        return _morphism(data, {})
     if keys >= {"instance", "carrier"}:
-        return object_from_data(data)
+        return _object(data, {})
     raise UnknownShapeError("unrecognized serialized value")
 
 
-def to_json(value, indent=None) -> str:
+def to_json(value) -> str:
     """Render a package value as deterministic JSON text."""
-    return json.dumps(value_to_data(value), sort_keys=True, indent=indent)
+    return json.dumps(value_to_data(value), sort_keys=True)
 
 
 def from_json(text: str):

@@ -55,10 +55,10 @@ from groupoid_lab.harness import _fibration_squares, _random_arrow_morphism
 from groupoid_lab.holim import kernel_groupoid, strong_h_kernel
 from groupoid_lab.arrow import (
     ArrowMorphism,
+    ArrowObject,
     Diagonal,
     _fibre_flags,
     act_on_diagonal,
-    arrow_object,
     classify_arrow_morphism,
     comparison_J_arr,
     compose_arr,
@@ -86,15 +86,15 @@ def doubling_arrow():
 def graph_square():
     # the doubling arrow Z2 -> Z4 mapping into the identity on Z4
     delta = doubling_arrow()
-    dom = arrow_object(delta)
-    cod = arrow_object(identity(zmod(4)))
+    dom = ArrowObject(delta)
+    cod = ArrowObject(identity(zmod(4)))
     return ArrowMorphism(dom, cod, delta, identity(zmod(4)))
 
 
 def mod2_square():
     f = morphism_from_function(zmod(4), zmod(2), lambda n: n % 2)
-    return ArrowMorphism(arrow_object(identity(zmod(4))),
-                         arrow_object(identity(zmod(2))), f, f)
+    return ArrowMorphism(ArrowObject(identity(zmod(4))),
+                         ArrowObject(identity(zmod(2))), f, f)
 
 
 def fold_square():
@@ -102,7 +102,7 @@ def fold_square():
     b0 = finptdset_object(["*", "z"])
     fold = morphism_from_function(a0, b0,
                                   lambda u: "*" if u == "*" else "z")
-    return ArrowMorphism(arrow_object(identity(a0)), arrow_object(fold),
+    return ArrowMorphism(ArrowObject(identity(a0)), ArrowObject(fold),
                          identity(a0), fold)
 
 
@@ -114,8 +114,8 @@ def restricted_square():
                                         lambda u: "*" if u == "*" else "z")
     fold = morphism_from_function(a0, b0,
                                   lambda u: "*" if u == "*" else "z")
-    dom = arrow_object(morphism_from_function(at, a0, lambda u: u))
-    return ArrowMorphism(dom, arrow_object(short_fold), identity(at), fold)
+    dom = ArrowObject(morphism_from_function(at, a0, lambda u: u))
+    return ArrowMorphism(dom, ArrowObject(short_fold), identity(at), fold)
 
 
 def mod2_collapse():
@@ -142,7 +142,7 @@ class TestSquaresAndDiagonals:
     def test_square_law_is_enforced(self):
         delta = doubling_arrow()
         with pytest.raises(DiagramError):
-            ArrowMorphism(arrow_object(delta), arrow_object(identity(zmod(4))),
+            ArrowMorphism(ArrowObject(delta), ArrowObject(identity(zmod(4))),
                           zero_morphism(zmod(2), zmod(4)), identity(zmod(4)))
 
     def test_composition_is_levelwise(self):
@@ -161,15 +161,15 @@ class TestSquaresAndDiagonals:
     def test_each_diagonal_triangle_is_checked(self):
         z1, z2 = zmod(1), zmod(2)
         # the bottom arrow forgets everything, so only the top triangle binds
-        m = ArrowMorphism(arrow_object(identity(z2)),
-                          arrow_object(zero_morphism(z2, z1)),
+        m = ArrowMorphism(ArrowObject(identity(z2)),
+                          ArrowObject(zero_morphism(z2, z1)),
                           identity(z2), zero_morphism(z2, z1))
         assert Diagonal(m, identity(z2)).d == identity(z2)
         with pytest.raises(DiagramError, match="top triangle"):
             Diagonal(m, zero_morphism(z2, z2))
         # the top arrow starts at zero, so only the bottom triangle binds
-        m = ArrowMorphism(arrow_object(zero_morphism(z1, z2)),
-                          arrow_object(identity(z2)),
+        m = ArrowMorphism(ArrowObject(zero_morphism(z1, z2)),
+                          ArrowObject(identity(z2)),
                           zero_morphism(z1, z2), identity(z2))
         assert Diagonal(m, identity(z2)).d == identity(z2)
         with pytest.raises(DiagramError, match="bottom triangle"):
@@ -178,7 +178,7 @@ class TestSquaresAndDiagonals:
             Diagonal(m, identity(zmod(4)))
 
     def test_mistyped_square_components_are_rejected(self):
-        obj = arrow_object(identity(zmod(2)))
+        obj = ArrowObject(identity(zmod(2)))
         with pytest.raises(DiagramError, match="top component is mistyped"):
             ArrowMorphism(obj, obj, identity(zmod(4)), identity(zmod(2)))
         with pytest.raises(DiagramError, match="bottom component is mistyped"):
@@ -193,7 +193,7 @@ class TestSquaresAndDiagonals:
             z2 = zmod(2)
             delta = morphism_from_function(z2, bottom, lambda n: 2 * n)
             return ArrowMorphism(
-                arrow_object(delta), arrow_object(identity(top)),
+                ArrowObject(delta), ArrowObject(identity(top)),
                 morphism_from_function(z2, top, lambda n: 2 * n),
                 morphism_from_function(bottom, top, lambda n: n))
 
@@ -221,7 +221,7 @@ class TestSquaresAndDiagonals:
         pre1 = zero_arr(m.dom, kernel_arr(m).object)
         pre2 = comparison_J_arr(m)
         post1 = identity_arr(m.cod)
-        post2 = zero_arr(m.cod, arrow_object(identity(zmod(4))))
+        post2 = zero_arr(m.cod, ArrowObject(identity(zmod(4))))
         one = act_on_diagonal(pre1, act_on_diagonal(pre2, mu, post1), post2)
         two = act_on_diagonal(compose_arr(pre1, pre2), mu,
                               compose_arr(post1, post2))
@@ -237,7 +237,7 @@ class TestSquaresAndDiagonals:
 
 class TestKernels:
     def test_kernel_of_an_identity_square_is_zero(self):
-        m = identity_arr(arrow_object(doubling_arrow()))
+        m = identity_arr(ArrowObject(doubling_arrow()))
         k = kernel_arr(m)
         assert (k.object.top.size, k.object.bottom.size) == (1, 1)
 
@@ -261,7 +261,7 @@ class TestKernels:
 
 class TestStrongHKernel:
     def test_identity_square_pullback_is_the_graph(self):
-        obj = arrow_object(doubling_arrow())
+        obj = ArrowObject(doubling_arrow())
         hk = strong_h_kernel_arr(identity_arr(obj))
         assert hk.limit.apex.size == obj.top.size
         assert classify_morphism(hk.object.a).mono
@@ -287,7 +287,7 @@ class TestStrongHKernel:
 
     def test_capability_guard(self):
         x = finset_object([0, 1])
-        m = identity_arr(arrow_object(identity(x)))
+        m = identity_arr(ArrowObject(identity(x)))
         with pytest.raises(CapabilityError):
             strong_h_kernel_arr(m)
 
@@ -345,7 +345,7 @@ class TestUniversalProperties:
 
 class TestComparisonJ:
     def test_identity_square_comparison_is_a_weak_equivalence(self):
-        j = comparison_J_arr(identity_arr(arrow_object(doubling_arrow())))
+        j = comparison_J_arr(identity_arr(ArrowObject(doubling_arrow())))
         assert classify_arrow_morphism(j)["weak_equivalence"]
 
     def test_comparison_is_always_fully_faithful(self):
@@ -400,7 +400,7 @@ class TestComparisonJ:
 
     def test_unpointed_squares_have_a_partial_zero_but_no_comparison(self):
         x = finset_object([0, 1])
-        m = identity_arr(arrow_object(identity(x)))
+        m = identity_arr(ArrowObject(identity(x)))
         assert classify_morphism(partial_zero_arr(m)).iso
         with pytest.raises(CapabilityError):
             comparison_J_arr(m)
@@ -409,7 +409,7 @@ class TestComparisonJ:
 class TestClassification:
     def test_identity_square_flags(self):
         flags = classify_arrow_morphism(
-            identity_arr(arrow_object(doubling_arrow())))
+            identity_arr(ArrowObject(doubling_arrow())))
         assert flags == {"faithful": True, "full": True,
                          "fully_faithful": True,
                          "essentially_surjective": True,
@@ -447,7 +447,7 @@ def empty_fibre_square(instance):
     x = zmod(2) if instance is FINAB else finptdset_object(["*", "x"])
     point = zero_morphism(zmod(1) if instance is FINAB
                           else finptdset_object(["*"]), x)
-    return ArrowMorphism(arrow_object(point), arrow_object(identity(x)),
+    return ArrowMorphism(ArrowObject(point), ArrowObject(identity(x)),
                          point, identity(x))
 
 

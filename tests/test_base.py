@@ -16,7 +16,7 @@ from groupoid_lab.base import (
     identity, image_indices, jointly_strongly_epi, kernel,
     morphism_from_function, parse_instance, product, pullback,
     quotient_by_subgroup, reflexive_coequalizer, split_section,
-    subgroup_object, zero_morphism, zero_object, zmod)
+    subobject_limit, zero_morphism, zero_object, zmod)
 from groupoid_lab.groupoid import delooping
 from groupoid_lab.holim import arrow_groupoid
 
@@ -273,7 +273,7 @@ class TestFiniteLimit:
         negate = BaseMorphism(z4, z4, [0, 3, 2, 1])
         lim = finite_limit(Diagram({"x": z4}, [("x", "x", negate)]))
         assert list(lim.apex.carrier) == [(0,), (2,)]
-        incl = BaseMorphism(subgroup_object(z4, [0, 2]), z4, [0, 2])
+        incl = BaseMorphism(subobject_limit(z4, [0, 2]).apex, z4, [0, 2])
         assert lim.mediate({"x": incl}).map == (0, 1)
         s = finset_object([0, 1, 2])
         endo = BaseMorphism(s, s, [1, 1, 2])
@@ -483,7 +483,7 @@ class TestSubgroupMachinery:
 
     def test_subgroup_object_not_closed(self):
         with pytest.raises(DiagramError):
-            subgroup_object(zmod(4), [0, 1])
+            subobject_limit(zmod(4), [0, 1])
 
     def test_quotient_by_generated_subgroup(self):
         # {0, 1} is no subgroup of Z4; the subgroup it generates is Z4

@@ -33,7 +33,7 @@ from groupoid_lab.arrow import (
     is_essentially_surjective_arr,
     partial_zero_arr,
 )
-from groupoid_lab import arrow, base, harness
+from groupoid_lab import arrow, base, classify, harness
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
@@ -60,13 +60,11 @@ from groupoid_lab.harness import (
     corrupt_functor,
     corrupt_groupoid,
     corrupt_transformation,
-    expects_witness,
     gen_fibration,
     gen_functor,
     gen_groupoid,
     gen_transformation,
     run_suite,
-    suite_instances,
     suite_names,
 )
 from groupoid_lab.serialize import value_from_data, value_to_data
@@ -224,13 +222,26 @@ class TestRunSuite:
         assert len(names) == len(set(names)) == 16
         assert "axioms" in names
         for name in names:
-            instances = suite_instances(name)
+            instances = SUITES[name].instances
             assert instances
             assert set(instances) <= set(BY_NAME)
-        assert expects_witness("star-not-fibration-search", "finab")
-        assert expects_witness("protomodularity-char", "finptdset")
-        assert not expects_witness("protomodularity-char", "finab")
-        assert not expects_witness("axioms", "finset")
+        assert "finab" in SUITES["star-not-fibration-search"].witness_instances
+        assert "finptdset" in SUITES["protomodularity-char"].witness_instances
+        assert "finab" not in SUITES["protomodularity-char"].witness_instances
+        assert "finset" not in SUITES["axioms"].witness_instances
+
+    @pytest.mark.parametrize("instance", [FINPTDSET, FINAB],
+                             ids=["finptdset", "finab"])
+    def test_normalization_transfer_reads_one_record(self, monkeypatch,
+                                                     instance):
+        # one record per case: the d and c endpoint pullbacks and the
+        # partial zero's second pullback, 3 a case
+        calls = []
+        monkeypatch.setattr(classify, "pullback", lambda f, g: (
+            calls.append(f), base.pullback(f, g))[1])
+        report = run_suite("normalization-transfer", instance, 10, 0)
+        assert report.failures == []
+        assert len(calls) == 30
 
     def test_registry_holds_the_default_bounds(self):
         bounds = {name: spec.default_cases for name, spec in SUITES.items()}
@@ -260,7 +271,7 @@ class TestTheoremSuites:
     def test_every_theorem_suite_passes_at_small_scale(self):
         for name, spec in SUITES.items():
             for instance_name in spec.instances:
-                if expects_witness(name, instance_name):
+                if instance_name in spec.witness_instances:
                     continue
                 report = run_suite(name, BY_NAME[instance_name], 4, 3)
                 assert report.failures == [], (name, instance_name,

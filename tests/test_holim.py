@@ -22,6 +22,7 @@ from groupoid_lab.base import (
     BaseMorphism,
     CapabilityError,
     DiagramError,
+    GroupoidLabError,
     NoMediatorError,
     classify_morphism,
     compose,
@@ -60,7 +61,7 @@ from groupoid_lab.groupoid import (
 from groupoid_lab import base
 from groupoid_lab import groupoid as groupoid_module
 from groupoid_lab import holim
-from groupoid_lab.classify import classification_report
+from groupoid_lab.classify import classification_report, classify_fibration
 from groupoid_lab.harness import gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
@@ -287,8 +288,8 @@ class TestStrictPullback:
         pb = pullback_groupoid(identity_functor(b), identity_functor(b))
         idp = identity_functor(pb.groupoid)
         mu = mediate_pullback_cell(pb, idp, idp,
-                                   identity_cell(pb.to_first),
-                                   identity_cell(pb.to_second))
+                                   identity_cell(pb.to_first).alpha,
+                                   identity_cell(pb.to_second).alpha)
         assert mu.alpha == pb.groupoid.e
 
     def test_projection_square_is_a_pullback(self):
@@ -344,7 +345,7 @@ class TestStrongHPullback:
     def test_universal_cone_mediates_to_identity(self):
         b = groupoid_from_arrow(embed_delta())
         hp = strong_h_pullback(identity_functor(b), identity_functor(b))
-        t = mediate_h_pullback(hp, hp.to_f_dom, hp.to_g_dom, hp.cell)
+        t = mediate_h_pullback(hp, hp.to_f_dom, hp.to_g_dom, hp.cell.alpha)
         assert t == identity_functor(hp.groupoid)
 
     def test_mediator_satisfies_the_cone_laws(self):
@@ -376,13 +377,44 @@ class TestStrongHPullback:
         # the public constructor still builds afresh
         assert arrow_groupoid(fun.cod) is not squares
 
+    def test_t_and_j_compose_four_functors(self, monkeypatch):
+        # two for the structural cell, two for the cone cell's squares
+        fun = gen_functor(FINAB, 2)
+        calls = []
+        monkeypatch.setattr(holim, "compose_functors", lambda f, g: (
+            calls.append(f), compose_functors(f, g))[1])
+        comparison_T_data(fun)
+        assert len(calls) == 4
+        calls.clear()
+        comparison_J_data(fun)
+        assert len(calls) == 4
+
     def test_mistyped_cone_cell_is_rejected(self):
         b = cyclic_delooping(FINAB, 2)
         hp = strong_h_pullback(identity_functor(b), identity_functor(b))
         idb = identity_functor(b)
         bad = identity_cell(compose_functors(hp.to_f_dom, idb))
         with pytest.raises(NoMediatorError):
-            mediate_h_pullback(hp, hp.to_f_dom, hp.to_g_dom, bad)
+            mediate_h_pullback(hp, hp.to_f_dom, hp.to_g_dom, bad.alpha)
+
+
+class TestNonGroupoidInput:
+    """The constructions assume groupoids; on a typed non-groupoid they
+    raise a library error, never a bare one."""
+
+    @pytest.mark.parametrize("instance, seed", [(FINSET, 1), (FINAB, 3)],
+                             ids=["finset-1", "finab-3"])
+    def test_a_domain_without_inverses(self, instance, seed):
+        fun = gen_functor(instance, seed)
+        g = fun.dom
+        dom = InternalGroupoid(g.B0, g.B1, g.d, g.c, g.e, g.m, identity(g.B1))
+        bad = InternalFunctor(dom, fun.cod, fun.F0, fun.F1)
+        with pytest.raises(GroupoidLabError, match="structure map 'i'"):
+            classification_report(bad)
+        with pytest.raises(GroupoidLabError, match="structure map 'i'"):
+            comparison_T(bad)
+        # the fibration label reads no limit of groupoids, so it answers
+        assert classify_fibration(bad) == "discrete_fibration"
 
 
 class TestTwoCellMediator:
@@ -391,8 +423,8 @@ class TestTwoCellMediator:
         hp = strong_h_pullback(identity_functor(b), identity_functor(b))
         idp = identity_functor(hp.groupoid)
         mu = mediate_h_pullback_cell(hp, idp, idp,
-                                     identity_cell(hp.to_g_dom),
-                                     identity_cell(hp.to_f_dom))
+                                     identity_cell(hp.to_g_dom).alpha,
+                                     identity_cell(hp.to_f_dom).alpha)
         assert mu.alpha == hp.groupoid.e
 
     def test_central_cells_paste_and_whisker_back(self):
@@ -403,7 +435,7 @@ class TestTwoCellMediator:
         g_cell = NatTransformation(hp.to_g_dom, hp.to_g_dom, shift)
         f_cell = NatTransformation(hp.to_f_dom, hp.to_f_dom, shift)
         assert validate_transformation(g_cell) == []
-        mu = mediate_h_pullback_cell(hp, idp, idp, g_cell, f_cell)
+        mu = mediate_h_pullback_cell(hp, idp, idp, g_cell.alpha, f_cell.alpha)
         assert validate_transformation(mu) == []
         assert whisker(mu, hp.to_g_dom) == g_cell
         assert whisker(mu, hp.to_f_dom) == f_cell
@@ -416,7 +448,7 @@ class TestTwoCellMediator:
         g_cell = NatTransformation(hp.to_g_dom, hp.to_g_dom, shift)
         f_cell = identity_cell(hp.to_f_dom)
         with pytest.raises(NoMediatorError):
-            mediate_h_pullback_cell(hp, idp, idp, g_cell, f_cell)
+            mediate_h_pullback_cell(hp, idp, idp, g_cell.alpha, f_cell.alpha)
 
 
 class TestKernelGroupoid:

@@ -17,7 +17,7 @@ from groupoid_lab.base import (
     CompositionError, Diagram, DiagramError, NoMediatorError, direct_sum,
     compose, enumerate_morphisms, finab_object, finite_limit,
     finptdset_object, finset_object, identity, kernel, product, pullback,
-    quotient_by_subgroup, subgroup_object, subobject, subobject_limit, zmod)
+    quotient_by_subgroup, subobject_limit, zmod)
 from groupoid_lab.harness import run_suite
 
 
@@ -583,10 +583,11 @@ def test_subobject_accepts_exactly_the_closed_subsets(orders):
                 with pytest.raises(DiagramError,
                                    match="^subset is not closed under the "
                                          "group structure$"):
-                    subobject(group, subset)
+                    subobject_limit(group, subset)
                 continue
             accepted += 1
-            sub, incl = subobject(group, subset)
+            lim = subobject_limit(group, subset)
+            sub, incl = lim.apex, lim.legs["incl"]
             idx = sorted(subset)
             assert list(incl.map) == idx
             assert list(sub.carrier) == [group.carrier[i] for i in idx]
@@ -595,13 +596,12 @@ def test_subobject_accepts_exactly_the_closed_subsets(orders):
             assert [list(row) for row in sub.add] == [
                 [pos[group.add[i][j]] for j in idx] for i in idx]
             assert list(sub.neg) == [pos[group.neg[i]] for i in idx]
-            assert sub == subgroup_object(group, subset)
             incl._validate()
     # subgroup counts: Z8 has 4, Z2xZ4 has 8, Z2^3 has 16
     assert accepted == {(8,): 4, (2, 4): 8, (2, 2, 2): 16}[orders]
     with pytest.raises(DiagramError, match="^a pointed subobject must keep "
                                            "the zero$"):
-        subobject(group, others)
+        subobject_limit(group, others)
 
 
 def test_neg_outside_the_apex_raises_when_read():
@@ -722,10 +722,10 @@ class TestApexFieldsOnRead:
         # same part, same index tuples, but the subobject's carrier is its
         # parent's elements and the limit's is 1-tuples
         z4 = zmod(4)
-        sub = subobject(z4, range(4))[0]
+        sub = subobject_limit(z4, range(4)).apex
         lim = finite_limit(Diagram({"x": z4}, [])).apex
         assert sub.add.tuples == lim.add.tuples and sub != lim
-        assert sub == subobject(zmod(4), range(4))[0]
+        assert sub == subobject_limit(zmod(4), range(4)).apex
 
 
 class TestAddRows:
@@ -738,7 +738,7 @@ class TestAddRows:
             quotient_by_subgroup(z4, [2])[0],
             pair.apex,
             kernel(pair.legs["p1"]).apex,
-            subobject(z4, [0, 2])[0],
+            subobject_limit(z4, [0, 2]).apex,
         ]
         for obj in objects:
             assert all(type(obj.add[i]) is tuple for i in range(obj.size))

@@ -31,10 +31,9 @@ from groupoid_lab.groupoid import (
 from groupoid_lab.classify import classification_report
 from groupoid_lab.harness import gen_functor
 from groupoid_lab.holim import arrow_groupoid
-from groupoid_lab.arrow import ArrowMorphism, Diagonal, arrow_object
+from groupoid_lab.arrow import ArrowMorphism, ArrowObject, Diagonal
 from groupoid_lab.serialize import (
     from_json,
-    object_from_data,
     object_to_data,
     to_json,
     value_from_data,
@@ -52,7 +51,7 @@ class TestBaseRoundTrips:
                     finptdset_object(["*", "x", "y"]), zmod(6)):
             data = object_to_data(obj)
             assert set(data) == {"instance", "carrier", "structure"}
-            assert object_from_data(data) == obj
+            assert value_from_data(data) == obj
 
     def test_structure_fields(self):
         data = object_to_data(zmod(3))
@@ -111,8 +110,8 @@ class TestStructureRoundTrips:
 
     def test_arrow_values(self):
         delta = doubling_arrow()
-        obj = arrow_object(delta)
-        sq = ArrowMorphism(obj, arrow_object(identity(zmod(4))), delta,
+        obj = ArrowObject(delta)
+        sq = ArrowMorphism(obj, ArrowObject(identity(zmod(4))), delta,
                            identity(zmod(4)))
         diag = Diagonal(sq, identity(zmod(4)))
         for value in (obj, sq, diag):

@@ -41,7 +41,7 @@ from groupoid_lab.base import (
     pullback,
     quotient_by_subgroup,
     split_section,
-    subgroup_object,
+    subobject_limit,
     zero_morphism,
 )
 from groupoid_lab.groupoid import (
@@ -133,7 +133,7 @@ def _built_from(fun):
     if a.instance is FINAB:
         sub = generated_subgroup_indices(b.B1, b.B1.generating_sequence()[:1])
         quotient, projection = quotient_by_subgroup(b.B1, sub)
-        built += [subgroup_object(b.B1, sub), quotient, projection,
+        built += [subobject_limit(b.B1, sub).apex, quotient, projection,
                   split_section(projection), direct_sum(a.B1, b.B0)]
     t_data = comparison_T_data(fun)
     built += [t_data.strict.groupoid, t_data.strict.to_first,
