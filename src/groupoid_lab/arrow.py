@@ -7,7 +7,9 @@ pullback), giving classification notions that mirror the internal-functor
 ones: the fibres of the two vertical arrows decide faithful / full / fully
 faithful (the flags of the endpoint-image factorization, with no pullback
 built), joint surjectivity onto the base decides essential surjectivity,
-and the top component decides fibrations.
+and the top component decides fibrations.  The kernel comparison J is
+read off the two base kernels and the endpoint pullback: it builds neither
+the kernel square nor the strong h-kernel's inclusion.
 
 ``normalize`` translates internal groupoids and functors into this category
 by restricting to kernel arrows of d; the comparison helpers at the bottom
@@ -17,7 +19,6 @@ strong h-kernels.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import InitVar, dataclass, field
 
 from .base import (
@@ -156,15 +157,19 @@ class ArrowKernel:
     inclusion: ArrowMorphism
 
 
+def _kernels(m: ArrowMorphism):
+    """The top and bottom inclusions of a square's levelwise kernel, and
+    the restricted vertical arrow ker f -> ker f0 between them."""
+    top, bottom = kernel(m.f), kernel(m.f0)
+    restricted = bottom.mediate({"ker": compose(top.legs["ker"], m.dom.a)})
+    return top.legs["ker"], bottom.legs["ker"], restricted
+
+
 def kernel_arr(m: ArrowMorphism) -> ArrowKernel:
     """Levelwise kernel of a square, with the restricted vertical arrow."""
-    top = kernel(m.f)
-    bottom = kernel(m.f0)
-    restricted = bottom.mediate(
-        {"ker": compose(top.legs["ker"], m.dom.a)})
+    top, bottom, restricted = _kernels(m)
     obj = ArrowObject(restricted)
-    incl = ArrowMorphism(obj, m.dom, top.legs["ker"], bottom.legs["ker"],
-                         _trusted=True)
+    incl = ArrowMorphism(obj, m.dom, top, bottom, _trusted=True)
     return ArrowKernel(object=obj, inclusion=incl)
 
 
@@ -262,25 +267,25 @@ def strong_lift(hk: ArrowHKernel, h: ArrowMorphism, mu: Diagonal) -> Diagonal:
 def comparison_J_arr(m: ArrowMorphism) -> ArrowMorphism:
     """Canonical comparison from the kernel into the strong h-kernel.
 
-    Builds the kernel square and, of the strong h-kernel, only its pullback
-    and its object: the h-kernel's inclusion and diagonal are not built.
-    The bottom pairs the kernel's bottom inclusion with the zero diagonal.
-    That bottom reads only f0 and the codomain object, so the first J that
-    asks keeps it in their entry beside the endpoint pullback, and squares
-    sharing both share it.
+    Reads the two base kernels of f and f0 and the restricted arrow between
+    them, and of the strong h-kernel only its pullback and its object: it
+    builds neither the kernel square nor the strong h-kernel's inclusion or
+    diagonal.  The bottom pairs the bottom kernel inclusion with the zero
+    diagonal.  That bottom reads only f0 and the codomain object, so the
+    first J that asks keeps it in their entry beside the endpoint pullback,
+    and squares sharing both share it.
     """
     if not m.dom.top.instance.pointed:
         raise CapabilityError("strong h-kernels need a pointed instance")
-    ker = kernel_arr(m)
+    top, bottom, restricted = _kernels(m)
     entry = _kept_entry(m)
-    _, lim, bottom = entry
-    if bottom is None:
-        bottom = entry[2] = lim.mediate(
-            {"p1": ker.inclusion.f0,
-             "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+    _, lim, j_bottom = entry
+    if j_bottom is None:
+        j_bottom = entry[2] = lim.mediate(
+            {"p1": bottom, "p2": zero_morphism(bottom.dom, m.cod.top)})
     endpoint = lim.mediate({"p1": m.dom.a, "p2": m.f})
-    return ArrowMorphism(ker.object, ArrowObject(endpoint), ker.inclusion.f,
-                         bottom, _trusted=True)
+    return ArrowMorphism(ArrowObject(restricted), ArrowObject(endpoint), top,
+                         j_bottom, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +304,9 @@ def _fibre_flags(m: ArrowMorphism) -> tuple[bool, bool]:
     a^-1(x0) onto b^-1(f0 x0), also where the a-fibre is empty.
     """
     image = len(set(zip(m.dom.a.map, m.f.map)))
-    b_fibre = Counter(m.cod.a.map)
+    b_fibre = [0] * m.cod.bottom.size
+    for x0 in m.cod.a.map:
+        b_fibre[x0] += 1
     apex = sum(map(b_fibre.__getitem__, m.f0.map))
     return image == len(m.f.map), image == apex
 

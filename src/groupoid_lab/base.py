@@ -80,17 +80,15 @@ class BaseInstance:
 
     name: str
     pointed: bool
-    regular: bool
     protomodular: bool
-    has_reflexive_coequalizers: bool
 
     def __repr__(self) -> str:
         return self.name
 
 
-FINSET = BaseInstance("finset", False, True, False, True)
-FINPTDSET = BaseInstance("finptdset", True, True, False, True)
-FINAB = BaseInstance("finab", True, True, True, True)
+FINSET = BaseInstance("finset", False, False)
+FINPTDSET = BaseInstance("finptdset", True, False)
+FINAB = BaseInstance("finab", True, True)
 
 _INSTANCES = {i.name: i for i in (FINSET, FINPTDSET, FINAB)}
 
@@ -916,9 +914,11 @@ def jointly_strongly_epi(morphisms) -> bool:
     if not ms:
         raise CompositionError("empty family")
     cod = ms[0].cod
-    if any(m.cod is not cod and m.cod != cod for m in ms):
-        raise CompositionError("family has mixed codomains")
-    hit = {j for m in ms[:-1] for j in m.map}
+    for m in ms[1:]:
+        if m.cod is not cod and m.cod != cod:
+            raise CompositionError("family has mixed codomains")
+    hit = (set(ms[0].map) if len(ms) == 2
+           else {j for m in ms[:-1] for j in m.map})
     last = set(ms[-1].map)
     if cod.instance is not FINAB:
         return len(hit | last) == cod.size

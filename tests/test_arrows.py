@@ -31,6 +31,7 @@ from groupoid_lab.base import (
     count_factorizations,
     finptdset_object,
     finset_object,
+    generated_subgroup_indices,
     identity,
     kernel,
     morphism_from_function,
@@ -385,19 +386,6 @@ class TestComparisonJ:
         assert digest.hexdigest() == (
             "dcaf7928bc0f15ddd213db4d1a5e04a9cb0f92a5d21b0252d037a9a7a0e11377")
 
-    def test_comparison_lands_in_the_strong_h_kernel(self):
-        count = 0
-        for m in _fibration_squares(FINPTDSET):
-            j = comparison_J_arr(m)
-            hk = strong_h_kernel_arr(m)
-            ker = kernel_arr(m)
-            assert j.cod == hk.object
-            assert j.f0 == hk.limit.mediate(
-                {"p1": ker.inclusion.f0,
-                 "p2": zero_morphism(ker.object.bottom, m.cod.top)})
-            count += 1
-        assert count == 795
-
     def test_unpointed_squares_have_a_partial_zero_but_no_comparison(self):
         x = finset_object([0, 1])
         m = identity_arr(ArrowObject(identity(x)))
@@ -456,6 +444,16 @@ def random_squares(instance):
             for seed in range(100))
 
 
+# the first 2000 FinAb sweep squares, all 795 FinPtdSet ones, and 100
+# seeded random squares on each pointed instance
+square_families = pytest.mark.parametrize("squares, count", [
+    (lambda: islice(_fibration_squares(FINAB), 2000), 2000),
+    (lambda: _fibration_squares(FINPTDSET), 795),
+    (lambda: random_squares(FINAB), 100),
+    (lambda: random_squares(FINPTDSET), 100),
+], ids=["finab-sweep", "finptdset-sweep", "finab-random", "finptdset-random"])
+
+
 class TestFibreFlags:
     """The fibrewise flags are the mono / regular-epi flags of the
     endpoint factorization that the pullback builds."""
@@ -465,13 +463,7 @@ class TestFibreFlags:
         flags = classify_morphism(partial_zero_arr(m))
         return _fibre_flags(m) == (flags.mono, flags.regular_epi)
 
-    @pytest.mark.parametrize("squares, count", [
-        (lambda: islice(_fibration_squares(FINAB), 2000), 2000),
-        (lambda: _fibration_squares(FINPTDSET), 795),
-        (lambda: random_squares(FINAB), 100),
-        (lambda: random_squares(FINPTDSET), 100),
-    ], ids=["finab-sweep", "finptdset-sweep", "finab-random",
-            "finptdset-random"])
+    @square_families
     def test_agree_with_the_pullback_on_squares_and_their_j(self, squares,
                                                             count):
         seen = 0
@@ -487,6 +479,52 @@ class TestFibreFlags:
         assert self._agrees(m)
         flags = classify_arrow_morphism(m)
         assert flags["faithful"] and not flags["full"]
+
+
+def joint_epi(f, g):
+    """Whether the images of f and g cover their codomain (FinPtdSet) or
+    generate it as a subgroup (FinAb)."""
+    cover = set(f.map) | set(g.map)
+    if f.cod.instance is FINAB:
+        cover = generated_subgroup_indices(f.cod, cover)
+    return len(cover) == f.cod.size
+
+
+def kernel_square_j(m):
+    """J as the kernel square and a fresh endpoint pullback give it: the
+    kernel inclusion's top, and its bottom paired with the zero diagonal."""
+    ker = kernel_arr(m)
+    lim = pullback(m.f0, m.cod.a)
+    bottom = lim.mediate({"p1": ker.inclusion.f0,
+                          "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+    endpoint = lim.mediate({"p1": m.dom.a, "p2": m.f})
+    return ArrowMorphism(ker.object, ArrowObject(endpoint), ker.inclusion.f,
+                         bottom)
+
+
+class TestJFromTheBaseKernels:
+    """J, built from the two base kernels, is the comparison that the
+    kernel square gives, and the flags it feeds are the pullback's."""
+
+    @square_families
+    def test_j_matches_the_kernel_square(self, squares, count):
+        seen = 0
+        for m in squares():
+            j = comparison_J_arr(m)
+            ker = kernel_arr(m)
+            assert j.dom.a == ker.object.a
+            assert j.f == ker.inclusion.f
+            assert j.cod.a == partial_zero_arr(m)
+            assert j == kernel_square_j(m)
+            pz = classify_morphism(partial_zero_arr(m))
+            flags = classify_arrow_morphism(m)
+            assert (flags["faithful"], flags["full"]) == (pz.mono,
+                                                          pz.regular_epi)
+            assert flags["essentially_surjective"] == joint_epi(m.f0,
+                                                                m.cod.a)
+            assert flags["star_fibration"] == joint_epi(j.f0, j.cod.a)
+            seen += 1
+        assert seen == count
 
 
 class TestNormalization:
