@@ -917,8 +917,9 @@ def jointly_strongly_epi(morphisms) -> bool:
     for m in ms[1:]:
         if m.cod is not cod and m.cod != cod:
             raise CompositionError("family has mixed codomains")
-    hit = (set(ms[0].map) if len(ms) == 2
-           else {j for m in ms[:-1] for j in m.map})
+    hit = set()
+    for m in ms[:-1]:
+        hit.update(m.map)
     last = set(ms[-1].map)
     if cod.instance is not FINAB:
         return len(hit | last) == cod.size

@@ -7,24 +7,26 @@ and seed 0, as ``groupoid-lab verify`` does.  The defects are planted with
 ``monkeypatch`` only, so the library carries no mutation hook.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
 from groupoid_lab import harness
-from groupoid_lab.base import FINPTDSET, parse_instance
+from groupoid_lab.base import parse_instance
 
 
-def _missed_runs():
-    """The (suite, instance) runs that miss their registered expectation."""
-    missed = set()
-    for name, spec in harness.SUITES.items():
-        for instance in spec.instances:
-            report = harness.run_suite(name, parse_instance(instance),
-                                       spec.default_cases, 0)
-            if not report.expectation_met:
-                missed.add((name, instance))
-    return missed
+def _reports():
+    """Every (suite, instance) run's report, keyed by the run."""
+    return {(name, instance): harness.run_suite(
+                name, parse_instance(instance), spec.default_cases, 0)
+            for name, spec in harness.SUITES.items()
+            for instance in spec.instances}
+
+
+def _missed(reports):
+    """The runs that miss their registered expectation."""
+    return {run for run, report in reports.items()
+            if not report.expectation_met}
 
 
 def _relabel(old, new):
@@ -50,13 +52,15 @@ class Planted:
     """One defect: ``module.name`` replaced by ``plant(original)``.
 
     ``missed`` is the set of runs that must then miss their expectation,
-    or None where no suite reports the defect yet.
+    or None where no suite reports the defect yet.  ``failures`` maps some
+    runs to the number of failures their reports must then hold.
     """
 
     module: object
     name: str
     plant: object
     missed: frozenset | None
+    failures: dict = field(default_factory=dict)
 
 
 _BOTH_POINTED = ("finptdset", "finab")
@@ -77,9 +81,12 @@ PLANTED = {
         frozenset({(suite, i) for i in _BOTH_POINTED
                    for suite in ("prop-star-fibration-J",
                                  "fibration-implies-star")})),
+    # the sweep's FinPtdSet witnesses all fail essential surjectivity
+    # of J; with that test always passing none is found
     "every-square-essentially-surjective": Planted(
         harness, "is_essentially_surjective_arr", lambda real: lambda m: True,
-        frozenset({("protomodularity-char", "finptdset")})),
+        frozenset({("protomodularity-char", "finptdset")}),
+        {("protomodularity-char", "finptdset"): 0}),
     # the generators almost never draw a fibration or a star-fibration
     # that is not split, where an equivalence and a weak equivalence part
     "equivalence-reported-as-weak": Planted(
@@ -88,7 +95,9 @@ PLANTED = {
 
 
 def test_every_suite_meets_its_expectation_with_nothing_planted():
-    assert _missed_runs() == set()
+    reports = _reports()
+    assert _missed(reports) == set()
+    assert len(reports["protomodularity-char", "finptdset"].failures) == 3
 
 
 @pytest.mark.parametrize("key", [
@@ -100,20 +109,10 @@ def test_a_planted_defect_is_reported(monkeypatch, key):
     row = PLANTED[key]
     monkeypatch.setattr(row.module, row.name,
                         row.plant(getattr(row.module, row.name)))
-    missed = _missed_runs()
+    reports = _reports()
+    missed = _missed(reports)
     assert missed, f"no suite reports a broken {row.name}"
     if row.missed is not None:
         assert missed == row.missed
-
-
-def test_the_protomodularity_witnesses_rest_on_the_joint_epi_test(
-        monkeypatch):
-    # the sweep's three FinPtdSet witnesses all fail essential
-    # surjectivity of J; with that test always passing none is found
-    count = harness.SUITES["protomodularity-char"].default_cases
-    report = harness.run_suite("protomodularity-char", FINPTDSET, count, 0)
-    assert len(report.failures) == 3
-    monkeypatch.setattr(harness, "is_essentially_surjective_arr",
-                        lambda m: True)
-    report = harness.run_suite("protomodularity-char", FINPTDSET, count, 0)
-    assert report.failures == []
+    for run, count in row.failures.items():
+        assert len(reports[run].failures) == count
