@@ -51,7 +51,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 
 class GroupoidLabError(Exception):
@@ -234,13 +233,15 @@ class BaseObject:
                 and self.size == other.size
                 and self.zero == other.zero):
             return False
-        # Equal index tuples over equal parts give equal carriers and negs,
-        # so two such apexes compare without building either.  A one-part
-        # apex may be a subobject, whose carrier is its parent's elements
-        # rather than 1-tuples, so it is compared in full.
+        # Equal index tuples over equal parts give equal negs, and equal
+        # carriers where each element is its tuple read in the parts, so two
+        # such apexes compare without building either.  A subobject or a
+        # comma apex reads its elements otherwise (a comma's also read d and
+        # c), so it is compared in full.
         add, other_add = self.add, other.add
         if (type(add) is _TupleAddTable and type(other_add) is _TupleAddTable
-                and len(add.parts) > 1 and add.tuples == other_add.tuples
+                and add.reads_parts and other_add.reads_parts
+                and add.tuples == other_add.tuples
                 and add.parts == other_add.parts):
             return True
         return (self.carrier == other.carrier and add == other_add
@@ -526,12 +527,14 @@ class _TupleAddTable:
     builds only the parts' rows it needs.
     """
 
-    __slots__ = ("parts", "tuples", "lookup", "_rows", "_columns")
+    __slots__ = ("parts", "tuples", "lookup", "reads_parts", "_rows",
+                 "_columns")
 
-    def __init__(self, parts, tuples, lookup):
+    def __init__(self, parts, tuples, lookup, reads_parts):
         self.parts = tuple(parts)
         self.tuples = tuples
         self.lookup = lookup
+        self.reads_parts = reads_parts  # each element is its tuple read in parts
         self._rows = {}
         self._columns = None
 
@@ -588,7 +591,7 @@ def _tuple_elements(parts, tuples):
     return [tuple([c[i] for c, i in zip(carriers, t)]) for t in tuples]
 
 
-def _tuple_limit(names, parts, tuples, elements=None, edges=()):
+def _tuple_limit(names, parts, tuples, elements=None):
     """The limit whose apex is the given index tuples over ``parts``.
 
     The apex's ``lookup`` is ``{index tuple: index}`` and its legs, named by
@@ -599,7 +602,7 @@ def _tuple_limit(names, parts, tuples, elements=None, edges=()):
     """
     tuples = tuple(tuples)
     lookup = {t: i for i, t in enumerate(tuples)}
-    instance = parts[0].instance if parts else FINSET
+    instance = parts[0].instance
     apex = BaseObject(instance, (), _trusted=True)
     apex._carrier, apex.size = None, len(tuples)
     apex._elements = elements or (lambda: _tuple_elements(parts, tuples))
@@ -608,11 +611,11 @@ def _tuple_limit(names, parts, tuples, elements=None, edges=()):
         if apex.zero is None:
             raise DiagramError("limit carrier lost the zero")
     if instance is FINAB:
-        apex.add = _TupleAddTable(parts, tuples, lookup)
+        apex.add = _TupleAddTable(parts, tuples, lookup, elements is None)
     columns = list(zip(*tuples)) or [()] * len(parts)
     legs = {name: BaseMorphism(apex, part, column, _trusted=True)
             for name, part, column in zip(names, parts, columns)}
-    return LimitResult(apex, legs, lookup, edges)
+    return LimitResult(apex, legs, lookup)
 
 
 class LimitResult:
@@ -623,23 +626,20 @@ class LimitResult:
     order) to its index, in apex order.  The apex holds exactly the tuples
     that solve the limit's equations, so a cone factors iff the tuple its
     legs pick out at each source element is in ``lookup``: ``mediate`` is
-    that lookup, and the only place a cone is checked.  ``edges`` holds
-    ``(s, t, h)`` over leg positions (only ``finite_limit`` gives any): a
-    cone may omit a leg an edge derives, and a miss names a broken edge.
+    that lookup, and the only place a cone is checked.
     """
 
-    def __init__(self, apex: BaseObject, legs: dict, lookup: dict, edges=()):
+    def __init__(self, apex: BaseObject, legs: dict, lookup: dict):
         self.apex = apex
         self.legs = dict(legs)
         self.lookup = lookup
-        self.edges = tuple(edges)
 
     def mediate(self, cone: dict) -> BaseMorphism:
         """The unique factorization of a cone (leg name -> morphism).
 
         Names that are not legs are ignored.  A leg into the wrong object or
-        legs from different sources raise CompositionError; a missing leg,
-        an empty cone or a cone that does not land raise NoMediatorError.
+        legs from different sources raise CompositionError; a missing leg or
+        a cone that does not land raise NoMediatorError.
         """
         maps, given = [], []
         for name, leg in self.legs.items():
@@ -650,31 +650,15 @@ class LimitResult:
                         f"cone leg {name!r}: codomain mismatch")
                 given.append(u)
             maps.append(None if u is None else u.map)
-        derived = bool(self.edges)
-        while derived:  # a derived leg meets its edge by construction
-            derived = False
-            for s, t, h in self.edges:
-                if maps[t] is None and maps[s] is not None:
-                    maps[t] = tuple(map(h.map.__getitem__, maps[s]))
-                    derived = True
         if None in maps:
             missing = list(self.legs)[maps.index(None)]
             raise NoMediatorError(f"cone has no leg {missing!r}")
-        if not given:
-            raise NoMediatorError("empty cone")
         source = _common_source(*given)
         try:
             table = list(map(self.lookup.__getitem__, zip(*maps)))
         except KeyError:
-            raise NoMediatorError(self._miss(maps)) from None
+            raise NoMediatorError("cone does not land in the limit") from None
         return BaseMorphism(source, self.apex, table, _trusted=True)
-
-    def _miss(self, maps) -> str:
-        names = list(self.legs)
-        for s, t, h in self.edges:
-            if any(h.map[x] != y for x, y in zip(maps[s], maps[t])):
-                return f"cone breaks the edge {names[s]!r}->{names[t]!r}"
-        return "cone does not land in the limit"
 
 
 def _common_source(*legs: BaseMorphism) -> BaseObject:
@@ -705,79 +689,29 @@ def product(a: BaseObject, b: BaseObject) -> LimitResult:
                         [(i, j) for i in range(a.size) for j in range(b.size)])
 
 
-@dataclass
-class Diagram:
-    """A finite labelled diagram: named nodes and typed edges.
+def comma(left: BaseMorphism, d: BaseMorphism, c: BaseMorphism,
+          right: BaseMorphism, names) -> LimitResult:
+    """The comma object of two cospans that share a middle object M.
 
-    ``nodes`` is an ordered mapping name -> BaseObject; ``edges`` is a list
-    of (src, dst, morphism).  Node order fixes the canonical carrier order
-    of the limit apex.
+    Its apex holds the triples (x, m, y) with left x = d m and right y = c m,
+    lexicographic in (x, m, y), and its three legs, named by ``names``, run
+    to dom left, M and dom right.  Each element reads (x, m, y, d m, c m) in
+    the five objects, so the two base coordinates stay in the carrier.
     """
+    if left.cod != d.cod or right.cod != c.cod or d.dom != c.dom:
+        raise CompositionError("comma needs left, d and right, c to share "
+                               "codomains, and d, c a domain")
+    fibres, ends_at, dm, cm = d.preimages(), right.preimages(), d.map, c.map
+    tuples = tuple([(x, m, y) for x, b in enumerate(left.map)
+                    for m in fibres[b] for y in ends_at[cm[m]]])
+    ends = (left.dom, d.dom, right.dom, d.cod, c.cod)
 
-    nodes: dict
-    edges: list
+    def elements():
+        xs, ms, ys, ds, cs = (o.carrier for o in ends)
+        return [(xs[x], ms[m], ys[y], ds[dm[m]], cs[cm[m]])
+                for x, m, y in tuples]
 
-    def __post_init__(self):
-        insts = {o.instance for o in self.nodes.values()}
-        if len(insts) > 1:
-            raise DiagramError("diagram mixes base instances")
-        for s, t, h in self.edges:
-            if s not in self.nodes or t not in self.nodes:
-                raise DiagramError(f"edge {s!r}->{t!r} references unknown node")
-            if h.dom != self.nodes[s] or h.cod != self.nodes[t]:
-                raise DiagramError(f"edge {s!r}->{t!r} morphism is mistyped")
-
-
-def finite_limit(diagram: Diagram) -> LimitResult:
-    """Limit of a finite diagram by a join of its nodes along its edges.
-
-    Rows of indices grow one node at a time: a node with an edge from a
-    joined node is pinned by that edge (one lookup per row), else one with
-    an edge into a joined node takes that edge's preimages, and only a node
-    with no edge to the joined ones runs over its carrier.  Every other
-    edge, loops included, filters the rows once both its ends are joined.
-    The apex carrier is the rows in node order, sorted: all tuples over the
-    nodes satisfying every edge, lexicographic in node indices.  Legs are
-    the coordinate projections, and the limit keeps the edges: ``mediate``
-    derives along them the legs a cone omits, and names an edge a cone
-    breaks.
-    """
-    names = list(diagram.nodes)
-    objs = [diagram.nodes[name] for name in names]
-    n = len(names)
-    edges = [(names.index(s), names.index(t), h) for s, t, h in diagram.edges]
-    col = {}     # joined node -> its column in the rows
-    rows, pending = [()], edges
-    for _ in range(n):
-        for edge in pending:
-            s, k, h = edge
-            if s in col and k not in col:
-                c, m = col[s], h.map
-                rows = [r + (m[r[c]],) for r in rows]
-                break
-        else:
-            for edge in pending:
-                k, t, h = edge
-                if t in col and k not in col:
-                    c, fibres = col[t], h.preimages()
-                    rows = [r + (v,) for r in rows for v in fibres[r[c]]]
-                    break
-            else:
-                edge, k = None, min(set(range(n)) - col.keys())
-                rows = [r + (v,) for r in rows for v in range(objs[k].size)]
-        col[k] = len(col)
-        rest = []
-        for e in pending:
-            s, t, h = e
-            if s not in col or t not in col:
-                rest.append(e)
-            elif e is not edge:
-                cs, ct, m = col[s], col[t], h.map
-                rows = [r for r in rows if m[r[cs]] == r[ct]]
-        pending = rest
-    if n > 1:
-        rows = map(itemgetter(*[col[k] for k in range(n)]), rows)
-    return _tuple_limit(names, objs, sorted(rows), edges=edges)
+    return _tuple_limit(names, ends[:3], tuples, elements)
 
 
 def kernel(f: BaseMorphism) -> LimitResult:

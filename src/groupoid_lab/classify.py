@@ -36,11 +36,10 @@ from functools import cached_property, wraps
 
 from .base import (
     BaseMorphism,
-    Diagram,
     GroupoidLabError,
     classify_morphism,
+    comma,
     compose,
-    finite_limit,
     kernel,
     pullback,
 )
@@ -91,20 +90,16 @@ class PartialZero:
 
 
 def fully_faithful_comparison(fun: InternalFunctor) -> BaseMorphism:
-    """Mediator from arrows into the flat two-cospan limit of endpoints.
+    """Mediator from arrows into the comma object of the endpoints.
 
-    The limit carrier holds 5-tuples (left object, arrow, right object, both
-    base objects); the comparison is an iso exactly when the functor is
-    fully faithful.  This is the same predicate partial_zero decides, but
-    computed through a differently encoded limit.
+    The comma object holds the triples (left object, arrow, right object)
+    whose arrow runs between the images of its ends; the comparison is an
+    iso exactly when the functor is fully faithful.  This is the same
+    predicate partial_zero decides, but computed through a differently
+    encoded limit.
     """
     a, b = fun.dom, fun.cod
-    diagram = Diagram(
-        nodes={"left": a.B0, "mid": b.B1, "right": a.B0,
-               "base_d": b.B0, "base_c": b.B0},
-        edges=[("left", "base_d", fun.F0), ("mid", "base_d", b.d),
-               ("mid", "base_c", b.c), ("right", "base_c", fun.F0)])
-    lim = finite_limit(diagram)
+    lim = comma(fun.F0, b.d, b.c, fun.F0, ("left", "mid", "right"))
     return lim.mediate({"left": a.d, "mid": fun.F1, "right": a.c})
 
 

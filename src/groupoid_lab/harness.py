@@ -67,6 +67,7 @@ from .base import (
     identity,
     kernel,
     morphism_from_function,
+    parse_instance,
     product,
     pullback,
     quotient_by_subgroup,
@@ -696,9 +697,8 @@ def corrupt_groupoid(g: InternalGroupoid, rng):
         c = g.c.map
         if any(c[x] != c[y] for x, y in zip(proj.map, pairs.legs["p2"].map)):
             return bad, "composition-target"
-        if any(g.e.map[g.d.map[k]] != k for k in range(g.B1.size)):
-            return bad, "unit-law"
-        return None
+        # some arrow is no identity, else m would be the projection
+        return bad, "unit-law"
 
     def zero_source():
         if not g.instance.pointed:
@@ -707,10 +707,10 @@ def corrupt_groupoid(g: InternalGroupoid, rng):
         if d_bad.map == g.d.map:
             return None
         bad = InternalGroupoid(g.B0, g.B1, d_bad, g.c, g.e, g.m, g.i)
+        # c.e = id puts every object in c's image, so the composable pairs
+        # change with d
         if pullback(g.c, d_bad).apex != g.m.dom:
             return bad, "composition-carrier"
-        if g.B0.size > 1:
-            return bad, "identity-source"
         return None
 
     return _first_corruption([retype_source, retype_identity, drop_inverse,
@@ -1396,7 +1396,8 @@ def _j_flags(m: ArrowMorphism):
     return all(_fibre_flags(j)), is_essentially_surjective_arr(j)
 
 
-@_search("protomodularity-char", _POINTED, ("finptdset",), 100)
+@_search("protomodularity-char", _POINTED,
+         [n for n in _POINTED if not parse_instance(n).protomodular], 100)
 def _search_protomodularity(instance):
     """Fibration squares have weakly invertible kernel comparisons exactly
     in a protomodular instance.

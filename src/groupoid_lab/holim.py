@@ -9,8 +9,8 @@ composition from the legs:
   strong: every compatible pair of 2-cells into the legs factors through
   the apex (``mediate_pullback_cell``).
 * ``strong_h_pullback`` -- the homotopy pullback of a cospan of functors,
-  a five-node finite limit per level with the square groupoid in the
-  middle, with both halves of its universal property
+  a comma object per level with the square groupoid in the middle, with
+  both halves of its universal property
   (``mediate_h_pullback``, ``mediate_h_pullback_cell``); ``strong_h_kernel``
   is the strong h-pullback along the zero functor 0 -> B.
 * ``kernel_groupoid`` -- the level-wise kernel.
@@ -45,13 +45,12 @@ from .base import (
     BaseMorphism,
     CapabilityError,
     CompositionError,
-    Diagram,
     DiagramError,
     LimitResult,
     NoMediatorError,
     classify_morphism,
+    comma,
     compose,
-    finite_limit,
     identity,
     kernel,
     pullback,
@@ -243,7 +242,7 @@ class HPullback:
     ``to_f_dom`` and ``to_g_dom`` are the projection functors to the two
     leg domains, and ``cell`` is the structural 2-cell
     to_g_dom . g => to_f_dom . f whose component at an apex object is its
-    middle (arrow) coordinate.  Both finite-limit results and the square
+    middle (arrow) coordinate.  Both comma limits and the square
     groupoid of the codomain are kept for the mediators.
     """
 
@@ -259,13 +258,14 @@ class HPullback:
 
 
 def strong_h_pullback(f: InternalFunctor, g: InternalFunctor) -> HPullback:
-    """Homotopy pullback of a cospan, as two five-node finite limits.
+    """Homotopy pullback of a cospan, as a comma object at each level.
 
-    Level 0 consists of tuples (object of g.dom, arrow of the codomain,
-    object of f.dom) where the middle arrow runs from the g-image to the
-    f-image; level 1 is the analogous limit one dimension up, with the
-    square groupoid in the middle slot.  Structure maps act componentwise.
-    f keeps the square groupoid of the codomain for its next h-pullback.
+    Level 0 consists of triples (object x of g.dom, arrow m of the
+    codomain, object y of f.dom) where m runs from g x to f y; level 1 is
+    the comma object one dimension up, with the square groupoid in the
+    middle slot.  Each element also reads m's two ends.  Structure maps act
+    componentwise.  f keeps the square groupoid of the codomain for its
+    next h-pullback.
     """
     if f.cod != g.cod:
         raise DiagramError("strong h-pullback needs a common codomain")
@@ -276,21 +276,10 @@ def strong_h_pullback(f: InternalFunctor, g: InternalFunctor) -> HPullback:
     sq = f._squares
     sqg = sq.groupoid
 
-    lim0 = finite_limit(Diagram(
-        nodes={"g_obj": c.B0, "arrows": b.B1, "f_obj": a.B0,
-               "base_d": b.B0, "base_c": b.B0},
-        edges=[("g_obj", "base_d", g.F0), ("arrows", "base_d", b.d),
-               ("arrows", "base_c", b.c), ("f_obj", "base_c", f.F0)]))
-    lim1 = finite_limit(Diagram(
-        nodes={"g_arr": c.B1, "squares": sqg.B1, "f_arr": a.B1,
-               "arr_d": b.B1, "arr_c": b.B1},
-        edges=[("g_arr", "arr_d", g.F1),
-               ("squares", "arr_d", sq.eval_dom.F1),
-               ("squares", "arr_c", sq.eval_cod.F1),
-               ("f_arr", "arr_c", f.F1)]))
-
-    grp, (to_g, _, to_f, _, _) = levelwise_groupoid(lim0, lim1,
-                                                    [c, sqg, a, b, b])
+    lim0 = comma(g.F0, b.d, b.c, f.F0, ("g_obj", "arrows", "f_obj"))
+    lim1 = comma(g.F1, sq.eval_dom.F1, sq.eval_cod.F1, f.F1,
+                 ("g_arr", "squares", "f_arr"))
+    grp, (to_g, _, to_f) = levelwise_groupoid(lim0, lim1, [c, sqg, a])
     cell = NatTransformation(compose_functors(to_g, g),
                              compose_functors(to_f, f), lim0.legs["arrows"])
     return HPullback(groupoid=grp, to_f_dom=to_f, to_g_dom=to_g, cell=cell,

@@ -10,9 +10,9 @@ from groupoid_lab import base
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject, CapabilityError,
     CompositionError,
-    Diagram, DiagramError, NoMediatorError, additive_section, classify_morphism,
-    compose, count_factorizations, direct_sum, enumerate_morphisms,
-    finab_object, finite_limit, finptdset_object, finset_object, generated_subgroup_indices,
+    DiagramError, NoMediatorError, additive_section, classify_morphism,
+    comma, compose, count_factorizations, direct_sum, enumerate_morphisms,
+    finab_object, finptdset_object, finset_object, generated_subgroup_indices,
     identity, image_indices, jointly_strongly_epi, kernel,
     morphism_from_function, parse_instance, product, pullback,
     quotient_by_subgroup, reflexive_coequalizer, split_section,
@@ -219,67 +219,50 @@ class TestPullback:
 
 
 class TestFiniteLimit:
-    def cospan_diagram(self, f, g):
-        return Diagram(nodes={"x": f.dom, "y": g.dom, "z": f.cod},
-                       edges=[("x", "z", f), ("y", "z", g)])
+    """The comma object: as a pullback, on its own, and its typing."""
+
+    @staticmethod
+    def cospans(f, g):
+        """The comma of f and g over the identity of their codomain."""
+        z = identity(f.cod)
+        return comma(f, z, z, g, ("x", "z", "y"))
 
     def test_agrees_with_pullback_pairs(self):
         f = mod_map(4, 2)
-        lim = finite_limit(self.cospan_diagram(f, f))
+        lim = self.cospans(f, f)
         pb = pullback(f, f)
-        flattened = [(t[0], t[1]) for t in lim.apex.carrier]
+        flattened = [(t[0], t[2]) for t in lim.apex.carrier]
         assert flattened == list(pb.apex.carrier)
 
     def test_two_cospans_full_tuples(self):
         # oracle: direct enumeration of 5-tuples
-        f = mod_map(4, 2)
-        d = Diagram(nodes={"a": zmod(4), "b": zmod(4), "l": zmod(2)},
-                    edges=[("a", "l", f), ("b", "l", f)])
-        lim = finite_limit(d)
-        expected = [(a, b, a % 2) for a in range(4) for b in range(4)
-                    if a % 2 == b % 2]
+        left, d = mod_map(4, 2), mod_map(6, 2)
+        c, right = mod_map(6, 3), mod_map(9, 3)
+        lim = comma(left, d, c, right, ("x", "m", "y"))
+        expected = [(x, m, y, m % 2, m % 3) for x in range(4)
+                    for m in range(6) for y in range(9)
+                    if x % 2 == m % 2 and y % 3 == m % 3]
         assert list(lim.apex.carrier) == expected
-
-    def test_empty_diagram_edge_case(self):
-        x = finset_object([0, 1, 2])
-        lim = finite_limit(Diagram(nodes={"x": x}, edges=[]))
-        assert [t[0] for t in lim.apex.carrier] == [0, 1, 2]
-
-    def test_mediator_derives_missing_legs(self):
-        f = mod_map(4, 2)
-        lim = finite_limit(self.cospan_diagram(f, f))
-        med = lim.mediate({"x": identity(zmod(4)), "y": identity(zmod(4))})
-        assert med(1) == (1, 1, 1)
+        assert list(lim.lookup) == [t[:3] for t in expected]
 
     def test_a_missing_leg_is_named_first_in_leg_order(self):
-        # an edge derives its target from its source, never the reverse
         f = mod_map(4, 2)
-        lim = finite_limit(self.cospan_diagram(f, f))
+        lim = self.cospans(f, f)
         z4, z2 = f.dom, f.cod
-        for cone, missing in (({}, "x"), ({"z": identity(z2)}, "x"),
+        for cone, missing in (({}, "x"), ({"z": f}, "x"),
                               ({"y": identity(z4)}, "x"),
-                              ({"x": identity(z4)}, "y")):
+                              ({"x": identity(z4)}, "z"),
+                              ({"x": identity(z4), "z": f}, "y")):
             with pytest.raises(NoMediatorError,
                                match=f"cone has no leg '{missing}'"):
                 lim.mediate(cone)
 
-    def test_mistyped_diagram_rejected(self):
-        with pytest.raises(DiagramError):
-            Diagram(nodes={"x": zmod(2)}, edges=[("x", "q", identity(zmod(2)))])
-
-    def test_loop_edges_cut_the_apex_to_the_fixed_points(self):
-        z4 = zmod(4)
-        negate = BaseMorphism(z4, z4, [0, 3, 2, 1])
-        lim = finite_limit(Diagram({"x": z4}, [("x", "x", negate)]))
-        assert list(lim.apex.carrier) == [(0,), (2,)]
-        incl = BaseMorphism(subobject_limit(z4, [0, 2]).apex, z4, [0, 2])
-        assert lim.mediate({"x": incl}).map == (0, 1)
-        s = finset_object([0, 1, 2])
-        endo = BaseMorphism(s, s, [1, 1, 2])
-        lim = finite_limit(Diagram({"x": s}, [("x", "x", endo)]))
-        assert list(lim.apex.carrier) == [(1,), (2,)]
-        with pytest.raises(NoMediatorError):
-            lim.mediate({"x": identity(s)})
+    def test_cospans_on_other_objects_are_rejected(self):
+        f, g = mod_map(4, 2), mod_map(6, 3)
+        with pytest.raises(CompositionError):
+            comma(f, identity(zmod(2)), identity(zmod(3)), f, "xmy")
+        with pytest.raises(CompositionError):
+            comma(f, f, g, g, "xmy")  # d and c on different objects
 
 
 class TestKernel:
@@ -569,11 +552,11 @@ class TestApexTables:
         assert_dense_table(pb.apex, (8, 12))
 
     def test_finite_limit(self):
-        nodes = {"x": zmod(4), "y": zmod(6), "z": zmod(2)}
-        edges = [("x", "z", mod_map(4, 2)), ("y", "z", mod_map(6, 2))]
-        apex = finite_limit(Diagram(nodes, edges)).apex
-        assert apex.size == 12
-        assert_dense_table(apex, (4, 6, 2))
+        # a comma apex: each element also reads d m and c m
+        apex = comma(mod_map(4, 2), mod_map(6, 2), mod_map(6, 3),
+                     mod_map(9, 3), "xmy").apex
+        assert apex.size == 36
+        assert_dense_table(apex, (4, 6, 9, 2, 3))
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_square_groupoid(self, n):

@@ -5,14 +5,16 @@ import pytest
 from groupoid_lab.base import (FINAB, FINPTDSET, FINSET, BaseMorphism,
                                CapabilityError, DiagramError, compose,
                                direct_sum, finptdset_object, finset_object,
-                               identity, morphism_from_function, zmod)
+                               identity, morphism_from_function, pullback,
+                               zmod)
 from groupoid_lab.groupoid import (InternalFunctor, InternalGroupoid,
                                    NatTransformation, action_groupoid,
                                    compose_functors, cyclic_delooping,
                                    delooping, discrete_embedding,
                                    discrete_groupoid, full_subgroupoid,
                                    functor, groupoid_from_arrow, identity_cell,
-                                   identity_functor, indiscrete_groupoid, pi0,
+                                   identity_functor, indiscrete_groupoid,
+                                   make_groupoid, pi0,
                                    pi0_induced, pi1, pi1_induced,
                                    product_groupoid, transformation,
                                    validate_functor, validate_groupoid,
@@ -27,6 +29,28 @@ from groupoid_lab.serialize import from_json, to_json
 def embed_delta():
     """1 -> 2 inside Z4: components Z2, loops Z1."""
     return morphism_from_function(zmod(2), zmod(4), lambda n: 2 * n)
+
+
+def _pair_arrows(e_fn=lambda x: (x, x)):
+    """The pair groupoid on {p, q}, an arrow x -> y being (x, y): its
+    objects, arrows, source, target, unit (from e_fn) and inverse."""
+    objs = finset_object("pq")
+    arrows = finset_object([(x, y) for x in "pq" for y in "pq"])
+    return (objs, arrows,
+            morphism_from_function(arrows, objs, lambda f: f[0]),
+            morphism_from_function(arrows, objs, lambda f: f[1]),
+            morphism_from_function(objs, arrows, e_fn),
+            morphism_from_function(arrows, arrows, lambda f: (f[1], f[0])))
+
+
+def _pair_groupoid(e_fn=lambda x: (x, x),
+                   compose_fn=lambda f, g: (f[0], g[1])):
+    """The pair groupoid given its composition table, built from compose_fn
+    on the composable pairs; the defaults give a valid groupoid."""
+    objs, arrows, d, c, e, i = _pair_arrows(e_fn)
+    m = morphism_from_function(pullback(c, d).apex, arrows,
+                               lambda pair: compose_fn(*pair))
+    return InternalGroupoid(objs, arrows, d, c, e, m, i)
 
 
 class TestValidators:
@@ -70,6 +94,39 @@ class TestValidators:
                                                _trusted=True), g.i)
         bad = validate_groupoid(broken)
         assert "associativity" in bad or "unit-law" in bad
+
+    def test_make_groupoid_composes_with_the_callers_function(self):
+        g = make_groupoid(*_pair_arrows(), lambda f, h: (f[0], h[1]))
+        assert validate_groupoid(g) == []
+        assert g.mul(("p", "q"), ("q", "p")) == ("p", "p")
+        assert g == _pair_groupoid()
+        with pytest.raises(DiagramError, match="not composable"):
+            g.mul(("p", "q"), ("p", "q"))
+
+    def test_mul_reads_a_given_composition_table(self):
+        g = _pair_groupoid()
+        assert g._m is not None and validate_groupoid(g) == []
+        assert g.mul(("q", "p"), ("p", "q")) == ("q", "q")
+        assert g.mul(("p", "p"), ("p", "q")) == ("p", "q")
+
+    def test_broken_identity_source_named(self):
+        # the unit at p runs from q to p
+        g = _pair_groupoid(e_fn=lambda x: ("q", x))
+        bad = validate_groupoid(g)
+        assert "identity-source" in bad and "identity-target" not in bad
+
+    def test_broken_identity_target_named(self):
+        # the unit at p runs from p to q
+        g = _pair_groupoid(e_fn=lambda x: (x, "q"))
+        bad = validate_groupoid(g)
+        assert "identity-target" in bad and "identity-source" not in bad
+
+    def test_broken_composition_source_named(self):
+        # f then h is h, which keeps h's target but not f's source
+        g = _pair_groupoid(compose_fn=lambda f, h: h)
+        bad = validate_groupoid(g)
+        assert "composition-source" in bad
+        assert "composition-target" not in bad
 
     def test_mistyped_source_named(self):
         g = cyclic_delooping(FINSET, 3)
@@ -128,6 +185,16 @@ class TestValidators:
                                 morphism_from_function(gs.B0, gs.B1,
                                                        lambda _: 1))
         assert validate_transformation(off) == []  # still central in Z4
+
+    def test_broken_naturality_named(self):
+        # the unit components from the identity to negation on BZ3 are
+        # typed, but 0 + (-1) != 1 + 0
+        g = delooping(zmod(3))
+        negate = InternalFunctor(g, g, identity(g.B0),
+                                 BaseMorphism(g.B1, g.B1, g.B1.neg))
+        assert validate_functor(negate) == []
+        cell = NatTransformation(identity_functor(g), negate, g.e)
+        assert validate_transformation(cell) == ["naturality"]
 
     def test_cell_between_non_functors_raises(self, tmp_path, capsys):
         # F sends p to u but the unit of p to the unit of v, so F is no

@@ -14,10 +14,10 @@ import pytest
 from groupoid_lab import arrow, base
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError,
-    CompositionError, Diagram, DiagramError, NoMediatorError, direct_sum,
-    compose, enumerate_morphisms, finab_object, finite_limit,
-    finptdset_object, finset_object, identity, kernel, product, pullback,
-    quotient_by_subgroup, subobject_limit, zmod)
+    CompositionError, DiagramError, NoMediatorError, comma, direct_sum,
+    enumerate_morphisms, finab_object, finptdset_object, finset_object,
+    identity, kernel, product, pullback, quotient_by_subgroup,
+    subobject_limit, zmod)
 from groupoid_lab.harness import run_suite
 
 
@@ -83,25 +83,16 @@ class TestMediationAgainstBruteForce:
             assert _assert_mediates_as_brute_force(product(a, b), cone)
 
     def test_finite_limit(self, instance):
-        # an equalizer of a parallel pair, with a cospan hanging off it
+        # a comma object of two random cospans on one middle object
         rng = random.Random(f"finite_limit:{instance.name}")
         objs = _objects(instance)
         outcomes = set()
         for _ in range(40):
-            x, y, z, s = (rng.choice(objs) for _ in range(4))
-            f, g = _random_map(rng, x, y), _random_map(rng, x, y)
-            h = _random_map(rng, z, y)
-            lim = finite_limit(Diagram(
-                nodes={"x": x, "y": y, "z": z},
-                edges=[("x", "y", f), ("x", "y", g), ("z", "y", h)]))
-            u, w = _random_map(rng, s, x), _random_map(rng, s, z)
-            full = {"x": u, "y": BaseMorphism(s, y, [f.map[i] for i in u.map],
-                                              _trusted=True), "z": w}
-            mediated = _assert_mediates_as_brute_force(lim, full)
-            if mediated:
-                # the missing leg "y" is derived along an edge
-                assert lim.mediate({"x": u, "z": w}) == lim.mediate(full)
-            outcomes.add(mediated)
+            x, m, y, b, b2, s = (rng.choice(objs) for _ in range(6))
+            lim = _random_comma(rng, x, m, y, b, b2)
+            cone = {"x": _random_map(rng, s, x), "m": _random_map(rng, s, m),
+                    "y": _random_map(rng, s, y)}
+            outcomes.add(_assert_mediates_as_brute_force(lim, cone))
         assert outcomes == {True, False}
 
     def test_kernel(self, instance):
@@ -149,14 +140,15 @@ class TestMistypedCones:
         a, b = _objects(instance)[1:3]
         rng = random.Random(0)
         f, g = _random_map(rng, a, b), _random_map(rng, a, b)
-        lim = finite_limit(Diagram(nodes={"x": a, "y": b},
-                                   edges=[("x", "y", f), ("x", "y", g)]))
+        lim = comma(f, g, g, f, "xmy")
+        ida = _random_map(rng, a, a)
         with pytest.raises(CompositionError):
-            lim.mediate({"x": _random_map(rng, a, b)})
-        # a leg into a node that is no edge's source is checked too
+            lim.mediate({"x": _random_map(rng, a, b), "m": ida, "y": ida})
+        # the middle leg is checked too
         with pytest.raises(CompositionError):
-            lim.mediate({"x": _random_map(rng, a, a),
-                         "y": _random_map(rng, a, a)})
+            lim.mediate({"x": ida, "m": _random_map(rng, a, b), "y": ida})
+        with pytest.raises(CompositionError):
+            lim.mediate({"x": ida, "m": ida, "y": _random_map(rng, b, a)})
         with pytest.raises(NoMediatorError):
             lim.mediate({})
 
@@ -180,7 +172,7 @@ class TestMistypedCones:
         rng = random.Random(0)
         f = _random_map(rng, a, b)
         limits = [pullback(f, f), product(a, b),
-                  finite_limit(Diagram({"x": a, "y": b}, [("x", "y", f)])),
+                  comma(f, f, f, f, "xmy"),
                   subobject_limit(a, range(a.size))]
         if instance.pointed:
             limits.append(kernel(f))
@@ -192,7 +184,7 @@ class TestMistypedCones:
                 with pytest.raises(CompositionError,
                                    match=f"^cone leg {name!r}"):
                     lim.mediate({**cone, name: _random_map(rng, a, wrong)})
-            # no edge enters the first leg, so nothing derives it
+            # a cone without its first leg names it
             first = next(iter(lim.legs))
             with pytest.raises(NoMediatorError, match=f"no leg {first!r}"):
                 lim.mediate({n: u for n, u in cone.items() if n != first})
@@ -210,177 +202,76 @@ class TestMistypedCones:
             lim.mediate({"p1": ida, "p2": ida})
 
 
-def _two_hop(x, base_obj, f):
-    """The five-node shape of a strong h-pullback: two cospans on one mid."""
-    return Diagram(
-        nodes={"x": x, "mid": x, "y": x, "base_d": base_obj,
-               "base_c": base_obj},
-        edges=[("x", "base_d", f), ("mid", "base_d", f),
-               ("mid", "base_c", f), ("y", "base_c", f)])
+def _random_comma(rng, x, m, y, b, b2):
+    """The comma of random maps x -> b <- m -> b2 <- y, legs x, m, y."""
+    return comma(_random_map(rng, x, b), _random_map(rng, m, b),
+                 _random_map(rng, m, b2), _random_map(rng, y, b2), "xmy")
 
 
-def _random_diagram(rng, instance):
-    """Up to four nodes and five edges between any two, loops included."""
-    objs = _objects(instance)
-    names = [f"n{k}" for k in range(rng.randint(0, 4))]
-    nodes = {name: rng.choice(objs) for name in names}
-    edges = []
-    for _ in range(rng.randint(0, 5) if names else 0):
-        s, t = rng.choice(names), rng.choice(names)
-        edges.append((s, t, _random_map(rng, nodes[s], nodes[t])))
-    return Diagram(nodes, edges)
-
-
-def _oracle_tuples(diagram):
-    """Every tuple of node indices, in node order, kept by every edge."""
-    names = list(diagram.nodes)
-    pos = {name: k for k, name in enumerate(names)}
-    return [t for t in itertools.product(
-                *(range(diagram.nodes[name].size) for name in names))
-            if all(h.map[t[pos[s]]] == t[pos[d]]
-                   for s, d, h in diagram.edges)]
-
-
-def _random_map_into(rng, src, target):
-    """A morphism src -> target, drawn without enumerating large hom sets."""
-    if target.instance is FINAB:
-        return _random_map(rng, src, target)
-    table = [rng.randrange(target.size) for _ in range(src.size)]
-    if target.instance is FINPTDSET:
-        table[src.zero] = target.zero
-    return BaseMorphism(src, target, table)
-
-
-def _derived_along_edges(diagram, partial):
-    """The cone with each missing leg composed along an edge into it."""
-    cone, grown = dict(partial), True
-    while grown:
-        grown = False
-        for s, t, h in diagram.edges:
-            if s in cone and t not in cone:
-                cone[t] = compose(cone[s], h)
-                grown = True
-    return cone
-
-
-def _diagram_features(diagram):
-    names = list(diagram.nodes)
-    pos = {name: k for k, name in enumerate(names)}
-    pairs = [(pos[s], pos[t]) for s, t, _ in diagram.edges]
-    features = set()
-    if not names:
-        features.add("empty")
-    if any(s == t for s, t in pairs):
-        features.add("loop")
-    if any(s > t for s, t in pairs):
-        features.add("back edge")
-    if len(set(pairs)) < len(pairs):
-        features.add("parallel edges")
-    if any(k not in {v for pair in pairs for v in pair}
-           for k in range(len(names))):
-        features.add("isolated node")
-    reach = {k: {t for s, t in pairs if s == k and t != k}
-             for k in range(len(names))}
-    for _ in names:
-        reach = {k: ends.union(*(reach[j] for j in ends))
-                 for k, ends in reach.items()}
-    if any(k in ends for k, ends in reach.items()):
-        features.add("cycle")
-    return features
+def _oracle_triples(left, d, c, right):
+    """Every (x, m, y) in X x M x Y with left x = d m and right y = c m."""
+    return [(x, m, y) for x, m, y in itertools.product(
+                range(left.dom.size), range(d.dom.size), range(right.dom.size))
+            if left.map[x] == d.map[m] and right.map[y] == c.map[m]]
 
 
 @pytest.mark.parametrize("instance", _INSTANCES, ids=lambda i: i.name)
 class TestFiniteLimitAgainstOracle:
-    """The planned join against the product of the carriers filtered by
-    every edge, and its mediation against the element-level oracle."""
-
-    @staticmethod
-    def _diagrams(instance):
-        rng = random.Random(f"finite_limit_oracle:{instance.name}")
-        objs = _objects(instance)
-        x, base_obj = objs[-1], objs[1]
-        yield _two_hop(x, base_obj, _random_map(rng, x, base_obj))
-        yield Diagram({}, [])
-        for _ in range(60):
-            yield _random_diagram(rng, instance)
+    """The comma object against a brute-force scan of X x M x Y."""
 
     def test_apex_tuples_and_order(self, instance):
-        features = set()
-        for diagram in self._diagrams(instance):
-            features |= _diagram_features(diagram)
-            names = list(diagram.nodes)
-            expected = _oracle_tuples(diagram)
-            lim = finite_limit(diagram)
+        rng = random.Random(f"finite_limit_oracle:{instance.name}")
+        objs = _objects(instance)
+        sizes = set()
+        for _ in range(60):
+            x, m, y, b, b2 = (rng.choice(objs) for _ in range(5))
+            maps = [_random_map(rng, x, b), _random_map(rng, m, b),
+                    _random_map(rng, m, b2), _random_map(rng, y, b2)]
+            left, d, c, right = maps
+            expected = _oracle_triples(*maps)
+            lim = comma(*maps, ("x", "m", "y"))
+            sizes.add(len(expected) > 1)
             assert list(lim.lookup) == expected
             assert list(lim.lookup.values()) == list(range(len(expected)))
             assert lim.apex.size == len(expected)
-            assert list(lim.legs) == names
-            for k, name in enumerate(names):
+            assert list(lim.legs) == ["x", "m", "y"]
+            for k, name in enumerate("xmy"):
                 assert lim.legs[name].map == tuple(t[k] for t in expected)
             assert list(lim.apex.carrier) == [
-                tuple(diagram.nodes[name].carrier[i]
-                      for name, i in zip(names, t)) for t in expected]
-        assert features >= {"empty", "loop", "back edge", "parallel edges",
-                            "isolated node", "cycle"}
+                (x.carrier[i], m.carrier[j], y.carrier[k],
+                 b.carrier[d.map[j]], b2.carrier[c.map[j]])
+                for i, j, k in expected]
+        assert sizes == {True, False}
 
-    def test_mediation_with_derived_legs(self, instance):
-        rng = random.Random(f"finite_limit_cones:{instance.name}")
-        sources = _objects(instance)[:3]
-        outcomes = set()
-        for diagram in self._diagrams(instance):
-            lim = finite_limit(diagram)
-            names = list(diagram.nodes)
-            if not names or lim.apex.size == 0:
-                continue
-            src = rng.choice(sources)
-            through = _random_map_into(rng, src, lim.apex)
-            cone = {name: compose(through, lim.legs[name]) for name in names}
-            assert _assert_mediates_as_brute_force(lim, cone)
-            assert lim.mediate(cone) == through
-            # one leg redrawn: the cone mediates only if the edges agree
-            name = rng.choice(names)
-            cone[name] = _random_map(rng, src, diagram.nodes[name])
-            for r in range(len(names) + 1):
-                for kept in itertools.combinations(names, r):
-                    partial = {n: cone[n] for n in kept}
-                    derived = _derived_along_edges(diagram, partial)
-                    if len(derived) < len(names):
-                        with pytest.raises(NoMediatorError):
-                            lim.mediate(partial)
-                        continue
-                    mediated = _assert_mediates_as_brute_force(lim, derived)
-                    if mediated:
-                        assert lim.mediate(partial) == lim.mediate(derived)
-                    else:
-                        with pytest.raises(NoMediatorError):
-                            lim.mediate(partial)
-                    outcomes.add((mediated, r < len(names)))
-        assert outcomes == {(True, True), (True, False), (False, True),
-                            (False, False)}
-
-
-def test_the_empty_diagram_mediates_no_cone():
-    # its apex is terminal, but a cone with no leg names no source
-    lim = finite_limit(Diagram({}, []))
-    assert lim.apex.size == 1 and lim.legs == {}
-    for cone in ({}, {"other": identity(finset_object("ab"))}):
-        with pytest.raises(NoMediatorError, match="^empty cone$"):
-            lim.mediate(cone)
+    def test_identity_middle_gives_the_pullback(self, instance):
+        rng = random.Random(f"comma_pullback:{instance.name}")
+        objs = _objects(instance)
+        for _ in range(30):
+            x, y, b = (rng.choice(objs) for _ in range(3))
+            f, g = _random_map(rng, x, b), _random_map(rng, y, b)
+            lim = comma(f, identity(b), identity(b), g, ("p1", "mid", "p2"))
+            pb = pullback(f, g)
+            assert [(i, k) for i, _, k in lim.lookup] == list(pb.lookup)
+            assert lim.legs["p1"].map == pb.legs["p1"].map
+            assert lim.legs["p2"].map == pb.legs["p2"].map
+            assert lim.legs["mid"].map == tuple(f.map[i] for i, _ in pb.lookup)
+            assert [(e[0], e[2]) for e in lim.apex.carrier] == list(
+                pb.apex.carrier)
 
 
 def test_mediating_a_finite_limit_composes_nothing(monkeypatch):
     onto = BaseMorphism(zmod(4), zmod(2), (0, 1, 0, 1))
-    lim = finite_limit(_two_hop(zmod(4), zmod(2), onto))
+    lim = comma(onto, onto, onto, onto, "xmy")
     calls = []
     compose_ = base.compose
     monkeypatch.setattr(base, "compose", lambda *ms: (
         calls.append(ms), compose_(*ms))[1])
     ident = identity(zmod(4))
     double = BaseMorphism(zmod(4), zmod(4), (0, 2, 0, 2))
-    assert lim.mediate({"x": ident, "mid": ident, "y": ident}).map == tuple(
-        lim.lookup[(i, i, i, i % 2, i % 2)] for i in range(4))
-    with pytest.raises(NoMediatorError, match="breaks the edge 'mid'->"):
-        lim.mediate({"x": ident, "mid": double, "y": ident})
+    assert lim.mediate({"x": ident, "m": ident, "y": ident}).map == tuple(
+        lim.lookup[(i, i, i)] for i in range(4))
+    with pytest.raises(NoMediatorError, match="does not land"):
+        lim.mediate({"x": ident, "m": double, "y": ident})
     assert calls == []
 
 
@@ -718,15 +609,15 @@ class TestApexFieldsOnRead:
         two = product(relabelled, zmod(4)).apex
         assert one.add.tuples == two.add.tuples and one != two
 
-    def test_a_subobject_differs_from_a_one_part_limit(self):
-        # same part, same index tuples, but the subobject's carrier is its
-        # parent's elements and the limit's is 1-tuples
-        z4 = zmod(4)
-        sub = subobject_limit(z4, range(4)).apex
-        lim = finite_limit(Diagram({"x": z4}, [])).apex
-        assert sub.add.tuples == lim.add.tuples and sub != lim
-        assert sub == subobject_limit(zmod(4), range(4)).apex
-
+    def test_commas_over_other_base_maps_compare_unequal(self):
+        # same parts, same triples, but d m reads other base elements
+        z2, v = zmod(2), direct_sum(zmod(2), zmod(2))
+        first, second = (BaseMorphism(z2, v, t) for t in ((0, 2), (0, 1)))
+        zero = BaseMorphism(z2, zmod(1), (0, 0))
+        one = comma(first, first, zero, zero, "xmy").apex
+        two = comma(second, second, zero, zero, "xmy").apex
+        assert one.add.parts == two.add.parts
+        assert one.add.tuples == two.add.tuples and one != two
 
 class TestAddRows:
     def test_every_row_is_a_tuple(self):
@@ -764,7 +655,7 @@ def test_an_unread_apex_is_freed_by_reference_counting():
         pullback(onto, onto)
         kernel(BaseMorphism(zmod(4), zmod(2), (0, 1, 0, 1)))
         product(finset_object("ab"), finset_object("xyz"))
-        finite_limit(_two_hop(z4, z2, onto))
+        comma(onto, onto, onto, onto, "xmy")
         assert gc.collect() == 0
     finally:
         if enabled:

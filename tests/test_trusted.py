@@ -29,11 +29,10 @@ from groupoid_lab.base import (
     FINSET,
     BaseMorphism,
     BaseObject,
-    Diagram,
     LimitResult,
+    comma,
     direct_sum,
     enumerate_morphisms,
-    finite_limit,
     generated_subgroup_indices,
     identity,
     kernel,
@@ -114,10 +113,7 @@ def _built_from(fun):
         fun,
         pullback(fun.F1, fun.F1),
         product(a.B0, b.B1),
-        finite_limit(Diagram(
-            nodes={"arrow": a.B1, "image": b.B1, "source": b.B0},
-            edges=[("arrow", "image", fun.F1),
-                   ("image", "source", b.d)])),
+        comma(fun.F0, b.d, b.c, fun.F0, ("source", "arrow", "target")),
         pullback(fun.F0, fun.F0).mediate(
             {"p1": identity(a.B0), "p2": identity(a.B0)}),
         *enumerate_morphisms(a.B0, b.B0),
