@@ -506,7 +506,7 @@ def compose(*morphisms: BaseMorphism) -> BaseMorphism:
         raise CompositionError("empty composite")
     out = morphisms[0]
     for g in morphisms[1:]:
-        if out.cod != g.dom:
+        if out.cod is not g.dom and out.cod != g.dom:
             raise CompositionError("codomain/domain mismatch in composite")
         out = BaseMorphism(out.dom, g.cod, [g.map[j] for j in out.map],
                            _trusted=True)
@@ -675,7 +675,7 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
     Legs are named "p1" (to dom f) and "p2" (to dom g); pairs are ordered
     lexicographically by (index in dom f, index in dom g).
     """
-    if f.cod != g.cod:
+    if f.cod is not g.cod and f.cod != g.cod:
         raise CompositionError("pullback needs a common codomain")
     buckets = g.preimages()
     return _tuple_limit(("p1", "p2"), [f.dom, g.dom],
@@ -698,7 +698,9 @@ def comma(left: BaseMorphism, d: BaseMorphism, c: BaseMorphism,
     to dom left, M and dom right.  Each element reads (x, m, y, d m, c m) in
     the five objects, so the two base coordinates stay in the carrier.
     """
-    if left.cod != d.cod or right.cod != c.cod or d.dom != c.dom:
+    if ((left.cod is not d.cod and left.cod != d.cod)
+            or (right.cod is not c.cod and right.cod != c.cod)
+            or (d.dom is not c.dom and d.dom != c.dom)):
         raise CompositionError("comma needs left, d and right, c to share "
                                "codomains, and d, c a domain")
     fibres, ends_at, dm, cm = d.preimages(), right.preimages(), d.map, c.map

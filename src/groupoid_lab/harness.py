@@ -831,9 +831,11 @@ def _fibration_squares(instance):
 
     These are the commutative squares of the catalogue whose top map is a
     regular epi, smallest carriers first; each hom list is classified once.
-    Squares commute on index tables: per quadruple the table of top;f0 is
-    built once, per bottom map the epis f are bucketed by the table of
-    f;bot, so each (top, f0) finds its squares by one lookup.
+    Quadruples (a, a0, b, b0) with no regular epi a -> b hold no square and
+    are dropped before the (stable) sort.  Squares commute on index tables:
+    per quadruple the table of top;f0 is built once, per bottom map the
+    epis f are bucketed by the table of f;bot, so each (top, f0) finds its
+    squares by one lookup.
     """
     if instance is FINAB:
         objs = _finab_catalog(8)
@@ -845,7 +847,7 @@ def _fibration_squares(instance):
             for x in objs for y in objs}
     quads = sorted(
         ((a, a0, b, b0) for a in objs for a0 in objs
-         for b in objs for b0 in objs),
+         for b in objs if epis[id(a), id(b)] for b0 in objs),
         key=lambda q: (sum(o.size for o in q),
                        tuple(o.size for o in q)))
     for a_obj, a0_obj, b_obj, b0_obj in quads:

@@ -195,6 +195,40 @@ class TestPullback:
         assert equal.map == same.map
         assert equal.cod is same.cod is pb.apex
 
+    def test_equal_objects_compose_and_limit_as_the_identical_ones(self):
+        # compose, pullback and comma type their inputs by equality: over
+        # objects equal to, but not, each other they give the tables they
+        # give over one object, and unequal objects still raise
+        half = mod_map(4, 2)
+        z4, z2 = half.dom, half.cod
+        twin = mod_map(4, 2)
+        assert twin.dom is not z4 and twin.cod is not z2
+        assert compose(scale_map(z4, 3), twin).map == compose(
+            scale_map(z4, 3), half).map
+        for same, equal in (
+                (pullback(half, half), pullback(half, twin)),
+                (comma(half, identity(z2), identity(z2), half, "xmy"),
+                 comma(half, identity(zmod(2)), identity(zmod(2)), twin,
+                       "xmy"))):
+            assert equal.apex.carrier == same.apex.carrier
+            assert list(equal.lookup) == list(same.lookup)
+            assert ({n: leg.map for n, leg in equal.legs.items()}
+                    == {n: leg.map for n, leg in same.legs.items()})
+        with pytest.raises(CompositionError,
+                           match="^codomain/domain mismatch in composite$"):
+            compose(half, half)
+        with pytest.raises(CompositionError,
+                           match="^pullback needs a common codomain$"):
+            pullback(half, identity(z4))
+        z3 = identity(zmod(3))
+        for args in ((half, z3, z3, half), (half, identity(z2), z3, half),
+                     (half, identity(z2), half, half)):
+            with pytest.raises(CompositionError,
+                               match="^comma needs left, d and right, c "
+                                     "to share codomains, and d, c a "
+                                     "domain$"):
+                comma(*args, "xmy")
+
     def test_a_mistyped_leg_wins_over_a_missing_one(self):
         pb = pullback(mod_map(4, 2), mod_map(4, 2))
         for cone in ({"p1": mod_map(4, 2)}, {"p2": mod_map(4, 2)}):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from groupoid_lab import arrow, base
+from groupoid_lab import arrow, base, harness
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError,
     CompositionError, DiagramError, NoMediatorError, comma, direct_sum,
@@ -397,6 +397,23 @@ def test_the_sweep_mediates_each_j_bottom_once_per_codomain(monkeypatch):
     report = run_suite("protomodularity-char", FINAB, 25000, 0)
     assert (report.cases, report.failures) == (20796, [])
     assert len(calls) == 46520
+
+
+@pytest.mark.parametrize("instance, squares, thens, arrow_objects", [
+    (FINAB, 20796, 17979, 7308), (FINPTDSET, 795, 779, 276)],
+    ids=["finab", "finptdset"])
+def test_the_stream_walks_only_quadruples_with_an_epi(
+        monkeypatch, instance, squares, thens, arrow_objects):
+    # a quadruple (a, a0, b, b0) with no regular epi a -> b holds no square,
+    # so it builds no arrow object and no table of top;f0
+    built = {"_then": 0, "ArrowObject": 0}
+    for name in built:
+        def counted(*args, _name=name, _real=getattr(harness, name)):
+            built[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(harness, name, counted)
+    assert sum(1 for _ in harness._fibration_squares(instance)) == squares
+    assert built == {"_then": thens, "ArrowObject": arrow_objects}
 
 
 def _squares_into_one_object():

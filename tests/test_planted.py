@@ -39,6 +39,19 @@ def _relabel(old, new):
     return plant
 
 
+def _fibre_flags_over_the_image(real):
+    """``_fibre_flags`` with the pullback counted only over x0 in the image
+    of a, so an empty a-fibre whose b-fibre is not empty goes unseen."""
+    def planted(m):
+        image = len(set(zip(m.dom.a.map, m.f.map)))
+        b_fibre = [0] * m.cod.bottom.size
+        for x0 in m.cod.a.map:
+            b_fibre[x0] += 1
+        apex = sum(b_fibre[m.f0.map[x0]] for x0 in set(m.dom.a.map))
+        return image == len(m.f.map), image == apex
+    return planted
+
+
 def _equivalence_is_weak(real):
     def planted(fun):
         flags = dict(real(fun))
@@ -87,6 +100,16 @@ PLANTED = {
         harness, "is_essentially_surjective_arr", lambda real: lambda m: True,
         frozenset({("protomodularity-char", "finptdset")}),
         {("protomodularity-char", "finptdset"): 0}),
+    # the short count can only call a square full that is not, and J is
+    # always fully faithful, so J's flags never move: the protomodularity
+    # sweep still meets its expectation on both instances and relies on
+    # kernels-strong-arr's cross-check against the endpoint pullback to
+    # catch a broken _fibre_flags
+    "fibre-count-skips-empty-fibres": Planted(
+        harness, "_fibre_flags", _fibre_flags_over_the_image,
+        frozenset({("kernels-strong-arr", i) for i in _BOTH_POINTED}),
+        {("kernels-strong-arr", "finptdset"): 13,
+         ("kernels-strong-arr", "finab"): 11}),
     # the generators almost never draw a fibration or a star-fibration
     # that is not split, where an equivalence and a weak equivalence part
     "equivalence-reported-as-weak": Planted(
