@@ -16,7 +16,7 @@ from groupoid_lab.arrow import (
 )
 from groupoid_lab.base import classify_morphism, morphism_from_function, zmod
 from groupoid_lab.groupoid import delooping, functor
-from groupoid_lab.holim import strong_h_kernel
+from groupoid_lab.holim import kernel_groupoid, strong_h_kernel
 
 
 def levelwise_iso(square):
@@ -32,9 +32,11 @@ def main():
 
     collapse = functor(delooping(zmod(4)), delooping(zmod(2)),
                        lambda x: 0, lambda x: x % 2)
-    kernel_cmp = kernel_preservation_comparison(collapse)
+    square = normalize(collapse)
+    kernel_cmp = kernel_preservation_comparison(kernel_groupoid(collapse)[1],
+                                                square)
     h_kernel_cmp = h_kernel_preservation_comparison(
-        strong_h_kernel(collapse), strong_h_kernel_arr(normalize(collapse)))
+        strong_h_kernel(collapse), strong_h_kernel_arr(square))
     print(f"kernel comparison iso:          {levelwise_iso(kernel_cmp)}")
     print(f"strong h-kernel comparison iso: {levelwise_iso(h_kernel_cmp)}")
     print(f"h-kernel carrier: {h_kernel_cmp.dom.top.size} kernel arrows "

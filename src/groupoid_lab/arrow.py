@@ -43,7 +43,7 @@ from .groupoid import (
     groupoid_from_arrow,
     zero_functor,
 )
-from .holim import HPullback, kernel_groupoid
+from .holim import HPullback
 
 
 @dataclass
@@ -151,12 +151,6 @@ def act_on_diagonal(pre: ArrowMorphism, mu: Diagonal,
 # kernels and strong h-kernels
 
 
-@dataclass
-class ArrowKernel:
-    object: ArrowObject
-    inclusion: ArrowMorphism
-
-
 def _kernels(m: ArrowMorphism):
     """The top and bottom inclusions of a square's levelwise kernel, and
     the restricted vertical arrow ker f -> ker f0 between them."""
@@ -165,12 +159,12 @@ def _kernels(m: ArrowMorphism):
     return top.legs["ker"], bottom.legs["ker"], restricted
 
 
-def kernel_arr(m: ArrowMorphism) -> ArrowKernel:
-    """Levelwise kernel of a square, with the restricted vertical arrow."""
+def kernel_arr(m: ArrowMorphism) -> ArrowMorphism:
+    """Levelwise kernel of a square, as its inclusion square: its ``dom`` is
+    the kernel object, the restricted vertical arrow."""
     top, bottom, restricted = _kernels(m)
-    obj = ArrowObject(restricted)
-    incl = ArrowMorphism(obj, m.dom, top, bottom, _trusted=True)
-    return ArrowKernel(object=obj, inclusion=incl)
+    return ArrowMorphism(ArrowObject(restricted), m.dom, top, bottom,
+                         _trusted=True)
 
 
 @dataclass
@@ -386,21 +380,23 @@ def graph_comparison(delta: BaseMorphism) -> ArrowMorphism:
     return ArrowMorphism(normalize_obj(grp), ArrowObject(delta), top, identity(delta.cod))
 
 
-def kernel_preservation_comparison(fun: InternalFunctor) -> ArrowMorphism:
+def kernel_preservation_comparison(incl: InternalFunctor,
+                                   square: ArrowMorphism) -> ArrowMorphism:
     """Canonical iso: normalize the kernel, or take the square's kernel.
 
-    Both sides carve the same arrows out of the domain (those killed by d
-    and by the functor); the comparison re-indexes one carrier into the
-    other and must be a levelwise iso.
+    ``incl`` is the level-wise kernel's inclusion into a functor's domain
+    (``kernel_groupoid``) and ``square`` the functor's normalization.  Both
+    sides carve the same arrows out of the domain (those killed by d and by
+    the functor); the comparison re-indexes one carrier into the other and
+    must be a levelwise iso.
     """
-    kg, incl = kernel_groupoid(fun)
-    square = normalize(fun)
-    karr = kernel_arr(square)
-    inner = kernel(fun.dom.d).mediate(
+    kg = incl.dom
+    inner = kernel(incl.cod.d).mediate(
         {"ker": compose(kernel(kg.d).legs["ker"], incl.F1)})
     top = kernel(square.f).mediate({"ker": inner})
-    bottom = kernel(fun.F0).mediate({"ker": incl.F0})
-    return ArrowMorphism(normalize_obj(kg), karr.object, top, bottom)
+    bottom = kernel(square.f0).mediate({"ker": incl.F0})
+    return ArrowMorphism(normalize_obj(kg), kernel_arr(square).dom, top,
+                         bottom)
 
 
 def h_kernel_preservation_comparison(hk: HPullback,

@@ -27,7 +27,10 @@ first read (``size`` is set at construction and builds nothing).
 Morphisms are immutable, so a morphism keeps its kernel once built.  All
 limit carriers are canonically ordered (lexicographically by constituent
 indices), so "the same object built two ways" can be compared by
-relabelling followed by equality.
+relabelling followed by equality.  Equality is one comparison for every
+object: instance, size and zero, then carrier, ``neg`` and add rows, each
+built if unread.  Every reflexive coequalizer is one union-find, in FINAB
+too, where the classes it finds are the cosets of the cokernel.
 
 Validation policy: values from outside the library are validated exactly,
 at every size: the JSON decoder and the public constructors (finset_object,
@@ -233,19 +236,9 @@ class BaseObject:
                 and self.size == other.size
                 and self.zero == other.zero):
             return False
-        # Equal index tuples over equal parts give equal negs, and equal
-        # carriers where each element is its tuple read in the parts, so two
-        # such apexes compare without building either.  A subobject or a
-        # comma apex reads its elements otherwise (a comma's also read d and
-        # c), so it is compared in full.
-        add, other_add = self.add, other.add
-        if (type(add) is _TupleAddTable and type(other_add) is _TupleAddTable
-                and add.reads_parts and other_add.reads_parts
-                and add.tuples == other_add.tuples
-                and add.parts == other_add.parts):
-            return True
-        return (self.carrier == other.carrier and add == other_add
-                and self.neg == other.neg)
+        add = self.add
+        return (self.carrier == other.carrier and self.neg == other.neg
+                and (add is None or list(add) == list(other.add)))
 
     def __hash__(self) -> int:
         return hash((self.instance.name, self.carrier))
@@ -527,14 +520,12 @@ class _TupleAddTable:
     builds only the parts' rows it needs.
     """
 
-    __slots__ = ("parts", "tuples", "lookup", "reads_parts", "_rows",
-                 "_columns")
+    __slots__ = ("parts", "tuples", "lookup", "_rows", "_columns")
 
-    def __init__(self, parts, tuples, lookup, reads_parts):
+    def __init__(self, parts, tuples, lookup):
         self.parts = tuple(parts)
         self.tuples = tuples
         self.lookup = lookup
-        self.reads_parts = reads_parts  # each element is its tuple read in parts
         self._rows = {}
         self._columns = None
 
@@ -568,22 +559,6 @@ class _TupleAddTable:
     def __iter__(self):
         return map(self.__getitem__, range(len(self.tuples)))
 
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, _TupleAddTable):
-            if (self.tuples == other.tuples
-                    and len(self.parts) == len(other.parts)
-                    and all(p.add == q.add
-                            for p, q in zip(self.parts, other.parts))):
-                return True
-        try:
-            if len(other) != len(self.tuples):
-                return False
-        except TypeError:
-            return NotImplemented
-        return all(self[i] == other[i] for i in range(len(self.tuples)))
-
 
 def _tuple_elements(parts, tuples):
     """The element carrier of a limit apex: each index tuple read in its parts."""
@@ -611,7 +586,7 @@ def _tuple_limit(names, parts, tuples, elements=None):
         if apex.zero is None:
             raise DiagramError("limit carrier lost the zero")
     if instance is FINAB:
-        apex.add = _TupleAddTable(parts, tuples, lookup, elements is None)
+        apex.add = _TupleAddTable(parts, tuples, lookup)
     columns = list(zip(*tuples)) or [()] * len(parts)
     legs = {name: BaseMorphism(apex, part, column, _trusted=True)
             for name, part, column in zip(names, parts, columns)}
@@ -737,10 +712,11 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
                           e: BaseMorphism) -> BaseMorphism:
     """Coequalizer of a reflexive pair; returns the quotient projection.
 
-    In FINSET/FINPTDSET this is the quotient of the codomain by the
-    equivalence generated by d(x) ~ c(x) (union-find, least-index
-    representatives).  In FINAB it is the cokernel of d - c.  Both end in
-    ``_quotient``.
+    The quotient of the codomain by the equivalence generated by
+    d(x) ~ c(x), found by union-find and handed to ``_quotient`` with
+    least-index representatives.  In FINAB the pairs (d x, c x) already form
+    a subgroup of the codomain squared that holds the diagonal (through e),
+    so their classes are the cosets of {c x - d x}: the cokernel of d - c.
     """
     if d.dom != c.dom or d.cod != c.cod:
         raise CompositionError("parallel pair is mistyped")
@@ -749,10 +725,6 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
     if compose(e, d) != identity(d.cod) or compose(e, c) != identity(d.cod):
         raise DiagramError("the pair is not reflexive along the section")
     target = d.cod
-    if target.instance is FINAB:
-        diff = [target.add[d.map[i]][target.neg[c.map[i]]]
-                for i in range(d.dom.size)]
-        return quotient_by_subgroup(target, diff)[1]
     parent = list(range(target.size))
 
     def find(i):

@@ -2,8 +2,9 @@
 
 Exit codes follow one contract across subcommands: 0 for success, 1 for
 an invalid object or a failed property expectation, 2 for usage and
-parse errors.  Reports written with ``--out`` zero out the timing field,
-so identical flags and seed produce byte-identical files.
+parse errors.  No suite is timed: reports written with ``--out`` keep an
+``elapsed_ms`` field that is always 0, so identical flags and seed produce
+byte-identical files.
 """
 
 import argparse
@@ -214,7 +215,7 @@ def cmd_verify(args) -> int:
             print(f"{name}/{instance.name}: cases={report.cases} "
                   f"failures={len(report.failures)} {status}")
     if args.out:
-        payloads = [r.payload(canonical_time=True) for r in reports]
+        payloads = [r.payload() for r in reports]
         text = json.dumps(payloads, sort_keys=True, indent=2) + "\n"
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -144,7 +144,7 @@ def _groupoid(data: dict, memo: dict) -> InternalGroupoid:
         key = (apex.instance, apex.carrier,
                None if apex.add is None else tuple(apex.add), apex.neg,
                apex.zero)
-        if _exact(*key[1:]):
+        if _exact(apex.carrier):  # add, neg and zero are built as ints
             memo[key] = apex
     return InternalGroupoid(b0, b1, d, c, e, _morphism(data["m"], memo),
                             _morphism(data["i"], memo), _pairs=pairs)

@@ -219,7 +219,7 @@ class TestSquaresAndDiagonals:
         m = mod2_square()
         hk = strong_h_kernel_arr(m)
         mu = hk.diagonal
-        pre1 = zero_arr(m.dom, kernel_arr(m).object)
+        pre1 = zero_arr(m.dom, kernel_arr(m).dom)
         pre2 = comparison_J_arr(m)
         post1 = identity_arr(m.cod)
         post2 = zero_arr(m.cod, ArrowObject(identity(zmod(4))))
@@ -240,24 +240,28 @@ class TestKernels:
     def test_kernel_of_an_identity_square_is_zero(self):
         m = identity_arr(ArrowObject(doubling_arrow()))
         k = kernel_arr(m)
-        assert (k.object.top.size, k.object.bottom.size) == (1, 1)
+        assert (k.dom.top.size, k.dom.bottom.size) == (1, 1)
 
     def test_kernel_of_the_graph_square(self):
         k = kernel_arr(graph_square())
-        assert (k.object.top.size, k.object.bottom.size) == (1, 1)
+        assert (k.dom.top.size, k.dom.bottom.size) == (1, 1)
 
     def test_kernel_with_identity_endpoints(self):
         m = mod2_square()
         k = kernel_arr(m)
-        assert (k.object.top.size, k.object.bottom.size) == (2, 2)
-        assert compose(k.inclusion.f, m.f) == zero_morphism(
-            k.object.top, m.cod.top)
+        assert (k.dom.top.size, k.dom.bottom.size) == (2, 2)
+        assert compose(k.f, m.f) == zero_morphism(k.dom.top, m.cod.top)
 
     def test_restricted_arrow_commutes(self):
         m = mod2_square()
         k = kernel_arr(m)
-        assert compose(k.object.a, k.inclusion.f0) == (
-            compose(k.inclusion.f, m.dom.a))
+        assert compose(k.dom.a, k.f0) == compose(k.f, m.dom.a)
+
+    def test_the_kernel_is_its_inclusion_square(self):
+        m = mod2_square()
+        k = kernel_arr(m)
+        assert isinstance(k, ArrowMorphism) and k.cod is m.dom
+        assert k.dom.a.dom is k.f.dom and k.dom.a.cod is k.f0.dom
 
 
 class TestStrongHKernel:
@@ -298,19 +302,19 @@ class TestUniversalProperties:
         m = mod2_square()
         hk = strong_h_kernel_arr(m)
         ker = kernel_arr(m)
-        mu = Diagonal(compose_arr(ker.inclusion, m),
-                      zero_morphism(ker.object.bottom, m.cod.top))
-        factor = h_kernel_factorization(hk, ker.inclusion, mu)
+        mu = Diagonal(compose_arr(ker, m),
+                      zero_morphism(ker.dom.bottom, m.cod.top))
+        factor = h_kernel_factorization(hk, ker, mu)
         assert factor == comparison_J_arr(m)
 
     def test_factorization_bottom_is_unique(self):
         m = mod2_square()
         hk = strong_h_kernel_arr(m)
         ker = kernel_arr(m)
-        mu = Diagonal(compose_arr(ker.inclusion, m),
-                      zero_morphism(ker.object.bottom, m.cod.top))
+        mu = Diagonal(compose_arr(ker, m),
+                      zero_morphism(ker.dom.bottom, m.cod.top))
         assert count_factorizations(
-            hk.limit, {"p1": ker.inclusion.f0, "p2": mu.d}) == 1
+            hk.limit, {"p1": ker.f0, "p2": mu.d}) == 1
 
     def test_mismatched_triple_is_rejected(self):
         m = mod2_square()
@@ -324,9 +328,9 @@ class TestUniversalProperties:
         m = mod2_square()
         hk = strong_h_kernel_arr(m)
         ker = kernel_arr(m)
-        mu = Diagonal(compose_arr(ker.inclusion, m),
-                      zero_morphism(ker.object.bottom, m.cod.top))
-        factor = h_kernel_factorization(hk, ker.inclusion, mu)
+        mu = Diagonal(compose_arr(ker, m),
+                      zero_morphism(ker.dom.bottom, m.cod.top))
+        factor = h_kernel_factorization(hk, ker, mu)
         flat = Diagonal(compose_arr(factor, hk.inclusion),
                         kernel(m.f0).legs["ker"])
         lifted = strong_lift(hk, factor, flat)
@@ -362,7 +366,7 @@ class TestComparisonJ:
                   restricted_square()):
             j = comparison_J_arr(m)
             assert j.f0.dom is j.dom.bottom
-            assert j.dom.bottom == kernel_arr(m).object.bottom
+            assert j.dom.bottom == kernel_arr(m).dom.bottom
 
     def test_comparison_square_is_a_pullback(self):
         for m in (graph_square(), mod2_square(), fold_square(),
@@ -495,10 +499,10 @@ def kernel_square_j(m):
     kernel inclusion's top, and its bottom paired with the zero diagonal."""
     ker = kernel_arr(m)
     lim = pullback(m.f0, m.cod.a)
-    bottom = lim.mediate({"p1": ker.inclusion.f0,
-                          "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+    bottom = lim.mediate({"p1": ker.f0,
+                          "p2": zero_morphism(ker.dom.bottom, m.cod.top)})
     endpoint = lim.mediate({"p1": m.dom.a, "p2": m.f})
-    return ArrowMorphism(ker.object, ArrowObject(endpoint), ker.inclusion.f,
+    return ArrowMorphism(ker.dom, ArrowObject(endpoint), ker.f,
                          bottom)
 
 
@@ -512,8 +516,8 @@ class TestJFromTheBaseKernels:
         for m in squares():
             j = comparison_J_arr(m)
             ker = kernel_arr(m)
-            assert j.dom.a == ker.object.a
-            assert j.f == ker.inclusion.f
+            assert j.dom.a == ker.dom.a
+            assert j.f == ker.f
             assert j.cod.a == partial_zero_arr(m)
             assert j == kernel_square_j(m)
             pz = classify_morphism(partial_zero_arr(m))
@@ -576,12 +580,12 @@ class TestNormalization:
 class TestPreservationComparisons:
     def test_kernel_preservation(self):
         fun = mod2_collapse()
-        cmp = kernel_preservation_comparison(fun)
+        incl = kernel_groupoid(fun)[1]
+        square = normalize(fun)
+        cmp = kernel_preservation_comparison(incl, square)
         assert classify_morphism(cmp.f).iso
         assert classify_morphism(cmp.f0).iso
-        kg, incl = kernel_groupoid(fun)
-        karr = kernel_arr(normalize(fun))
-        assert compose_arr(cmp, karr.inclusion) == normalize(incl)
+        assert compose_arr(cmp, kernel_arr(square)) == normalize(incl)
 
     def test_h_kernel_preservation(self):
         fun = mod2_collapse()

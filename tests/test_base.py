@@ -18,7 +18,9 @@ from groupoid_lab.base import (
     quotient_by_subgroup, reflexive_coequalizer, split_section,
     subobject_limit, zero_morphism, zero_object, zmod)
 from groupoid_lab.groupoid import delooping
-from groupoid_lab.holim import arrow_groupoid
+from groupoid_lab.harness import _groupoid_catalog, gen_functor, gen_groupoid
+from groupoid_lab.holim import (
+    arrow_groupoid, comparison_T_data, strong_h_kernel)
 
 
 def mod_map(m, n):
@@ -366,6 +368,21 @@ class TestReflexiveCoequalizer:
         d = morphism_from_function(b1, b0, lambda t: t[0])
         with pytest.raises(DiagramError):
             reflexive_coequalizer(d, d, zero_morphism(b0, b1))
+
+    def test_finab_union_find_is_the_cokernel_of_d_minus_c(self):
+        groupoids = [gen_groupoid(FINAB, seed) for seed in range(300)]
+        groupoids += _groupoid_catalog(8)
+        for seed in range(60):
+            fun = gen_functor(FINAB, seed)
+            groupoids += [strong_h_kernel(fun).groupoid,
+                          comparison_T_data(fun).relaxed.groupoid]
+        assert len(groupoids) == 462
+        for g in groupoids:
+            add, neg = g.B0.add, g.B0.neg
+            diff = [add[x][neg[y]] for x, y in zip(g.d.map, g.c.map)]
+            q = reflexive_coequalizer(g.d, g.c, g.e)
+            cokernel = quotient_by_subgroup(g.B0, diff)[1]
+            assert q == cokernel and q.cod.zero == cokernel.cod.zero
 
 
 class TestClassify:

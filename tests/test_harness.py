@@ -19,6 +19,7 @@ Frozen facts, each re-derivable by rerunning the generators:
 """
 
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -33,7 +34,7 @@ from groupoid_lab.arrow import (
     is_essentially_surjective_arr,
     partial_zero_arr,
 )
-from groupoid_lab import arrow, base, classify, harness
+from groupoid_lab import arrow, base, classify, harness, holim
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
@@ -75,7 +76,7 @@ SEARCH_WITNESSES = Path(__file__).parent / "data" / "search-witnesses-seed42.jso
 
 
 def canonical_json(report):
-    return json.dumps(report.payload(canonical_time=True), sort_keys=True)
+    return json.dumps(report.payload(), sort_keys=True)
 
 
 class TestGenerators:
@@ -207,7 +208,12 @@ class TestRunSuite:
         assert payload["suite"] == "axioms"
         assert payload["instance"] == "finset"
         assert payload["seed"] == 11
-        assert report.payload(canonical_time=True)["elapsed_ms"] == 0
+
+    def test_payload_takes_no_option_and_writes_zero_time(self):
+        report = run_suite("axioms", FINSET, 5, 11)
+        assert not inspect.signature(report.payload).parameters
+        assert report.payload()["elapsed_ms"] == 0
+        assert not hasattr(report, "elapsed_ms")
 
     def test_reports_are_deterministic_under_a_fixed_seed(self):
         for name, inst in (("axioms", FINAB),
@@ -278,6 +284,22 @@ class TestTheoremSuites:
                                                report.failures)
                 assert report.expectation_met
 
+    @pytest.mark.parametrize("instance", [FINPTDSET, FINAB],
+                             ids=lambda i: i.name)
+    def test_normalization_preserves_kernels_builds_each_kernel_once(
+            self, instance, monkeypatch):
+        built = []
+
+        def counted(fun):
+            built.append(fun)
+            return holim.kernel_groupoid(fun)
+
+        for module in (harness, arrow):
+            monkeypatch.setattr(module, "kernel_groupoid", counted,
+                                raising=False)
+        report = run_suite("normalization-preserves-kernels", instance, 10, 0)
+        assert report.failures == [] and len(built) == 10
+
     def test_the_square_star_flag_is_checked_against_its_definition(
             self, monkeypatch):
         # In FinAb images that only generate the codomain are jointly
@@ -333,7 +355,7 @@ class TestWitnessSearches:
                                       ("protomodularity-char", FINPTDSET))]
         assert [(r.cases, len(r.failures)) for r in reports] == [(94, 3),
                                                                   (53, 3)]
-        payloads = [r.payload(canonical_time=True) for r in reports]
+        payloads = [r.payload() for r in reports]
         text = json.dumps(payloads, sort_keys=True, indent=2) + "\n"
         assert text == SEARCH_WITNESSES.read_text(encoding="utf-8")
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from groupoid_lab import harness
-from groupoid_lab.base import parse_instance
+from groupoid_lab import groupoid, harness
+from groupoid_lab.base import _quotient, parse_instance
 
 
 def _reports():
@@ -50,6 +50,11 @@ def _fibre_flags_over_the_image(real):
         apex = sum(b_fibre[m.f0.map[x0]] for x0 in set(m.dom.a.map))
         return image == len(m.f.map), image == apex
     return planted
+
+
+def _merging_nothing(real):
+    """A coequalizer that quotients by equality, so pi0 keeps every object."""
+    return lambda d, c, e: _quotient(d.cod, range(d.cod.size))
 
 
 def _equivalence_is_weak(real):
@@ -110,6 +115,14 @@ PLANTED = {
         frozenset({("kernels-strong-arr", i) for i in _BOTH_POINTED}),
         {("kernels-strong-arr", "finptdset"): 13,
          ("kernels-strong-arr", "finab"): 11}),
+    # pi0 is the coequalizer's one reader: merging nothing, it counts
+    # objects, not components, and a weak equivalence may change that count
+    "coequalizer-merges-nothing": Planted(
+        groupoid, "reflexive_coequalizer", _merging_nothing,
+        frozenset({("pi-invariance", i)
+                   for i in ("finset", "finptdset", "finab")}),
+        {("pi-invariance", "finset"): 8, ("pi-invariance", "finptdset"): 7,
+         ("pi-invariance", "finab"): 7}),
     # the generators almost never draw a fibration or a star-fibration
     # that is not split, where an equivalence and a weak equivalence part
     "equivalence-reported-as-weak": Planted(

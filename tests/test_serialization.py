@@ -225,3 +225,12 @@ class TestOneObjectPerDistinctData:
         assert fun.dom.d.dom.carrier == (False, True, 2)
         assert to_json(fun) == json.dumps(data, sort_keys=True)
 
+    def test_a_pairs_apex_with_bool_elements_misses_the_memo(self):
+        # the pullback of c and d pairs bools, which equal the ints of this
+        # m.dom copy, so the apex must not be offered for it
+        data = value_to_data(discrete_groupoid(finset_object([False, True, 2])))
+        pairs = data["m"]["dom"]
+        pairs["carrier"] = [[int(x) for x in pair] for pair in pairs["carrier"]]
+        assert (to_json(value_from_data(data))
+                == json.dumps(data, sort_keys=True))
+

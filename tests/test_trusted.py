@@ -143,7 +143,7 @@ def _built_from(fun):
         built += [kernel(fun.F1), *kernel_groupoid(fun), *pi1(a),
                   j_data.strict.groupoid, j_data.strict.to_second,
                   j_data.relaxed.to_f_dom,
-                  j_data.functor, kernel_arr(square).inclusion,
+                  j_data.functor, kernel_arr(square),
                   comparison_J_arr(square)]
     built += islice(_fibration_squares(a.instance), 50)
     return [v for v in built if v is not None]
@@ -186,14 +186,14 @@ def test_a_shared_j_bottom_matches_a_fresh_one(instance, count):
         ker = kernel_arr(m)
         lim = pullback(m.f0, m.cod.a)
         bottom = lim.mediate(
-            {"p1": ker.inclusion.f0,
-             "p2": zero_morphism(ker.object.bottom, m.cod.top)})
+            {"p1": ker.f0,
+             "p2": zero_morphism(ker.dom.bottom, m.cod.top)})
         assert j.f0 == bottom
         _recheck(j, seen)
-        fresh = ArrowMorphism(ker.object,
+        fresh = ArrowMorphism(ker.dom,
                               ArrowObject(lim.mediate({"p1": m.dom.a,
                                                        "p2": m.f})),
-                              ker.inclusion.f, bottom)
+                              ker.f, bottom)
         assert _j_flags(m) == (all(_fibre_flags(fresh)),
                                is_essentially_surjective_arr(fresh))
     assert len(bottoms) < count  # some squares did share a bottom
