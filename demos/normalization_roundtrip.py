@@ -10,6 +10,7 @@ levels.
 from groupoid_lab.arrow import (
     graph_comparison,
     h_kernel_preservation_comparison,
+    kernel_arr,
     kernel_preservation_comparison,
     normalize,
     strong_h_kernel_arr,
@@ -34,7 +35,7 @@ def main():
                        lambda x: 0, lambda x: x % 2)
     square = normalize(collapse)
     kernel_cmp = kernel_preservation_comparison(kernel_groupoid(collapse)[1],
-                                                square)
+                                                square, kernel_arr(square))
     h_kernel_cmp = h_kernel_preservation_comparison(
         strong_h_kernel(collapse), strong_h_kernel_arr(square))
     print(f"kernel comparison iso:          {levelwise_iso(kernel_cmp)}")

@@ -381,22 +381,23 @@ def graph_comparison(delta: BaseMorphism) -> ArrowMorphism:
 
 
 def kernel_preservation_comparison(incl: InternalFunctor,
-                                   square: ArrowMorphism) -> ArrowMorphism:
+                                   square: ArrowMorphism,
+                                   ker: ArrowMorphism) -> ArrowMorphism:
     """Canonical iso: normalize the kernel, or take the square's kernel.
 
     ``incl`` is the level-wise kernel's inclusion into a functor's domain
-    (``kernel_groupoid``) and ``square`` the functor's normalization.  Both
-    sides carve the same arrows out of the domain (those killed by d and by
-    the functor); the comparison re-indexes one carrier into the other and
-    must be a levelwise iso.
+    (``kernel_groupoid``), ``square`` the functor's normalization and
+    ``ker`` its kernel square ``kernel_arr(square)``, whose ``dom`` is the
+    comparison's codomain.  Both sides carve the same arrows out of the
+    domain (those killed by d and by the functor); the comparison
+    re-indexes one carrier into the other and must be a levelwise iso.
     """
     kg = incl.dom
     inner = kernel(incl.cod.d).mediate(
         {"ker": compose(kernel(kg.d).legs["ker"], incl.F1)})
     top = kernel(square.f).mediate({"ker": inner})
     bottom = kernel(square.f0).mediate({"ker": incl.F0})
-    return ArrowMorphism(normalize_obj(kg), kernel_arr(square).dom, top,
-                         bottom)
+    return ArrowMorphism(normalize_obj(kg), ker.dom, top, bottom)
 
 
 def h_kernel_preservation_comparison(hk: HPullback,

@@ -8,7 +8,9 @@ limits computed by enumeration:
 * ``FINAB`` -- finite abelian groups given by addition tables (zero
   object: the trivial group).  FINAB is the protomodular instance.  Every
   addition table is a sequence of row tuples: input groups carry theirs,
-  and a limit apex builds each row from its parts when first read.
+  and a limit apex builds each row from its parts when first read.  A read
+  of a whole apex table builds only its generators' rows that way and
+  derives the rest from them, walking the cosets from zero.
 
 Both pointed instances keep their distinguished point in one field, an
 object's ``zero`` index: the basepoint of a pointed set, the zero of a
@@ -54,6 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 
 class GroupoidLabError(Exception):
@@ -262,32 +265,35 @@ class BaseObject:
         if self._gens is None:
             if self.instance is not FINAB:
                 raise CapabilityError("generating sequences exist only in finab")
-            self._gens = _coset_walk(self, range(self.size))[1]
+            self._gens = _coset_walk(self.zero, self.add, range(self.size))[1]
         return self._gens
 
 
-def _coset_walk(obj: BaseObject, candidates) -> tuple[set[int], list[int]]:
+def _coset_walk(zero: int, add, candidates) -> tuple[dict, list[int]]:
     """The subgroup the candidates generate, and the candidates that grew it.
 
-    A candidate already in the span is skipped; otherwise <i> is adjoined by
-    walking the cosets span, span+i, span+2i, ... until one lands back
-    inside, so the union is the enlarged subgroup.  Each step costs the size
-    of the span it adds.
+    ``add[i]`` is the addition row of i.  A candidate already in the span
+    is skipped; otherwise <i> is adjoined by walking the cosets span,
+    span+i, span+2i, ... until one lands back inside, so the union is the
+    enlarged subgroup.  Each step costs the size of the span it adds.  The
+    span maps each element y it reached to the pair (x, i) with y = x + i,
+    x reached before y (zero maps to None).
     """
-    span = {obj.zero}
+    span: dict = {zero: None}
     grew: list[int] = []
     for i in candidates:
         if i in span:
             continue
         grew.append(i)
-        row = obj.add[i]
+        row = add[i]
         layer = list(span)
         while True:
-            layer = [row[x] for x in layer]
-            fresh = [x for x in layer if x not in span]
+            step = [row[x] for x in layer]
+            fresh = [(y, (x, i)) for x, y in zip(layer, step) if y not in span]
             if not fresh:
                 break
             span.update(fresh)
+            layer = step
     return span, grew
 
 
@@ -416,7 +422,7 @@ def subobject_limit(parent: BaseObject, indices) -> LimitResult:
     if parent.instance.pointed and parent.zero not in idx:
         raise DiagramError("a pointed subobject must keep the zero")
     if (parent.instance is FINAB
-            and len(_coset_walk(parent, idx)[0]) != len(idx)):
+            and len(_coset_walk(parent.zero, parent.add, idx)[0]) != len(idx)):
         raise DiagramError("subset is not closed under the group structure")
     return _tuple_limit(("incl",), [parent], [(i,) for i in idx],
                         lambda: map(parent.carrier.__getitem__, idx))
@@ -429,7 +435,7 @@ def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
     seed_indices = list(seed_indices)
     if not all(_is_index(i, obj.size) for i in seed_indices):
         raise DiagramError("subgroup generators must be int indices in range")
-    return sorted(_coset_walk(obj, seed_indices)[0])
+    return sorted(_coset_walk(obj.zero, obj.add, seed_indices)[0])
 
 
 def quotient_by_subgroup(obj: BaseObject, indices):
@@ -517,15 +523,17 @@ class _TupleAddTable:
     from the parts' rows when first read and then kept, so a table costs
     the rows read of it.  Readers that add one fixed g to many x read row
     g (the groups are commutative), and a read through nested apexes
-    builds only the parts' rows it needs.
+    builds only the parts' rows it needs.  A read of the whole table
+    derives every row but the generators' (see ``__iter__``).
     """
 
-    __slots__ = ("parts", "tuples", "lookup", "_rows", "_columns")
+    __slots__ = ("parts", "tuples", "lookup", "zero", "_rows", "_columns")
 
-    def __init__(self, parts, tuples, lookup):
+    def __init__(self, parts, tuples, lookup, zero):
         self.parts = tuple(parts)
         self.tuples = tuples
         self.lookup = lookup
+        self.zero = zero
         self._rows = {}
         self._columns = None
 
@@ -557,7 +565,22 @@ class _TupleAddTable:
         return len(self.tuples)
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.tuples)))
+        """Every row, the unread ones derived rather than looked up.
+
+        The zero row is the identity and a generator's row is looked up by
+        ``__getitem__``.  Walking the cosets from zero, the row of y = x + g
+        is row x read through row g, as (x + g) + z = x + (g + z) holds in
+        the apex's componentwise addition, its parts being groups.
+        """
+        n, rows = len(self.tuples), self._rows
+        if len(rows) < n:
+            span = _coset_walk(self.zero, self, range(n))[0]
+            rows.setdefault(self.zero, tuple(range(n)))
+            for y, step in span.items():
+                if y not in rows:  # so not zero, whose step is None
+                    x, g = step
+                    rows[y] = itemgetter(*rows[g])(rows[x])
+        return map(rows.__getitem__, range(n))
 
 
 def _tuple_elements(parts, tuples):
@@ -586,7 +609,7 @@ def _tuple_limit(names, parts, tuples, elements=None):
         if apex.zero is None:
             raise DiagramError("limit carrier lost the zero")
     if instance is FINAB:
-        apex.add = _TupleAddTable(parts, tuples, lookup)
+        apex.add = _TupleAddTable(parts, tuples, lookup, apex.zero)
     columns = list(zip(*tuples)) or [()] * len(parts)
     legs = {name: BaseMorphism(apex, part, column, _trusted=True)
             for name, part, column in zip(names, parts, columns)}

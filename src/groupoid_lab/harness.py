@@ -1245,12 +1245,12 @@ def _check_normalization_preserves_kernels(instance, case):
     heavy = 5 if instance is FINPTDSET else 8
     fun = _random_functor(instance, case.rng, heavy)
     nf = normalize(fun)
-    incl = kernel_groupoid(fun)[1]
-    cmp_k = kernel_preservation_comparison(incl, nf)
+    incl, ker = kernel_groupoid(fun)[1], kernel_arr(nf)
+    cmp_k = kernel_preservation_comparison(incl, nf, ker)
     if not (classify_morphism(cmp_k.f).iso
             and classify_morphism(cmp_k.f0).iso):
         case.fail("kernel comparison is not an isomorphism", functor=fun)
-    elif compose_arr(cmp_k, kernel_arr(nf)) != normalize(incl):
+    elif compose_arr(cmp_k, ker) != normalize(incl):
         case.fail("kernel comparison does not commute with inclusions",
                   functor=fun)
     hk = strong_h_kernel(fun)

@@ -582,10 +582,12 @@ class TestPreservationComparisons:
         fun = mod2_collapse()
         incl = kernel_groupoid(fun)[1]
         square = normalize(fun)
-        cmp = kernel_preservation_comparison(incl, square)
+        ker = kernel_arr(square)
+        cmp = kernel_preservation_comparison(incl, square, ker)
         assert classify_morphism(cmp.f).iso
         assert classify_morphism(cmp.f0).iso
-        assert compose_arr(cmp, kernel_arr(square)) == normalize(incl)
+        assert cmp.cod is ker.dom
+        assert compose_arr(cmp, ker) == normalize(incl)
 
     def test_h_kernel_preservation(self):
         fun = mod2_collapse()

@@ -300,6 +300,21 @@ class TestTheoremSuites:
         report = run_suite("normalization-preserves-kernels", instance, 10, 0)
         assert report.failures == [] and len(built) == 10
 
+    @pytest.mark.parametrize("instance", [FINPTDSET, FINAB],
+                             ids=lambda i: i.name)
+    def test_normalization_preserves_kernels_builds_each_kernel_square_once(
+            self, instance, monkeypatch):
+        built, kernel_arr = [], arrow.kernel_arr
+
+        def counted(square):
+            built.append(square)
+            return kernel_arr(square)
+
+        for module in (harness, arrow):
+            monkeypatch.setattr(module, "kernel_arr", counted)
+        report = run_suite("normalization-preserves-kernels", instance, 10, 0)
+        assert report.failures == [] and len(built) == 10
+
     def test_the_square_star_flag_is_checked_against_its_definition(
             self, monkeypatch):
         # In FinAb images that only generate the codomain are jointly

@@ -10,14 +10,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupoid_lab import arrow, base, harness
+from groupoid_lab import arrow, base, harness, holim, serialize
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError,
     CompositionError, DiagramError, NoMediatorError, comma, direct_sum,
     enumerate_morphisms, finab_object, finptdset_object, finset_object,
-    identity, kernel, product, pullback, quotient_by_subgroup,
-    subobject_limit, zmod)
+    generated_subgroup_indices, identity, kernel, product, pullback,
+    quotient_by_subgroup, subobject_limit, zmod)
+from groupoid_lab.groupoid import delooping
 from groupoid_lab.harness import run_suite
 
 
@@ -653,6 +656,119 @@ class TestAddRows:
         lim = product(zmod(16), zmod(16))
         kernel(lim.legs["p1"])
         assert len(lim.apex.add._rows) <= 8
+
+
+def _read_one_row_at_a_time(table):
+    """Every row of a fresh table over the same parts, each looked up."""
+    fresh = base._TupleAddTable(table.parts, table.tuples, table.lookup,
+                                table.zero)
+    return [fresh[i] for i in range(len(fresh))]
+
+
+def _z2_cubed():
+    z2 = zmod(2)
+    return direct_sum(direct_sum(z2, z2), z2)
+
+
+def _comma_apex():
+    z2, v = zmod(2), direct_sum(zmod(2), zmod(2))
+    left = BaseMorphism(z2, v, (0, 2))
+    d = BaseMorphism(v, v, (0, 2, 1, 3))
+    c = BaseMorphism(v, z2, (0, 1, 1, 0))
+    return comma(left, d, c, identity(z2), "xmy").apex
+
+
+def _subgroup_apex():
+    group = direct_sum(zmod(4), zmod(4))
+    return subobject_limit(group,
+                           generated_subgroup_indices(group, [6])).apex
+
+
+_FULL_READ_APEXES = {
+    "trivial": lambda: product(zmod(1), zmod(1)).apex,
+    "trivial-kernel": lambda: kernel(identity(zmod(3))).apex,
+    "Z2xZ4": lambda: direct_sum(zmod(2), zmod(4)),
+    "Z2^3": _z2_cubed,
+    "Z16xZ16": lambda: product(zmod(16), zmod(16)).apex,
+    "pullback": lambda: pullback(*[BaseMorphism(zmod(4), zmod(2),
+                                                (0, 1, 0, 1))] * 2).apex,
+    "comma": _comma_apex,
+    "kernel": lambda: kernel(product(zmod(4), zmod(6)).legs["p2"]).apex,
+    "subgroup": _subgroup_apex,
+    "squares": lambda: holim.arrow_groupoid(delooping(zmod(4))).groupoid.B1,
+    "pairs": lambda: delooping(_z2_cubed()).composition_pairs().apex,
+}
+
+
+class TestFullReads:
+    """A read of the whole table derives the rows it has not built yet."""
+
+    @pytest.mark.parametrize("name", _FULL_READ_APEXES)
+    def test_a_full_read_equals_rows_read_one_at_a_time(self, name):
+        apex = _FULL_READ_APEXES[name]()
+        assert isinstance(apex.add, base._TupleAddTable)
+        rows = list(apex.add)
+        assert rows == _read_one_row_at_a_time(apex.add)
+        assert all(type(row) is tuple for row in rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=3,
+                    max_size=3), st.data())
+    def test_a_pullback_of_drawn_homs_reads_in_full_as_by_rows(
+            self, orders, data):
+        a, b, c = map(zmod, orders)
+        f = data.draw(st.sampled_from(list(enumerate_morphisms(a, c))))
+        g = data.draw(st.sampled_from(list(enumerate_morphisms(b, c))))
+        apex = pullback(f, g).apex
+        assert list(apex.add) == _read_one_row_at_a_time(apex.add)
+
+    def test_rows_read_before_are_kept(self):
+        apex = product(zmod(4), zmod(6)).apex
+        gens = apex.generating_sequence()
+        assert 13 not in gens  # (2, 1) is no generator
+        read = {i: apex.add[i] for i in (13, gens[0], 23)}
+        rows = list(apex.add)
+        assert rows == _read_one_row_at_a_time(apex.add)
+        assert all(rows[i] is row for i, row in read.items())
+        assert all(apex.add[i] is rows[i] for i in range(apex.size))
+
+    @staticmethod
+    def _z16_squared_by_hand():
+        pairs = [(a, b) for a in range(16) for b in range(16)]
+        add = [[16 * ((a + c) % 16) + (b + d) % 16 for c, d in pairs]
+               for a, b in pairs]
+        neg = [16 * (-a % 16) + -b % 16 for a, b in pairs]
+        return finab_object(pairs, add, neg, 0)
+
+    @pytest.mark.parametrize("read", ["list", "tuple", "to_data", "eq"])
+    def test_a_full_read_looks_up_only_the_generators_rows(
+            self, read, monkeypatch):
+        by_hand = self._z16_squared_by_hand()
+        reads = {"list": lambda apex: list(apex.add),
+                 "tuple": lambda apex: tuple(apex.add),
+                 "to_data": serialize.object_to_data,
+                 "eq": by_hand.__eq__}
+        built = []
+        row = base._TupleAddTable.__getitem__
+
+        def counted(table, i):
+            if i not in table._rows:
+                built.append(i)
+            return row(table, i)
+
+        monkeypatch.setattr(base._TupleAddTable, "__getitem__", counted)
+        apex = product(zmod(16), zmod(16)).apex
+        assert reads[read](apex)
+        assert len(built) <= 2 and len(apex.add._rows) == 256
+
+    def test_a_full_read_of_a_carrier_that_is_not_sum_closed_raises(self):
+        # f is no hom (trusted on purpose): {(0, 0), (2, 0)} is not closed
+        z3 = zmod(3)
+        f = BaseMorphism(z3, z3, (0, 1, 0), _trusted=True)
+        apex = pullback(f, BaseMorphism(zmod(1), z3, (0,),
+                                        _trusted=True)).apex
+        with pytest.raises(DiagramError, match="not sum-closed"):
+            list(apex.add)
 
 
 def test_an_unread_apex_is_freed_by_reference_counting():
