@@ -189,31 +189,13 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
 
     reports = []
-    all_met = True
     for name in selected:
-        spec = SUITES[name]
-        if pinned is None:
-            targets = [parse_instance(n) for n in spec.instances]
-        else:
-            targets = pinned
-        cases = args.cases
-        if cases is None:
-            cases = spec.default_cases
+        targets = pinned or [parse_instance(n) for n in SUITES[name].instances]
         for instance in targets:
-            report = run_suite(name, instance, cases, seed)
+            report = run_suite(name, instance, args.cases, seed)
             reports.append(report)
-            met = report.expectation_met
-            all_met = all_met and met
-            witness = instance.name in spec.witness_instances
-            if not met:
-                status = (f"UNMET: no witness found" if witness
-                          else f"UNMET: {len(report.failures)} failures")
-            elif witness:
-                status = f"witness found ({len(report.failures)})"
-            else:
-                status = "ok"
             print(f"{name}/{instance.name}: cases={report.cases} "
-                  f"failures={len(report.failures)} {status}")
+                  f"failures={len(report.failures)} {report.status}")
     if args.out:
         payloads = [r.payload() for r in reports]
         text = json.dumps(payloads, sort_keys=True, indent=2) + "\n"
@@ -223,7 +205,7 @@ def cmd_verify(args) -> int:
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    return EXIT_OK if all_met else EXIT_INVALID
+    return EXIT_OK if all(r.expectation_met for r in reports) else EXIT_INVALID
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,23 +5,25 @@ every classifier flag shows up on both sides somewhere in a run.  Each
 suite checks one structural fact at desk scale and reports serialized
 witnesses for whatever failed.  Each suite is registered once, in
 ``SUITES``, with the instances it applies to, the instances that expect
-witnesses, and its default case bound.  Two suites are bounded searches
-over a fixed catalogue, registered by ``@_search``, which owns their loop.
-The star search expects a witness on FinAb; protomodularity expects one
-on FinPtdSet and a clean pass on FinAb.
+witnesses, its default case bound, and a stream that yields one failure
+list per case.  ``@_suite`` runs a per-case check; ``@_search`` numbers a
+bounded search's verdicts over a fixed catalogue by candidate.
+``run_suite`` is the one loop over a stream: it applies the bound, stops
+at the third witness on a witness instance, and records whether the run
+expects a witness.  The star search expects a witness on FinAb;
+protomodularity expects one on FinPtdSet and a clean pass on FinAb.
 
 Determinism: every generator derives its stream from a string seed of the
-form "<instance>:<seed>", and one runner loop gives each case of a suite
-the seed "<instance>:<suite>:<seed>:<k>".  Searches use no randomness at
-all, so the number of cases in the report is the number of candidates
-examined.
+form "<instance>:<seed>", and each case of a per-case suite gets the seed
+"<instance>:<suite>:<seed>:<k>".  Searches use no randomness at all, so
+the number of cases in the report is the number of candidates examined.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import gcd, isqrt
 
 from .arrow import (
@@ -139,21 +141,21 @@ class SuiteReport:
     seed: object
     cases: int
     failures: list
+    # a search on one of its witness instances; a skipped run expects none
+    expects_witness: bool
 
     @property
     def expectation_met(self) -> bool:
-        """Whether the run matches the suite's registered expectation.
+        """At least one witness where one is expected, else no failure."""
+        return bool(self.failures) == self.expects_witness
 
-        Ordinary suites expect an empty failure list; search suites expect
-        at least one found witness on their witness instances.  A run that
-        was skipped because the instance is inapplicable counts as met.
-        """
-        spec = SUITES[self.suite]
-        if self.instance not in spec.instances:
-            return True
-        if self.instance in spec.witness_instances:
-            return bool(self.failures)
-        return not self.failures
+    @property
+    def status(self) -> str:
+        """The verdict ``groupoid-lab verify`` prints after the counts."""
+        n = len(self.failures)
+        if self.expects_witness:
+            return f"witness found ({n})" if n else "UNMET: no witness found"
+        return f"UNMET: {n} failures" if n else "ok"
 
     def payload(self) -> dict:
         return {
@@ -906,7 +908,8 @@ def _remove_element(m: ArrowMorphism, which, drop):
 
 @dataclass(frozen=True)
 class _Suite:
-    run: object
+    # stream(instance, seed) yields one failure list per case
+    stream: object
     instances: tuple
     witness_instances: frozenset
     # Witness searches need room to reach their first witness; everything
@@ -925,25 +928,26 @@ SUITES = {}
 class _Case:
     """Case ``k`` of a suite run: its replay tag, its own rng, its failures."""
 
-    def __init__(self, name, instance, seed, k, failures):
+    def __init__(self, name, instance, seed, k):
         self.k = k
         self.tag = f"{name}:{seed}:{k}"
         self.rng = random.Random(f"{instance.name}:{self.tag}")
-        self._failures = failures
+        self.failures = []
 
     def fail(self, reason, **values):
-        self._failures.append(_witness(self.k, reason, **values))
+        self.failures.append(_witness(self.k, reason, **values))
 
 
 def _suite(name, instances):
-    """Register ``check(instance, case)``; it runs once per case."""
+    """Register ``check(instance, case)``, run on cases 0, 1, ... with a
+    default bound of 50; each case's failures are those of its ``fail``."""
     def register(check):
-        def run(instance, n, seed):
-            failures = []
-            for k in range(n):
-                check(instance, _Case(name, instance, seed, k, failures))
-            return n, failures
-        SUITES[name] = _Suite(run, instances, frozenset(), 50)
+        def stream(instance, seed):
+            for k in count():
+                case = _Case(name, instance, seed, k)
+                check(instance, case)
+                yield case.failures
+        SUITES[name] = _Suite(stream, instances, frozenset(), 50)
         return check
     return register
 
@@ -951,20 +955,13 @@ def _suite(name, instances):
 def _search(name, instances, witness_instances, default_cases):
     """Register a generator ``search(instance)`` that yields one verdict per
     catalogue candidate, in order: None, or a failure ``(reason, values)``.
-    A run takes the first n verdicts as cases 0, 1, ... and reports each
-    failure as a witness; on a witness instance it stops at the third."""
+    Candidate k is case k, and its failure is a witness numbered k."""
     def register(search):
-        def run(instance, n, seed):
-            cases, failures = 0, []
-            for cases, verdict in enumerate(islice(search(instance), n), 1):
-                if verdict is not None:
-                    reason, values = verdict
-                    failures.append(_witness(cases - 1, reason, **values))
-                    if (len(failures) == 3
-                            and instance.name in witness_instances):
-                        break
-            return cases, failures
-        SUITES[name] = _Suite(run, instances, frozenset(witness_instances),
+        def stream(instance, seed):
+            for k, verdict in enumerate(search(instance)):
+                yield (() if verdict is None
+                       else [_witness(k, verdict[0], **verdict[1])])
+        SUITES[name] = _Suite(stream, instances, frozenset(witness_instances),
                               default_cases)
         return search
     return register
@@ -1505,7 +1502,8 @@ def suite_names():
 
 
 def run_suite(name, instance, n_cases, seed) -> SuiteReport:
-    """Run one registered suite on one instance and collect the report.
+    """Run the first ``n_cases`` cases (``None``: the registered bound) of
+    a suite on one instance, up to the third witness on a witness instance.
 
     Instances outside the suite's capability list produce an empty report
     with zero cases, so "all" loops can iterate uniformly.
@@ -1513,11 +1511,20 @@ def run_suite(name, instance, n_cases, seed) -> SuiteReport:
     spec = SUITES.get(name)
     if spec is None:
         raise DiagramError(f"unknown suite {name!r}")
-    if n_cases < 1:
-        raise DiagramError("a suite needs at least one case")
-    if instance.name not in spec.instances:
-        cases, failures = 0, []
-    else:
-        cases, failures = spec.run(instance, n_cases, seed)
+    if n_cases is None:
+        n_cases = spec.default_cases
+    if type(n_cases) is not int or n_cases < 1:
+        raise DiagramError(f"a suite's case count must be an int >= 1, "
+                           f"not {n_cases!r}")
+    applies = instance.name in spec.instances
+    expects_witness = applies and instance.name in spec.witness_instances
+    cases, failures = 0, []
+    if applies:
+        for cases, found in enumerate(
+                islice(spec.stream(instance, seed), n_cases), 1):
+            failures += found
+            if expects_witness and len(failures) >= 3:
+                break
     return SuiteReport(suite=name, instance=instance.name, seed=seed,
-                       cases=cases, failures=failures)
+                       cases=cases, failures=failures,
+                       expects_witness=expects_witness)

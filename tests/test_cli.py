@@ -425,7 +425,9 @@ class TestVerify:
                                                      capsys):
         out = tmp_path / "verify.json"
         assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
-        capsys.readouterr()
+        transcript = DATA / f"verify-seed{seed}.txt"
+        assert capsys.readouterr().out == transcript.read_text(
+            encoding="utf-8")
         recorded = DATA / f"verify-seed{seed}.json"
         assert out.read_bytes() == recorded.read_bytes()
 

@@ -194,6 +194,14 @@ class TestRunSuite:
         with pytest.raises(DiagramError):
             run_suite("axioms", FINSET, 0, 0)
 
+    @pytest.mark.parametrize("name", ["pi-invariance",
+                                      "star-not-fibration-search"])
+    @pytest.mark.parametrize("count", [True, 2.0, "3"])
+    def test_a_count_that_is_not_an_int_is_rejected(self, name, count):
+        # a bool would be written to the report as "cases": true
+        with pytest.raises(DiagramError):
+            run_suite(name, FINAB, count, 0)
+
     def test_inapplicable_instance_yields_an_empty_met_report(self):
         report = run_suite("star-not-fibration-search", FINSET, 50, 0)
         assert report.cases == 0
@@ -393,8 +401,10 @@ class TestWitnessSearches:
 
 
 class TestSearchContract:
-    """``@_search`` alone bounds a search, numbers its cases and caps its
-    witnesses; a toy search only yields its verdicts."""
+    """``run_suite`` alone bounds a suite, stops at its third witness and
+    records its expectation; ``@_search`` numbers a search's cases by
+    candidate.  A toy search only yields its verdicts, a toy check only
+    fails."""
 
     @pytest.fixture
     def toy(self, monkeypatch):
@@ -437,6 +447,42 @@ class TestSearchContract:
         assert report.cases == 9
         assert [f["case"] for f in report.failures] == [1, 3, 5, 7]
         assert not report.expectation_met
+
+    @pytest.fixture
+    def toy_suite(self, monkeypatch):
+        monkeypatch.setattr(harness, "SUITES", dict(SUITES))
+
+        def register(check):
+            harness._suite("toy-suite", ("finset", "finab"))(check)
+        return register
+
+    def test_no_count_runs_the_registered_bound(self, toy_suite):
+        toy_suite(lambda instance, case: None)
+        report = run_suite("toy-suite", FINSET, None, 0)
+        assert (report.cases, report.failures) == (50, [])
+
+    def test_a_check_reports_every_failure_under_its_case(self, toy_suite):
+        def check(instance, case):
+            for _ in range({1: 2, 3: 1}.get(case.k, 0)):
+                case.fail("bad", k=case.k)
+        toy_suite(check)
+        report = run_suite("toy-suite", FINAB, 5, 0)
+        assert report.cases == 5
+        assert [f["case"] for f in report.failures] == [1, 1, 3]
+        assert not report.expectation_met
+
+    def test_a_report_keeps_its_expectation_without_the_registry(
+            self, toy, monkeypatch):
+        toy([("bad", {})] * 4)
+        witness = run_suite("toy-search", FINAB, 10, 0)
+        failed = run_suite("toy-search", FINSET, 2, 0)
+        skipped = run_suite("toy-search", FINPTDSET, 10, 0)
+        monkeypatch.setattr(harness, "SUITES", {})
+        assert witness.expectation_met
+        assert witness.status == "witness found (3)"
+        assert not failed.expectation_met
+        assert failed.status == "UNMET: 2 failures"
+        assert skipped.expectation_met and skipped.status == "ok"
 
 
 class TestRemoveElement:

@@ -18,7 +18,7 @@ from groupoid_lab.base import _quotient, parse_instance
 def _reports():
     """Every (suite, instance) run's report, keyed by the run."""
     return {(name, instance): harness.run_suite(
-                name, parse_instance(instance), spec.default_cases, 0)
+                name, parse_instance(instance), None, 0)
             for name, spec in harness.SUITES.items()
             for instance in spec.instances}
 
