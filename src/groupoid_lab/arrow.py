@@ -169,10 +169,9 @@ def kernel_arr(m: ArrowMorphism) -> ArrowMorphism:
 
 @dataclass
 class ArrowHKernel:
-    """Strong h-kernel triple, with the pullback kept for mediation."""
+    """Strong h-kernel triple (object ``inclusion.dom``) and its pullback."""
 
     of: ArrowMorphism
-    object: ArrowObject
     inclusion: ArrowMorphism
     diagonal: Diagonal
     limit: LimitResult
@@ -213,11 +212,10 @@ def strong_h_kernel_arr(m: ArrowMorphism) -> ArrowHKernel:
     if not m.dom.top.instance.pointed:
         raise CapabilityError("strong h-kernels need a pointed instance")
     lim, endpoint = _endpoint_factorization(m)
-    obj = ArrowObject(endpoint)
-    incl = ArrowMorphism(obj, m.dom, identity(m.dom.top), lim.legs["p1"])
+    incl = ArrowMorphism(ArrowObject(endpoint), m.dom, identity(m.dom.top),
+                         lim.legs["p1"])
     diag = Diagonal(compose_arr(incl, m), lim.legs["p2"])
-    return ArrowHKernel(of=m, object=obj, inclusion=incl, diagonal=diag,
-                        limit=lim)
+    return ArrowHKernel(of=m, inclusion=incl, diagonal=diag, limit=lim)
 
 
 def h_kernel_factorization(hk: ArrowHKernel, g: ArrowMorphism,
@@ -230,7 +228,7 @@ def h_kernel_factorization(hk: ArrowHKernel, g: ArrowMorphism,
     if g.cod != hk.of.dom or mu.morphism != compose_arr(g, hk.of):
         raise NoMediatorError("triple is mistyped for the h-kernel")
     paired = hk.limit.mediate({"p1": g.f0, "p2": mu.d})
-    factor = ArrowMorphism(g.dom, hk.object, g.f, paired)
+    factor = ArrowMorphism(g.dom, hk.inclusion.dom, g.f, paired)
     if compose_arr(factor, hk.inclusion) != g:
         raise NoMediatorError("factorization fails the projection law")
     recovered = act_on_diagonal(factor, hk.diagonal, identity_arr(hk.of.cod))
@@ -246,7 +244,7 @@ def strong_lift(hk: ArrowHKernel, h: ArrowMorphism, mu: Diagonal) -> Diagonal:
     square and h pasted with the h-kernel's own diagonal; under it, the
     underlying map of mu already fills h itself.
     """
-    if h.cod != hk.object or mu.morphism != compose_arr(h, hk.inclusion):
+    if h.cod != hk.inclusion.dom or mu.morphism != compose_arr(h, hk.inclusion):
         raise NoMediatorError("triple is mistyped for the strong lift")
     via_square = act_on_diagonal(identity_arr(h.dom), mu, hk.of)
     via_kernel = act_on_diagonal(h, hk.diagonal, identity_arr(hk.of.cod))
@@ -415,4 +413,5 @@ def h_kernel_preservation_comparison(hk: HPullback,
         {"ker": compose(kernel(hk.groupoid.d).legs["ker"], proj.F1)})
     beta = kernel(fun.cod.d).mediate({"ker": hk.cell.alpha})
     bottom = arr.limit.mediate({"p1": proj.F0, "p2": beta})
-    return ArrowMorphism(normalize_obj(hk.groupoid), arr.object, top, bottom)
+    return ArrowMorphism(normalize_obj(hk.groupoid), arr.inclusion.dom, top,
+                         bottom)

@@ -444,25 +444,32 @@ def quotient_by_subgroup(obj: BaseObject, indices):
     Cosets are named by their least-index member (see ``_quotient``).
     """
     sub = generated_subgroup_indices(obj, indices)
-    rep = [-1] * obj.size
-    for i in range(obj.size):
-        if rep[i] < 0:
-            row = obj.add[i]
-            for s in sub:
-                rep[row[s]] = i
-    proj = _quotient(obj, rep)
+    proj = _quotient(obj, (p for s in sub for p in enumerate(obj.add[s])))
     return proj.cod, proj
 
 
-def _quotient(obj: BaseObject, rep) -> BaseMorphism:
-    """The projection onto the quotient of obj whose classes ``rep`` names.
+def _quotient(obj: BaseObject, pairs) -> BaseMorphism:
+    """The projection onto obj modulo the equivalence ``pairs`` generates.
 
-    ``rep[i]`` is the least index of i's class, so the quotient lists its
-    classes by least member and names each by that member's element.  The
-    classes must respect the structure (in FINAB, the cosets of a subgroup),
-    so the quotient's zero and tables are read off the least members, and
-    it is built trusted.
+    One union-find merges each index pair into the smaller root, so a class
+    is named by its least member, and the quotient lists its classes in
+    that order.  The classes must respect the structure (in FINAB, the
+    cosets of a subgroup), so the quotient's zero and tables are read off
+    the least members, and it is built trusted.
     """
+    parent = list(range(obj.size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x, y in pairs:
+        a, b = find(x), find(y)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    rep = [find(i) for i in range(obj.size)]
     reps = sorted(set(rep))
     pos = {r: k for k, r in enumerate(reps)}
     proj = [pos[r] for r in rep]
@@ -481,7 +488,9 @@ def zero_object(instance: BaseInstance) -> BaseObject:
         return finptdset_object(["*"], 0)
     if instance is FINAB:
         return zmod(1)
-    raise CapabilityError("finset has no zero object")
+    if instance is FINSET:
+        raise CapabilityError("finset has no zero object")
+    raise DiagramError(f"{instance!r} is not a base instance")
 
 
 def identity(obj: BaseObject) -> BaseMorphism:
@@ -683,6 +692,8 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
 
 def product(a: BaseObject, b: BaseObject) -> LimitResult:
     """Binary product as the pullback over the terminal shape (all pairs)."""
+    if a.instance is not b.instance:
+        raise DiagramError("product crosses base instances")
     return _tuple_limit(("p1", "p2"), [a, b],
                         [(i, j) for i in range(a.size) for j in range(b.size)])
 
@@ -736,10 +747,9 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
     """Coequalizer of a reflexive pair; returns the quotient projection.
 
     The quotient of the codomain by the equivalence generated by
-    d(x) ~ c(x), found by union-find and handed to ``_quotient`` with
-    least-index representatives.  In FINAB the pairs (d x, c x) already form
-    a subgroup of the codomain squared that holds the diagonal (through e),
-    so their classes are the cosets of {c x - d x}: the cokernel of d - c.
+    d(x) ~ c(x): ``_quotient`` merges the pairs (d x, c x).  In FINAB they
+    form a subgroup of the codomain squared that holds the diagonal (through
+    e), so their classes are the cosets of {c x - d x}: the cokernel of d - c.
     """
     if d.dom != c.dom or d.cod != c.cod:
         raise CompositionError("parallel pair is mistyped")
@@ -747,20 +757,7 @@ def reflexive_coequalizer(d: BaseMorphism, c: BaseMorphism,
         raise CompositionError("section is mistyped")
     if compose(e, d) != identity(d.cod) or compose(e, c) != identity(d.cod):
         raise DiagramError("the pair is not reflexive along the section")
-    target = d.cod
-    parent = list(range(target.size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(d.dom.size):
-        a, b = find(d.map[i]), find(c.map[i])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return _quotient(target, [find(i) for i in range(target.size)])
+    return _quotient(d.cod, zip(d.map, c.map))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ morphism:
 * ``partial_zero`` packages domain, image arrow and codomain into a single
   three-legged map whose mono / regular-epi / iso flags decide faithful,
   full and fully faithful.
-* the essential-surjectivity witness asks which objects of the codomain are
-  reachable by an arrow from the image.
+* the record's ``reach`` asks which objects of the codomain are reachable
+  by an arrow from the image; its flags (``essential``) decide essential
+  surjectivity.
 
 ``FunctorClassification`` is the one record of a functor's measurements:
-it builds each once, on its first read.  Each public classifier reads a
+it builds each once, on its first read.  Each public reader (the two
+factorizations, ``classify_*``, ``partial_zero`` and ``is_*``) reads a
 fresh record, and ``classification_report`` reads all of one.
 
 Each classification exists in a "d" and a "c" flavour.  Both are always
@@ -277,7 +279,7 @@ def classification_report(fun: InternalFunctor) -> FunctorClassification:
 # the public classifiers: each reads a fresh record
 
 
-def tau_factorization(fun: InternalFunctor, side: str = "d") -> BaseMorphism:
+def tau_factorization(fun: InternalFunctor, side: str) -> BaseMorphism:
     """The canonical map from arrows to (endpoint object, image arrow) pairs.
 
     For side "d" it sends an arrow x to (d x, F1 x), landing in the pullback
@@ -292,7 +294,7 @@ def classify_fibration(fun: InternalFunctor) -> str:
     return FunctorClassification(fun).fibration
 
 
-def hat_tau_factorization(fun: InternalFunctor, side: str = "d") -> BaseMorphism:
+def hat_tau_factorization(fun: InternalFunctor, side: str) -> BaseMorphism:
     return FunctorClassification(fun).hat_tau(side)[1]
 
 
@@ -310,27 +312,9 @@ def partial_zero(fun: InternalFunctor) -> PartialZero:
     return FunctorClassification(fun).zero
 
 
-def is_faithful(fun: InternalFunctor) -> bool:
-    return partial_zero(fun).faithful
-
-
-def is_full(fun: InternalFunctor) -> bool:
-    return partial_zero(fun).full
-
-
 def is_fully_faithful(fun: InternalFunctor) -> bool:
     """Decide fully-faithfulness twice and insist the answers match."""
     return FunctorClassification(fun).fully_faithful
-
-
-def essential_surjectivity_witness(fun: InternalFunctor,
-                                   side: str = "d") -> BaseMorphism:
-    """The reachable-objects map (image-endpoint pair) -> far endpoint."""
-    return FunctorClassification(fun).reach(side)
-
-
-def is_essentially_surjective(fun: InternalFunctor) -> bool:
-    return FunctorClassification(fun).essential.regular_epi
 
 
 def classify_equivalence(fun: InternalFunctor) -> dict:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from operator import getitem
 
-from .base import (FINAB, FINSET, BaseMorphism, BaseObject, CapabilityError,
-                   DiagramError, LimitResult, _check_order, compose,
-                   finptdset_object, finset_object, identity,
+from .base import (FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject,
+                   CapabilityError, DiagramError, LimitResult, _check_order,
+                   compose, finptdset_object, finset_object, identity,
                    morphism_from_function, product, pullback,
                    reflexive_coequalizer, subobject_limit,
                    zero_morphism, zero_object, zmod)
@@ -26,16 +26,16 @@ from .base import (FINAB, FINSET, BaseMorphism, BaseObject, CapabilityError,
 class InternalGroupoid:
     """Arrows B1 over objects B0 with the five structure maps.
 
-    ``m.dom`` must be the canonical pullback carrier of composable pairs;
-    helpers (``mul``, ``unit``, ``inv``) evaluate the structure maps on
-    elements.  A groupoid built by the library (``_assemble``) has structure
-    maps built from indices, keeps its composition on arrow indices and
-    fills the table of ``m`` (trusted) on first read; one built from outside
-    data is given its table.  The private ``_pairs=`` hands over a
+    ``m.dom`` must be the canonical pullback carrier of composable pairs; the
+    structure maps take elements (``g.e(obj)``, ``g.i(x)``), and ``mul`` checks
+    that two arrows compose.  A groupoid built by the library (``_assemble``)
+    has structure maps built from indices, keeps its composition on arrow
+    indices and fills the table of ``m`` (trusted) on first read; one built
+    from outside data is given its table.  The private ``_pairs=`` hands over a
     ``pullback(c, d)`` already built (the JSON decoder's).
 
     >>> g = discrete_groupoid(finset_object(["p", "q"]))
-    >>> g.unit("p")
+    >>> g.e("p")
     'p'
     """
 
@@ -79,12 +79,6 @@ class InternalGroupoid:
         if self.c.map[xi] != self.d.map[yi]:
             raise DiagramError(f"arrows {x!r}, {y!r} are not composable")
         return b1.carrier[self._mul(xi, yi)]
-
-    def unit(self, obj):
-        return self.e(obj)
-
-    def inv(self, x):
-        return self.i(x)
 
     def __eq__(self, other):
         return self is other or (
@@ -450,8 +444,10 @@ def cyclic_delooping(instance, k: int) -> InternalGroupoid:
         return delooping(zmod(k))
     if instance is FINSET:
         b0, b1 = finset_object(["*"]), finset_object(range(k))
-    else:
+    elif instance is FINPTDSET:
         b0, b1 = finptdset_object(["*"]), finptdset_object(range(k), 0)
+    else:
+        raise DiagramError(f"{instance!r} is not a base instance")
     return _assemble(b0, b1, [0] * k, [0] * k, [0],
                      [(-j) % k for j in range(k)], lambda a, b: (a + b) % k)
 

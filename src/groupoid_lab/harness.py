@@ -116,9 +116,9 @@ from .groupoid import (
 from .holim import (
     comparison_J_data,
     comparison_T_data,
+    h_kernel_into_pullback,
     is_levelwise_pullback_square,
     kernel_groupoid,
-    mediate_h_pullback,
     mediate_pullback,
     pullback_groupoid,
     strong_h_kernel,
@@ -311,10 +311,10 @@ def _random_groupoid(instance, rng, budget) -> InternalGroupoid:
     return rng.choice(fams)(instance, rng, budget)
 
 
-def gen_groupoid(instance, seed, size_budget=None) -> InternalGroupoid:
+def gen_groupoid(instance, seed) -> InternalGroupoid:
     """Seeded random groupoid drawn from the family mixture."""
     rng = random.Random(f"{instance.name}:{seed}")
-    return _random_groupoid(instance, rng, _budget(instance, size_budget))
+    return _random_groupoid(instance, rng, _budget(instance, None))
 
 
 # ---------------------------------------------------------------------------
@@ -1100,10 +1100,8 @@ def _kernel_square_checks(fun: InternalFunctor, jdata):
             kg.groupoid, tdata.strict.to_first.cod), kg.to_second)
     except NoMediatorError:
         return "kernel cone misses the strict pullback"
-    to_g = zero_functor(hk.groupoid, tdata.relaxed.g.dom)
     try:
-        i_fun = mediate_h_pullback(tdata.relaxed, hk.to_f_dom, to_g,
-                                   hk.cell.alpha)
+        i_fun = h_kernel_into_pullback(tdata.relaxed, hk)
     except NoMediatorError:
         return "h-kernel cone misses the relaxed pullback"
     if compose_functors(jdata.functor, i_fun) != compose_functors(

@@ -211,16 +211,15 @@ def mediate_squares(data: ArrowGroupoid, mu: NatTransformation) -> InternalFunct
     return InternalFunctor(x, data.groupoid, mu.alpha, f1)
 
 
-def twist_iso(b: InternalGroupoid, data: ArrowGroupoid | None = None) -> InternalFunctor:
-    """The transposition isomorphism onto the square groupoid.
+def twist_iso(b: InternalGroupoid) -> InternalFunctor:
+    """The transposition isomorphism onto ``arrow_groupoid(b)``, built here.
 
     Its domain is the transposed structure on the same carrier of squares
     (source = top side, target = bottom side); the functor is the identity
     on objects and swaps the two composable-pair halves of each square.
     It is an involution up to the transposition of structure.
     """
-    if data is None:
-        data = arrow_groupoid(b)
+    data = arrow_groupoid(b)
     sqg, sq = data.groupoid, data.pairs
     swap = sq.mediate({"p1": sq.legs["p2"], "p2": sq.legs["p1"]})
     # the square groupoid conjugated by the swap, which is an involution
@@ -377,17 +376,16 @@ def strong_h_kernel(fun: InternalFunctor) -> HPullback:
     return strong_h_pullback(fun, _zero_leg(fun.cod))
 
 
-def h_kernel_into_pullback(hp: HPullback):
-    """The mediator of the h-kernel cone into any strong h-pullback of f.
+def h_kernel_into_pullback(hp: HPullback, hk: HPullback) -> InternalFunctor:
+    """The mediator of a strong h-kernel's cone into a strong h-pullback.
 
-    Returns (strong h-kernel of hp.f, mediating functor).  The mediator
-    composes to zero on the g side, to the h-kernel projection on the f
-    side, and its image is a kernel of the g-side projection (checked in
-    tests/test_holim.py::TestHKernelIntoPullback).
+    ``hk`` is a strong h-kernel of hp.f; its cone is the zero functor on the
+    g side, its projection on the f side and its null-homotopy.  The
+    mediator composes to those, and its image is a kernel of the g-side
+    projection (checked in tests/test_holim.py::TestHKernelIntoPullback).
     """
-    hk = strong_h_kernel(hp.f)
     to_g = zero_functor(hk.groupoid, hp.g.dom)
-    return hk, mediate_h_pullback(hp, hk.to_f_dom, to_g, hk.cell.alpha)
+    return mediate_h_pullback(hp, hk.to_f_dom, to_g, hk.cell.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -269,11 +269,12 @@ class TestStrongHKernel:
         obj = ArrowObject(doubling_arrow())
         hk = strong_h_kernel_arr(identity_arr(obj))
         assert hk.limit.apex.size == obj.top.size
-        assert classify_morphism(hk.object.a).mono
+        assert classify_morphism(hk.inclusion.dom.a).mono
 
     def test_graph_square_sizes(self):
         hk = strong_h_kernel_arr(graph_square())
-        assert (hk.object.top.size, hk.object.bottom.size) == (2, 4)
+        obj = hk.inclusion.dom
+        assert (obj.top.size, obj.bottom.size) == (2, 4)
 
     def test_fold_square_pullback_has_five_points(self):
         hk = strong_h_kernel_arr(fold_square())
@@ -286,8 +287,8 @@ class TestStrongHKernel:
     def test_triple_laws(self):
         m = mod2_square()
         hk = strong_h_kernel_arr(m)
-        assert compose(hk.object.a, hk.limit.legs["p1"]) == m.dom.a
-        assert compose(hk.object.a, hk.limit.legs["p2"]) == m.f
+        assert compose(hk.inclusion.dom.a, hk.limit.legs["p1"]) == m.dom.a
+        assert compose(hk.inclusion.dom.a, hk.limit.legs["p2"]) == m.f
         assert hk.diagonal.morphism == compose_arr(hk.inclusion, m)
 
     def test_capability_guard(self):
@@ -342,7 +343,7 @@ class TestUniversalProperties:
         # the fold square: pasting with the measured square disagrees with
         # pasting through the h-kernel's own diagonal
         hk = strong_h_kernel_arr(fold_square())
-        h = identity_arr(hk.object)
+        h = identity_arr(hk.inclusion.dom)
         mu = Diagonal(compose_arr(h, hk.inclusion), hk.limit.legs["p1"])
         with pytest.raises(NoMediatorError):
             strong_lift(hk, h, mu)

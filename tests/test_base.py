@@ -57,6 +57,20 @@ class TestInstances:
         with pytest.raises(CapabilityError):
             zero_object(FINSET)
 
+    @pytest.mark.parametrize("value", ["finab", "finptdset", None, 0])
+    def test_zero_object_rejects_a_value_that_is_no_instance(self, value):
+        with pytest.raises(DiagramError, match="is not a base instance"):
+            zero_object(value)
+
+    @pytest.mark.parametrize("a, b", [
+        (finset_object(["a"]), zmod(2)),
+        (zmod(2), finptdset_object(["*"])),
+        (finptdset_object(["*"]), finset_object(["a"]))],
+        ids=["finset-finab", "finab-finptdset", "finptdset-finset"])
+    def test_product_rejects_objects_of_two_instances(self, a, b):
+        with pytest.raises(DiagramError, match="crosses base instances"):
+            product(a, b)
+
 
 class TestObjects:
     def test_group_axioms_rejected(self):
@@ -523,6 +537,41 @@ class TestSubgroupMachinery:
         q_obj, proj = quotient_by_subgroup(zmod(4), [0, 1])
         proj._validate()
         assert q_obj.size == 1
+
+    @pytest.mark.parametrize("orders", [(n,) for n in range(1, 9)]
+                             + [(2, 2), (2, 4), (2, 2, 2)],
+                             ids=lambda orders: "x".join(map(str, orders)))
+    def test_quotient_names_each_coset_by_its_least_member(self, orders):
+        # the oracle adds elements itself, componentwise mod each order
+        def plus(x, y, orders=orders):
+            if len(orders) == 1:
+                return (x + y) % orders[0]
+            return (plus(x[0], y[0], orders[:1]),
+                    plus(x[1], y[1], orders[1:]))
+
+        obj = zmod(orders[-1])
+        for n in reversed(orders[:-1]):
+            obj = direct_sum(zmod(n), obj)
+        elems = list(obj.carrier)
+        zero = elems[obj.zero]
+        for gens in itertools.combinations_with_replacement(
+                range(obj.size), 2):
+            sub = {zero}
+            while True:
+                grown = sub | {plus(h, elems[g]) for h in sub for g in gens}
+                if grown == sub:
+                    break
+                sub = grown
+            name = [min(elems.index(plus(x, h)) for h in sub) for x in elems]
+            reps = sorted(set(name))
+            pos = {r: k for k, r in enumerate(reps)}
+            q_obj, proj = quotient_by_subgroup(obj, list(gens))
+            assert list(q_obj.carrier) == [elems[r] for r in reps]
+            assert list(proj.map) == [pos[r] for r in name]
+            assert q_obj.zero == pos[name[obj.zero]]
+            assert [list(row) for row in q_obj.add] == [
+                [pos[name[elems.index(plus(elems[a], elems[b]))]]
+                 for b in reps] for a in reps]
 
     @pytest.mark.parametrize("bad", [[0, 4], [0, -1], [0, True]])
     def test_quotient_rejects_bad_generators(self, bad):

@@ -47,18 +47,15 @@ from groupoid_lab.holim import arrow_groupoid, comparison_J, comparison_T
 from groupoid_lab.classify import (
     FIBRATION_LABELS,
     STAR_LABELS,
+    FunctorClassification,
     classification_report,
     classify_equivalence,
     classify_fibration,
     classify_star_fibration,
-    essential_surjectivity_witness,
     fibration_at_least,
     fully_faithful_comparison,
     hat_tau_factorization,
     is_equivalence,
-    is_essentially_surjective,
-    is_faithful,
-    is_full,
     is_fully_faithful,
     is_weak_equivalence,
     partial_zero,
@@ -112,7 +109,7 @@ class TestTauFactorization:
                 assert compose(tau, lim.legs["p1"]) == end
                 assert compose(tau, lim.legs["p2"]) == fun.F1
         for measure in (tau_factorization, hat_tau_factorization,
-                        essential_surjectivity_witness):
+                        lambda f, side: FunctorClassification(f).reach(side)):
             with pytest.raises(ValueError):
                 measure(identity_functor(g), "x")
 
@@ -240,7 +237,8 @@ class TestPartialZero:
         fun = zero_functor(b, zero_groupoid(FINAB))
         zero = partial_zero(fun)
         assert zero.full and not zero.faithful
-        assert is_full(fun) and not is_faithful(fun)
+        flags = FunctorClassification(fun).flags
+        assert flags["full"] and not flags["faithful"]
 
     def test_discrete_collapse_is_faithful_not_full(self):
         d2 = discrete_groupoid(finset_object(["p", "q"]))
@@ -258,7 +256,7 @@ class TestEquivalenceNotions:
 
     def test_discrete_embedding_sees_every_object(self):
         fun = discrete_embedding(cyclic_delooping(FINAB, 2))
-        assert is_essentially_surjective(fun)
+        assert FunctorClassification(fun).essential.regular_epi
         assert not is_weak_equivalence(fun)
 
     def test_square_evaluation_is_an_equivalence(self):
@@ -268,7 +266,7 @@ class TestEquivalenceNotions:
 
     def test_witness_reaches_objects_through_image_arrows(self):
         fun = discrete_embedding(cyclic_delooping(FINAB, 2))
-        w = essential_surjectivity_witness(fun, "d")
+        w = FunctorClassification(fun).reach("d")
         assert classify_morphism(w).regular_epi
 
     def test_fibration_comparison_tracks_the_label(self):
@@ -378,8 +376,8 @@ class TestCrossChecks:
         self.flip_second_call(monkeypatch)
         with pytest.raises(classify.SideDivergenceError,
                            match="essential surjectivity sides disagree"):
-            is_essentially_surjective(
-                identity_functor(cyclic_delooping(FINAB, 2)))
+            FunctorClassification(
+                identity_functor(cyclic_delooping(FINAB, 2))).essential
 
     def test_fully_faithful_routes(self, monkeypatch):
         # the source map of Z2's delooping is no iso, the comparison is

@@ -229,7 +229,7 @@ class TestStockShapes:
         assert g.B0.size == 4 and g.B1.size == 8
         assert g.d((1, 1)) == 1 and g.c((1, 1)) == 3
         assert g.mul((1, 1), (3, 1)) == (1, 0)
-        assert g.inv((1, 1)) == (3, 1)
+        assert g.i((1, 1)) == (3, 1)
         assert validate_groupoid(g) == []
 
     def test_action_groupoid(self):
@@ -245,6 +245,11 @@ class TestStockShapes:
                                      discrete_groupoid(finset_object("ab")))
         assert validate_groupoid(g) == []
         assert validate_functor(pg) == [] and validate_functor(ph) == []
+
+    def test_product_groupoid_rejects_groupoids_of_two_instances(self):
+        with pytest.raises(DiagramError, match="crosses base instances"):
+            product_groupoid(discrete_groupoid(finset_object(["a"])),
+                             delooping(zmod(2)))
 
     def test_full_subgroupoid(self):
         g = groupoid_from_arrow(embed_delta())
@@ -291,6 +296,12 @@ def test_cyclic_delooping_rejects_orders_below_one(instance, k):
 def test_cyclic_delooping_rejects_orders_that_are_not_ints(instance, k):
     with pytest.raises(DiagramError, match="order must be an int"):
         cyclic_delooping(instance, k)
+
+
+@pytest.mark.parametrize("value", ["finset", "finab", None])
+def test_cyclic_delooping_rejects_a_value_that_is_no_instance(value):
+    with pytest.raises(DiagramError, match="is not a base instance"):
+        cyclic_delooping(value, 3)
 
 
 @pytest.mark.parametrize("n", [2.5, "3", True, False, 4.0])

@@ -58,6 +58,7 @@ from groupoid_lab.groupoid import (
 )
 from groupoid_lab.harness import (
     SUITES,
+    _random_groupoid,
     corrupt_functor,
     corrupt_groupoid,
     corrupt_transformation,
@@ -104,7 +105,8 @@ class TestGenerators:
             for seed in range(40):
                 g = gen_groupoid(inst, seed)
                 assert max(g.B0.size, g.B1.size) <= default
-                small = gen_groupoid(inst, seed, size_budget=5)
+                small = _random_groupoid(
+                    inst, random.Random(f"{inst.name}:{seed}"), 5)
                 assert max(small.B0.size, small.B1.size) <= 5
 
     def test_same_seed_reproduces_the_structure(self):

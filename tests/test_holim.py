@@ -213,21 +213,24 @@ class TestTwist:
     def test_twist_swaps_the_pair_legs(self):
         b = cyclic_delooping(FINAB, 2)
         data = arrow_groupoid(b)
-        tw = twist_iso(b, data)
+        tw = twist_iso(b)
+        assert tw.cod == data.groupoid
         assert compose(tw.F1, data.pairs.legs["p1"]) == data.pairs.legs["p2"]
         assert compose(tw.F1, data.pairs.legs["p2"]) == data.pairs.legs["p1"]
 
     def test_twist_is_an_involution(self):
         b = cyclic_delooping(FINSET, 4)
         data = arrow_groupoid(b)
-        tw = twist_iso(b, data)
+        tw = twist_iso(b)
+        assert tw.cod == data.groupoid
         assert compose(tw.F1, tw.F1) == identity(data.groupoid.B1)
         assert tw.F0 == identity(b.B1)
 
     def test_transposed_structure_reads_top_to_bottom(self):
         b = cyclic_delooping(FINAB, 3)
         data = arrow_groupoid(b)
-        tw = twist_iso(b, data)
+        tw = twist_iso(b)
+        assert tw.cod == data.groupoid
         for s in tw.dom.B1.carrier:
             assert tw.dom.d(s) == s[1][0]
             assert tw.dom.c(s) == s[0][1]
@@ -235,7 +238,8 @@ class TestTwist:
     def test_discrete_twist_is_identity_on_squares(self):
         b = discrete_groupoid(finset_object([0, 1]))
         data = arrow_groupoid(b)
-        tw = twist_iso(b, data)
+        tw = twist_iso(b)
+        assert tw.cod == data.groupoid
         assert tw.F1 == identity(data.groupoid.B1)
 
 
@@ -582,7 +586,8 @@ class TestHKernelIntoPullback:
         g = groupoid_from_arrow(embed_delta())
         idg = identity_functor(g)
         hp = strong_h_pullback(idg, idg)
-        hk, ell = h_kernel_into_pullback(hp)
+        hk = strong_h_kernel(hp.f)
+        ell = h_kernel_into_pullback(hp, hk)
         assert validate_functor(ell) == []
         assert compose_functors(ell, hp.to_f_dom) == hk.to_f_dom
         assert compose_functors(ell, hp.to_g_dom) == zero_functor(hk.groupoid, g)
@@ -591,7 +596,8 @@ class TestHKernelIntoPullback:
         g = groupoid_from_arrow(embed_delta())
         idg = identity_functor(g)
         hp = strong_h_pullback(idg, idg)
-        hk, ell = h_kernel_into_pullback(hp)
+        hk = strong_h_kernel(hp.f)
+        ell = h_kernel_into_pullback(hp, hk)
         kg, incl = kernel_groupoid(hp.to_g_dom)
         for mine, theirs in ((ell.F0, incl.F0), (ell.F1, incl.F1)):
             assert len(set(mine.map)) == len(mine.map)
@@ -613,11 +619,11 @@ class TestComposition:
         o0, o1 = g.B0.carrier[:2]
         # units at two different objects: c(x) != d(y)
         with pytest.raises(DiagramError):
-            g.mul(g.unit(o0), g.unit(o1))
+            g.mul(g.e(o0), g.e(o1))
         with pytest.raises(DiagramError):
-            g.mul(("not", "an", "arrow"), g.unit(o0))
+            g.mul(("not", "an", "arrow"), g.e(o0))
         with pytest.raises(DiagramError):
-            g.mul(g.unit(o0), ("not", "an", "arrow"))
+            g.mul(g.e(o0), ("not", "an", "arrow"))
 
     def test_mul_rejects_pairs_that_do_not_compose(self):
         for g in self.built():
