@@ -498,6 +498,8 @@ def identity(obj: BaseObject) -> BaseMorphism:
 
 
 def zero_morphism(dom: BaseObject, cod: BaseObject) -> BaseMorphism:
+    if dom.instance is not cod.instance:
+        raise DiagramError("zero morphism crosses base instances")
     if not dom.instance.pointed:
         raise CapabilityError("finset has no zero morphisms")
     return BaseMorphism(dom, cod, [cod.zero] * dom.size, _trusted=True)

@@ -5,9 +5,13 @@ an invalid object or a failed property expectation, 2 for usage and
 parse errors.  No suite is timed: reports written with ``--out`` keep an
 ``elapsed_ms`` field that is always 0, so identical flags and seed produce
 byte-identical files.
+
+``main(argv)`` is the in-process entry point as well as the console
+script's; it builds its argument parser once per process, on first call.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,6 +212,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.expectation_met for r in reports) else EXIT_INVALID
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoid-lab",

@@ -71,6 +71,15 @@ class TestInstances:
         with pytest.raises(DiagramError, match="crosses base instances"):
             product(a, b)
 
+    @pytest.mark.parametrize("a, b", [
+        (finptdset_object(["*", "x"]), zmod(2)),
+        (zmod(2), finptdset_object(["*", "x"])),
+        (finset_object(["a"]), zmod(2))],
+        ids=["finptdset-finab", "finab-finptdset", "finset-finab"])
+    def test_zero_morphism_rejects_objects_of_two_instances(self, a, b):
+        with pytest.raises(DiagramError, match="crosses base instances"):
+            zero_morphism(a, b)
+
 
 class TestObjects:
     def test_group_axioms_rejected(self):

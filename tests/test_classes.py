@@ -281,6 +281,21 @@ class TestEquivalenceNotions:
         assert is_weak_equivalence(j)
         assert not is_equivalence(j)
 
+    def test_weak_equivalence_without_an_additive_inverse(self):
+        # the graph groupoid of Z2 -> Z4 has two components, the cosets of
+        # {0, 2}, and no nontrivial loop, so collapsing each component to
+        # its coset is fully faithful and essentially surjective; an
+        # inverse would need an additive section Z2 -> Z4 of the mod-2 map
+        g = graph_groupoid()
+        assert g.B1.size == 8
+        target = discrete_groupoid(zmod(2))
+        fun = functor(g, target, lambda a: a % 2, lambda x: x[0] % 2)
+        assert fun.F1 == compose(g.d, fun.F0, target.e)
+        assert classify_equivalence(fun) == {
+            "fully_faithful": True, "essentially_surjective": True,
+            "weak_equivalence": True, "equivalence": False}
+        assert classify_fibration(fun) == "split_epi_fibration"
+
 
 class TestClassificationReport:
     def test_mod2_flags_frozen(self):

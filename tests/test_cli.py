@@ -8,6 +8,7 @@ data/verify-seed0.json and data/verify-seed42.json are the default
 for byte.
 """
 
+import argparse
 import copy
 import json
 from pathlib import Path
@@ -456,3 +457,39 @@ class TestVerify:
         assert main(["validate", groupoid_file]) == 0
         assert main(["classify", functor_file]) == 0
         assert "GROUPOID_LAB_SEED" not in capsys.readouterr().err
+
+
+class TestInProcess:
+    """``main`` called again and again in one process, as a library caller
+    or the benchmark does."""
+
+    def test_later_calls_build_no_parser(self, functor_file, capsys,
+                                         monkeypatch):
+        assert main(["validate", functor_file]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["classify", functor_file, "--format", "json"]) == 0
+        assert main(["verify", "--suite", "no-such-suite"]) == 2
+        capsys.readouterr()
+        assert built == []
+
+    def test_a_usage_error_leaves_later_calls_alone(self, functor_file,
+                                                    capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--cases", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: groupoid-lab verify")
+        assert "invalid int value: 'x'" in err
+        outs = []
+        for _ in range(2):
+            assert main(["classify", functor_file, "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["flags"]["equivalence"] is True

@@ -251,6 +251,11 @@ class TestStockShapes:
             product_groupoid(discrete_groupoid(finset_object(["a"])),
                              delooping(zmod(2)))
 
+    def test_zero_functor_rejects_groupoids_of_two_instances(self):
+        with pytest.raises(DiagramError, match="crosses base instances"):
+            zero_functor(cyclic_delooping(FINPTDSET, 2),
+                         cyclic_delooping(FINAB, 2))
+
     def test_full_subgroupoid(self):
         g = groupoid_from_arrow(embed_delta())
         sub, incl = full_subgroupoid(g, [0, 2])
