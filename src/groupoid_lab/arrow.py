@@ -179,10 +179,13 @@ class ArrowHKernel:
 
 def _kept_entry(m: ArrowMorphism) -> list:
     """The entry [f0, pullback of f0 and m.cod.a, J's bottom or None] kept
-    on the codomain object for m.f0, built on the first square that asks."""
+    on the codomain object for m.f0, built on the first square that asks.
+
+    The entry holds f0, so no other map can take its id while it lives.
+    """
     f0, kept = m.f0, m.cod._pullbacks
     hit = kept.get(id(f0))
-    if hit is None or hit[0] is not f0:
+    if hit is None:
         hit = kept[id(f0)] = [f0, pullback(f0, m.cod.a), None]
     return hit
 

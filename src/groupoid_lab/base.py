@@ -226,11 +226,6 @@ class BaseObject:
         except KeyError:
             raise DiagramError(f"element {element!r} is not in the carrier") from None
 
-    def __contains__(self, element) -> bool:
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self.carrier)}
-        return element in self._index
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -781,10 +776,6 @@ class MorphismFlags:
         f = self.morphism
         return self.regular_epi and (self.iso or f.dom.instance is not FINAB
                                      or additive_section(f) is not None)
-
-
-def image_indices(f: BaseMorphism) -> list[int]:
-    return sorted(set(f.map))
 
 
 def additive_section(f: BaseMorphism):

@@ -169,15 +169,8 @@ class SuiteReport:
 
 
 def _witness(case, reason, **values) -> dict:
-    data = {}
-    for key, v in values.items():
-        if isinstance(v, (str, int, float, bool)) or v is None:
-            data[key] = v
-            continue
-        try:
-            data[key] = value_to_data(v)
-        except DiagramError:
-            data[key] = repr(v)
+    data = {key: v if isinstance(v, (str, int, float, bool)) or v is None
+            else value_to_data(v) for key, v in values.items()}
     return {"case": case, "reason": reason, "witness": data}
 
 
@@ -228,13 +221,9 @@ def _random_surjection(dom: BaseObject, rng) -> BaseMorphism:
         cod = finptdset_object(["*"] + [f"q{i}" for i in range(1, size)], 0)
     else:
         cod = finset_object([f"q{i}" for i in range(size)])
+    # onto, as size <= dom.size; the swap below pins the basepoint
     table = [i % size for i in range(dom.size)]
     rng.shuffle(table)
-    # cover every target and keep the basepoint pinned
-    for j in range(size):
-        if j not in table:
-            table[rng.choice([i for i in range(dom.size)
-                              if table.count(table[i]) > 1])] = j
     if inst is FINPTDSET:
         base_pre = table.index(cod.zero)
         table[base_pre], table[dom.zero] = table[dom.zero], table[base_pre]
@@ -373,10 +362,9 @@ def _delooping_collapse(instance, rng, budget):
 
 
 def _delooping_embedding(instance, rng, budget):
+    # callers pass budgets of at least 5, so (1, 2) is always a pair
     factors = [(k, m) for k in range(1, budget + 1)
                for m in range(2, budget + 1) if k * m <= budget]
-    if not factors:
-        factors = [(1, 1)]
     k, m = rng.choice(factors)
     dom = cyclic_delooping(instance, k)
     cod = cyclic_delooping(instance, k * m)
@@ -707,12 +695,10 @@ def corrupt_groupoid(g: InternalGroupoid, rng):
         d_bad = zero_morphism(g.B1, g.B0)
         if d_bad.map == g.d.map:
             return None
-        bad = InternalGroupoid(g.B0, g.B1, d_bad, g.c, g.e, g.m, g.i)
-        # c.e = id puts every object in c's image, so the composable pairs
-        # change with d
-        if pullback(g.c, d_bad).apex != g.m.dom:
-            return bad, "composition-carrier"
-        return None
+        # d_bad y differs from d y for some arrow y; as c.e = id, the pair
+        # (e(d y), y) is composable under d and not under d_bad
+        return (InternalGroupoid(g.B0, g.B1, d_bad, g.c, g.e, g.m, g.i),
+                "composition-carrier")
 
     return _first_corruption([retype_source, retype_identity, drop_inverse,
                               project_compose, zero_source], rng)

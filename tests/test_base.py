@@ -13,7 +13,7 @@ from groupoid_lab.base import (
     DiagramError, NoMediatorError, additive_section, classify_morphism,
     comma, compose, count_factorizations, direct_sum, enumerate_morphisms,
     finab_object, finptdset_object, finset_object, generated_subgroup_indices,
-    identity, image_indices, jointly_strongly_epi, kernel,
+    identity, jointly_strongly_epi, kernel,
     morphism_from_function, parse_instance, product, pullback,
     quotient_by_subgroup, reflexive_coequalizer, split_section,
     subobject_limit, zero_morphism, zero_object, zmod)
@@ -435,6 +435,19 @@ class TestClassify:
         f = morphism_from_function(x, y, lambda e: "*" if e == "*" else "c")
         s = split_section(f)
         assert s("*") == "*" and compose(s, f) == identity(y)
+
+    @pytest.mark.parametrize("instance", [FINSET, FINPTDSET, FINAB],
+                             ids=lambda i: i.name)
+    def test_a_map_that_is_not_onto_has_no_section(self, instance):
+        if instance is FINSET:
+            f = morphism_from_function(finset_object(["a"]),
+                                       finset_object(["a", "b"]),
+                                       lambda _: "a")
+        else:
+            two = (zmod(2) if instance is FINAB
+                   else finptdset_object(["*", "a"]))
+            f = zero_morphism(two, two)
+        assert split_section(f) is None
 
     def test_iso_flag(self):
         assert classify_morphism(scale_map(zmod(5), 2)).iso

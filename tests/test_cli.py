@@ -316,6 +316,21 @@ class TestClassify:
         assert ("expected an arrow morphism, file holds a groupoid"
                 in capsys.readouterr().err)
 
+    def test_groupoid_file_is_not_a_functor(self, groupoid_file, capsys):
+        assert main(["classify", groupoid_file]) == 1
+        assert ("expected a functor, file holds a groupoid"
+                in capsys.readouterr().err)
+
+    def test_malformed_json_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "garbage.json"
+        path.write_text("{not json")
+        assert main(["classify", str(path)]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["classify", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_unpointed_square_is_rejected(self, tmp_path, capsys):
         from groupoid_lab.arrow import ArrowMorphism, ArrowObject
         from groupoid_lab.base import finset_object, identity
@@ -372,6 +387,15 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("axioms/finset: cases=5 failures=0 ok")
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.json"
+        code = main(["verify", "--suite", "axioms", "--instance", "finset",
+                     "--cases", "2", "--out", str(out)])
+        assert code == 2
+        printed, err = capsys.readouterr()
+        assert printed.startswith("axioms/finset: cases=2 failures=0 ok")
+        assert err.startswith(f"cannot write {out}")
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         assert main(["verify", "--suite", "no-such-suite"]) == 2
