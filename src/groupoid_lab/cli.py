@@ -2,9 +2,12 @@
 
 Exit codes follow one contract across subcommands: 0 for success, 1 for
 an invalid object or a failed property expectation, 2 for usage and
-parse errors.  No suite is timed: reports written with ``--out`` keep an
-``elapsed_ms`` field that is always 0, so identical flags and seed produce
-byte-identical files.
+parse errors.  ``validate`` and ``classify`` load a file one way: decode
+it, then check its axioms.  ``classify`` reads a functor or a square,
+whichever the file holds.  ``verify`` takes its seed from ``--seed``
+alone (default 0).  No suite is timed: reports written with ``--out``
+keep an ``elapsed_ms`` field that is always 0, so identical flags and
+seed produce byte-identical files.
 
 ``main(argv)`` is the in-process entry point as well as the console
 script's; it builds its argument parser once per process, on first call.
@@ -13,7 +16,6 @@ script's; it builds its argument parser once per process, on first call.
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .arrow import (
@@ -39,31 +41,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 
-def _load_value(path):
-    """Decode one JSON file.
-
-    Returns (value, None, None) on success and (None, exit_code, message)
-    otherwise, separating unreadable or shapeless input (usage error)
-    from data that names a known shape but fails to build (invalid).
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        return None, EXIT_USAGE, f"cannot read {path}: {exc}"
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
-        return None, EXIT_USAGE, f"malformed JSON in {path}: {exc}"
-    try:
-        return value_from_data(data), None, None
-    except UnknownShapeError as exc:
-        return None, EXIT_USAGE, f"{path}: {exc}"
-    except GroupoidLabError as exc:
-        return None, EXIT_INVALID, f"{path}: {exc}"
-    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
-        return None, EXIT_USAGE, f"{path}: malformed value data ({exc!r})"
-
-
 def _violations(value) -> list[str]:
     """The axioms a groupoid, functor or transformation breaks, checked from
     the bottom up: the groupoids it sits on, a transformation's two
@@ -85,23 +62,51 @@ def _violations(value) -> list[str]:
     return list(dict.fromkeys(bad)) if bad else validator(value)
 
 
-def cmd_validate(args) -> int:
-    value, code, message = _load_value(args.path)
-    if code is not None:
-        print(message, file=sys.stderr)
-        return code
+def _refused(code, message):
+    print(message, file=sys.stderr)
+    return None, code
+
+
+def _load_checked(path):
+    """Decode one JSON file and check the value's axioms.
+
+    Returns (value, EXIT_OK) for a valid value.  Otherwise it prints why
+    and returns (None, exit_code): unreadable or shapeless input is a
+    usage error, while data that names a known shape but fails to build,
+    or breaks an axiom, is invalid.  Violated axioms go to stdout, one a
+    line, and every other reason to stderr.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        return _refused(EXIT_USAGE, f"cannot read {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        return _refused(EXIT_USAGE, f"malformed JSON in {path}: {exc}")
+    try:
+        value = value_from_data(data)
+    except UnknownShapeError as exc:
+        return _refused(EXIT_USAGE, f"{path}: {exc}")
+    except GroupoidLabError as exc:
+        return _refused(EXIT_INVALID, f"{path}: {exc}")
+    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
+        return _refused(EXIT_USAGE, f"{path}: malformed value data ({exc!r})")
     try:
         violations = _violations(value)
     except GroupoidLabError as exc:
         # parts of mistyped shape cannot even be composed
-        print(f"{args.path}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _refused(EXIT_INVALID, f"{path}: {exc}")
     for axiom in violations:
         print(axiom)
-    if violations:
-        return EXIT_INVALID
-    print(f"valid {kind_name(value)}")
-    return EXIT_OK
+    return (None, EXIT_INVALID) if violations else (value, EXIT_OK)
+
+
+def cmd_validate(args) -> int:
+    value, code = _load_checked(args.path)
+    if code == EXIT_OK:
+        print(f"valid {kind_name(value)}")
+    return code
 
 
 def _arrow_payload(square: ArrowMorphism) -> dict:
@@ -133,28 +138,17 @@ def _print_payload(payload: dict, format_: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    value, code, message = _load_value(args.path)
-    if code is not None:
-        print(message, file=sys.stderr)
+    value, code = _load_checked(args.path)
+    if code != EXIT_OK:
         return code
+    if not isinstance(value, (InternalFunctor, ArrowMorphism)):
+        print("expected a functor or an arrow morphism, file holds a "
+              f"{kind_name(value)}", file=sys.stderr)
+        return EXIT_INVALID
     try:
-        if args.kind == "functor":
-            if not isinstance(value, InternalFunctor):
-                print(f"expected a functor, file holds a "
-                      f"{kind_name(value)}", file=sys.stderr)
-                return EXIT_INVALID
-            violations = _violations(value)
-            if violations:
-                for axiom in violations:
-                    print(axiom)
-                return EXIT_INVALID
-            payload = classification_report(value).payload()
-        else:
-            if not isinstance(value, ArrowMorphism):
-                print(f"expected an arrow morphism, file holds a "
-                      f"{kind_name(value)}", file=sys.stderr)
-                return EXIT_INVALID
-            payload = _arrow_payload(value)
+        payload = (classification_report(value).payload()
+                   if isinstance(value, InternalFunctor)
+                   else _arrow_payload(value))
     except GroupoidLabError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INVALID
@@ -166,15 +160,6 @@ def cmd_verify(args) -> int:
     if args.cases is not None and args.cases < 1:
         print("--cases must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    seed = args.seed
-    if seed is None:
-        raw_seed = os.environ.get("GROUPOID_LAB_SEED", "0")
-        try:
-            seed = int(raw_seed)
-        except ValueError:
-            print(f"GROUPOID_LAB_SEED must be an integer, got {raw_seed!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
     names = suite_names()
     if args.suite == "all":
         selected = names
@@ -196,7 +181,7 @@ def cmd_verify(args) -> int:
     for name in selected:
         targets = pinned or [parse_instance(n) for n in SUITES[name].instances]
         for instance in targets:
-            report = run_suite(name, instance, args.cases, seed)
+            report = run_suite(name, instance, args.cases, args.seed)
             reports.append(report)
             print(f"{name}/{instance.name}: cases={report.cases} "
                   f"failures={len(report.failures)} {report.status}")
@@ -226,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser(
         "classify", help="print the flag vector of a functor or square")
-    p_classify.add_argument("path", help="JSON file holding one value")
-    p_classify.add_argument("--kind", choices=("functor", "arrow"),
-                            default="functor")
+    p_classify.add_argument("path", help="JSON file holding a functor or a "
+                                         "square")
     p_classify.add_argument("--format", dest="format_",
                             choices=("json", "table"), default="table")
 
@@ -240,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="finset, finptdset, finab, or 'all'")
     p_verify.add_argument("--cases", type=int, default=None,
                           help="cases per suite (default: per-suite bound)")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="generator seed (default: GROUPOID_LAB_SEED "
-                               "or 0)")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="generator seed (default: 0)")
     p_verify.add_argument("--out", default=None,
                           help="write the reports as JSON to this file")
     return parser

@@ -1,5 +1,5 @@
 """The package doctests, the demo scripts and the README's library
-example run as documented."""
+example run as documented, and the README's command lines parse."""
 
 import contextlib
 import doctest
@@ -8,6 +8,7 @@ import io
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import groupoid_lab
+from groupoid_lab.cli import build_parser
 
 MODULES = ["groupoid_lab"] + [f"groupoid_lab.{m.name}"
                               for m in pkgutil.iter_modules(groupoid_lab.__path__)]
@@ -55,3 +57,22 @@ def test_readme_library_example_prints_its_comments():
         exec(block, {})
     assert expected == ["True", "False"]
     assert out.getvalue().split() == expected
+
+
+def _readme_cli_lines():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.S | re.M).group(1)
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("groupoid-lab ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    """Each documented command names only options the parser knows; the
+    file paths in it are placeholders and are not read."""
+    build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_cli_lines_are_found():
+    assert len(_readme_cli_lines()) >= 6

@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 import pytest
 
 from groupoid_lab import groupoid, harness
-from groupoid_lab.base import BaseMorphism, _quotient, parse_instance
+from groupoid_lab.arrow import ArrowMorphism
+from groupoid_lab.base import (
+    BaseMorphism,
+    _quotient,
+    _tuple_limit,
+    parse_instance,
+)
+from groupoid_lab.classify import classify_fibration
 
 
 def _reports():
@@ -73,6 +80,38 @@ def _last_to_first(real):
         table[-1] = table[0]
         return BaseMorphism(f.dom, f.cod, table, _trusted=True)
     return planted
+
+
+def _last_pair_twice(real):
+    """``product`` with its last index pair listed twice, so two apex
+    elements have the same legs and a cone into it factors twice."""
+    def planted(a, b):
+        pairs = [(i, j) for i in range(a.size) for j in range(b.size)]
+        return _tuple_limit(("p1", "p2"), [a, b], pairs + pairs[-1:])
+    return planted
+
+
+def _zero_bottom(real):
+    """``kernel_preservation_comparison`` with its bottom map sent to zero,
+    built trusted so that the square is not checked and nothing raises."""
+    def planted(incl, square, ker):
+        cmp = real(incl, square, ker)
+        zero = BaseMorphism(cmp.f0.dom, cmp.f0.cod,
+                            [cmp.f0.cod.zero] * cmp.f0.dom.size, _trusted=True)
+        return ArrowMorphism(cmp.dom, cmp.cod, cmp.f, zero, _trusted=True)
+    return planted
+
+
+def _star_only_with_fibration(real):
+    def planted(fun):
+        if classify_fibration(fun) == "not_fibration":
+            return "not_star"
+        return real(fun)
+    return planted
+
+
+def _no_square_fibration(real):
+    return lambda m: {**real(m), "fibration": False}
 
 
 def _equivalence_is_weak(real):
@@ -179,6 +218,34 @@ PLANTED = {
          ("kernel-pullback-rows", "finab"): 17,
          ("kernels-strong-arr", "finptdset"): 39,
          ("kernels-strong-arr", "finab"): 35}),
+    # on finab a cone is additive and x = x + 0 lands where the apex's
+    # addition looks the pair up, on its last copy, so it factors once
+    "product-lists-a-pair-twice": Planted(
+        harness, "product", _last_pair_twice,
+        frozenset({("mediator-uniqueness", i)
+                   for i in ("finset", "finptdset")}),
+        {("mediator-uniqueness", "finset"): 7,
+         ("mediator-uniqueness", "finptdset"): 5}),
+    "kernel-comparison-bottom-is-zero": Planted(
+        harness, "kernel_preservation_comparison", _zero_bottom,
+        frozenset({("normalization-preserves-kernels", i)
+                   for i in _BOTH_POINTED}),
+        {("normalization-preserves-kernels", "finptdset"): 8,
+         ("normalization-preserves-kernels", "finab"): 12}),
+    # the search then finds no witness, and every star-fibration drawn
+    # that is not a fibration disagrees with J
+    "star-only-with-a-fibration": Planted(
+        harness, "classify_star_fibration", _star_only_with_fibration,
+        frozenset({("star-not-fibration-search", "finab")}
+                  | {("prop-star-fibration-J", i) for i in _BOTH_POINTED}),
+        {("star-not-fibration-search", "finab"): 0,
+         ("prop-star-fibration-J", "finptdset"): 4,
+         ("prop-star-fibration-J", "finab"): 2}),
+    "no-square-fibration": Planted(
+        harness, "classify_arrow_morphism", _no_square_fibration,
+        frozenset({("normalization-transfer", i) for i in _BOTH_POINTED}),
+        {("normalization-transfer", "finptdset"): 42,
+         ("normalization-transfer", "finab"): 42}),
     # the generators almost never draw a fibration or a star-fibration
     # that is not split, where an equivalence and a weak equivalence part
     "equivalence-reported-as-weak": Planted(
@@ -208,3 +275,11 @@ def test_a_planted_defect_is_reported(monkeypatch, key):
         assert missed == row.missed
     for run, count in row.failures.items():
         assert len(reports[run].failures) == count
+
+
+def test_every_suite_misses_under_some_planted_defect():
+    """Each registered suite can fail: some row names one of its runs.  The
+    strict xfail row, which names none, counts for nothing."""
+    covered = {name for row in PLANTED.values() if row.missed
+               for name, _ in row.missed}
+    assert covered == set(harness.SUITES)
