@@ -114,6 +114,7 @@ from .groupoid import (
     zero_groupoid,
 )
 from .holim import (
+    _square_map,
     comparison_J_data,
     comparison_T_data,
     h_kernel_into_pullback,
@@ -1008,13 +1009,10 @@ def _refinement_square_holds(fun: InternalFunctor, tdata):
     """
     a, b = fun.dom, fun.cod
     v = tdata.relaxed
-
-    def degenerate(x):
-        u = b.e(fun.F0(a.d(x)))
-        return ((u, fun.F1(x)), (u, fun.F1(x)))
-
-    sq_map = morphism_from_function(a.B1, v.squares.groupoid.B1, degenerate)
+    u = compose(a.d, fun.F0, b.e)
     try:
+        sq_map = _square_map(v.squares.pairs, b.composition_pairs(),
+                             u, fun.F1, u, fun.F1)
         fbar = v.arrow_limit.mediate({"g_arr": compose(a.d, fun.F0),
                                       "squares": sq_map,
                                       "f_arr": identity(a.B1)})
@@ -1436,7 +1434,8 @@ def _test_source(instance, apex_size):
 
 @_suite("mediator-uniqueness", _ALL)
 def _check_mediator_uniqueness(instance, case):
-    """Limit mediators are unique, by exhaustive candidate enumeration."""
+    """A limit's apex lists each tuple of leg values once, and its
+    mediators are unique, by exhaustive candidate enumeration."""
     rng = case.rng
     kinds = ["pullback", "product", "h-object", "h-arrow"]
     if instance.pointed:
@@ -1460,6 +1459,9 @@ def _check_mediator_uniqueness(instance, case):
         hp = strong_h_pullback(f, g)
         lim = hp.object_limit if kind == "h-object" else hp.arrow_limit
     if lim.apex.size == 0:
+        return
+    if len(set(zip(*(leg.map for leg in lim.legs.values())))) < lim.apex.size:
+        case.fail("apex lists an element twice", kind=kind, apex=lim.apex)
         return
     w = _test_source(instance, lim.apex.size)
     h = _random_map(w, lim.apex, rng)

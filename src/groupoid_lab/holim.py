@@ -211,26 +211,6 @@ def mediate_squares(data: ArrowGroupoid, mu: NatTransformation) -> InternalFunct
     return InternalFunctor(x, data.groupoid, mu.alpha, f1)
 
 
-def twist_iso(b: InternalGroupoid) -> InternalFunctor:
-    """The transposition isomorphism onto ``arrow_groupoid(b)``, built here.
-
-    Its domain is the transposed structure on the same carrier of squares
-    (source = top side, target = bottom side); the functor is the identity
-    on objects and swaps the two composable-pair halves of each square.
-    It is an involution up to the transposition of structure.
-    """
-    data = arrow_groupoid(b)
-    sqg, sq = data.groupoid, data.pairs
-    swap = sq.mediate({"p1": sq.legs["p2"], "p2": sq.legs["p1"]})
-    # the square groupoid conjugated by the swap, which is an involution
-    sw, mul = swap.map, _index_mul(sqg)
-    transposed = _assemble(b.B1, sqg.B1, compose(swap, sqg.d),
-                           compose(swap, sqg.c), compose(sqg.e, swap),
-                           compose(swap, sqg.i, swap),
-                           lambda x, y: sw[mul(sw[x], sw[y])])
-    return InternalFunctor(transposed, sqg, identity(b.B1), swap)
-
-
 # ---------------------------------------------------------------------------
 # strong h-pullbacks
 

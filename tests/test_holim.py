@@ -80,7 +80,6 @@ from groupoid_lab.holim import (
     pullback_groupoid,
     strong_h_kernel,
     strong_h_pullback,
-    twist_iso,
 )
 from groupoid_lab.serialize import from_json, to_json
 
@@ -199,48 +198,6 @@ class TestBuiltFromIndices:
         for cell in cells:
             assert validate_transformation(cell) == []
         assert builds == []
-
-
-class TestTwist:
-    def test_twist_is_an_isomorphism(self):
-        b = cyclic_delooping(FINAB, 2)
-        tw = twist_iso(b)
-        assert validate_functor(tw) == []
-        assert validate_groupoid(tw.dom) == []
-        assert classify_morphism(tw.F0).iso
-        assert classify_morphism(tw.F1).iso
-
-    def test_twist_swaps_the_pair_legs(self):
-        b = cyclic_delooping(FINAB, 2)
-        data = arrow_groupoid(b)
-        tw = twist_iso(b)
-        assert tw.cod == data.groupoid
-        assert compose(tw.F1, data.pairs.legs["p1"]) == data.pairs.legs["p2"]
-        assert compose(tw.F1, data.pairs.legs["p2"]) == data.pairs.legs["p1"]
-
-    def test_twist_is_an_involution(self):
-        b = cyclic_delooping(FINSET, 4)
-        data = arrow_groupoid(b)
-        tw = twist_iso(b)
-        assert tw.cod == data.groupoid
-        assert compose(tw.F1, tw.F1) == identity(data.groupoid.B1)
-        assert tw.F0 == identity(b.B1)
-
-    def test_transposed_structure_reads_top_to_bottom(self):
-        b = cyclic_delooping(FINAB, 3)
-        data = arrow_groupoid(b)
-        tw = twist_iso(b)
-        assert tw.cod == data.groupoid
-        for s in tw.dom.B1.carrier:
-            assert tw.dom.d(s) == s[1][0]
-            assert tw.dom.c(s) == s[0][1]
-
-    def test_discrete_twist_is_identity_on_squares(self):
-        b = discrete_groupoid(finset_object([0, 1]))
-        data = arrow_groupoid(b)
-        tw = twist_iso(b)
-        assert tw.cod == data.groupoid
-        assert tw.F1 == identity(data.groupoid.B1)
 
 
 class TestMediateSquares:
@@ -613,7 +570,6 @@ class TestComposition:
         yield groupoid_from_arrow(embed_delta())
         loop = identity_functor(cyclic_delooping(FINPTDSET, 2))
         yield strong_h_pullback(loop, loop).groupoid
-        yield twist_iso(cyclic_delooping(FINAB, 2)).dom
 
     def assert_rejects(self, g):
         o0, o1 = g.B0.carrier[:2]

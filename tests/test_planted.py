@@ -84,7 +84,7 @@ def _last_to_first(real):
 
 def _last_pair_twice(real):
     """``product`` with its last index pair listed twice, so two apex
-    elements have the same legs and a cone into it factors twice."""
+    elements have the same legs, and a cone into it can factor twice."""
     def planted(a, b):
         pairs = [(i, j) for i in range(a.size) for j in range(b.size)]
         return _tuple_limit(("p1", "p2"), [a, b], pairs + pairs[-1:])
@@ -218,14 +218,13 @@ PLANTED = {
          ("kernel-pullback-rows", "finab"): 17,
          ("kernels-strong-arr", "finptdset"): 39,
          ("kernels-strong-arr", "finab"): 35}),
-    # on finab a cone is additive and x = x + 0 lands where the apex's
-    # addition looks the pair up, on its last copy, so it factors once
     "product-lists-a-pair-twice": Planted(
         harness, "product", _last_pair_twice,
         frozenset({("mediator-uniqueness", i)
-                   for i in ("finset", "finptdset")}),
-        {("mediator-uniqueness", "finset"): 7,
-         ("mediator-uniqueness", "finptdset"): 5}),
+                   for i in ("finset", "finptdset", "finab")}),
+        {("mediator-uniqueness", "finset"): 15,
+         ("mediator-uniqueness", "finptdset"): 9,
+         ("mediator-uniqueness", "finab"): 11}),
     "kernel-comparison-bottom-is-zero": Planted(
         harness, "kernel_preservation_comparison", _zero_bottom,
         frozenset({("normalization-preserves-kernels", i)
