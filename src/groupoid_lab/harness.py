@@ -59,7 +59,6 @@ from .base import (
     NoMediatorError,
     classify_morphism,
     compose,
-    count_factorizations,
     direct_sum,
     enumerate_morphisms,
     finptdset_object,
@@ -1421,21 +1420,10 @@ def _check_pi_invariance(instance, case):
                   functor=fun)
 
 
-def _test_source(instance, apex_size):
-    w = 1
-    while apex_size ** (w + 1) <= 60000 and w < 3:
-        w += 1
-    if instance is FINAB:
-        return zmod(w)
-    if instance is FINPTDSET:
-        return finptdset_object(["*"] + [f"w{i}" for i in range(1, w)], 0)
-    return finset_object([f"w{i}" for i in range(w)])
-
-
 @_suite("mediator-uniqueness", _ALL)
 def _check_mediator_uniqueness(instance, case):
-    """A limit's apex lists each tuple of leg values once, and its
-    mediators are unique, by exhaustive candidate enumeration."""
+    """A limit's apex lists each tuple of leg values once, so its legs
+    are jointly injective and a cone factors through it at most once."""
     rng = case.rng
     kinds = ["pullback", "product", "h-object", "h-arrow"]
     if instance.pointed:
@@ -1458,18 +1446,8 @@ def _check_mediator_uniqueness(instance, case):
         g = _cospan_leg(b, rng)
         hp = strong_h_pullback(f, g)
         lim = hp.object_limit if kind == "h-object" else hp.arrow_limit
-    if lim.apex.size == 0:
-        return
     if len(set(zip(*(leg.map for leg in lim.legs.values())))) < lim.apex.size:
         case.fail("apex lists an element twice", kind=kind, apex=lim.apex)
-        return
-    w = _test_source(instance, lim.apex.size)
-    h = _random_map(w, lim.apex, rng)
-    cone = {name: compose(h, leg) for name, leg in lim.legs.items()}
-    count = count_factorizations(lim, cone)
-    if count != 1:
-        case.fail(f"cone admits {count} factorizations", kind=kind,
-                  apex=lim.apex)
 
 
 def _cospan_leg(b: InternalGroupoid, rng) -> InternalFunctor:

@@ -70,11 +70,14 @@ def _digests():
     return out
 
 
+def _record():
+    """The text of the pinned file, as regeneration writes it."""
+    return json.dumps(_digests(), indent=1, sort_keys=True) + "\n"
+
+
 def test_derived_constructions_match_the_recorded_run():
-    recorded = json.loads(DERIVED.read_text(encoding="utf-8"))
-    assert _digests() == recorded
+    assert DERIVED.read_text(encoding="utf-8") == _record()
 
 
 if __name__ == "__main__":
-    DERIVED.write_text(json.dumps(_digests(), indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    DERIVED.write_text(_record(), encoding="utf-8")

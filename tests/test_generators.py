@@ -40,9 +40,13 @@ def _digests():
             for gen in GENERATORS for seed in SEEDS}
 
 
+def _record():
+    """The text of the pinned file, as regeneration writes it."""
+    return json.dumps(_digests(), indent=1, sort_keys=True) + "\n"
+
+
 def test_generators_match_the_recorded_draws():
-    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert _digests() == recorded
+    assert DIGESTS.read_text(encoding="utf-8") == _record()
 
 
 @pytest.mark.parametrize("instance", [FINSET, FINPTDSET],
@@ -57,5 +61,4 @@ def test_random_surjections_are_onto_and_pointed(instance):
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(_digests(), indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    DIGESTS.write_text(_record(), encoding="utf-8")
