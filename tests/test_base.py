@@ -269,6 +269,28 @@ class TestPullback:
                                match=f"cone has no leg '{missing}'"):
                 pb.mediate(cone)
 
+    def test_two_broken_rules_raise_in_a_fixed_order(self):
+        # a mistyped leg wins over a missing one, even a later leg; a
+        # missing leg wins over mixed sources; mixed sources win over a
+        # cone that does not land
+        half = mod_map(4, 2)
+        z4, z2 = half.dom, half.cod
+        lim = comma(half, identity(z2), identity(z2), half, "xmy")
+        with pytest.raises(CompositionError,
+                           match="^cone leg 'y': codomain mismatch$"):
+            lim.mediate({"m": identity(z2), "y": half})
+        with pytest.raises(NoMediatorError, match="^cone has no leg 'x'$"):
+            lim.mediate({"m": identity(z2), "y": identity(z4)})
+        with pytest.raises(CompositionError,
+                           match="^cone legs have different sources$"):
+            lim.mediate({"x": identity(z4), "m": identity(z2),
+                         "y": zero_morphism(z4, z4)})
+        # the same three legs from one source do not land
+        with pytest.raises(NoMediatorError,
+                           match="^cone does not land in the limit$"):
+            lim.mediate({"x": identity(z4), "m": half,
+                         "y": zero_morphism(z4, z4)})
+
     def test_pointed_pullback_keeps_basepoint(self):
         x = finptdset_object(["*", "a", "b"])
         y = finptdset_object(["*", "c"])

@@ -20,6 +20,7 @@ from groupoid_lab.base import (
     enumerate_morphisms, finab_object, finptdset_object, finset_object,
     generated_subgroup_indices, identity, kernel, product, pullback,
     quotient_by_subgroup, subobject_limit, zmod)
+from groupoid_lab.classify import classification_report
 from groupoid_lab.groupoid import delooping
 from groupoid_lab.harness import run_suite
 
@@ -782,6 +783,12 @@ def test_an_unread_apex_is_freed_by_reference_counting():
         kernel(BaseMorphism(zmod(4), zmod(2), (0, 1, 0, 1)))
         product(finset_object("ab"), finset_object("xyz"))
         comma(onto, onto, onto, onto, "xmy")
+        assert gc.collect() == 0
+        # whole passes too: the squares' kept entries, J's objects and
+        # the apexes' carrier thunks hold no reference back to their owner
+        run_suite("protomodularity-char", FINAB, 2000, 0)
+        run_suite("protomodularity-char", FINPTDSET, 100, 0)
+        classification_report(harness.gen_functor(FINAB, "1:142"))
         assert gc.collect() == 0
     finally:
         if enabled:
