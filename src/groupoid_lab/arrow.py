@@ -54,12 +54,14 @@ class ArrowObject:
     against ``a`` that their endpoint factorizations read, and the bottom
     map of their kernel comparison J once one is built, keyed by
     ``id(f0)`` next to f0 itself: squares into one object that share their
-    f0 share both, and they are freed with the object.
+    f0 share both, and they are freed with the object.  The table is made
+    on the first square that asks, so an object no square reads this way
+    (J's own two) holds none.
     """
 
     a: BaseMorphism
-    _pullbacks: dict = field(default_factory=dict, init=False,
-                             compare=False, repr=False)
+    _pullbacks: dict | None = field(default=None, init=False,
+                                    compare=False, repr=False)
 
     @property
     def top(self):
@@ -75,8 +77,8 @@ class ArrowMorphism:
     """A commutative square between two arrow objects.
 
     Squares the library builds and knows to commute pass the private
-    ``_trusted=True`` and skip the typing and commutation checks, as
-    BaseObject and BaseMorphism do.
+    ``_trusted`` as True, last and positionally, and skip the typing and
+    commutation checks, as BaseObject and BaseMorphism do.
     """
 
     dom: ArrowObject
@@ -163,8 +165,7 @@ def kernel_arr(m: ArrowMorphism) -> ArrowMorphism:
     """Levelwise kernel of a square, as its inclusion square: its ``dom`` is
     the kernel object, the restricted vertical arrow."""
     top, bottom, restricted = _kernels(m)
-    return ArrowMorphism(ArrowObject(restricted), m.dom, top, bottom,
-                         _trusted=True)
+    return ArrowMorphism(ArrowObject(restricted), m.dom, top, bottom, True)
 
 
 @dataclass
@@ -184,6 +185,8 @@ def _kept_entry(m: ArrowMorphism) -> list:
     The entry holds f0, so no other map can take its id while it lives.
     """
     f0, kept = m.f0, m.cod._pullbacks
+    if kept is None:
+        kept = m.cod._pullbacks = {}
     hit = kept.get(id(f0))
     if hit is None:
         hit = kept[id(f0)] = [f0, pullback(f0, m.cod.a), None]
@@ -280,7 +283,7 @@ def comparison_J_arr(m: ArrowMorphism) -> ArrowMorphism:
             {"p1": bottom, "p2": zero_morphism(bottom.dom, m.cod.top)})
     endpoint = lim.mediate({"p1": m.dom.a, "p2": m.f})
     return ArrowMorphism(ArrowObject(restricted), ArrowObject(endpoint), top,
-                         j_bottom, _trusted=True)
+                         j_bottom, True)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ built groupoids) is built from indices, as a limit leg, a composite of
 legs, a ``LimitResult.mediate`` (which checks its cone) or an index table,
 and skips the check through the private ``_trusted=True`` that BaseObject
 and BaseMorphism take (and ``arrow.ArrowMorphism``, for the squares the
-library builds).
+library builds).  BaseMorphism and ArrowMorphism get it as their last
+positional argument: a keyword makes every class call build a dict,
+which costs a small morphism a third of its construction.
 """
 
 from __future__ import annotations
@@ -475,7 +477,7 @@ def _quotient(obj: BaseObject, pairs) -> BaseMorphism:
     q_obj = BaseObject(inst, [obj.carrier[r] for r in reps], add=add, neg=neg,
                        zero=proj[obj.zero] if inst.pointed else None,
                        _trusted=True)
-    return BaseMorphism(obj, q_obj, proj, _trusted=True)
+    return BaseMorphism(obj, q_obj, proj, True)
 
 
 def zero_object(instance: BaseInstance) -> BaseObject:
@@ -489,7 +491,7 @@ def zero_object(instance: BaseInstance) -> BaseObject:
 
 
 def identity(obj: BaseObject) -> BaseMorphism:
-    return BaseMorphism(obj, obj, range(obj.size), _trusted=True)
+    return BaseMorphism(obj, obj, range(obj.size), True)
 
 
 def zero_morphism(dom: BaseObject, cod: BaseObject) -> BaseMorphism:
@@ -497,7 +499,7 @@ def zero_morphism(dom: BaseObject, cod: BaseObject) -> BaseMorphism:
         raise DiagramError("zero morphism crosses base instances")
     if not dom.instance.pointed:
         raise CapabilityError("finset has no zero morphisms")
-    return BaseMorphism(dom, cod, [cod.zero] * dom.size, _trusted=True)
+    return BaseMorphism(dom, cod, [cod.zero] * dom.size, True)
 
 
 def morphism_from_function(dom: BaseObject, cod: BaseObject, fn) -> BaseMorphism:
@@ -514,7 +516,7 @@ def compose(*morphisms: BaseMorphism) -> BaseMorphism:
         if out.cod is not g.dom and out.cod != g.dom:
             raise CompositionError("codomain/domain mismatch in composite")
         out = BaseMorphism(out.dom, g.cod, [g.map[j] for j in out.map],
-                           _trusted=True)
+                           True)
     return out
 
 
@@ -611,13 +613,13 @@ def _tuple_limit(names, parts, tuples, elements=None):
     apex._carrier, apex.size = None, len(tuples)
     apex._elements = elements or (lambda: _tuple_elements(parts, tuples))
     if instance.pointed:
-        apex.zero = lookup.get(tuple(p.zero for p in parts))
+        apex.zero = lookup.get(tuple([p.zero for p in parts]))
         if apex.zero is None:
             raise DiagramError("limit carrier lost the zero")
     if instance is FINAB:
         apex.add = _TupleAddTable(parts, tuples, lookup, apex.zero)
-    columns = list(zip(*tuples)) or [()] * len(parts)
-    legs = {name: BaseMorphism(apex, part, column, _trusted=True)
+    columns = zip(*tuples) if tuples else [()] * len(parts)
+    legs = {name: BaseMorphism(apex, part, column, True)
             for name, part, column in zip(names, parts, columns)}
     return LimitResult(apex, legs, lookup)
 
@@ -643,34 +645,33 @@ class LimitResult:
 
         Names that are not legs are ignored.  A leg into the wrong object or
         legs from different sources raise CompositionError; a missing leg or
-        a cone that does not land raise NoMediatorError.
+        a cone that does not land raise NoMediatorError.  Of two broken
+        rules the first of these raises: a mistyped leg, a missing leg,
+        different sources, a cone that does not land.
         """
-        maps, given = [], []
+        maps, source, missing, mixed = [], None, None, False
         for name, leg in self.legs.items():
             u = cone.get(name)
-            if u is not None:
-                if u.cod is not leg.cod and u.cod != leg.cod:
-                    raise CompositionError(
-                        f"cone leg {name!r}: codomain mismatch")
-                given.append(u)
-            maps.append(None if u is None else u.map)
-        if None in maps:
-            missing = list(self.legs)[maps.index(None)]
+            if u is None:
+                if missing is None:
+                    missing = name
+            elif u.cod is not leg.cod and u.cod != leg.cod:
+                raise CompositionError(f"cone leg {name!r}: codomain mismatch")
+            else:
+                if source is None:
+                    source = u.dom
+                elif u.dom is not source and u.dom != source:
+                    mixed = True
+                maps.append(u.map)
+        if missing is not None:
             raise NoMediatorError(f"cone has no leg {missing!r}")
-        source = _common_source(*given)
+        if mixed:
+            raise CompositionError("cone legs have different sources")
         try:
             table = list(map(self.lookup.__getitem__, zip(*maps)))
         except KeyError:
             raise NoMediatorError("cone does not land in the limit") from None
-        return BaseMorphism(source, self.apex, table, _trusted=True)
-
-
-def _common_source(*legs: BaseMorphism) -> BaseObject:
-    src = legs[0].dom
-    for f in legs[1:]:
-        if f.dom is not src and f.dom != src:
-            raise CompositionError("cone legs have different sources")
-    return src
+        return BaseMorphism(source, self.apex, table, True)
 
 
 def pullback(f: BaseMorphism, g: BaseMorphism) -> LimitResult:
@@ -804,7 +805,7 @@ def split_section(f: BaseMorphism):
             table[j] = i
     if inst.pointed:
         table[f.cod.zero] = f.dom.zero
-    return BaseMorphism(f.cod, f.dom, table, _trusted=True)
+    return BaseMorphism(f.cod, f.dom, table, True)
 
 
 def classify_morphism(f: BaseMorphism) -> MorphismFlags:
@@ -834,12 +835,10 @@ def jointly_strongly_epi(morphisms) -> bool:
     ms = list(morphisms)
     if not ms:
         raise CompositionError("empty family")
-    cod = ms[0].cod
-    for m in ms[1:]:
+    cod, hit = ms[-1].cod, set()
+    for m in ms[:-1]:
         if m.cod is not cod and m.cod != cod:
             raise CompositionError("family has mixed codomains")
-    hit = set()
-    for m in ms[:-1]:
         hit.update(m.map)
     last = set(ms[-1].map)
     if cod.instance is not FINAB:
@@ -873,7 +872,7 @@ def enumerate_morphisms(dom: BaseObject, cod: BaseObject):
         else:
             slots.append(range(cod.size))
     for table in itertools.product(*slots):
-        yield BaseMorphism(dom, cod, table, _trusted=True)
+        yield BaseMorphism(dom, cod, table, True)
 
 
 def _element_order(obj: BaseObject, i: int) -> int:
@@ -915,7 +914,7 @@ def _closed_homs(dom: BaseObject, cod: BaseObject, candidates):
         hom = close(images)
         if hom is not None:
             yield BaseMorphism(dom, cod, [hom[i] for i in range(dom.size)],
-                               _trusted=True)
+                               True)
 
 
 def count_factorizations(limit: LimitResult, cone: dict) -> int:
@@ -923,9 +922,13 @@ def count_factorizations(limit: LimitResult, cone: dict) -> int:
 
     Scans, for every source element, which apex elements satisfy all leg
     equations; the count is the product of per-element choices intersected
-    with structure preservation.  Used to certify mediator uniqueness.
+    with structure preservation.  The tests use it to certify mediator
+    uniqueness.
     """
-    src = _common_source(*cone.values())
+    given = list(cone.values())
+    src = given[0].dom
+    if any(v.dom is not src and v.dom != src for v in given):
+        raise CompositionError("cone legs have different sources")
     named = [(limit.legs[k], v) for k, v in cone.items()]
     choices = []
     for i in range(src.size):

@@ -58,7 +58,7 @@ class InternalGroupoid:
             pairs = self.composition_pairs()
             table = list(map(self._mul, pairs.legs["p1"].map,
                              pairs.legs["p2"].map))
-            self._m = BaseMorphism(pairs.apex, self.B1, table, _trusted=True)
+            self._m = BaseMorphism(pairs.apex, self.B1, table, True)
         return self._m
 
     @property
@@ -314,7 +314,7 @@ def _assemble(B0, B1, d, c, e, i, mul) -> InternalGroupoid:
     first read."""
     def typed(f, dom, cod):
         return (f if isinstance(f, BaseMorphism)
-                else BaseMorphism(dom, cod, f, _trusted=True))
+                else BaseMorphism(dom, cod, f, True))
     g = InternalGroupoid(B0, B1, typed(d, B1, B0), typed(c, B1, B0),
                          typed(e, B0, B1), None, typed(i, B1, B1))
     g._mul = mul

@@ -849,7 +849,7 @@ def _fibration_squares(instance):
             for dom, tables in sides:
                 for f0, table in tables:
                     for f in by_table.get(table, ()):
-                        yield ArrowMorphism(dom, cod, f, f0, _trusted=True)
+                        yield ArrowMorphism(dom, cod, f, f0, True)
 
 
 def _shrink_square(m: ArrowMorphism, still_bad) -> ArrowMorphism:

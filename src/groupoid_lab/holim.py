@@ -168,7 +168,7 @@ def arrow_groupoid(b: InternalGroupoid) -> ArrowGroupoid:
     an equal but separate ``m.dom``, which each mediation would compare."""
     pairs = b.composition_pairs()
     first, second = pairs.legs["p1"], pairs.legs["p2"]
-    m = BaseMorphism(pairs.apex, b.B1, b.m.map, _trusted=True)
+    m = BaseMorphism(pairs.apex, b.B1, b.m.map, True)
     sq = pullback(m, m)
     # a square is ((left, bottom), (top, right)): outer then inner pair
     outer, inner = sq.legs["p1"], sq.legs["p2"]
