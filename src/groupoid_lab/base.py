@@ -43,14 +43,14 @@ distinct object once per decoded value, and it accepts a groupoid's object
 of composable pairs by exact equality with the pullback of its validated
 ``c`` and ``d``, a limit and so valid by construction.  Everything the
 library derives from valid values (limit apexes, legs and mediators,
-subgroups, quotients, direct sums, homs, sections, the structure maps of
-built groupoids) is built from indices, as a limit leg, a composite of
-legs, a ``LimitResult.mediate`` (which checks its cone) or an index table,
-and skips the check through the private ``_trusted=True`` that BaseObject
-and BaseMorphism take (and ``arrow.ArrowMorphism``, for the squares the
-library builds).  BaseMorphism and ArrowMorphism get it as their last
-positional argument: a keyword makes every class call build a dict,
-which costs a small morphism a third of its construction.
+subgroups, quotients, direct sums, the zero objects, homs, sections, the
+structure maps of built groupoids) is built from indices, as a limit leg,
+a composite of legs, a ``LimitResult.mediate`` (which checks its cone) or
+an index table, and skips the check through the private ``_trusted=True``
+that BaseObject and BaseMorphism take (and ``arrow.ArrowMorphism``, for the
+squares the library builds).  BaseMorphism and ArrowMorphism get it as
+their last positional argument: a keyword makes every class call build a
+dict, which costs a small morphism a third of its construction.
 """
 
 from __future__ import annotations
@@ -482,7 +482,7 @@ def _quotient(obj: BaseObject, pairs) -> BaseMorphism:
 
 def zero_object(instance: BaseInstance) -> BaseObject:
     if instance is FINPTDSET:
-        return finptdset_object(["*"], 0)
+        return BaseObject(FINPTDSET, ["*"], zero=0, _trusted=True)
     if instance is FINAB:
         return zmod(1)
     if instance is FINSET:

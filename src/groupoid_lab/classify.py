@@ -194,7 +194,7 @@ class FunctorClassification:
     @cached_property
     def zero(self) -> PartialZero:
         fun, tau_d, first = self.fun, self.tau("d"), self.endpoint_pullback("d")
-        second = pullback(compose(first.legs["p2"], fun.cod.c), fun.F0)
+        second = pullback(self.reach("d"), fun.F0)
         morphism = second.mediate({"p1": tau_d, "p2": fun.dom.c})
         flags = classify_morphism(morphism)
         return PartialZero(morphism, flags.mono, flags.regular_epi,

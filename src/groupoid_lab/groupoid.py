@@ -72,13 +72,11 @@ class InternalGroupoid:
         return self._pairs
 
     def mul(self, x, y):
-        if self._mul is None:
-            return self.m((x, y))
         b1 = self.B1
         xi, yi = b1.index_of(x), b1.index_of(y)
         if self.c.map[xi] != self.d.map[yi]:
             raise DiagramError(f"arrows {x!r}, {y!r} are not composable")
-        return b1.carrier[self._mul(xi, yi)]
+        return b1.carrier[_index_mul(self)(xi, yi)]
 
     def __eq__(self, other):
         return self is other or (
@@ -570,10 +568,13 @@ def pi1(g: InternalGroupoid):
 
 
 def pi0_induced(fun: InternalFunctor) -> BaseMorphism:
-    """The map of component objects induced by a functor."""
+    """The map of component objects induced by a functor: each component
+    goes where F0 sends its least member, the object it is named by."""
     _, qa = pi0(fun.dom)
     _, qb = pi0(fun.cod)
-    return morphism_from_function(qa.cod, qb.cod, lambda r: qb(fun.F0(r)))
+    f0, proj = fun.F0.map, qb.map
+    return BaseMorphism(qa.cod, qb.cod,
+                        [proj[f0[c[0]]] for c in qa.preimages()], True)
 
 
 def pi1_induced(fun: InternalFunctor) -> BaseMorphism:

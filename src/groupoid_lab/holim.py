@@ -162,14 +162,10 @@ def _square_map(sq, pairs, left, bottom, top, right) -> BaseMorphism:
 
 
 def arrow_groupoid(b: InternalGroupoid) -> ArrowGroupoid:
-    """Build the square groupoid of ``b`` with its evaluation structure.
-
-    m is read onto b's own composable pairs: a groupoid given its table has
-    an equal but separate ``m.dom``, which each mediation would compare."""
+    """Build the square groupoid of ``b`` with its evaluation structure."""
     pairs = b.composition_pairs()
     first, second = pairs.legs["p1"], pairs.legs["p2"]
-    m = BaseMorphism(pairs.apex, b.B1, b.m.map, True)
-    sq = pullback(m, m)
+    sq = pullback(b.m, b.m)
     # a square is ((left, bottom), (top, right)): outer then inner pair
     outer, inner = sq.legs["p1"], sq.legs["p2"]
     d, c = compose(outer, first), compose(inner, second)
@@ -435,17 +431,14 @@ def is_levelwise_pullback_square(u: InternalFunctor, v: InternalFunctor,
     """Whether a commutative square of functors is a level-wise pullback.
 
     The square reads u . f = v . g with u, v out of the candidate apex.
-    Both levels are checked by classifying the induced base mediator.
+    Both levels are checked by classifying the induced base mediator, which
+    exists once the square commutes.
     """
     if compose_functors(u, f) != compose_functors(v, g):
         return False
     for uu, vv, ff, gg in ((u.F0, v.F0, f.F0, g.F0),
                            (u.F1, v.F1, f.F1, g.F1)):
-        lim = pullback(ff, gg)
-        try:
-            med = lim.mediate({"p1": uu, "p2": vv})
-        except NoMediatorError:
-            return False
+        med = pullback(ff, gg).mediate({"p1": uu, "p2": vv})
         if not classify_morphism(med).iso:
             return False
     return True

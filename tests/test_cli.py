@@ -24,6 +24,7 @@ from groupoid_lab.base import (
     FINPTDSET,
     FINSET,
     finptdset_object,
+    finset_object,
     identity,
     morphism_from_function,
     zmod,
@@ -35,6 +36,7 @@ from groupoid_lab.groupoid import (
     NatTransformation,
     cyclic_delooping,
     delooping,
+    discrete_groupoid,
     identity_cell,
     identity_functor,
     indiscrete_groupoid,
@@ -332,6 +334,29 @@ def test_classify_keeps_the_exit_contract_on_every_single_leaf_mutation(
         if code == 0:
             assert set(json.loads(out)) == {"flags", "witness_sizes"}
         codes[code] += 1
+    assert codes == counts
+
+
+@pytest.mark.parametrize("value, counts", [
+    (cyclic_delooping(FINAB, 2), {0: 168, 1: 2595, 2: 1190}),
+    (cyclic_delooping(FINPTDSET, 2), {0: 79, 1: 1230, 2: 648}),
+    (discrete_groupoid(finset_object(["a", "b"])), {0: 226, 1: 1046, 2: 418}),
+], ids=["finab", "finptdset", "finset"])
+def test_validate_keeps_the_exit_contract_on_every_single_leaf_mutation(
+        tmp_path, capsys, value, counts):
+    """The same grammar under ``validate`` on three groupoids: the exit
+    codes are pinned, so a newly accepted or refused file changes them."""
+    data = value_to_data(value)
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 0
+    codes = collections.Counter()
+    for mutant in _single_leaf_mutations(data):
+        path.write_text(json.dumps(mutant))
+        code = main(["validate", str(path)])
+        assert code in (0, 1, 2)
+        codes[code] += 1
+    capsys.readouterr()
     assert codes == counts
 
 

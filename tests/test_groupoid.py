@@ -2,11 +2,13 @@
 
 import pytest
 
+from groupoid_lab.arrow import (classify_arrow_morphism, kernel_arr,
+                                normalize, strong_h_kernel_arr)
 from groupoid_lab.base import (FINAB, FINPTDSET, FINSET, BaseMorphism,
-                               CapabilityError, DiagramError, compose,
-                               direct_sum, finptdset_object, finset_object,
-                               identity, morphism_from_function, pullback,
-                               zmod)
+                               BaseObject, CapabilityError, DiagramError,
+                               compose, direct_sum, finptdset_object,
+                               finset_object, identity,
+                               morphism_from_function, pullback, zmod)
 from groupoid_lab.groupoid import (InternalFunctor, InternalGroupoid,
                                    NatTransformation, action_groupoid,
                                    compose_functors, cyclic_delooping,
@@ -20,9 +22,10 @@ from groupoid_lab.groupoid import (InternalFunctor, InternalGroupoid,
                                    validate_functor, validate_groupoid,
                                    validate_transformation, whisker,
                                    zero_functor, zero_groupoid)
+from groupoid_lab.classify import classification_report
 from groupoid_lab.cli import main
-from groupoid_lab.harness import gen_functor
-from groupoid_lab.holim import arrow_groupoid
+from groupoid_lab.harness import gen_fibration, gen_functor
+from groupoid_lab.holim import arrow_groupoid, kernel_groupoid, strong_h_kernel
 from groupoid_lab.serialize import from_json, to_json
 
 
@@ -108,6 +111,8 @@ class TestValidators:
         assert g._m is not None and validate_groupoid(g) == []
         assert g.mul(("q", "p"), ("p", "q")) == ("q", "q")
         assert g.mul(("p", "p"), ("p", "q")) == ("p", "q")
+        with pytest.raises(DiagramError, match="not composable"):
+            g.mul(("p", "q"), ("p", "q"))
 
     def test_broken_identity_source_named(self):
         # the unit at p runs from q to p
@@ -349,6 +354,43 @@ class TestPi:
         b = groupoid_from_arrow(identity(zmod(2)))  # connected
         fun = functor(a, b, lambda o: o, lambda o: (o, 0))
         assert pi0_induced(fun).cod.size == 1
+
+
+def _no_element_reads_or_checks(*args):
+    raise AssertionError("a derived value read an element or was checked")
+
+
+@pytest.mark.parametrize("instance", [FINSET, FINPTDSET, FINAB])
+def test_derived_values_are_read_by_index_and_never_rechecked(
+        instance, monkeypatch):
+    """With element lookup and validation switched off, every derived
+    value of 100 generated functors still builds: the classification, the
+    induced maps, the square groupoid and, on the pointed instances, the
+    kernels and the square's measurements.  Each induced pi0 map equals
+    the element-level reading."""
+    funs = [gen(instance, seed) for gen in (gen_functor, gen_fibration)
+            for seed in range(50)]
+    element_level = []
+    for fun in funs:
+        (_, qa), (_, qb) = pi0(fun.dom), pi0(fun.cod)
+        element_level.append(tuple(qb.cod.index_of(qb(fun.F0(r)))
+                                   for r in qa.cod.carrier))
+    monkeypatch.setattr(BaseObject, "index_of", _no_element_reads_or_checks)
+    monkeypatch.setattr(BaseObject, "_validate", _no_element_reads_or_checks)
+    monkeypatch.setattr(BaseMorphism, "_validate",
+                        _no_element_reads_or_checks)
+    for fun, table in zip(funs, element_level):
+        classification_report(fun).payload()
+        assert pi0_induced(fun).map == table
+        arrow_groupoid(fun.cod)
+        if instance.pointed:
+            pi1_induced(fun)
+            strong_h_kernel(fun)
+            kernel_groupoid(fun)
+            square = normalize(fun)
+            classify_arrow_morphism(square)
+            strong_h_kernel_arr(square)
+            kernel_arr(square)
 
 
 class TestTwoCells:

@@ -1,10 +1,10 @@
 """Re-validate what the library builds trusted.
 
-Limit apexes, legs, mediators, subgroups, quotients, direct sums,
-enumerated homs, sections, the structure maps of built groupoids and the
-squares the arrow layer builds (kernel inclusions, kernel comparisons with
-the bottom maps they share, and the protomodularity sweep's stream) skip
-construction-time validation
+Limit apexes, legs, mediators, subgroups, quotients, direct sums, zero
+objects, enumerated homs, sections, induced maps of components, the
+structure maps of built groupoids and the squares the arrow layer builds
+(kernel inclusions, kernel comparisons with the bottom maps they share,
+and the protomodularity sweep's stream) skip construction-time validation
 because they are valid by construction.
 These tests build each of them from seeded inputs, run the skipped checks
 by hand, and run the axiom validators on every groupoid and functor built.
@@ -42,6 +42,7 @@ from groupoid_lab.base import (
     split_section,
     subobject_limit,
     zero_morphism,
+    zero_object,
 )
 from groupoid_lab.groupoid import (
     InternalFunctor,
@@ -51,7 +52,7 @@ from groupoid_lab.groupoid import (
     validate_groupoid,
     validate_transformation,
 )
-from groupoid_lab.groupoid import (full_subgroupoid, pi0, pi1,
+from groupoid_lab.groupoid import (full_subgroupoid, pi0, pi0_induced, pi1,
                                    product_groupoid)
 from groupoid_lab.harness import _fibration_squares, _j_flags, gen_functor
 from groupoid_lab.holim import (
@@ -122,10 +123,12 @@ def _built_from(fun):
         *product_groupoid(a, b),
         *full_subgroupoid(a, objects),
     ]
-    # pi0 ends in the one quotient constructor on every instance
+    # pi0 ends in the one quotient constructor on every instance, and the
+    # induced map is read off the two projections
     for g in (a, b):
         _, projection = pi0(g)
         built += [projection, split_section(projection)]
+    built.append(pi0_induced(fun))
     if a.instance is FINAB:
         sub = generated_subgroup_indices(b.B1, b.B1.generating_sequence()[:1])
         quotient, projection = quotient_by_subgroup(b.B1, sub)
@@ -140,7 +143,8 @@ def _built_from(fun):
     if pointed:
         j_data = comparison_J_data(fun)
         square = normalize(fun)
-        built += [kernel(fun.F1), *kernel_groupoid(fun), *pi1(a),
+        built += [zero_object(a.instance), kernel(fun.F1),
+                  *kernel_groupoid(fun), *pi1(a),
                   j_data.strict.groupoid, j_data.strict.to_second,
                   j_data.relaxed.to_f_dom,
                   j_data.functor, kernel_arr(square),
