@@ -61,15 +61,15 @@ from groupoid_lab.groupoid import (
     validate_groupoid,
     validate_transformation,
 )
-from groupoid_lab.harness import (
+from groupoid_lab.generators import (
     corrupt_functor,
     corrupt_groupoid,
     corrupt_transformation,
     gen_functor,
     gen_groupoid,
     gen_transformation,
-    run_suite,
 )
+from groupoid_lab.harness import run_suite
 from groupoid_lab.serialize import value_from_data
 
 ALL_INSTANCES = (FINSET, FINPTDSET, FINAB)

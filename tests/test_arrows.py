@@ -52,7 +52,8 @@ from groupoid_lab.groupoid import (
     whisker_left,
     zero_functor,
 )
-from groupoid_lab.harness import _fibration_squares, _random_arrow_morphism
+from groupoid_lab.catalog import _fibration_squares
+from groupoid_lab.generators import _random_arrow_morphism
 from groupoid_lab.holim import kernel_groupoid, strong_h_kernel
 from groupoid_lab.arrow import (
     ArrowMorphism,

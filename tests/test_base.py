@@ -18,7 +18,8 @@ from groupoid_lab.base import (
     quotient_by_subgroup, reflexive_coequalizer, split_section,
     subobject_limit, zero_morphism, zero_object, zmod)
 from groupoid_lab.groupoid import delooping
-from groupoid_lab.harness import _groupoid_catalog, gen_functor, gen_groupoid
+from groupoid_lab.catalog import _groupoid_catalog
+from groupoid_lab.generators import gen_functor, gen_groupoid
 from groupoid_lab.holim import (
     arrow_groupoid, comparison_T_data, strong_h_kernel)
 

@@ -42,7 +42,7 @@ from groupoid_lab.groupoid import (
     zero_groupoid,
 )
 from groupoid_lab import classify
-from groupoid_lab.harness import gen_functor
+from groupoid_lab.generators import gen_functor
 from groupoid_lab.holim import arrow_groupoid, comparison_J, comparison_T
 from groupoid_lab.classify import (
     FIBRATION_LABELS,

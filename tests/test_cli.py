@@ -41,7 +41,7 @@ from groupoid_lab.groupoid import (
     identity_functor,
     indiscrete_groupoid,
 )
-from groupoid_lab.harness import gen_functor, gen_transformation
+from groupoid_lab.generators import gen_functor, gen_transformation
 from groupoid_lab.serialize import to_json, value_to_data
 
 DATA = Path(__file__).parent / "data"

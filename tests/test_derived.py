@@ -18,7 +18,7 @@ from pathlib import Path
 
 from groupoid_lab.base import FINAB, FINPTDSET, FINSET, generated_subgroup_indices
 from groupoid_lab.groupoid import full_subgroupoid, pi1, product_groupoid
-from groupoid_lab.harness import gen_functor
+from groupoid_lab.generators import gen_functor
 from groupoid_lab.holim import (
     kernel_groupoid,
     pullback_groupoid,

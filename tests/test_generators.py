@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from groupoid_lab.base import FINAB, FINPTDSET, FINSET
-from groupoid_lab.harness import (
+from groupoid_lab.generators import (
     _random_object,
     _random_surjection,
     gen_fibration,

@@ -24,7 +24,7 @@ from groupoid_lab.groupoid import (InternalFunctor, InternalGroupoid,
                                    zero_functor, zero_groupoid)
 from groupoid_lab.classify import classification_report
 from groupoid_lab.cli import main
-from groupoid_lab.harness import gen_fibration, gen_functor
+from groupoid_lab.generators import gen_fibration, gen_functor
 from groupoid_lab.holim import arrow_groupoid, kernel_groupoid, strong_h_kernel
 from groupoid_lab.serialize import from_json, to_json
 

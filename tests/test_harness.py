@@ -33,7 +33,8 @@ from groupoid_lab.arrow import (
     is_essentially_surjective_arr,
     partial_zero_arr,
 )
-from groupoid_lab import arrow, base, classify, harness, holim
+from groupoid_lab import (arrow, base, catalog, classify, generators, harness,
+                          holim)
 from groupoid_lab.base import (
     FINAB,
     FINPTDSET,
@@ -55,8 +56,7 @@ from groupoid_lab.groupoid import (
     validate_groupoid,
     validate_transformation,
 )
-from groupoid_lab.harness import (
-    SUITES,
+from groupoid_lab.generators import (
     _random_groupoid,
     corrupt_functor,
     corrupt_groupoid,
@@ -65,9 +65,8 @@ from groupoid_lab.harness import (
     gen_functor,
     gen_groupoid,
     gen_transformation,
-    run_suite,
-    suite_names,
 )
+from groupoid_lab.harness import SUITES, run_suite, suite_names
 from groupoid_lab.serialize import value_from_data, value_to_data
 
 ALL_INSTANCES = (FINSET, FINPTDSET, FINAB)
@@ -276,7 +275,7 @@ class TestRunSuite:
             assert failure["reason"] == ("generator produced a "
                                          "non-weak-equivalence")
             rng = random.Random(f"finset:pi-invariance:5:{k}")
-            expected = harness._random_weak_equivalence(FINSET, rng)
+            expected = generators._random_weak_equivalence(FINSET, rng)
             assert failure["witness"]["functor"] == value_to_data(expected)
         assert not report.expectation_met
 
@@ -527,8 +526,8 @@ def _brute_force_fibration_squares(instance):
     The same catalogue, quadruples and hom loops as the sweep's stream, in
     the same order, with commutativity decided element by element.
     """
-    objs = (harness._finab_catalog(8) if instance is FINAB
-            else harness._finptdset_catalog(3))
+    objs = (catalog._finab_catalog(8) if instance is FINAB
+            else catalog._finptdset_catalog(3))
     quads = sorted(itertools.product(objs, repeat=4),
                    key=lambda q: (sum(o.size for o in q),
                                   tuple(o.size for o in q)))
@@ -556,12 +555,12 @@ def _squares_digest(squares):
 class TestFibrationSquares:
     def test_finptdset_stream_is_every_fibration_square_in_order(self):
         stream = [(m.dom.a, m.f, m.f0, m.cod.a)
-                  for m in harness._fibration_squares(FINPTDSET)]
+                  for m in catalog._fibration_squares(FINPTDSET)]
         assert stream == list(_brute_force_fibration_squares(FINPTDSET))
 
     def test_finab_stream_is_every_fibration_square_in_order(self):
         stream = ((m.dom.a, m.f, m.f0, m.cod.a)
-                  for m in harness._fibration_squares(FINAB))
+                  for m in catalog._fibration_squares(FINAB))
         expected = _squares_digest(_brute_force_fibration_squares(FINAB))
         assert expected[0] == 20796
         assert _squares_digest(stream) == expected

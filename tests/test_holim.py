@@ -62,7 +62,7 @@ from groupoid_lab import base
 from groupoid_lab import groupoid as groupoid_module
 from groupoid_lab import holim
 from groupoid_lab.classify import classification_report, classify_fibration
-from groupoid_lab.harness import gen_functor
+from groupoid_lab.generators import gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J,

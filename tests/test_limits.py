@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_lab import arrow, base, harness, holim, serialize
+from groupoid_lab import arrow, base, catalog, holim, serialize
 from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, CapabilityError,
     CompositionError, DiagramError, NoMediatorError, comma, direct_sum,
@@ -21,6 +21,7 @@ from groupoid_lab.base import (
     generated_subgroup_indices, identity, kernel, product, pullback,
     quotient_by_subgroup, subobject_limit, zmod)
 from groupoid_lab.classify import classification_report
+from groupoid_lab.generators import gen_functor
 from groupoid_lab.groupoid import delooping
 from groupoid_lab.harness import run_suite
 
@@ -412,11 +413,11 @@ def test_the_stream_walks_only_quadruples_with_an_epi(
     # so it builds no arrow object and no table of top;f0
     built = {"_then": 0, "ArrowObject": 0}
     for name in built:
-        def counted(*args, _name=name, _real=getattr(harness, name)):
+        def counted(*args, _name=name, _real=getattr(catalog, name)):
             built[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(harness, name, counted)
-    assert sum(1 for _ in harness._fibration_squares(instance)) == squares
+        monkeypatch.setattr(catalog, name, counted)
+    assert sum(1 for _ in catalog._fibration_squares(instance)) == squares
     assert built == {"_then": thens, "ArrowObject": arrow_objects}
 
 
@@ -788,7 +789,7 @@ def test_an_unread_apex_is_freed_by_reference_counting():
         # the apexes' carrier thunks hold no reference back to their owner
         run_suite("protomodularity-char", FINAB, 2000, 0)
         run_suite("protomodularity-char", FINPTDSET, 100, 0)
-        classification_report(harness.gen_functor(FINAB, "1:142"))
+        classification_report(gen_functor(FINAB, "1:142"))
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -29,7 +29,7 @@ from groupoid_lab.groupoid import (
     validate_functor,
 )
 from groupoid_lab.classify import classification_report
-from groupoid_lab.harness import gen_functor
+from groupoid_lab.generators import gen_functor
 from groupoid_lab.holim import arrow_groupoid
 from groupoid_lab.arrow import ArrowMorphism, ArrowObject, Diagonal
 from groupoid_lab.serialize import (

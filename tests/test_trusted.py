@@ -54,7 +54,9 @@ from groupoid_lab.groupoid import (
 )
 from groupoid_lab.groupoid import (full_subgroupoid, pi0, pi0_induced, pi1,
                                    product_groupoid)
-from groupoid_lab.harness import _fibration_squares, _j_flags, gen_functor
+from groupoid_lab.catalog import _fibration_squares
+from groupoid_lab.generators import gen_functor
+from groupoid_lab.harness import _j_flags
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J_data,
