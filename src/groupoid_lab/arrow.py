@@ -125,11 +125,6 @@ def identity_arr(obj: ArrowObject) -> ArrowMorphism:
     return ArrowMorphism(obj, obj, identity(obj.top), identity(obj.bottom))
 
 
-def zero_arr(dom: ArrowObject, cod: ArrowObject) -> ArrowMorphism:
-    return ArrowMorphism(dom, cod, zero_morphism(dom.top, cod.top),
-                         zero_morphism(dom.bottom, cod.bottom))
-
-
 def compose_arr(first: ArrowMorphism, second: ArrowMorphism) -> ArrowMorphism:
     if first.cod != second.dom:
         raise DiagramError("squares are not composable")

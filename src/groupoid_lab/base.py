@@ -915,31 +915,3 @@ def _closed_homs(dom: BaseObject, cod: BaseObject, candidates):
         if hom is not None:
             yield BaseMorphism(dom, cod, [hom[i] for i in range(dom.size)],
                                True)
-
-
-def count_factorizations(limit: LimitResult, cone: dict) -> int:
-    """Independent oracle: how many morphisms factor a cone through a limit.
-
-    Scans, for every source element, which apex elements satisfy all leg
-    equations; the count is the product of per-element choices intersected
-    with structure preservation.  The tests use it to certify mediator
-    uniqueness.
-    """
-    given = list(cone.values())
-    src = given[0].dom
-    if any(v.dom is not src and v.dom != src for v in given):
-        raise CompositionError("cone legs have different sources")
-    named = [(limit.legs[k], v) for k, v in cone.items()]
-    choices = []
-    for i in range(src.size):
-        ok = [j for j in range(limit.apex.size)
-              if all(leg.map[j] == v.map[i] for leg, v in named)]
-        choices.append(ok)
-    count = 0
-    for table in itertools.product(*choices):
-        try:
-            BaseMorphism(src, limit.apex, table)
-        except DiagramError:
-            continue
-        count += 1
-    return count

@@ -5,7 +5,7 @@ morphism:
 
 * ``tau_factorization`` measures how arrows lift along a chosen endpoint;
   its surjectivity class gives the fibration hierarchy.
-* ``hat_tau_factorization`` restricts that measurement to arrows ending (or
+* the record's ``hat_tau`` restricts that measurement to arrows ending (or
   starting) at zero, in pointed instances; it gives the star hierarchy.
 * ``partial_zero`` packages domain, image arrow and codomain into a single
   three-legged map whose mono / regular-epi / iso flags decide faithful,
@@ -15,9 +15,9 @@ morphism:
   surjectivity.
 
 ``FunctorClassification`` is the one record of a functor's measurements:
-it builds each once, on its first read.  Each public reader (the two
-factorizations, ``classify_*``, ``partial_zero`` and ``is_*``) reads a
-fresh record, and ``classification_report`` reads all of one.
+it builds each once, on its first read.  Each public reader
+(``tau_factorization``, ``classify_*``, ``partial_zero`` and ``is_*``) reads
+a fresh record, and ``classification_report`` reads all of one.
 
 Each classification exists in a "d" and a "c" flavour.  Both are always
 computed and compared; a mismatch raises SideDivergenceError because the
@@ -292,10 +292,6 @@ def tau_factorization(fun: InternalFunctor, side: str) -> BaseMorphism:
 def classify_fibration(fun: InternalFunctor) -> str:
     """Strongest fibration label, decided on both sides and compared."""
     return FunctorClassification(fun).fibration
-
-
-def hat_tau_factorization(fun: InternalFunctor, side: str) -> BaseMorphism:
-    return FunctorClassification(fun).hat_tau(side)[1]
 
 
 def classify_star_fibration(fun: InternalFunctor) -> str:

@@ -172,11 +172,12 @@ def _typing_failures(g: InternalGroupoid) -> list[str]:
 class InternalFunctor:
     """A pair (F0, F1) of base morphisms commuting with all structure maps.
 
-    A functor keeps the square groupoid of its codomain once a strong
-    h-pullback of it along some leg has built one, so its T and J share
-    it.  The codomain does not keep it: the squares refer back to the
-    codomain, and that cycle would leave every such groupoid to the cycle
-    collector.
+    A functor keeps the squares of its codomain once a strong h-pullback
+    of it has built them, so its T and J share them: the n^3 |G|^2 with an
+    identity top, not all n^4 |G|^3 of a connected codomain with n objects
+    and vertex group G.  The codomain does not keep them: the squares
+    refer back to the codomain, and that cycle would leave every such
+    groupoid to the cycle collector.
     """
 
     __slots__ = ("dom", "cod", "F0", "F1", "_squares")

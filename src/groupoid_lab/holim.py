@@ -28,7 +28,9 @@ into the codomain: from the strict pullback along g into the strong
 h-pullback along g.  ``comparison_T`` takes g = Dis(B0) -> B, the object
 inclusion, and ``comparison_J`` takes g = 0 -> B, so J runs out of the
 strict pullback along zero (the kernel, objects (0, a)) into the strong
-h-kernel.
+h-kernel.  Both legs send every arrow to an identity, so T and J read
+only the n^3 |G|^2 squares with an identity top, not all n^4 |G|^3 of a
+connected B with n objects and vertex group G.
 
 Squares are encoded as pairs of composable pairs: a square with sides
 ``left: x -> y``, ``right: x' -> y'``, ``top: x -> x'``, ``bottom: y -> y'``
@@ -145,7 +147,8 @@ class ArrowGroupoid:
     and ``eval_cod`` send a square to its top and bottom side (and an object
     arrow to its source and target object); ``cell`` is the tautological
     transformation eval_dom => eval_cod whose component at an arrow is that
-    arrow itself.  ``pairs`` is the defining pullback of m against m.
+    arrow itself.  ``pairs`` is the defining pullback of m against m, or
+    with ``identity_tops`` the graph of the inner pair of each outer one.
     """
 
     groupoid: InternalGroupoid
@@ -153,6 +156,7 @@ class ArrowGroupoid:
     eval_cod: InternalFunctor
     cell: NatTransformation
     pairs: LimitResult
+    identity_tops: bool
 
 
 def _square_map(sq, pairs, left, bottom, top, right) -> BaseMorphism:
@@ -161,11 +165,19 @@ def _square_map(sq, pairs, left, bottom, top, right) -> BaseMorphism:
                        "p2": pairs.mediate({"p1": top, "p2": right})})
 
 
-def arrow_groupoid(b: InternalGroupoid) -> ArrowGroupoid:
-    """Build the square groupoid of ``b`` with its evaluation structure."""
+def arrow_groupoid(b: InternalGroupoid,
+                   identity_tops: bool = False) -> ArrowGroupoid:
+    """Build the square groupoid of ``b`` with its evaluation structure,
+    or with ``identity_tops`` its sub-groupoid of squares whose top is an
+    identity: one per outer pair (left, bottom), with inner pair (e d m, m).
+    """
     pairs = b.composition_pairs()
     first, second = pairs.legs["p1"], pairs.legs["p2"]
-    sq = pullback(b.m, b.m)
+    if identity_tops:
+        inner_of = pairs.mediate({"p1": compose(b.m, b.d, b.e), "p2": b.m})
+        sq = pullback(inner_of, identity(pairs.apex))
+    else:
+        sq = pullback(b.m, b.m)
     # a square is ((left, bottom), (top, right)): outer then inner pair
     outer, inner = sq.legs["p1"], sq.legs["p2"]
     d, c = compose(outer, first), compose(inner, second)
@@ -181,7 +193,7 @@ def arrow_groupoid(b: InternalGroupoid) -> ArrowGroupoid:
     eval_dom = InternalFunctor(grp, b, b.d, top)
     eval_cod = InternalFunctor(grp, b, b.c, bottom)
     cell = NatTransformation(eval_dom, eval_cod, identity(b.B1))
-    return ArrowGroupoid(grp, eval_dom, eval_cod, cell, sq)
+    return ArrowGroupoid(grp, eval_dom, eval_cod, cell, sq, identity_tops)
 
 
 def mediate_squares(data: ArrowGroupoid, mu: NatTransformation) -> InternalFunctor:
@@ -217,8 +229,8 @@ class HPullback:
     ``to_f_dom`` and ``to_g_dom`` are the projection functors to the two
     leg domains, and ``cell`` is the structural 2-cell
     to_g_dom . g => to_f_dom . f whose component at an apex object is its
-    middle (arrow) coordinate.  Both comma limits and the square
-    groupoid of the codomain are kept for the mediators.
+    middle (arrow) coordinate.  Both comma limits and the squares of the
+    codomain that the leg g meets are kept for the mediators.
     """
 
     groupoid: InternalGroupoid
@@ -239,15 +251,19 @@ def strong_h_pullback(f: InternalFunctor, g: InternalFunctor) -> HPullback:
     codomain, object y of f.dom) where m runs from g x to f y; level 1 is
     the comma object one dimension up, with the square groupoid in the
     middle slot.  Each element also reads m's two ends.  Structure maps act
-    componentwise.  f keeps the square groupoid of the codomain for its
-    next h-pullback.
+    componentwise.  A leg that sends every arrow to an identity, as T's and
+    J's do, meets only the n^3 |G|^2 squares with an identity top (of
+    n^4 |G|^3 over a connected codomain with n objects and vertex group G),
+    and the middle slot holds only those.  f keeps its squares for its next
+    h-pullback; a leg that moves arrows replaces them by all squares.
     """
     if f.cod != g.cod:
         raise DiagramError("strong h-pullback needs a common codomain")
     b = f.cod
     a, c = f.dom, g.dom
-    if f._squares is None:  # kept on f, so T and J share it
-        f._squares = arrow_groupoid(b)
+    identity_tops = set(g.F1.map) <= set(b.e.map)
+    if f._squares is None or (f._squares.identity_tops and not identity_tops):
+        f._squares = arrow_groupoid(b, identity_tops)  # T and J share it
     sq = f._squares
     sqg = sq.groupoid
 

@@ -11,7 +11,7 @@ from groupoid_lab.base import (
     FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject, CapabilityError,
     CompositionError,
     DiagramError, NoMediatorError, additive_section, classify_morphism,
-    comma, compose, count_factorizations, direct_sum, enumerate_morphisms,
+    comma, compose, direct_sum, enumerate_morphisms,
     finab_object, finptdset_object, finset_object, generated_subgroup_indices,
     identity, jointly_strongly_epi, kernel,
     morphism_from_function, parse_instance, product, pullback,
@@ -22,6 +22,7 @@ from groupoid_lab.catalog import _groupoid_catalog
 from groupoid_lab.generators import gen_functor, gen_groupoid
 from groupoid_lab.holim import (
     arrow_groupoid, comparison_T_data, strong_h_kernel)
+from oracles import count_factorizations
 
 
 def mod_map(m, n):

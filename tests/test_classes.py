@@ -54,7 +54,6 @@ from groupoid_lab.classify import (
     classify_star_fibration,
     fibration_at_least,
     fully_faithful_comparison,
-    hat_tau_factorization,
     is_equivalence,
     is_fully_faithful,
     is_weak_equivalence,
@@ -108,7 +107,8 @@ class TestTauFactorization:
                 tau = tau_factorization(fun, side)
                 assert compose(tau, lim.legs["p1"]) == end
                 assert compose(tau, lim.legs["p2"]) == fun.F1
-        for measure in (tau_factorization, hat_tau_factorization,
+        for measure in (tau_factorization,
+                        lambda f, side: FunctorClassification(f).hat_tau(side),
                         lambda f, side: FunctorClassification(f).reach(side)):
             with pytest.raises(ValueError):
                 measure(identity_functor(g), "x")
@@ -167,21 +167,22 @@ class TestStarFibration:
 
     def test_embedding_into_the_graph_groupoid(self):
         fun = discrete_embedding(graph_groupoid())
-        ht = hat_tau_factorization(fun, "d")
+        ht = FunctorClassification(fun).hat_tau("d")[1]
         assert (ht.dom.size, ht.cod.size) == (1, 2)
         assert classify_star_fibration(fun) == "not_star"
 
     def test_zero_functor_measurement_is_surjective(self):
         b = cyclic_delooping(FINAB, 2)
         fun = zero_functor(b, zero_groupoid(FINAB))
-        assert classify_morphism(hat_tau_factorization(fun, "d")).regular_epi
+        assert classify_morphism(
+            FunctorClassification(fun).hat_tau("d")[1]).regular_epi
 
     def test_capability_guard(self):
         b = cyclic_delooping(FINSET, 2)
         with pytest.raises(CapabilityError):
             classify_star_fibration(identity_functor(b))
         with pytest.raises(CapabilityError):
-            hat_tau_factorization(identity_functor(b), "c")
+            FunctorClassification(identity_functor(b)).hat_tau("c")
 
     def test_label_order(self):
         assert star_at_least("split_epi_star_fibration", "star_fibration")

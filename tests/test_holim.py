@@ -6,6 +6,8 @@ Size oracles are derived by hand before freezing:
   freely, the right side is forced, so |squares| = |G|^3 / |G| * |G| = |G|^3
   over a single object once the three free sides are counted -- concretely
   8 for Z2 and 27 for Z3.
+* squares with an identity top over the same groupoid: left and bottom
+  are free and force the right side, so |G|^2 of them.
 * strict pullback of Id along Id on a one-object groupoid: one object pair
   and |G| arrow pairs (x, x).
 * h-pullback of the doubling functor Z2 -> Z4 against Id: level 0 has one
@@ -26,7 +28,6 @@ from groupoid_lab.base import (
     NoMediatorError,
     classify_morphism,
     compose,
-    count_factorizations,
     direct_sum,
     finptdset_object,
     finset_object,
@@ -61,8 +62,9 @@ from groupoid_lab.groupoid import (
 from groupoid_lab import base
 from groupoid_lab import groupoid as groupoid_module
 from groupoid_lab import holim
+from groupoid_lab.catalog import _groupoid_catalog
 from groupoid_lab.classify import classification_report, classify_fibration
-from groupoid_lab.generators import gen_functor
+from groupoid_lab.generators import gen_fibration, gen_functor
 from groupoid_lab.holim import (
     arrow_groupoid,
     comparison_J,
@@ -82,6 +84,7 @@ from groupoid_lab.holim import (
     strong_h_pullback,
 )
 from groupoid_lab.serialize import from_json, to_json
+from oracles import count_factorizations
 
 
 def embed_delta():
@@ -94,6 +97,28 @@ class TestArrowGroupoid:
             data = arrow_groupoid(cyclic_delooping(FINAB, k))
             assert data.groupoid.B1.size == k ** 3
             assert validate_groupoid(data.groupoid) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_identity_tops_square_law(self, n):
+        b = delooping(zmod(n))
+        assert arrow_groupoid(b).groupoid.B1.size == n ** 3
+        data = arrow_groupoid(b, identity_tops=True)
+        assert data.groupoid.B1.size == n ** 2
+        assert validate_groupoid(data.groupoid) == []
+        assert validate_transformation(data.cell) == []
+
+    @pytest.mark.parametrize("instance, seed",
+                             [(FINAB, 2), (FINPTDSET, 1), (FINSET, 4)])
+    def test_identity_tops_keep_the_squares_and_their_keys(self, instance,
+                                                           seed):
+        b = gen_functor(instance, seed).cod
+        full, few = arrow_groupoid(b), arrow_groupoid(b, identity_tops=True)
+        units = set(b.e.map)
+        kept = [k for k, t in enumerate(full.eval_dom.F1.map) if t in units]
+        assert list(few.pairs.lookup) == [list(full.pairs.lookup)[k]
+                                          for k in kept]
+        assert few.groupoid.B1.carrier == tuple(
+            full.groupoid.B1.carrier[k] for k in kept)
 
     def test_structure_is_valid(self):
         data = arrow_groupoid(cyclic_delooping(FINAB, 4))
@@ -329,13 +354,23 @@ class TestStrongHPullback:
     def test_t_and_j_share_the_codomain_squares(self, monkeypatch):
         fun = gen_functor(FINAB, 2)
         builds = []
-        monkeypatch.setattr(holim, "arrow_groupoid", lambda b: (
-            builds.append(b), arrow_groupoid(b))[1])
+        monkeypatch.setattr(holim, "arrow_groupoid", lambda b, *rest: (
+            builds.append(b), arrow_groupoid(b, *rest))[1])
         squares = comparison_T_data(fun).relaxed.squares
         assert comparison_J_data(fun).relaxed.squares is squares
         assert builds == [fun.cod]
         # the public constructor still builds afresh
         assert arrow_groupoid(fun.cod) is not squares
+
+    def test_a_leg_that_moves_arrows_gets_every_square(self):
+        fun = gen_functor(FINAB, 2)
+        few = comparison_J_data(fun).relaxed.squares
+        full = strong_h_pullback(fun, identity_functor(fun.cod)).squares
+        assert few.identity_tops and not full.identity_tops
+        assert full.groupoid.B1.size == (
+            arrow_groupoid(fun.cod).groupoid.B1.size)
+        # a later leg that needs fewer squares reads the full ones
+        assert comparison_T_data(fun).relaxed.squares is full
 
     def test_t_and_j_compose_four_functors(self, monkeypatch):
         # two for the structural cell, two for the cone cell's squares
@@ -531,6 +566,44 @@ def test_the_kernel_is_the_strict_pullback_along_zero(instance, seed):
     assert compose_functors(med, strict.to_second) == incl
 
 
+def _hp_tables(hp):
+    g = hp.groupoid
+    return [g.B0.carrier, g.B1.carrier, g.d.map, g.c.map, g.e.map, g.i.map,
+            g.m.map]
+
+
+def _assert_identity_tops_suffice(fun):
+    """T's and J's h-pullbacks come out the same from the squares with an
+    identity top as from all squares."""
+    b = fun.cod
+    legs = [discrete_embedding(b)]
+    if b.instance.pointed:
+        legs.append(zero_functor(zero_groupoid(b.instance), b))
+    few = [strong_h_pullback(fun, g) for g in legs]
+    assert all(hp.squares is few[0].squares for hp in few)
+    assert few[0].squares.identity_tops
+    # the identity leg needs every square, and the legs after it reuse them
+    strong_h_pullback(fun, identity_functor(b))
+    full = [strong_h_pullback(fun, g) for g in legs]
+    assert full[0].squares.groupoid.B1.size == (
+        arrow_groupoid(b).groupoid.B1.size)
+    assert [_hp_tables(hp) for hp in few] == [_hp_tables(hp) for hp in full]
+
+
+@pytest.mark.parametrize("gen", [gen_functor, gen_fibration],
+                         ids=["functor", "fibration"])
+@pytest.mark.parametrize("instance", [FINSET, FINPTDSET, FINAB],
+                         ids=["finset", "finptdset", "finab"])
+def test_t_and_j_read_only_the_squares_with_an_identity_top(gen, instance):
+    for seed in range(10):
+        _assert_identity_tops_suffice(gen(instance, seed))
+
+
+def test_catalogue_h_pullbacks_read_only_the_squares_with_an_identity_top():
+    for b in _groupoid_catalog(8):
+        _assert_identity_tops_suffice(identity_functor(b))
+
+
 def test_both_comparisons_are_exported_alike():
     from groupoid_lab import comparison_J, comparison_T_data
     assert comparison_J is holim.comparison_J
@@ -588,6 +661,26 @@ class TestComposition:
             assert [g.mul(x, y) for x, y in pairs] == [g.m(p) for p in pairs]
             self.assert_rejects(g)
             assert validate_groupoid(g) == []
+
+
+def test_the_report_of_a_path_factorization_inclusion_fits(monkeypatch):
+    """j: A -> P_F for F = gen_functor(FINAB, 3), a -> (F a, id, a): P_F has
+    12 objects and 1 728 arrows, so 35 831 808 squares in all, which ran
+    out of memory under a 2.5 GB cap.  T and J read 248 832 of them."""
+    fun = gen_functor(FINAB, 3)
+    a, b = fun.dom, fun.cod
+    hp = strong_h_pullback(fun, identity_functor(b))
+    j = mediate_h_pullback(hp, identity_functor(a), fun,
+                           compose(fun.F0, b.e))
+    builds = []
+    monkeypatch.setattr(holim, "arrow_groupoid", lambda g, *rest: (
+        builds.append(g), arrow_groupoid(g, *rest))[1])
+    report = classification_report(j)
+    flags = report.flags
+    assert flags["equivalence"] and not flags["fibration"]
+    assert report.star == "split_epi_star_fibration"
+    assert builds == [hp.groupoid]
+    assert j._squares.groupoid.B1.size == 248_832
 
 
 class TestCompositionOnDemand:
