@@ -1,16 +1,19 @@
 """Finite base categories: objects, morphisms, limits, and morphism classes.
 
 Three concrete instances are supported, each regular and with all finite
-limits computed by enumeration:
+limits computed by enumeration.  Each declares its capabilities, which the
+code reads instead of asking which instance it holds:
 
-* ``FINSET`` -- finite sets.
-* ``FINPTDSET`` -- finite pointed sets (zero object: the one-point set).
+* ``FINSET`` -- finite sets; none.
+* ``FINPTDSET`` -- finite pointed sets (zero object: the one-point set);
+  ``pointed``.
 * ``FINAB`` -- finite abelian groups given by addition tables (zero
-  object: the trivial group).  FINAB is the protomodular instance.  Every
-  addition table is a sequence of row tuples: input groups carry theirs,
-  and a limit apex builds each row from its parts when first read.  A read
-  of a whole apex table builds only its generators' rows that way and
-  derives the rest from them, walking the cosets from zero.
+  object: the trivial group); ``pointed``, ``additive`` (objects carry
+  ``add`` and ``neg`` tables, maps are additive) and ``protomodular``.
+  Every addition table is a sequence of row tuples: input groups carry
+  theirs, and a limit apex builds each row from its parts when first
+  read.  A read of a whole apex table builds only its generators' rows
+  that way and derives the rest from them, walking the cosets from zero.
 
 Both pointed instances keep their distinguished point in one field, an
 object's ``zero`` index: the basepoint of a pointed set, the zero of a
@@ -88,14 +91,18 @@ class BaseInstance:
     name: str
     pointed: bool
     protomodular: bool
+    # objects carry add and neg tables, and maps must be additive
+    additive: bool
 
     def __repr__(self) -> str:
         return self.name
 
 
-FINSET = BaseInstance("finset", False, False)
-FINPTDSET = BaseInstance("finptdset", True, False)
-FINAB = BaseInstance("finab", True, True)
+FINSET = BaseInstance("finset", pointed=False, protomodular=False,
+                      additive=False)
+FINPTDSET = BaseInstance("finptdset", pointed=True, protomodular=False,
+                         additive=False)
+FINAB = BaseInstance("finab", pointed=True, protomodular=True, additive=True)
 
 _INSTANCES = {i.name: i for i in (FINSET, FINPTDSET, FINAB)}
 
@@ -173,10 +180,10 @@ class BaseObject:
                 raise DiagramError("carrier has duplicate elements")
             seen.add(x)
         inst = self.instance
-        if inst is FINAB:
-            self._validate_group()
-        elif inst not in _INSTANCES.values():
+        if inst not in _INSTANCES.values():
             raise DiagramError(f"unknown instance {inst!r}")
+        if inst.additive:
+            self._validate_group()
         elif self.add is not None or self._neg is not None:
             raise DiagramError(f"{inst.name} objects carry no add/neg tables")
         elif inst.pointed:
@@ -260,7 +267,7 @@ class BaseObject:
         enumeration without any normal-form machinery.
         """
         if self._gens is None:
-            if self.instance is not FINAB:
+            if not self.instance.additive:
                 raise CapabilityError("generating sequences exist only in finab")
             self._gens = _coset_walk(self.zero, self.add, range(self.size))[1]
         return self._gens
@@ -330,7 +337,7 @@ class BaseMorphism:
         dom, cod, f = self.dom, self.cod, self.map
         if dom.instance.pointed and f[dom.zero] != cod.zero:
             raise DiagramError("map does not preserve the basepoint (zero)")
-        if dom.instance is FINAB:
+        if dom.instance.additive:
             # Additivity on (everything) x (generators) implies additivity.
             for g in dom.generating_sequence():
                 dom_g, cod_g = dom.add[g], cod.add[f[g]]
@@ -397,7 +404,7 @@ def zmod(n: int) -> BaseObject:
 
 def direct_sum(a: BaseObject, b: BaseObject) -> BaseObject:
     """Componentwise group structure on the pair carrier (lexicographic)."""
-    if a.instance is not FINAB or b.instance is not FINAB:
+    if not (a.instance.additive and b.instance.additive):
         raise CapabilityError("direct_sum is a finab construction")
     return product(a, b).apex
 
@@ -418,7 +425,7 @@ def subobject_limit(parent: BaseObject, indices) -> LimitResult:
         raise DiagramError("subobject indices must be int indices in range")
     if parent.instance.pointed and parent.zero not in idx:
         raise DiagramError("a pointed subobject must keep the zero")
-    if (parent.instance is FINAB
+    if (parent.instance.additive
             and len(_coset_walk(parent.zero, parent.add, idx)[0]) != len(idx)):
         raise DiagramError("subset is not closed under the group structure")
     return _tuple_limit(("incl",), [parent], [(i,) for i in idx],
@@ -427,7 +434,7 @@ def subobject_limit(parent: BaseObject, indices) -> LimitResult:
 
 def generated_subgroup_indices(obj: BaseObject, seed_indices) -> list[int]:
     """Indices of the subgroup generated by a set of indices (FINAB)."""
-    if obj.instance is not FINAB:
+    if not obj.instance.additive:
         raise CapabilityError("subgroups are a finab construction")
     seed_indices = list(seed_indices)
     if not all(_is_index(i, obj.size) for i in seed_indices):
@@ -471,7 +478,7 @@ def _quotient(obj: BaseObject, pairs) -> BaseMorphism:
     pos = {r: k for k, r in enumerate(reps)}
     proj = [pos[r] for r in rep]
     inst, add, neg = obj.instance, None, None
-    if inst is FINAB:
+    if inst.additive:
         add = tuple(tuple(proj[obj.add[a][b]] for b in reps) for a in reps)
         neg = tuple(proj[obj.neg[a]] for a in reps)
     q_obj = BaseObject(inst, [obj.carrier[r] for r in reps], add=add, neg=neg,
@@ -481,13 +488,13 @@ def _quotient(obj: BaseObject, pairs) -> BaseMorphism:
 
 
 def zero_object(instance: BaseInstance) -> BaseObject:
-    if instance is FINPTDSET:
-        return BaseObject(FINPTDSET, ["*"], zero=0, _trusted=True)
-    if instance is FINAB:
-        return zmod(1)
-    if instance is FINSET:
+    if instance not in _INSTANCES.values():
+        raise DiagramError(f"{instance!r} is not a base instance")
+    if not instance.pointed:
         raise CapabilityError("finset has no zero object")
-    raise DiagramError(f"{instance!r} is not a base instance")
+    if instance.additive:
+        return zmod(1)
+    return BaseObject(instance, ["*"], zero=0, _trusted=True)
 
 
 def identity(obj: BaseObject) -> BaseMorphism:
@@ -616,7 +623,7 @@ def _tuple_limit(names, parts, tuples, elements=None):
         apex.zero = lookup.get(tuple([p.zero for p in parts]))
         if apex.zero is None:
             raise DiagramError("limit carrier lost the zero")
-    if instance is FINAB:
+    if instance.additive:
         apex.add = _TupleAddTable(parts, tuples, lookup, apex.zero)
     columns = zip(*tuples) if tuples else [()] * len(parts)
     legs = {name: BaseMorphism(apex, part, column, True)
@@ -775,7 +782,7 @@ class MorphismFlags:
     def split_epi(self) -> bool:
         # The inverse of an additive bijection is additive, so an iso splits.
         f = self.morphism
-        return self.regular_epi and (self.iso or f.dom.instance is not FINAB
+        return self.regular_epi and (self.iso or not f.dom.instance.additive
                                      or additive_section(f) is not None)
 
 
@@ -797,7 +804,7 @@ def split_section(f: BaseMorphism):
     if set(f.map) != set(range(f.cod.size)):
         return None
     inst = f.dom.instance
-    if inst is FINAB:
+    if inst.additive:
         return additive_section(f)
     table = [-1] * f.cod.size
     for i, j in enumerate(f.map):
@@ -841,7 +848,7 @@ def jointly_strongly_epi(morphisms) -> bool:
             raise CompositionError("family has mixed codomains")
         hit.update(m.map)
     last = set(ms[-1].map)
-    if cod.instance is not FINAB:
+    if not cod.instance.additive:
         return len(hit | last) == cod.size
     if len(ms) != 2:
         hit = set(generated_subgroup_indices(cod, hit))
@@ -857,7 +864,7 @@ def enumerate_morphisms(dom: BaseObject, cod: BaseObject):
     if dom.instance is not cod.instance:
         raise DiagramError("enumeration crosses base instances")
     inst = dom.instance
-    if inst is FINAB:
+    if inst.additive:
         candidates = []
         for g in dom.generating_sequence():
             og = _element_order(dom, g)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from operator import getitem
 
-from .base import (FINAB, FINPTDSET, FINSET, BaseMorphism, BaseObject,
-                   CapabilityError, DiagramError, LimitResult, _check_order,
-                   compose, finptdset_object, finset_object, identity,
-                   morphism_from_function, product, pullback,
-                   reflexive_coequalizer, subobject_limit,
+from .base import (BaseMorphism, BaseObject, CapabilityError, DiagramError,
+                   LimitResult, _INSTANCES, _check_order, compose,
+                   finset_object, identity, morphism_from_function, product,
+                   pullback, reflexive_coequalizer, subobject_limit,
                    zero_morphism, zero_object, zmod)
 
 
@@ -439,21 +438,20 @@ def indiscrete_groupoid(x: BaseObject) -> InternalGroupoid:
 def cyclic_delooping(instance, k: int) -> InternalGroupoid:
     """One object with Z_k worth of loops, in any instance."""
     _check_order(k)
-    if instance is FINAB:
-        return delooping(zmod(k))
-    if instance is FINSET:
-        b0, b1 = finset_object(["*"]), finset_object(range(k))
-    elif instance is FINPTDSET:
-        b0, b1 = finptdset_object(["*"]), finptdset_object(range(k), 0)
-    else:
+    if instance not in _INSTANCES.values():
         raise DiagramError(f"{instance!r} is not a base instance")
+    if instance.additive:
+        return delooping(zmod(k))
+    zero = 0 if instance.pointed else None
+    b0 = BaseObject(instance, ["*"], zero=zero)
+    b1 = BaseObject(instance, range(k), zero=zero)
     return _assemble(b0, b1, [0] * k, [0] * k, [0],
                      [(-j) % k for j in range(k)], lambda a, b: (a + b) % k)
 
 
 def delooping(group: BaseObject) -> InternalGroupoid:
     """One object whose loops are the given abelian group."""
-    if group.instance is not FINAB:
+    if not group.instance.additive:
         raise CapabilityError("delooping of a group object needs finab")
     b0 = zmod(1)
     d = zero_morphism(group, b0)
@@ -468,7 +466,7 @@ def groupoid_from_arrow(delta: BaseMorphism) -> InternalGroupoid:
     N-components.  Connected components are the cosets of the image, and
     the loops at 0 form the kernel of delta.
     """
-    if delta.dom.instance is not FINAB:
+    if not delta.dom.instance.additive:
         raise CapabilityError("groupoid_from_arrow needs finab")
     a0, n = delta.cod, delta.dom
     lim = product(a0, n)  # the direct sum
@@ -486,7 +484,7 @@ def action_groupoid(perm: BaseMorphism) -> InternalGroupoid:
 
     Objects are the permuted set; an arrow (x, j) runs from x to perm^j(x).
     """
-    if perm.dom.instance is not FINSET or perm.dom != perm.cod:
+    if perm.dom.instance.pointed or perm.dom != perm.cod:
         raise CapabilityError("action_groupoid needs a finset permutation")
     if sorted(perm.map) != list(range(perm.dom.size)):
         raise DiagramError("action map must be a permutation")

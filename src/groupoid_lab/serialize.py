@@ -5,7 +5,9 @@ with sorted keys so equal values always produce identical bytes.  Decoders
 rebuild values through the validated constructors, so instance-level
 structure (basepoints, addition tables) is revalidated on load, while
 groupoid and functor axioms are deliberately not checked here: validation
-of possibly corrupted structures is its own operation.
+of possibly corrupted structures is its own operation.  An object's
+``structure`` holds exactly its instance's keys: ``add``, ``neg``, ``zero``
+if additive, else ``basepoint`` if pointed, else none, when it may be absent.
 
 One ``value_from_data`` call validates each distinct object once: equal
 object data decodes to the same object (``is``), so a functor file's many
@@ -28,8 +30,6 @@ import json
 from itertools import chain
 
 from .base import (
-    FINAB,
-    FINPTDSET,
     BaseMorphism,
     BaseObject,
     DiagramError,
@@ -58,12 +58,12 @@ def _decode_element(x):
 
 def object_to_data(obj: BaseObject) -> dict:
     structure: dict = {}
-    if obj.instance is FINPTDSET:
-        structure["basepoint"] = obj.zero
-    elif obj.instance is FINAB:
+    if obj.instance.additive:
         structure["add"] = [list(row) for row in obj.add]
         structure["neg"] = list(obj.neg)
         structure["zero"] = obj.zero
+    elif obj.instance.pointed:
+        structure["basepoint"] = obj.zero
     return {"instance": obj.instance.name,
             "carrier": [_encode_element(x) for x in obj.carrier],
             "structure": structure}
@@ -109,13 +109,18 @@ def _object(data: dict, memo: dict) -> BaseObject:
     if not isinstance(data["carrier"], list):
         raise DiagramError("carrier must be a JSON array")
     carrier = tuple(_decode_element(x) for x in data["carrier"])
-    structure = data.get("structure") or {}
+    structure = data.get("structure", {})
     add = neg = zero = None
-    if instance is FINPTDSET:
-        zero = structure["basepoint"]
-    elif instance is FINAB:
+    if instance.additive:
         add, neg, zero = structure["add"], structure["neg"], structure["zero"]
         add, neg = tuple(tuple(r) for r in add), tuple(neg)
+    elif instance.pointed:
+        zero = structure["basepoint"]
+    keys = ({"add", "neg", "zero"} if instance.additive
+            else {"basepoint"} if instance.pointed else set())
+    if not isinstance(structure, dict) or structure.keys() != keys:
+        raise DiagramError(f"{instance.name} structure must be an object "
+                           f"with exactly the keys {sorted(keys)}")
     key = (instance, carrier, add, neg, zero)
     if not _exact(*key[1:]):
         return BaseObject(*key)

@@ -1,6 +1,10 @@
 """Base-category operations against independent brute-force oracles."""
 
+import ast
+import collections
 import itertools
+from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +22,12 @@ from groupoid_lab.base import (
     quotient_by_subgroup, reflexive_coequalizer, split_section,
     subobject_limit, zero_morphism, zero_object, zmod)
 from groupoid_lab.groupoid import delooping
-from groupoid_lab.catalog import _groupoid_catalog
-from groupoid_lab.generators import gen_functor, gen_groupoid
+from groupoid_lab.catalog import (
+    _finab_catalog, _finptdset_catalog, _groupoid_catalog)
+from groupoid_lab.generators import _random_object, gen_functor, gen_groupoid
 from groupoid_lab.holim import (
     arrow_groupoid, comparison_T_data, strong_h_kernel)
+from groupoid_lab.serialize import object_to_data
 from oracles import count_factorizations
 
 
@@ -42,11 +48,68 @@ def abelian_groups_up_to_8():
         direct_sum(z2, direct_sum(z2, z2))]
 
 
+# The modules that pick cases by instance; every other module reads the
+# instance's capabilities.
+_CASE_PICKERS = {"harness.py", "generators.py", "catalog.py"}
+_INSTANCE_NAMES = {"FINSET", "FINPTDSET", "FINAB"}
+_STRUCTURE_KEYS = {FINSET: set(), FINPTDSET: {"basepoint"},
+                   FINAB: {"add", "neg", "zero"}}
+
+
+def _instance_identity_tests(path):
+    """The ``is`` and ``is not`` comparisons in a module that have an
+    instance constant on either side, as line numbers."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            names = {getattr(side, "id", getattr(side, "attr", None))
+                     for side in (left, right)}
+            if (isinstance(op, (ast.Is, ast.IsNot))
+                    and names & _INSTANCE_NAMES):
+                lines.append(node.lineno)
+    return lines
+
+
+def _objects_of_every_instance():
+    yield from _finab_catalog(8)
+    yield from _finptdset_catalog(3)
+    yield zero_object(FINPTDSET)
+    yield zero_object(FINAB)
+    for inst in (FINSET, FINPTDSET, FINAB):
+        for seed in range(50):
+            yield _random_object(inst, Random(seed), 6)
+
+
 class TestInstances:
     def test_capability_flags(self):
         assert not FINSET.pointed and not FINSET.protomodular
         assert FINPTDSET.pointed and not FINPTDSET.protomodular
         assert FINAB.pointed and FINAB.protomodular
+        assert [i.additive for i in (FINSET, FINPTDSET, FINAB)] == [
+            False, False, True]
+
+    def test_only_the_case_pickers_ask_which_instance_they_hold(self):
+        src = Path(base.__file__).parent
+        found = {path.name: _instance_identity_tests(path)
+                 for path in sorted(src.glob("*.py"))
+                 if path.name not in _CASE_PICKERS}
+        assert len(found) >= 8
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_every_object_carries_what_its_instance_declares(self):
+        seen = collections.Counter()
+        for obj in _objects_of_every_instance():
+            inst = obj.instance
+            seen[inst] += 1
+            assert (obj.add is not None) == inst.additive
+            assert (obj.neg is not None) == inst.additive
+            assert (obj.zero is not None) == inst.pointed
+            assert set(object_to_data(obj)["structure"]) == (
+                _STRUCTURE_KEYS[inst])
+        assert seen == {FINSET: 50, FINPTDSET: 54, FINAB: 60}
 
     def test_parse(self):
         assert parse_instance("FinAb") is FINAB

@@ -128,7 +128,17 @@ class TestValidate:
         {"instance": "finab", "carrier": [0],
          "structure": {"add": [[0]], "neg": [0], "zero": False}},
         {"instance": "finset", "carrier": "ab"},
-    ], ids=["instance-name", "map-entries", "basepoint", "zero", "carrier"])
+        *({"instance": "finset", "carrier": ["a"], "structure": structure}
+          for structure in ("x", 5, [0], None, [], {"add": 1})),
+        {"instance": "finptdset", "carrier": ["*", "a"],
+         "structure": {"basepoint": 0, "junk": 1}},
+        {"instance": "finab", "carrier": [0],
+         "structure": {"add": [[0]], "neg": [0], "zero": 0,
+                       "basepoint": 0}},
+    ], ids=["instance-name", "map-entries", "basepoint", "zero", "carrier",
+            "finset-str", "finset-int", "finset-list", "finset-null",
+            "finset-empty-list", "finset-add", "finptdset-extra-key",
+            "finab-extra-key"])
     def test_ill_typed_input_is_invalid(self, tmp_path, capsys, data):
         path = tmp_path / "ill-typed.json"
         path.write_text(json.dumps(data))
@@ -340,7 +350,9 @@ def test_classify_keeps_the_exit_contract_on_every_single_leaf_mutation(
 @pytest.mark.parametrize("value, counts", [
     (cyclic_delooping(FINAB, 2), {0: 168, 1: 2595, 2: 1190}),
     (cyclic_delooping(FINPTDSET, 2), {0: 79, 1: 1230, 2: 648}),
-    (discrete_groupoid(finset_object(["a", "b"])), {0: 226, 1: 1046, 2: 418}),
+    # a finset object's structure must be absent or {}: the 192 mutants that
+    # replace one of the 12 objects' {} with one of 16 other leaves exit 1
+    (discrete_groupoid(finset_object(["a", "b"])), {0: 34, 1: 1238, 2: 418}),
 ], ids=["finab", "finptdset", "finset"])
 def test_validate_keeps_the_exit_contract_on_every_single_leaf_mutation(
         tmp_path, capsys, value, counts):
